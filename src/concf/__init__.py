@@ -4,7 +4,6 @@ from .config import TrainConfig
 from .dataset import (
     DatasetSplit,
     RawInteractions,
-    TrainingTriple,
     TripleBatch,
     build_split,
     k_core_filter,
@@ -26,8 +25,6 @@ from .model import (
     init_embeddings,
     load_checkpoint,
     save_checkpoint,
-    score,
-    score_all_items,
 )
 from .objectives import (
     LossBreakdown,
@@ -56,7 +53,6 @@ __all__ = [
     "RawInteractions",
     "TrainConfig",
     "TrainResult",
-    "TrainingTriple",
     "TripleBatch",
     "adam_step",
     "bpr_loss",
@@ -77,8 +73,6 @@ __all__ = [
     "run_kmeans",
     "sample_negatives",
     "save_checkpoint",
-    "score",
-    "score_all_items",
     "sparsity_group_report",
     "structure_contrastive_loss",
     "total_loss_and_gradient",

@@ -13,7 +13,10 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
+
+from .config import TrainConfig, load_config_file
 
 DATA_ROOT_ENV = "CONCF_DATA_ROOT"
 
@@ -70,16 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--dry-run", action="store_true",
                    help="validate config and data shapes, then exit")
     t.add_argument("--threads", type=int, default=None)
-    for name, typ in (
-        ("d", int), ("n-layers", int), ("k-layer", int), ("tau", float), ("alpha", float),
-        ("lambda1", float), ("lambda2", float), ("lambda3", float),
-        ("k-users", str), ("k-items", str), ("batch-size", int), ("lr", float),
-        ("beta1", float), ("beta2", float), ("adam-eps", float),
-        ("max-epochs", int), ("patience", int), ("seed", int), ("valid-user-cap", int),
-        ("kmeans-max-iters", int), ("kmeans-tol", float), ("cluster-source", str),
-        ("dtype", str),
-    ):
-        t.add_argument(f"--{name}", type=typ, default=None)
+    # one flag per config field (n_layers -> --n-layers); the raw string goes
+    # through TrainConfig.from_dict, the same parser as config-file values
+    for f in fields(TrainConfig):
+        t.add_argument(f"--{f.name.replace('_', '-')}", default=None, metavar="VALUE")
 
     e = sub.add_parser("evaluate", help="full-ranking metrics from a checkpoint")
     e.add_argument("--checkpoint", required=True)
@@ -124,15 +121,9 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def _resolved_config(args: argparse.Namespace):
-    from .config import TrainConfig, load_config_file
-
-    values: dict = {}
-    if args.config:
-        values.update(load_config_file(_resolve_path(args.config)))
-    for key in TrainConfig.__dataclass_fields__:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    values = load_config_file(_resolve_path(args.config)) if args.config else {}
+    flags = {f.name: getattr(args, f.name) for f in fields(TrainConfig)}
+    values.update((key, raw) for key, raw in flags.items() if raw is not None)
     config = TrainConfig.from_dict(values)
     config.validate()
     return config
@@ -145,13 +136,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .model import save_checkpoint
     from . import __version__
 
+    split_dir = _resolve_path(args.split_dir)
+    split = DatasetSplit.load(split_dir)
     try:
         config = _resolved_config(args)
+        config.validate_for_split(split.n_users, split.n_items)
     except ValueError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 1
-    split_dir = _resolve_path(args.split_dir)
-    split = DatasetSplit.load(split_dir)
 
     if args.dry_run:
         adj = build_normalized_adjacency(split)

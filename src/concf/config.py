@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, get_type_hints
 
 
 @dataclass
@@ -79,6 +79,19 @@ class TrainConfig:
         if self.dtype not in ("float64", "float32"):
             raise ValueError("dtype: must be 'float64' or 'float32'")
 
+    def validate_for_split(self, n_users: int, n_items: int) -> None:
+        """Raise ValueError naming a cluster count above the split's node count.
+
+        K-means needs at least k points, so this only applies while the
+        prototype term is on.
+        """
+        if self.lambda2 == 0:
+            return
+        for name, n_nodes, kind in (("k_users", n_users, "users"), ("k_items", n_items, "items")):
+            for k in getattr(self, name):
+                if k > n_nodes:
+                    raise ValueError(f"{name}: {k} clusters but the split has {n_nodes} {kind}")
+
     @property
     def backbone_tag(self) -> str:
         """Ablation label: plain ranking backbone when both contrastive weights are zero."""
@@ -93,35 +106,37 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, values: dict[str, Any]) -> "TrainConfig":
-        known = {f.name: f for f in fields(cls)}
-        kwargs: dict[str, Any] = {}
-        for key, raw in values.items():
-            if key not in known:
-                raise ValueError(f"{key}: unknown config field")
-            kwargs[key] = _coerce(key, raw)
-        return cls(**kwargs)
+        """Build a config from raw values: config-file strings or typed values."""
+        return cls(**{key: _coerce(key, raw) for key, raw in values.items()})
+
+
+def _int_tuple(raw: Any) -> tuple[int, ...]:
+    if isinstance(raw, str):
+        raw = raw.replace(",", " ").split()
+    return tuple(int(v) for v in raw)
+
+
+def _optional_int(raw: Any) -> int | None:
+    if raw is None or (isinstance(raw, str) and raw.lower() in ("none", "")):
+        return None
+    return int(raw)
+
+
+# one parser per annotation; a field of any other type fails at import
+_PARSERS = {
+    int: int, float: float, str: str, tuple[int, ...]: _int_tuple, int | None: _optional_int
+}
+_FIELD_PARSERS = {name: _PARSERS[hint] for name, hint in get_type_hints(TrainConfig).items()}
 
 
 def _coerce(key: str, raw: Any) -> Any:
-    """Coerce a raw config value (possibly a string) to the field's type."""
-    if key in ("k_users", "k_items"):
-        if isinstance(raw, str):
-            parts = [p for p in raw.replace(",", " ").split() if p]
-            return tuple(int(p) for p in parts)
-        return tuple(int(v) for v in raw)
-    if key in ("d", "n_layers", "k_layer", "batch_size", "max_epochs", "patience", "seed",
-               "kmeans_max_iters"):
-        return int(raw)
-    if key == "valid_user_cap":
-        if raw is None or (isinstance(raw, str) and raw.lower() in ("none", "")):
-            return None
-        return int(raw)
-    if key in ("tau", "alpha", "lambda1", "lambda2", "lambda3", "lr", "beta1", "beta2",
-               "adam_eps", "kmeans_tol"):
-        return float(raw)
-    if key in ("cluster_source", "dtype"):
-        return str(raw)
-    return raw
+    """Parse a raw value (possibly a string) with the parser of field ``key``'s type."""
+    if key not in _FIELD_PARSERS:
+        raise ValueError(f"{key}: unknown config field")
+    try:
+        return _FIELD_PARSERS[key](raw)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -137,11 +152,3 @@ def load_config_file(path: str | Path) -> dict[str, str]:
             key, _, value = line.partition("=")
             values[key.strip()] = value.strip()
     return values
-
-
-def save_config_file(path: str | Path, config: TrainConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in config.to_dict().items():
-            if isinstance(value, list):
-                value = ",".join(str(v) for v in value)
-            fh.write(f"{key} = {value}\n")

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -45,12 +45,6 @@ class RawInteractions:
         return zip(self.users, self.items)
 
 
-class TrainingTriple(NamedTuple):
-    user_id: int
-    pos_item_id: int
-    neg_item_id: int
-
-
 @dataclass(frozen=True)
 class TripleBatch:
     """Column layout for (user, positive item, negative item) triples."""
@@ -61,17 +55,6 @@ class TripleBatch:
 
     def __len__(self) -> int:
         return len(self.users)
-
-    def __getitem__(self, idx) -> "TrainingTriple | TripleBatch":
-        if isinstance(idx, (int, np.integer)):
-            return TrainingTriple(
-                int(self.users[idx]), int(self.pos_items[idx]), int(self.neg_items[idx])
-            )
-        return TripleBatch(self.users[idx], self.pos_items[idx], self.neg_items[idx])
-
-    def __iter__(self) -> Iterator[TrainingTriple]:
-        for u, p, n in zip(self.users, self.pos_items, self.neg_items):
-            yield TrainingTriple(int(u), int(p), int(n))
 
 
 @dataclass
@@ -95,15 +78,13 @@ class DatasetSplit:
     _train_keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        by_user: list[list[int]] = [[] for _ in range(self.n_users)]
-        for u, i in self.train:
-            by_user[int(u)].append(int(i))
-        self.train_items_by_user = [
-            np.array(sorted(items), dtype=np.int64) for items in by_user
-        ]
         # flat sorted u * n_items + i keys for O(log nnz) membership tests
         keys = self.train[:, 0].astype(np.int64) * self.n_items + self.train[:, 1]
         self._train_keys = np.sort(keys)
+        # sorted keys list each user's items in ascending order
+        self.train_items_by_user = group_by_user(
+            self._train_keys // self.n_items, self._train_keys % self.n_items, self.n_users
+        )
 
     @property
     def n_interactions(self) -> int:
@@ -144,33 +125,53 @@ class DatasetSplit:
         src = Path(split_dir)
         with open(src / "header.json", encoding="utf-8") as fh:
             header = json.load(fh)
+        n_users, n_items = header["n_users"], header["n_items"]
         parts = {}
         for name, fname in _SPLIT_FILES.items():
-            pairs = []
-            with open(src / fname, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        u, _, i = line.partition("\t")
-                        pairs.append((int(u), int(i)))
-            rows = (
-                np.array(pairs, dtype=np.int64)
-                if pairs
-                else np.empty((0, 2), dtype=np.int64)
-            )
-            parts[name] = rows
+            rows = _load_pairs(src / fname, n_users, n_items)
             if len(rows) != header["counts"][name]:
                 raise ValueError(
                     f"{fname}: {len(rows)} rows but header says {header['counts'][name]}"
                 )
+            parts[name] = rows
         return cls(
-            n_users=header["n_users"],
-            n_items=header["n_items"],
+            n_users=n_users,
+            n_items=n_items,
             train=parts["train"],
             valid=parts["valid"],
             test=parts["test"],
             meta={"seed": header.get("seed"), "min_count": header.get("min_count")},
         )
+
+
+def group_by_user(users: np.ndarray, items: np.ndarray, n_users: int) -> list[np.ndarray]:
+    """Items of each user id 0..n_users-1, in input order (stable sort by user)."""
+    order = np.argsort(users, kind="stable")
+    ends = np.cumsum(np.bincount(users, minlength=n_users))
+    return np.split(np.asarray(items, dtype=np.int64)[order], ends[:-1])
+
+
+def _load_pairs(path: Path, n_users: int, n_items: int) -> np.ndarray:
+    """(m, 2) id pairs of one split file, one ``user<TAB>item`` pair per line."""
+    with warnings.catch_warnings():
+        # an empty split is legal
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            rows = np.loadtxt(path, dtype=np.int64, delimiter="\t", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if rows.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if rows.shape[1] != 2:
+        raise ValueError(f"{path}: expected 2 fields per line, got {rows.shape[1]}")
+    bad = np.flatnonzero(((rows < 0) | (rows >= (n_users, n_items))).any(axis=1))
+    if bad.size:
+        u, i = rows[bad[0]]
+        raise ValueError(
+            f"{path}: line {bad[0] + 1}: pair ({u}, {i}) out of range for "
+            f"{n_users} users and {n_items} items"
+        )
+    return rows
 
 
 def load_interactions(path: str | Path, fmt: str = "tsv") -> RawInteractions:
@@ -221,6 +222,12 @@ def load_interactions(path: str | Path, fmt: str = "tsv") -> RawInteractions:
     )
 
 
+def _sorted_ids(keys: tuple[str, ...]) -> tuple[dict[str, int], np.ndarray]:
+    """Ids by sorted key order: the key -> id map and each record's id."""
+    index = {k: n for n, k in enumerate(sorted(set(keys)))}
+    return index, np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
+
+
 def k_core_filter(raw: RawInteractions, min_count: int) -> RawInteractions:
     """Iteratively remove users and items with degree < min_count until fixpoint.
 
@@ -230,23 +237,25 @@ def k_core_filter(raw: RawInteractions, min_count: int) -> RawInteractions:
         raise ValueError("min_count must be >= 0")
     if min_count <= 1:
         return raw
-    keep = list(range(len(raw)))
+    _, uids = _sorted_ids(raw.users)
+    _, iids = _sorted_ids(raw.items)
+    keep = np.arange(len(raw))
     while True:
-        u_deg = Counter(raw.users[i] for i in keep)
-        i_deg = Counter(raw.items[i] for i in keep)
-        survivors = [
-            i for i in keep
-            if u_deg[raw.users[i]] >= min_count and i_deg[raw.items[i]] >= min_count
-        ]
-        if len(survivors) == len(keep):
+        u, i = uids[keep], iids[keep]
+        ok = (np.bincount(u)[u] >= min_count) & (np.bincount(i)[i] >= min_count)
+        if ok.all():
             break
-        keep = survivors
-    if not keep:
+        keep = keep[ok]
+    if not keep.size:
         raise ValueError("k-core eliminated all data")
+
+    def pick(column: tuple) -> tuple:
+        return tuple(np.array(column, dtype=object)[keep])
+
     return RawInteractions(
-        users=tuple(raw.users[i] for i in keep),
-        items=tuple(raw.items[i] for i in keep),
-        timestamps=tuple(raw.timestamps[i] for i in keep) if raw.timestamps else None,
+        users=pick(raw.users),
+        items=pick(raw.items),
+        timestamps=pick(raw.timestamps) if raw.timestamps else None,
     )
 
 
@@ -265,46 +274,28 @@ def build_split(
         raise ValueError("empty interaction set")
     if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must be three nonnegative values summing to 1, got {ratios}")
-    user_keys = sorted(set(raw.users))
-    item_keys = sorted(set(raw.items))
-    user_map = {k: idx for idx, k in enumerate(user_keys)}
-    item_map = {k: idx for idx, k in enumerate(item_keys)}
-    n_users, n_items = len(user_keys), len(item_keys)
-
-    items_of_user: list[list[int]] = [[] for _ in range(n_users)]
-    for u_key, i_key in raw.pairs():
-        items_of_user[user_map[u_key]].append(item_map[i_key])
+    user_map, uids = _sorted_ids(raw.users)
+    item_map, iids = _sorted_ids(raw.items)
+    n_users, n_items = len(user_map), len(item_map)
 
     rng = rng_stream(seed)
-    train_rows: list[tuple[int, int]] = []
-    valid_rows: list[tuple[int, int]] = []
-    test_rows: list[tuple[int, int]] = []
-    for uid in range(n_users):
-        items = items_of_user[uid]
-        n = len(items)
-        # guard against 0.3*10 == 2.9999... style representation undershoot
-        n_valid = math.floor(ratios[1] * n + 1e-12)
-        n_test = math.floor(ratios[2] * n + 1e-12)
-        n_train = n - n_valid - n_test
-        perm = rng.permutation(n)
-        for j in perm[:n_train]:
-            train_rows.append((uid, items[j]))
-        for j in perm[n_train:n_train + n_valid]:
-            valid_rows.append((uid, items[j]))
-        for j in perm[n_train + n_valid:]:
-            test_rows.append((uid, items[j]))
-
-    def _arr(rows: list[tuple[int, int]]) -> np.ndarray:
-        if not rows:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.array(rows, dtype=np.int64)
-
+    shuffled = np.concatenate(
+        [items[rng.permutation(len(items))] for items in group_by_user(uids, iids, n_users)]
+    )
+    counts = np.bincount(uids, minlength=n_users)
+    # guard against 0.3*10 == 2.9999... style representation undershoot
+    n_valid = np.floor(ratios[1] * counts + 1e-12).astype(np.int64)
+    n_test = np.floor(ratios[2] * counts + 1e-12).astype(np.int64)
+    # each user's shuffled items go to train (0), then valid (1), then test (2)
+    sizes = np.column_stack([counts - n_valid - n_test, n_valid, n_test]).ravel()
+    part = np.repeat(np.tile(np.arange(3, dtype=np.int8), n_users), sizes)
+    pairs = np.column_stack([np.repeat(np.arange(n_users, dtype=np.int64), counts), shuffled])
     return DatasetSplit(
         n_users=n_users,
         n_items=n_items,
-        train=_arr(train_rows),
-        valid=_arr(valid_rows),
-        test=_arr(test_rows),
+        train=pairs[part == 0],
+        valid=pairs[part == 1],
+        test=pairs[part == 2],
         user_map=user_map,
         item_map=item_map,
         meta={"seed": seed, "ratios": tuple(ratios)},

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import DatasetSplit
+from .dataset import DatasetSplit, group_by_user
 from .model import ForwardPass
 
 _CHUNK = 512
@@ -51,13 +51,6 @@ def ndcg_at_n(ranked: list[int], relevant: set[int], n: int) -> float:
     return dcg / idcg
 
 
-def _targets_by_user(pairs: np.ndarray, n_users: int) -> list[np.ndarray]:
-    out: list[list[int]] = [[] for _ in range(n_users)]
-    for u, i in pairs:
-        out[int(u)].append(int(i))
-    return [np.array(v, dtype=np.int64) for v in out]
-
-
 def _select_cap(users: np.ndarray, cap: int | None) -> np.ndarray:
     """Deterministic evenly-spaced subsample of the eligible user list."""
     if cap is None or cap >= len(users):
@@ -87,14 +80,14 @@ def full_rank_eval(
     target_pairs = split.valid if target == "valid" else split.test
     if len(target_pairs) == 0:
         raise ValueError(f"{target} split is empty")
-    targets = _targets_by_user(target_pairs, split.n_users)
+    targets = group_by_user(target_pairs[:, 0], target_pairs[:, 1], split.n_users)
     valid_targets = (
-        _targets_by_user(split.valid, split.n_users)
+        group_by_user(split.valid[:, 0], split.valid[:, 1], split.n_users)
         if (target == "test" and mask_validation)
         else None
     )
 
-    eligible = np.array([u for u in range(split.n_users) if len(targets[u])], dtype=np.int64)
+    eligible = np.flatnonzero(np.bincount(target_pairs[:, 0], minlength=split.n_users))
     if user_subset is not None:
         subset = np.asarray(user_subset, dtype=np.int64)
         eligible = eligible[np.isin(eligible, subset)]

@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from .dataset import DatasetSplit
-
-_CACHE_MAGIC = b"CONCFADJ"
 
 
 @dataclass(eq=False)
@@ -91,28 +87,3 @@ def propagate(adj: NormalizedAdjacency, z_prev: np.ndarray) -> np.ndarray:
             f"dimension mismatch: adjacency has {adj.n_nodes} nodes, input has {z_prev.shape[0]} rows"
         )
     return adj.matrix @ z_prev
-
-
-def save_adjacency(adj: NormalizedAdjacency, path: str | Path) -> None:
-    """Binary cache: magic + little-endian (n_users, n_items, nnz) + arrays."""
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<qqq", adj.n_users, adj.n_items, adj.nnz))
-        fh.write(adj.indptr.astype("<i8").tobytes())
-        fh.write(adj.indices.astype("<i8").tobytes())
-        fh.write(adj.weights.astype("<f8").tobytes())
-
-
-def load_adjacency(path: str | Path) -> NormalizedAdjacency:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_CACHE_MAGIC))
-        if magic != _CACHE_MAGIC:
-            raise ValueError(f"{path}: not an adjacency cache")
-        n_users, n_items, nnz = struct.unpack("<qqq", fh.read(24))
-        n_nodes = n_users + n_items
-        indptr = np.frombuffer(fh.read(8 * (n_nodes + 1)), dtype="<i8").astype(np.int64)
-        indices = np.frombuffer(fh.read(8 * nnz), dtype="<i8").astype(np.int64)
-        weights = np.frombuffer(fh.read(8 * nnz), dtype="<f8").astype(np.float64)
-    return NormalizedAdjacency(
-        n_users=n_users, n_items=n_items, indptr=indptr, indices=indices, weights=weights
-    )

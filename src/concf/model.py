@@ -1,4 +1,4 @@
-"""Embedding table, multi-layer forward pass, scoring, and checkpoint I/O."""
+"""Embedding table, multi-layer forward pass, and checkpoint I/O."""
 
 from __future__ import annotations
 
@@ -97,26 +97,6 @@ def forward(adj: NormalizedAdjacency, table: EmbeddingTable, n_layers: int) -> F
     return ForwardPass(
         n_users=table.n_users, n_items=table.n_items, layers=layers, readout=readout
     )
-
-
-def score(z_u: np.ndarray, z_i: np.ndarray) -> float:
-    """Inner-product preference score."""
-    z_u = np.asarray(z_u)
-    z_i = np.asarray(z_i)
-    if z_u.shape != z_i.shape:
-        raise ValueError(f"shape mismatch: {z_u.shape} vs {z_i.shape}")
-    return float((z_u * z_i).sum())
-
-
-def score_all_items(fp: ForwardPass, user_id: int) -> np.ndarray:
-    """Scores of every item for one user, indexed by item id.
-
-    The reduction is the same pairwise sum as score(), so the result equals
-    n_items individual score() calls bit for bit.
-    """
-    if not 0 <= user_id < fp.n_users:
-        raise ValueError(f"user_id {user_id} out of range [0, {fp.n_users})")
-    return (fp.item_readout * fp.readout[user_id]).sum(axis=1)
 
 
 # --- checkpoint I/O ----------------------------------------------------------

@@ -14,11 +14,14 @@ by the forward propagation kernel itself; L2 normalizations are differentiated
 in closed form. The combined objective keeps the ranking and regularization
 terms as per-batch means and the contrastive terms in summed form, so the
 contrastive weights stay calibrated against a fixed batch size.
+
+Each term is one public function: it returns the loss, and when given a
+cotangent accumulator it also adds its weighted gradient into it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -48,16 +51,22 @@ class LossBreakdown:
     total: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "bpr": self.bpr,
-            "structure": self.structure,
-            "prototype": self.prototype,
-            "reg": self.reg,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
-def _triple_scores(fp: ForwardPass, triples: TripleBatch) -> tuple[np.ndarray, ...]:
+def bpr_loss(
+    fp: ForwardPass,
+    triples: TripleBatch,
+    grad_readout: np.ndarray | None = None,
+    weight: float = 1.0,
+) -> float:
+    """Sum over triples of -log sigmoid(score_pos - score_neg).
+
+    With ``grad_readout``, ``weight`` times the loss's gradient w.r.t. the
+    readout is added into it.
+    """
+    if len(triples) == 0:
+        raise ValueError("empty triple batch")
     users = np.asarray(triples.users, dtype=np.int64)
     pos = np.asarray(triples.pos_items, dtype=np.int64) + fp.n_users
     neg = np.asarray(triples.neg_items, dtype=np.int64) + fp.n_users
@@ -65,63 +74,53 @@ def _triple_scores(fp: ForwardPass, triples: TripleBatch) -> tuple[np.ndarray, .
     zi = fp.readout[pos]
     zj = fp.readout[neg]
     gaps = np.einsum("ij,ij->i", zu, zi - zj)
-    return users, pos, neg, zu, zi, zj, gaps
-
-
-def bpr_loss(fp: ForwardPass, triples: TripleBatch) -> float:
-    """Sum over triples of -log sigmoid(score_pos - score_neg)."""
-    if len(triples) == 0:
-        raise ValueError("empty triple batch")
-    *_, gaps = _triple_scores(fp, triples)
-    return float(softplus(-gaps).sum())
-
-
-def _bpr_term(
-    fp: ForwardPass, triples: TripleBatch, grad_readout: np.ndarray | None, weight: float
-) -> float:
-    users, pos, neg, zu, zi, zj, gaps = _triple_scores(fp, triples)
-    loss = float(softplus(-gaps).sum())
     if grad_readout is not None:
         # d/dgap of softplus(-gap) = -sigmoid(-gap)
         coef = (-expit(-gaps) * weight)[:, None]
         np.add.at(grad_readout, users, coef * (zi - zj))
         np.add.at(grad_readout, pos, coef * zu)
         np.add.at(grad_readout, neg, -coef * zu)
-    return loss
+    return float(softplus(-gaps).sum())
 
 
 def _infonce_self_pairs(
-    anchors: np.ndarray, bases: np.ndarray, counts: np.ndarray, tau: float
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    anchors: np.ndarray, bases: np.ndarray, counts: np.ndarray, tau: float, with_grad: bool
+) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """InfoNCE where row i's positive is bases[i] and every base is a candidate.
 
     Rows are assumed unit-norm. ``counts`` weights each row's term (batch
-    multiplicity). Returns (weighted sum, grad wrt anchors, grad wrt bases,
-    per-row terms).
+    multiplicity). Returns (weighted sum, grad wrt anchors, grad wrt bases);
+    the gradients are None unless ``with_grad``.
     """
     logits = (anchors @ bases.T) / tau
-    m = len(anchors)
-    diag = np.arange(m)
-    per_row = row_logsumexp(logits) - logits[diag, diag]
-    term = float(counts @ per_row)
+    diag = np.arange(len(anchors))
+    term = float(counts @ (row_logsumexp(logits) - logits[diag, diag]))
+    if not with_grad:
+        return term, None, None
     dlogits = row_softmax(logits)
     dlogits[diag, diag] -= 1.0
     dlogits *= counts[:, None]
-    grad_anchors = dlogits @ bases / tau
-    grad_bases = dlogits.T @ anchors / tau
-    return term, grad_anchors, grad_bases, per_row
+    return term, dlogits @ bases / tau, dlogits.T @ anchors / tau
 
 
-def _structure_term(
+def structure_contrastive_loss(
     fp: ForwardPass,
     batch_users: np.ndarray,
     batch_items: np.ndarray,
     k_layer: int,
     tau: float,
-    alpha: float,
-    cot_layers: list[np.ndarray] | None,
-    weight: float,
+    alpha: float = 1.0,
+    cot_layers: list[np.ndarray] | None = None,
+    weight: float = 1.0,
 ) -> float:
+    """Structure-contrastive loss, summed over batch entries.
+
+    Each entry contrasts the node's layer-``k_layer`` output against its own
+    base embedding; the candidate set is the distinct nodes of the batch
+    (in-batch negatives, positive included). The item side is weighted by
+    ``alpha``. With ``cot_layers``, ``weight`` times the loss's gradient
+    w.r.t. layers 0 and ``k_layer`` is added into those layers' cotangents.
+    """
     if tau <= 0:
         raise ValueError("tau: must be > 0")
     n_layers = fp.n_layers
@@ -139,8 +138,8 @@ def _structure_term(
         distinct, counts = np.unique(rows, return_counts=True)
         anchors, anchor_norms = l2_normalize_rows(fp.layers[k_layer][distinct])
         bases, base_norms = l2_normalize_rows(fp.layers[0][distinct])
-        term, g_anchor, g_base, _ = _infonce_self_pairs(
-            anchors, bases, counts.astype(anchors.dtype), tau
+        term, g_anchor, g_base = _infonce_self_pairs(
+            anchors, bases, counts.astype(anchors.dtype), tau, cot_layers is not None
         )
         total += side_weight * term
         if cot_layers is not None:
@@ -152,34 +151,22 @@ def _structure_term(
     return total
 
 
-def structure_contrastive_loss(
-    fp: ForwardPass,
-    batch_users: np.ndarray,
-    batch_items: np.ndarray,
-    k_layer: int,
-    tau: float,
-    alpha: float = 1.0,
-) -> float:
-    """Structure-contrastive loss, summed over batch entries.
-
-    Each entry contrasts the node's layer-``k_layer`` output against its own
-    base embedding; the candidate set is the distinct nodes of the batch
-    (in-batch negatives, positive included). The item side is weighted by
-    ``alpha``.
-    """
-    return _structure_term(
-        fp, batch_users, batch_items, k_layer, tau, alpha, cot_layers=None, weight=1.0
-    )
-
-
-def _prototype_term(
+def prototype_contrastive_loss(
     table: EmbeddingTable,
     protos: PrototypeState,
     tau: float,
-    alpha: float,
-    cot0: np.ndarray | None,
-    weight: float,
+    alpha: float = 1.0,
+    cot0: np.ndarray | None = None,
+    weight: float = 1.0,
 ) -> float:
+    """Prototype-contrastive loss summed over the full population.
+
+    Every node's normalized base embedding is contrasted with its assigned
+    centroid against all centroids of the clustering; terms are averaged
+    across granularities and the item side is weighted by ``alpha``.
+    Centroids are constants: no gradient flows into them. With ``cot0``,
+    ``weight`` times the loss's gradient w.r.t. the table is added into it.
+    """
     if tau <= 0:
         raise ValueError("tau: must be > 0")
     total = 0.0
@@ -214,19 +201,6 @@ def _prototype_term(
     return total
 
 
-def prototype_contrastive_loss(
-    table: EmbeddingTable, protos: PrototypeState, tau: float, alpha: float = 1.0
-) -> float:
-    """Prototype-contrastive loss summed over the full population.
-
-    Every node's normalized base embedding is contrasted with its assigned
-    centroid against all centroids of the clustering; terms are averaged
-    across granularities and the item side is weighted by ``alpha``.
-    Centroids are constants: no gradient flows into them.
-    """
-    return _prototype_term(table, protos, tau, alpha, cot0=None, weight=1.0)
-
-
 def reg_loss(table: EmbeddingTable, touched: np.ndarray) -> float:
     """Half the squared L2 norm of the touched rows."""
     ids = np.unique(np.asarray(touched, dtype=np.int64))
@@ -259,8 +233,7 @@ def total_loss_and_gradient(
     cot_layers = [np.zeros_like(table.matrix) for _ in range(n_layers + 1)]
 
     grad_readout = np.zeros_like(table.matrix)
-    bpr_sum = _bpr_term(fp, triples, grad_readout, weight=1.0 / n_batch)
-    bpr = bpr_sum / n_batch
+    bpr = bpr_loss(fp, triples, grad_readout, weight=1.0 / n_batch) / n_batch
     # readout is the uniform layer average, so its cotangent spreads evenly
     per_layer = grad_readout / (n_layers + 1)
     for l in range(n_layers + 1):
@@ -268,34 +241,24 @@ def total_loss_and_gradient(
 
     structure = 0.0
     if config.lambda1 > 0:
-        structure = _structure_term(
-            fp,
-            triples.users,
-            triples.pos_items,
-            config.k_layer,
-            config.tau,
-            config.alpha,
-            cot_layers,
-            weight=config.lambda1,
+        structure = structure_contrastive_loss(
+            fp, triples.users, triples.pos_items, config.k_layer, config.tau, config.alpha,
+            cot_layers, weight=config.lambda1,
         )
 
     prototype = 0.0
     if config.lambda2 > 0:
-        prototype = _prototype_term(
+        prototype = prototype_contrastive_loss(
             table, protos, config.tau, config.alpha, cot_layers[0], weight=config.lambda2
         )
 
-    touched = np.unique(
-        np.concatenate(
-            [
-                np.asarray(triples.users, dtype=np.int64),
-                np.asarray(triples.pos_items, dtype=np.int64) + table.n_users,
-                np.asarray(triples.neg_items, dtype=np.int64) + table.n_users,
-            ]
-        )
-    )
     reg = 0.0
     if config.lambda3 > 0:
+        touched = np.unique(np.concatenate([
+            np.asarray(triples.users, dtype=np.int64),
+            np.asarray(triples.pos_items, dtype=np.int64) + table.n_users,
+            np.asarray(triples.neg_items, dtype=np.int64) + table.n_users,
+        ]))
         reg = reg_loss(table, touched) / n_batch
         cot_layers[0][touched] += (config.lambda3 / n_batch) * table.matrix[touched]
 
@@ -304,13 +267,5 @@ def total_loss_and_gradient(
         grad = propagate(adj, grad)
         grad += cot_layers[l]
 
-    total = (
-        bpr
-        + config.lambda1 * structure
-        + config.lambda2 * prototype
-        + config.lambda3 * reg
-    )
-    breakdown = LossBreakdown(
-        bpr=bpr, structure=structure, prototype=prototype, reg=reg, total=total
-    )
-    return breakdown, grad
+    total = bpr + config.lambda1 * structure + config.lambda2 * prototype + config.lambda3 * reg
+    return LossBreakdown(bpr, structure, prototype, reg, total), grad

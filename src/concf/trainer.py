@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, IO
 
@@ -109,14 +109,8 @@ def iter_batches(triples: TripleBatch, order: np.ndarray, batch_size: int):
 
 
 def _mean_breakdown(parts: list[LossBreakdown]) -> LossBreakdown:
-    n = len(parts)
-    return LossBreakdown(
-        bpr=sum(p.bpr for p in parts) / n,
-        structure=sum(p.structure for p in parts) / n,
-        prototype=sum(p.prototype for p in parts) / n,
-        reg=sum(p.reg for p in parts) / n,
-        total=sum(p.total for p in parts) / n,
-    )
+    names = [f.name for f in fields(LossBreakdown)]
+    return LossBreakdown(**{k: sum(getattr(p, k) for p in parts) / len(parts) for k in names})
 
 
 def train(
@@ -136,6 +130,7 @@ def train(
     improvement, restoring the best epoch's parameters.
     """
     config.validate()
+    config.validate_for_split(split.n_users, split.n_items)
     if len(split.train) == 0:
         raise ValueError("empty train split")
     dtype = np.dtype(config.dtype)

@@ -113,15 +113,40 @@ class TestPrepare:
 
 class TestTrain:
     def test_dry_run_echoes_defaults(self, split_dir):
+        # the default 1000 clusters exceed this split's 25 users and 30 items
         res = run_cli(
-            "train", "--split-dir", str(split_dir), "--out-dir", "/dev/null", "--dry-run"
+            "train", "--split-dir", str(split_dir), "--out-dir", "/dev/null", "--dry-run",
+            "--k-users", "5", "--k-items", "5",
         )
         assert res.returncode == 0, res.stderr
         echo = json.loads(res.stdout)
         cfg = echo["config"]
         assert cfg["d"] == 64 and cfg["batch_size"] == 4096 and cfg["patience"] == 10
         assert cfg["n_layers"] == 3 and cfg["k_layer"] == 2
+        assert cfg["k_users"] == [5] and cfg["k_items"] == [5]
         assert echo["n_users"] == 25
+
+    def test_dry_run_rejects_more_clusters_than_nodes(self, split_dir, tmp_path):
+        out = tmp_path / "o"
+        res = run_cli(
+            "train", "--split-dir", str(split_dir), "--out-dir", str(out), "--dry-run"
+        )
+        assert res.returncode != 0
+        assert "k_users: 1000" in res.stderr and "25 users" in res.stderr
+        res = run_cli(
+            "train", "--split-dir", str(split_dir), "--out-dir", str(out),
+            "--k-users", "25", "--k-items", "31,4",
+        )
+        assert res.returncode != 0
+        assert "k_items: 31" in res.stderr and "30 items" in res.stderr
+        assert not out.exists()
+
+    def test_cluster_counts_unchecked_without_prototype_term(self, split_dir):
+        res = run_cli(
+            "train", "--split-dir", str(split_dir), "--out-dir", "/dev/null", "--dry-run",
+            "--lambda2", "0",
+        )
+        assert res.returncode == 0, res.stderr
 
     def test_odd_contrast_layer_rejected(self, split_dir):
         res = run_cli(
@@ -150,7 +175,10 @@ class TestTrain:
 
     def test_config_file_with_flag_override(self, split_dir, tmp_path):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("d = 8\nbatch_size = 64\nmax_epochs = 2\n# comment\nseed = 9\n")
+        cfg_file.write_text(
+            "d = 8\nbatch_size = 64\nmax_epochs = 2\n# comment\nseed = 9\n"
+            "k_users = 5\nk_items = 5, 6\n"
+        )
         res = run_cli(
             "train", "--split-dir", str(split_dir), "--out-dir", str(tmp_path / "o"),
             "--config", str(cfg_file), "--batch-size", "32", "--dry-run",
@@ -158,6 +186,53 @@ class TestTrain:
         assert res.returncode == 0
         cfg = json.loads(res.stdout)["config"]
         assert cfg["d"] == 8 and cfg["batch_size"] == 32 and cfg["seed"] == 9
+        assert cfg["k_items"] == [5, 6]
+
+    def test_unparsable_config_value_named(self, split_dir, tmp_path):
+        for line, field in (("d = abc", "d"), ("k_users = 3,x", "k_users")):
+            cfg_file = tmp_path / "bad.cfg"
+            cfg_file.write_text(line + "\n")
+            res = run_cli(
+                "train", "--split-dir", str(split_dir), "--out-dir", "/dev/null",
+                "--config", str(cfg_file), "--dry-run",
+            )
+            assert res.returncode != 0
+            assert f"invalid config: {field}: " in res.stderr
+
+    def test_unparsable_flag_value_named(self, split_dir):
+        res = run_cli(
+            "train", "--split-dir", str(split_dir), "--out-dir", "/dev/null",
+            "--valid-user-cap", "many", "--dry-run",
+        )
+        assert res.returncode != 0
+        assert "invalid config: valid_user_cap: " in res.stderr
+
+    def test_one_flag_per_config_field(self):
+        import dataclasses
+
+        from concf.cli import _build_parser
+        from concf.config import TrainConfig
+
+        names = [f.name for f in dataclasses.fields(TrainConfig)]
+        argv = ["train", "--split-dir", "s", "--out-dir", "o"]
+        for name in names:
+            argv += ["--" + name.replace("_", "-"), "raw"]
+        parsed = vars(_build_parser().parse_args(argv))
+        own = {"command", "split_dir", "config", "out_dir", "dry_run", "threads"}
+        assert sorted(set(parsed) - own) == sorted(names)
+        assert all(parsed[name] == "raw" for name in names)
+
+    def test_config_file_strings_round_trip(self):
+        from concf.config import TrainConfig
+
+        cfg = TrainConfig(k_users=(7, 30), valid_user_cap=12, lambda2=3.5e-9)
+        for base in (TrainConfig(), cfg):
+            as_file = {
+                key: "none" if v is None else ",".join(map(str, v)) if isinstance(v, list)
+                else str(v)
+                for key, v in base.to_dict().items()
+            }
+            assert TrainConfig.from_dict(as_file).to_dict() == base.to_dict()
 
     def test_unknown_config_key_named(self, split_dir, tmp_path):
         cfg_file = tmp_path / "bad.cfg"

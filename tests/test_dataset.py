@@ -1,5 +1,10 @@
 """Ingestion, k-core filtering, splitting, and negative sampling."""
 
+import json
+import math
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +17,55 @@ from concf import (
     load_interactions,
     sample_negatives,
 )
-from concf.dataset import DatasetSplit, ParseError
+from concf.dataset import DatasetSplit, ParseError, group_by_user
+from concf.seeding import rng_stream
 
 from conftest import make_raw, random_split
+
+
+def shuffled_raw(n_users, n_items, n_pairs, seed):
+    """make_raw's pairs in a random input order, each with a timestamp."""
+    raw = make_raw(n_users, n_items, n_pairs, seed=seed)
+    order = np.random.default_rng(seed).permutation(len(raw))
+    return RawInteractions(
+        users=tuple(raw.users[j] for j in order),
+        items=tuple(raw.items[j] for j in order),
+        timestamps=tuple(float(j) for j in order),
+    )
+
+
+def loop_k_core(raw, min_count):
+    """Reference: peel by per-key degree counts until nothing changes."""
+    keep = list(range(len(raw)))
+    while True:
+        u_deg = Counter(raw.users[j] for j in keep)
+        i_deg = Counter(raw.items[j] for j in keep)
+        survivors = [
+            j for j in keep
+            if u_deg[raw.users[j]] >= min_count and i_deg[raw.items[j]] >= min_count
+        ]
+        if len(survivors) == len(keep):
+            return keep
+        keep = survivors
+
+
+def loop_build_split(raw, ratios, seed):
+    """Reference: one permutation per user, in user order, cut into three parts."""
+    user_map = {k: n for n, k in enumerate(sorted(set(raw.users)))}
+    item_map = {k: n for n, k in enumerate(sorted(set(raw.items)))}
+    items_of_user = [[] for _ in user_map]
+    for u, i in raw.pairs():
+        items_of_user[user_map[u]].append(item_map[i])
+    rng = rng_stream(seed)
+    parts = ([], [], [])
+    for uid, items in enumerate(items_of_user):
+        n = len(items)
+        n_valid = math.floor(ratios[1] * n + 1e-12)
+        n_test = math.floor(ratios[2] * n + 1e-12)
+        for pos, j in enumerate(rng.permutation(n)):
+            part = 0 if pos < n - n_valid - n_test else 1 if pos < n - n_test else 2
+            parts[part].append((uid, items[j]))
+    return [np.array(rows, dtype=np.int64).reshape(-1, 2) for rows in parts]
 
 
 class TestLoadInteractions:
@@ -115,6 +166,20 @@ class TestKCoreFilter:
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 5))
+    def test_matches_loop_reference(self, seed, k):
+        raw = shuffled_raw(8, 8, 30, seed)
+        keep = loop_k_core(raw, k)
+        if not keep:
+            with pytest.raises(ValueError, match="eliminated"):
+                k_core_filter(raw, k)
+            return
+        out = k_core_filter(raw, k)
+        assert out.users == tuple(raw.users[j] for j in keep)
+        assert out.items == tuple(raw.items[j] for j in keep)
+        assert out.timestamps == tuple(raw.timestamps[j] for j in keep)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 5))
     def test_idempotent(self, seed, k):
         raw = make_raw(8, 8, 30, seed=seed)
         try:
@@ -182,6 +247,17 @@ class TestBuildSplit:
                 keys.add((int(u), int(i)))
         assert len(keys) == total  # disjoint
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10_000),
+           st.sampled_from([(0.8, 0.1, 0.1), (0.4, 0.3, 0.3), (1.0, 0.0, 0.0)]))
+    def test_matches_loop_reference(self, seed, ratios):
+        raw = shuffled_raw(12, 15, 100, seed)
+        split = build_split(raw, ratios=ratios, seed=seed)
+        for got, want in zip((split.train, split.valid, split.test),
+                             loop_build_split(raw, ratios, seed)):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == np.int64 and got.shape[1] == 2
+
     def test_every_user_keeps_a_train_row(self):
         split = random_split(25, 30, 400, seed=11)
         assert (split.train_degrees() >= 1).all()
@@ -193,6 +269,57 @@ class TestBuildSplit:
         assert loaded.n_items == small_split.n_items
         for part in ("train", "valid", "test"):
             np.testing.assert_array_equal(getattr(loaded, part), getattr(small_split, part))
+
+
+class TestLoadSplit:
+    @staticmethod
+    def saved_with_extra_train_row(tmp_path, split, row):
+        out = tmp_path / "split"
+        split.save(out)
+        with open(out / "train.tsv", "a") as fh:
+            fh.write(f"{row[0]}\t{row[1]}\n")
+        header = json.loads((out / "header.json").read_text())
+        header["counts"]["train"] += 1
+        (out / "header.json").write_text(json.dumps(header))
+        return out
+
+    def test_out_of_range_id_names_file_and_line(self, tmp_path, small_split):
+        n_users, n_items = small_split.n_users, small_split.n_items
+        line = len(small_split.train) + 1
+        for k, (u, i) in enumerate([(0, n_items + 2), (n_users, 0), (-1, 0)]):
+            out = self.saved_with_extra_train_row(tmp_path / str(k), small_split, (u, i))
+            with pytest.raises(ValueError, match=rf"train\.tsv: line {line}: pair \({u}, {i}\)"):
+                DatasetSplit.load(out)
+
+    def test_bad_field_count_names_file(self, tmp_path, small_split):
+        out = tmp_path / "split"
+        small_split.save(out)
+        (out / "test.tsv").write_text("1\t2\t3\n" * len(small_split.test))
+        with pytest.raises(ValueError, match="test.tsv"):
+            DatasetSplit.load(out)
+
+    def test_empty_split_files_load_without_warning(self, tmp_path):
+        raw = RawInteractions(users=("u", "u", "w"), items=("a", "b", "a"))
+        split = build_split(raw, ratios=(1.0, 0.0, 0.0), seed=0)
+        split.save(tmp_path / "split")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = DatasetSplit.load(tmp_path / "split")
+        assert loaded.valid.shape == loaded.test.shape == (0, 2)
+        np.testing.assert_array_equal(loaded.train, split.train)
+
+
+class TestGroupByUser:
+    def test_input_order_within_user(self):
+        users = np.array([2, 0, 2, 0, 2])
+        items = np.array([9, 4, 1, 7, 5])
+        groups = group_by_user(users, items, 4)
+        assert [g.tolist() for g in groups] == [[4, 7], [], [9, 1, 5], []]
+
+    def test_train_items_by_user_sorted(self, small_split):
+        for u, items in enumerate(small_split.train_items_by_user):
+            want = np.sort(small_split.train[small_split.train[:, 0] == u, 1])
+            np.testing.assert_array_equal(items, want)
 
 
 class TestSampleNegatives:
@@ -257,13 +384,3 @@ class TestSampleNegatives:
         from scipy.stats import chi2 as chi2_dist
 
         assert chi2 < chi2_dist.ppf(0.999, df=len(candidates) - 1)
-
-
-class TestTripleBatch:
-    def test_indexing_and_iteration(self, small_split):
-        triples = sample_negatives(small_split, epoch_seed=1)
-        one = triples[0]
-        assert one.user_id == int(triples.users[0])
-        sliced = triples[2:5]
-        assert len(sliced) == 3
-        assert sum(1 for _ in sliced) == 3

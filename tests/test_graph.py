@@ -11,7 +11,6 @@ from concf import (
     build_split,
     propagate,
 )
-from concf.graph import load_adjacency, save_adjacency
 
 from conftest import random_split
 
@@ -163,20 +162,3 @@ class TestPropagate:
         two_hop_zeroed = propagate(small_adj, propagate(small_adj, z_zeroed))
         nu = small_adj.n_users
         np.testing.assert_allclose(two_hop[:nu], two_hop_zeroed[:nu], atol=1e-12)
-
-
-class TestAdjacencyCache:
-    def test_roundtrip(self, tmp_path, small_adj):
-        path = tmp_path / "adj.bin"
-        save_adjacency(small_adj, path)
-        loaded = load_adjacency(path)
-        assert (loaded.n_users, loaded.n_items) == (small_adj.n_users, small_adj.n_items)
-        np.testing.assert_array_equal(loaded.indptr, small_adj.indptr)
-        np.testing.assert_array_equal(loaded.indices, small_adj.indices)
-        np.testing.assert_array_equal(loaded.weights, small_adj.weights)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTANADJCACHE")
-        with pytest.raises(ValueError, match="not an adjacency cache"):
-            load_adjacency(path)

@@ -1,4 +1,4 @@
-"""Embedding init, forward pass, scoring, checkpoints, and exports."""
+"""Embedding init, forward pass, checkpoints, and exports."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,6 @@ from concf import (
     init_embeddings,
     load_checkpoint,
     save_checkpoint,
-    score,
-    score_all_items,
 )
 from concf.model import (
     read_matrix_binary,
@@ -107,54 +105,6 @@ class TestForward:
         table = EmbeddingTable(2, 2, np.zeros((4, 3)))
         with pytest.raises(ValueError):
             forward(small_adj, table, 1)
-
-
-class TestScore:
-    def test_unit_basis(self):
-        e = np.zeros(4)
-        e[1] = 1.0
-        assert score(e, e) == 1.0
-
-    def test_orthogonal(self):
-        assert score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_hand_value(self):
-        assert score(np.array([1.0, 2.0]), np.array([3.0, -1.0])) == 1.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            score(np.zeros(3), np.zeros(4))
-
-
-class TestScoreAllItems:
-    def test_zero_items(self, small_split, small_adj):
-        table = init_embeddings(small_split.n_users, small_split.n_items, 4, seed=0)
-        fp = forward(small_adj, table, 2)
-        fp.readout[small_split.n_users:] = 0.0
-        np.testing.assert_array_equal(score_all_items(fp, 0), 0.0)
-
-    def test_matches_elementwise_loop(self, small_split, small_adj):
-        table = init_embeddings(small_split.n_users, small_split.n_items, 4, seed=1)
-        fp = forward(small_adj, table, 2)
-        got = score_all_items(fp, 3)
-        want = [score(fp.readout[3], fp.readout[small_split.n_users + i])
-                for i in range(small_split.n_items)]
-        np.testing.assert_array_equal(got, want)
-
-    def test_matches_dense_oracle(self):
-        split = random_split(5, 7, 20, seed=2)
-        adj = build_normalized_adjacency(split)
-        table = init_embeddings(5, 7, 6, seed=2)
-        fp = forward(adj, table, 2)
-        for u in range(5):
-            want = fp.readout[5:] @ fp.readout[u]
-            np.testing.assert_allclose(score_all_items(fp, u), want, atol=1e-12)
-
-    def test_bad_user(self, small_split, small_adj):
-        table = init_embeddings(small_split.n_users, small_split.n_items, 4, seed=0)
-        fp = forward(small_adj, table, 2)
-        with pytest.raises(ValueError):
-            score_all_items(fp, small_split.n_users)
 
 
 class TestCheckpoint:

@@ -326,6 +326,13 @@ class TestTotalLossAndGradient:
         want = b.bpr + cfg.lambda1 * b.structure + cfg.lambda2 * b.prototype + cfg.lambda3 * b.reg
         assert b.total == want
         assert b.bpr >= 0 and b.structure >= 0 and b.prototype >= 0 and b.reg >= 0
+        # the loss-only calls of the public term functions give the same bits
+        fp = forward(adj, table, cfg.n_layers)
+        assert b.bpr == bpr_loss(fp, triples) / len(triples)
+        assert b.structure == structure_contrastive_loss(
+            fp, triples.users, triples.pos_items, cfg.k_layer, cfg.tau, cfg.alpha
+        )
+        assert b.prototype == prototype_contrastive_loss(table, protos, cfg.tau, cfg.alpha)
 
     def test_zero_weights_reduce_to_bpr_gradient(self):
         split, adj, table, triples = gradient_check_setup(seed=3)

@@ -211,3 +211,9 @@ class TestTrain:
         split = random_split(10, 12, 80, seed=0)
         with pytest.raises(ValueError, match="k_layer"):
             train(quick_config(k_layer=3), split)
+
+    def test_cluster_count_above_split_size_rejected_before_work(self, tmp_path):
+        split = random_split(10, 12, 80, seed=0)
+        with pytest.raises(ValueError, match="k_items: 13 clusters"):
+            train(quick_config(k_items=(4, 13)), split, out_dir=tmp_path)
+        assert not (tmp_path / "crash.ckpt").exists()
