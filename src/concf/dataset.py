@@ -159,7 +159,7 @@ def _load_pairs(path: Path, n_users: int, n_items: int) -> np.ndarray:
         try:
             rows = np.loadtxt(path, dtype=np.int64, delimiter="\t", ndmin=2)
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise ValueError(f"{path}: {_first_unparsable_line(path) or exc}") from None
     if rows.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if rows.shape[1] != 2:
@@ -172,6 +172,25 @@ def _load_pairs(path: Path, n_users: int, n_items: int) -> np.ndarray:
             f"{n_users} users and {n_items} items"
         )
     return rows
+
+
+def _first_unparsable_line(path: Path) -> str | None:
+    """``line <n>: ...`` (1-based) for the first line that is not two integer
+    fields; blank and ``#`` comment lines are skipped, as ``np.loadtxt`` does."""
+    with open(path, encoding="utf-8") as fh:
+        for ln, line in enumerate(fh, start=1):
+            fields = line.split("#", 1)[0].rstrip("\r\n")
+            if not fields.strip():
+                continue
+            fields = fields.split("\t")
+            if len(fields) != 2:
+                return f"line {ln}: expected 2 fields, got {len(fields)}"
+            for col, field in enumerate(fields, start=1):
+                try:
+                    int(field)
+                except ValueError:
+                    return f"line {ln}: field {col}: {field!r} is not an integer"
+    return None
 
 
 def load_interactions(path: str | Path, fmt: str = "tsv") -> RawInteractions:

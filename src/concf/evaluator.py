@@ -59,6 +59,29 @@ def _select_cap(users: np.ndarray, cap: int | None) -> np.ndarray:
     return users[idx]
 
 
+def _top_n(scores: np.ndarray, n: int) -> np.ndarray:
+    """Column ids of each row's n highest scores, best first, ties to the lower id.
+
+    Equals ``np.argsort(-scores, axis=1, kind="stable")[:, :n]`` but orders only
+    the n selected entries of a row, not all of them.
+    """
+    neg = -scores
+    if not 0 < n < scores.shape[1]:
+        return np.argsort(neg, axis=1, kind="stable")[:, :n]
+    ids = np.argpartition(neg, n - 1, axis=1)[:, :n]
+    vals = np.take_along_axis(neg, ids, axis=1)
+    order = np.lexsort((ids, vals), axis=1)
+    ids = np.take_along_axis(ids, order, axis=1)
+    cut = vals.max(axis=1, keepdims=True)
+    # the partition keeps an arbitrary subset of the entries equal to the cut
+    # value (ties, masked -inf); rows that left some out, or whose cut is NaN,
+    # need the full sort
+    redo = (neg == cut).sum(axis=1) > (vals == cut).sum(axis=1)
+    redo |= np.isnan(cut[:, 0])
+    ids[redo] = np.argsort(neg[redo], axis=1, kind="stable")[:, :n]
+    return ids
+
+
 def full_rank_eval(
     fp: ForwardPass,
     split: DatasetSplit,
@@ -72,8 +95,9 @@ def full_rank_eval(
 
     Train items are always masked from candidacy; when ``target`` is "test"
     and ``mask_validation`` is set, validation items are masked too. Ties are
-    broken by ascending item id. Users with no target interactions are
-    excluded from the means.
+    broken by ascending item id. Ranking selects each user's top ``max(ns)``
+    items and orders only those, with the same result as a stable sort of
+    all items. Users with no target interactions are excluded from the means.
     """
     if target not in ("valid", "test"):
         raise ValueError(f"target must be 'valid' or 'test', got {target!r}")
@@ -109,8 +133,7 @@ def full_rank_eval(
             scores[row, split.train_items_by_user[u]] = -np.inf
             if valid_targets is not None and len(valid_targets[u]):
                 scores[row, valid_targets[u]] = -np.inf
-        # stable sort on negated scores: ties resolve to ascending item id
-        order = np.argsort(-scores, axis=1, kind="stable")[:, :max_n]
+        order = _top_n(scores, max_n)
         for row, u in enumerate(chunk):
             u = int(u)
             rel = np.zeros(split.n_items, dtype=bool)

@@ -38,7 +38,13 @@ def row_logsumexp(s: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(s - m[:, None]).sum(axis=1))
 
 
-def row_softmax(s: np.ndarray) -> np.ndarray:
-    """Softmax along axis 1, shift-stabilized."""
-    e = np.exp(s - s.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+def row_logsumexp_softmax(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(logsumexp, softmax) along axis 1 from one shift-stabilized exp pass.
+
+    The logsumexp is bitwise ``row_logsumexp(s)``.
+    """
+    m = s.max(axis=1)
+    e = np.exp(s - m[:, None])
+    total = e.sum(axis=1)
+    e /= total[:, None]
+    return m + np.log(total), e

@@ -34,7 +34,7 @@ from .numerics import (
     l2_normalize_backward,
     l2_normalize_rows,
     row_logsumexp,
-    row_softmax,
+    row_logsumexp_softmax,
     softplus,
 )
 from .prototypes import PrototypeState
@@ -94,10 +94,10 @@ def _infonce_self_pairs(
     """
     logits = (anchors @ bases.T) / tau
     diag = np.arange(len(anchors))
-    term = float(counts @ (row_logsumexp(logits) - logits[diag, diag]))
     if not with_grad:
-        return term, None, None
-    dlogits = row_softmax(logits)
+        return float(counts @ (row_logsumexp(logits) - logits[diag, diag])), None, None
+    lse, dlogits = row_logsumexp_softmax(logits)
+    term = float(counts @ (lse - logits[diag, diag]))
     dlogits[diag, diag] -= 1.0
     dlogits *= counts[:, None]
     return term, dlogits @ bases / tau, dlogits.T @ anchors / tau
@@ -188,11 +188,13 @@ def prototype_contrastive_loss(
                     f"clustering has {len(cl.assignments)} assignments for {n} nodes"
                 )
             logits = points @ cl.centroids.T / tau
-            side_term += float((row_logsumexp(logits) - logits[idx, cl.assignments]).sum())
-            if grad_points is not None:
-                dlogits = row_softmax(logits)
+            if grad_points is None:
+                lse = row_logsumexp(logits)
+            else:
+                lse, dlogits = row_logsumexp_softmax(logits)
                 dlogits[idx, cl.assignments] -= 1.0
                 grad_points += dlogits @ cl.centroids / tau
+            side_term += float((lse - logits[idx, cl.assignments]).sum())
         side_term /= len(clusterings)
         total += side_weight * side_term
         if cot0 is not None:

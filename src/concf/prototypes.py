@@ -44,10 +44,15 @@ class KMeansResult:
 
 def _pairwise_sqdist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, clipped at zero against rounding."""
+    return _sqdist(np.einsum("ij,ij->i", points, points), 2.0 * points, centers)
+
+
+def _sqdist(sq_norms: np.ndarray, twice_points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``_pairwise_sqdist`` from the points' squared norms and ``2.0 * points``."""
     d2 = (
-        np.einsum("ij,ij->i", points, points)[:, None]
+        sq_norms[:, None]
         + np.einsum("ij,ij->i", centers, centers)[None, :]
-        - 2.0 * points @ centers.T
+        - twice_points @ centers.T
     )
     return np.maximum(d2, 0.0)
 
@@ -55,8 +60,11 @@ def _pairwise_sqdist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def _plusplus_seeding(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ start: spread initial centers proportionally to squared distance."""
     n = len(points)
+    # the point-side parts of every distance update, computed once
+    sq_norms = np.einsum("ij,ij->i", points, points)
+    twice_points = 2.0 * points
     chosen = [int(rng.integers(n))]
-    d2 = _pairwise_sqdist(points, points[chosen[-1]][None, :])[:, 0]
+    d2 = _sqdist(sq_norms, twice_points, points[chosen[-1]][None, :])[:, 0]
     for _ in range(k - 1):
         total = d2.sum()
         if total <= 0.0:
@@ -67,7 +75,7 @@ def _plusplus_seeding(points: np.ndarray, k: int, rng: np.random.Generator) -> n
         else:
             pick = int(rng.choice(n, p=d2 / total))
         chosen.append(pick)
-        d2 = np.minimum(d2, _pairwise_sqdist(points, points[pick][None, :])[:, 0])
+        d2 = np.minimum(d2, _sqdist(sq_norms, twice_points, points[pick][None, :])[:, 0])
     return points[np.array(chosen)].copy()
 
 

@@ -1,9 +1,18 @@
 """Shared fixtures: small deterministic datasets and graphs."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from concf import RawInteractions, build_normalized_adjacency, build_split
+
+# pyproject's pytest `pythonpath` reaches only this process; the tests that run
+# `python -m concf` in a child process find the package through PYTHONPATH
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def make_raw(n_users: int, n_items: int, n_pairs: int, seed: int = 0) -> RawInteractions:

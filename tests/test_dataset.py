@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 from collections import Counter
 
@@ -290,6 +291,17 @@ class TestLoadSplit:
             out = self.saved_with_extra_train_row(tmp_path / str(k), small_split, (u, i))
             with pytest.raises(ValueError, match=rf"train\.tsv: line {line}: pair \({u}, {i}\)"):
                 DatasetSplit.load(out)
+
+    @pytest.mark.parametrize("row, problem", [
+        (("3", "x"), "field 2: 'x' is not an integer"),
+        (("1.5", "3"), "field 1: '1.5' is not an integer"),
+        (("3", "4\t5"), "expected 2 fields, got 3"),
+    ])
+    def test_unparsable_line_names_file_and_line(self, tmp_path, small_split, row, problem):
+        out = self.saved_with_extra_train_row(tmp_path, small_split, row)
+        line = len(small_split.train) + 1
+        with pytest.raises(ValueError, match=rf"train\.tsv: line {line}: {re.escape(problem)}$"):
+            DatasetSplit.load(out)
 
     def test_bad_field_count_names_file(self, tmp_path, small_split):
         out = tmp_path / "split"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from concf import (
     forward,
@@ -13,7 +14,7 @@ from concf import (
     recall_at_n,
     sparsity_group_report,
 )
-from concf.evaluator import partition_users_by_mass
+from concf.evaluator import _top_n, partition_users_by_mass
 from concf.model import ForwardPass
 
 
@@ -228,6 +229,34 @@ class TestFullRankEval:
         empty = dataclasses.replace(small_split, test=np.empty((0, 2), dtype=np.int64))
         with pytest.raises(ValueError, match="empty"):
             full_rank_eval(fp, empty, target="test")
+
+
+@st.composite
+def scores_and_n(draw):
+    """Small integer-valued scores (many ties) with -inf masks, and an n from
+    1 to three past the row length."""
+    n_rows, n_items = draw(st.integers(1, 6)), draw(st.integers(1, 25))
+    values = st.sampled_from([-np.inf, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+    scores = draw(hnp.arrays(np.float64, (n_rows, n_items), elements=values))
+    return scores, draw(st.integers(1, n_items + 3))
+
+
+class TestTopN:
+    @settings(max_examples=300, deadline=None)
+    @given(scores_and_n())
+    def test_equals_stable_argsort_slice(self, case):
+        scores, n = case
+        expected = np.argsort(-scores, axis=1, kind="stable")[:, :n]
+        np.testing.assert_array_equal(_top_n(scores, n), expected)
+
+    @pytest.mark.parametrize("n", [1, 10, 49, 50])
+    def test_large_rows_with_ties_and_masks(self, n):
+        rng = np.random.default_rng(n)
+        scores = rng.integers(0, 40, size=(64, 50)).astype(float)
+        scores[rng.random(scores.shape) < 0.3] = -np.inf
+        scores[::7] = rng.standard_normal((10, 50))
+        expected = np.argsort(-scores, axis=1, kind="stable")[:, :n]
+        np.testing.assert_array_equal(_top_n(scores, n), expected)
 
 
 class TestSparsityGroups:

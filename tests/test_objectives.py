@@ -16,7 +16,12 @@ from concf import (
     total_loss_and_gradient,
 )
 from concf.dataset import TripleBatch
-from concf.numerics import l2_normalize_backward, l2_normalize_rows
+from concf.numerics import (
+    l2_normalize_backward,
+    l2_normalize_rows,
+    row_logsumexp,
+    row_logsumexp_softmax,
+)
 from concf.prototypes import Clustering, PrototypeState
 
 from conftest import random_split
@@ -260,6 +265,22 @@ class TestNormalizationBackward:
                 xm = x.copy(); xm[r, c] -= h
                 fd = (f(xp) - f(xm)) / (2 * h)
                 assert abs(fd - gx[r, c]) < 1e-7
+
+
+class TestRowLogsumexpSoftmax:
+    @pytest.mark.parametrize("shape, scale", [((1, 1), 1.0), ((7, 13), 1.0), ((300, 1000), 20.0),
+                                              ((64, 5), 700.0)])
+    def test_bitwise_equal_to_separate_passes(self, shape, scale):
+        rng = np.random.default_rng(shape[1])
+        a = rng.standard_normal((shape[0], 16))
+        b = rng.standard_normal((shape[1], 16))
+        logits = scale * (a @ b.T) / 4.0
+        lse, softmax = row_logsumexp_softmax(logits)
+        # reference: the shifted-exp softmax, computed on its own
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        expected = e / e.sum(axis=1, keepdims=True)
+        assert lse.tobytes() == row_logsumexp(logits).tobytes()
+        assert softmax.tobytes() == expected.tobytes()
 
 
 def gradient_check_setup(seed=0, n_users=5, n_items=7, d=8):

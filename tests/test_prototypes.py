@@ -7,6 +7,8 @@ import pytest
 
 from concf import EmbeddingTable, e_step, run_kmeans
 from concf.numerics import l2_normalize_rows
+from concf.prototypes import _plusplus_seeding
+from concf.seeding import rng_stream
 
 
 def unit_rows(x):
@@ -137,6 +139,52 @@ class TestRunKmeans:
         b = run_kmeans(points, k=5, seed=42)
         np.testing.assert_array_equal(a.assignments, b.assignments)
         np.testing.assert_array_equal(a.centroids, b.centroids)
+
+
+def reference_plusplus_seeding(points, k, rng):
+    """Reference k-means++ seeding: every distance update computed from scratch."""
+
+    def sqdist(points, centers):
+        d2 = (
+            np.einsum("ij,ij->i", points, points)[:, None]
+            + np.einsum("ij,ij->i", centers, centers)[None, :]
+            - 2.0 * points @ centers.T
+        )
+        return np.maximum(d2, 0.0)
+
+    n = len(points)
+    chosen = [int(rng.integers(n))]
+    d2 = sqdist(points, points[chosen[-1]][None, :])[:, 0]
+    for _ in range(k - 1):
+        total = d2.sum()
+        if total <= 0.0:
+            candidates = np.setdiff1d(np.arange(n), np.array(chosen))
+            pick = int(candidates[rng.integers(len(candidates))])
+        else:
+            pick = int(rng.choice(n, p=d2 / total))
+        chosen.append(pick)
+        d2 = np.minimum(d2, sqdist(points, points[pick][None, :])[:, 0])
+    return points[np.array(chosen)].copy()
+
+
+class TestPlusPlusSeeding:
+    @pytest.mark.parametrize("k", [1, 2, 17, 120])
+    def test_matches_reference_bitwise(self, k):
+        points = unit_rows(np.random.default_rng(k).standard_normal((120, 8)))
+        rng, ref_rng = rng_stream(k), rng_stream(k)
+        got = _plusplus_seeding(points, k, rng)
+        assert got.tobytes() == reference_plusplus_seeding(points, k, ref_rng).tobytes()
+        # both consumed the same draws from the stream
+        assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+    @pytest.mark.parametrize("n_distinct, k", [(1, 4), (3, 5), (3, 30)])
+    def test_duplicate_points_fallback_matches_reference(self, n_distinct, k):
+        base = unit_rows(np.random.default_rng(n_distinct).standard_normal((n_distinct, 4)))
+        points = np.repeat(base, 10, axis=0)
+        rng, ref_rng = rng_stream(7), rng_stream(7)
+        got = _plusplus_seeding(points, k, rng)
+        assert got.tobytes() == reference_plusplus_seeding(points, k, ref_rng).tobytes()
+        assert rng.integers(2**62) == ref_rng.integers(2**62)
 
 
 class TestEStep:
