@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+import scipy.sparse as sp
 
 from .seeding import rng_stream
 
@@ -63,7 +64,8 @@ class DatasetSplit:
 
     ``train``/``valid``/``test`` are (m, 2) int64 arrays of (user_id, item_id).
     ``user_map``/``item_map`` are present when the split was built from raw
-    keys and None when loaded back from disk.
+    keys and None when loaded back from disk. ``train_matrix`` holds the train
+    pairs as a boolean user x item CSR (see ``pair_matrix``).
     """
 
     n_users: int
@@ -74,17 +76,10 @@ class DatasetSplit:
     user_map: dict[str, int] | None = None
     item_map: dict[str, int] | None = None
     meta: dict = field(default_factory=dict)
-    train_items_by_user: list[np.ndarray] = field(init=False, repr=False)
-    _train_keys: np.ndarray = field(init=False, repr=False)
+    train_matrix: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # flat sorted u * n_items + i keys for O(log nnz) membership tests
-        keys = self.train[:, 0].astype(np.int64) * self.n_items + self.train[:, 1]
-        self._train_keys = np.sort(keys)
-        # sorted keys list each user's items in ascending order
-        self.train_items_by_user = group_by_user(
-            self._train_keys // self.n_items, self._train_keys % self.n_items, self.n_users
-        )
+        self.train_matrix = pair_matrix(self.train, self.n_users, self.n_items)
 
     @property
     def n_interactions(self) -> int:
@@ -96,19 +91,22 @@ class DatasetSplit:
 
     def is_train_pair(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Vectorized membership test against the train set."""
-        keys = np.asarray(users, dtype=np.int64) * self.n_items + np.asarray(items)
-        pos = np.searchsorted(self._train_keys, keys)
-        pos = np.minimum(pos, len(self._train_keys) - 1)
-        return self._train_keys[pos] == keys
+        if not len(users):
+            # scipy answers an empty lookup with a sparse matrix, not an array
+            return np.zeros(0, dtype=bool)
+        return np.asarray(self.train_matrix[users, items]).ravel()
 
     def save(self, out_dir: str | Path) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        # each id's text is formatted once; a file is its rows' cells joined
+        user_cells = np.array([f"{u}\t" for u in range(self.n_users)], dtype=object)
+        item_cells = np.array([f"{i}\n" for i in range(self.n_items)], dtype=object)
         for name, fname in _SPLIT_FILES.items():
             arr = getattr(self, name)
+            cells = np.stack([user_cells[arr[:, 0]], item_cells[arr[:, 1]]], axis=1)
             with open(out / fname, "w", encoding="utf-8") as fh:
-                for u, i in arr:
-                    fh.write(f"{u}\t{i}\n")
+                fh.write("".join(cells.ravel().tolist()))
         header = {
             "n_users": self.n_users,
             "n_items": self.n_items,
@@ -123,8 +121,7 @@ class DatasetSplit:
     @classmethod
     def load(cls, split_dir: str | Path) -> "DatasetSplit":
         src = Path(split_dir)
-        with open(src / "header.json", encoding="utf-8") as fh:
-            header = json.load(fh)
+        header = _load_header(src / "header.json")
         n_users, n_items = header["n_users"], header["n_items"]
         parts = {}
         for name, fname in _SPLIT_FILES.items():
@@ -134,14 +131,16 @@ class DatasetSplit:
                     f"{fname}: {len(rows)} rows but header says {header['counts'][name]}"
                 )
             parts[name] = rows
-        return cls(
-            n_users=n_users,
-            n_items=n_items,
-            train=parts["train"],
-            valid=parts["valid"],
-            test=parts["test"],
-            meta={"seed": header.get("seed"), "min_count": header.get("min_count")},
-        )
+        meta = {"seed": header.get("seed"), "min_count": header.get("min_count")}
+        return cls(n_users=n_users, n_items=n_items, **parts, meta=meta)
+
+
+def pair_matrix(pairs: np.ndarray, n_users: int, n_items: int) -> sp.csr_matrix:
+    """Boolean n_users x n_items CSR with True at each (user, item) pair;
+    duplicate pairs collapse, and column ids ascend within each row."""
+    m = sp.csr_matrix((np.ones(len(pairs), dtype=bool), tuple(pairs.T)), shape=(n_users, n_items))
+    m.sum_duplicates()
+    return m
 
 
 def group_by_user(users: np.ndarray, items: np.ndarray, n_users: int) -> list[np.ndarray]:
@@ -149,6 +148,22 @@ def group_by_user(users: np.ndarray, items: np.ndarray, n_users: int) -> list[np
     order = np.argsort(users, kind="stable")
     ends = np.cumsum(np.bincount(users, minlength=n_users))
     return np.split(np.asarray(items, dtype=np.int64)[order], ends[:-1])
+
+
+def _load_header(path: Path) -> dict:
+    """A split's header.json, with n_users, n_items and counts.<split> checked
+    to be present and non-negative integers."""
+    with open(path, encoding="utf-8") as fh:
+        header = json.load(fh)
+    for key in ("n_users", "n_items", *(f"counts.{name}" for name in _SPLIT_FILES)):
+        value = header
+        for part in key.split("."):
+            if not isinstance(value, dict) or part not in value:
+                raise ValueError(f"{path}: missing field {key!r}")
+            value = value[part]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValueError(f"{path}: field {key!r} must be a non-negative integer, got {value!r}")
+    return header
 
 
 def _load_pairs(path: Path, n_users: int, n_items: int) -> np.ndarray:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import DatasetSplit, group_by_user
+from .dataset import DatasetSplit, pair_matrix
 from .model import ForwardPass
 
 _CHUNK = 512
@@ -82,12 +82,69 @@ def _top_n(scores: np.ndarray, n: int) -> np.ndarray:
     return ids
 
 
+def _user_metrics(
+    fp: ForwardPass,
+    split: DatasetSplit,
+    target: str,
+    ns: tuple[int, ...],
+    mask_validation: bool,
+    user_cap: int | None = None,
+) -> tuple[np.ndarray, dict[str, np.ndarray], dict]:
+    """Ascending ids of the users with a ``target`` interaction (thinned by
+    ``user_cap``), each one's Recall@N / NDCG@N keyed like ``EvalReport``,
+    and the report metadata."""
+    if target not in ("valid", "test"):
+        raise ValueError(f"target must be 'valid' or 'test', got {target!r}")
+    if not ns or min(ns) < 1:
+        raise ValueError("ns: every cutoff must be >= 1")
+    target_pairs = split.valid if target == "valid" else split.test
+    if len(target_pairs) == 0:
+        raise ValueError(f"{target} split is empty")
+    mask_validation = bool(target == "test" and mask_validation)
+    relevant = pair_matrix(target_pairs, split.n_users, split.n_items)
+    masked = split.train_matrix
+    if mask_validation:
+        masked = masked + pair_matrix(split.valid, split.n_users, split.n_items)
+    n_rel = np.diff(relevant.indptr)
+    users = _select_cap(np.flatnonzero(n_rel), user_cap)
+    n_rel = n_rel[users]
+
+    ns = tuple(sorted(set(ns)))
+    max_n = min(ns[-1], split.n_items)
+    gains = 1.0 / np.log2(np.arange(2, max_n + 2))
+    idcg_prefix = np.concatenate([[0.0], np.cumsum(gains)])
+    hits = np.empty((len(users), max_n), dtype=bool)
+    for start in range(0, len(users), _CHUNK):
+        rows = users[start:start + _CHUNK]
+        scores = fp.readout[rows] @ fp.item_readout.T
+        scores[masked[rows].nonzero()] = -np.inf
+        order = _top_n(scores, max_n)
+        hits[start:start + _CHUNK] = np.take_along_axis(relevant[rows].toarray(), order, axis=1)
+    values = {}
+    for n in ns:
+        top = hits[:, :n]
+        values[f"recall@{n}"] = top.sum(axis=1) / n_rel
+        values[f"ndcg@{n}"] = (top * gains[:n]).sum(axis=1) / idcg_prefix[np.minimum(n, n_rel)]
+    metadata = {"target": target, "mask_validation_at_test": mask_validation, "user_cap": user_cap}
+    return users, values, metadata
+
+
+def _report(values: dict[str, np.ndarray], keep: np.ndarray, metadata: dict) -> EvalReport:
+    """Per-metric means over the users ``keep`` selects, added one user at a
+    time in ascending id order (``np.mean`` adds pairwise: other last bits)."""
+    n_eval = int(keep.sum())
+    metrics = {
+        name: float(np.cumsum(v[keep])[-1] / n_eval) if n_eval else 0.0
+        for name, v in values.items()
+    }
+    return EvalReport(metrics=metrics, n_evaluated_users=n_eval, metadata=metadata)
+
+
 def full_rank_eval(
     fp: ForwardPass,
     split: DatasetSplit,
     target: str = "valid",
     ns: tuple[int, ...] = (10, 20, 50),
-    user_subset: np.ndarray | None = None,
     user_cap: int | None = None,
     mask_validation: bool = True,
 ) -> EvalReport:
@@ -99,66 +156,8 @@ def full_rank_eval(
     items and orders only those, with the same result as a stable sort of
     all items. Users with no target interactions are excluded from the means.
     """
-    if target not in ("valid", "test"):
-        raise ValueError(f"target must be 'valid' or 'test', got {target!r}")
-    target_pairs = split.valid if target == "valid" else split.test
-    if len(target_pairs) == 0:
-        raise ValueError(f"{target} split is empty")
-    targets = group_by_user(target_pairs[:, 0], target_pairs[:, 1], split.n_users)
-    valid_targets = (
-        group_by_user(split.valid[:, 0], split.valid[:, 1], split.n_users)
-        if (target == "test" and mask_validation)
-        else None
-    )
-
-    eligible = np.flatnonzero(np.bincount(target_pairs[:, 0], minlength=split.n_users))
-    if user_subset is not None:
-        subset = np.asarray(user_subset, dtype=np.int64)
-        eligible = eligible[np.isin(eligible, subset)]
-    eligible = _select_cap(eligible, user_cap)
-
-    ns = tuple(sorted(ns))
-    max_n = min(ns[-1], split.n_items)
-    gains = 1.0 / np.log2(np.arange(2, max_n + 2))
-    idcg_prefix = np.concatenate([[0.0], np.cumsum(gains)])
-
-    recall_sums = {n: 0.0 for n in ns}
-    ndcg_sums = {n: 0.0 for n in ns}
-    item_readout = fp.item_readout
-    for start in range(0, len(eligible), _CHUNK):
-        chunk = eligible[start:start + _CHUNK]
-        scores = fp.readout[chunk] @ item_readout.T
-        for row, u in enumerate(chunk):
-            u = int(u)
-            scores[row, split.train_items_by_user[u]] = -np.inf
-            if valid_targets is not None and len(valid_targets[u]):
-                scores[row, valid_targets[u]] = -np.inf
-        order = _top_n(scores, max_n)
-        for row, u in enumerate(chunk):
-            u = int(u)
-            rel = np.zeros(split.n_items, dtype=bool)
-            rel[targets[u]] = True
-            hits = rel[order[row]]
-            n_rel = len(targets[u])
-            hit_gains = hits * gains
-            for n in ns:
-                recall_sums[n] += hits[:n].sum() / n_rel
-                ndcg_sums[n] += hit_gains[:n].sum() / idcg_prefix[min(n, n_rel)]
-
-    n_eval = len(eligible)
-    metrics: dict[str, float] = {}
-    for n in ns:
-        metrics[f"recall@{n}"] = float(recall_sums[n] / n_eval) if n_eval else 0.0
-        metrics[f"ndcg@{n}"] = float(ndcg_sums[n] / n_eval) if n_eval else 0.0
-    return EvalReport(
-        metrics=metrics,
-        n_evaluated_users=n_eval,
-        metadata={
-            "target": target,
-            "mask_validation_at_test": bool(target == "test" and mask_validation),
-            "user_cap": user_cap,
-        },
-    )
+    users, values, metadata = _user_metrics(fp, split, target, ns, mask_validation, user_cap)
+    return _report(values, np.ones(len(users), dtype=bool), metadata)
 
 
 def partition_users_by_mass(degrees: np.ndarray, n_groups: int) -> list[np.ndarray]:
@@ -213,18 +212,17 @@ def sparsity_group_report(
     target: str = "test",
     mask_validation: bool = True,
 ) -> list[EvalReport]:
-    """Per-group full-ranking reports over equal-interaction-mass user groups."""
+    """Per-group full-ranking reports over equal-interaction-mass user groups.
+
+    One ranking pass scores every user; each group's means are taken over its
+    members' values from that pass.
+    """
     degrees = split.train_degrees()
     groups = partition_users_by_mass(degrees, n_groups)
+    users, values, metadata = _user_metrics(fp, split, target, ns, mask_validation)
     reports = []
-    for gi, users in enumerate(groups):
-        report = full_rank_eval(
-            fp, split, target=target, ns=ns, user_subset=users, mask_validation=mask_validation
-        )
-        report.metadata.update(
-            group_index=gi,
-            group_size=int(len(users)),
-            group_interaction_mass=int(degrees[users].sum()),
-        )
-        reports.append(report)
+    for gi, members in enumerate(groups):
+        mass = int(degrees[members].sum())
+        group = {"group_index": gi, "group_size": len(members), "group_interaction_mass": mass}
+        reports.append(_report(values, np.isin(users, members), {**metadata, **group}))
     return reports

@@ -13,12 +13,15 @@ from .seeding import derive_seed, rng_stream
 
 @dataclass(frozen=True)
 class Clustering:
-    """Unit-norm centroids and hard assignments for one cluster count."""
+    """Unit-norm centroids and hard assignments for one cluster count, with
+    the Lloyd iterations run and the inertia after each."""
 
     centroids: np.ndarray
     assignments: np.ndarray
     k: int
     inertia: float
+    n_iters: int = 0
+    inertia_history: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.assignments.min(initial=0) < 0 or self.assignments.max(initial=-1) >= self.k:
@@ -31,15 +34,6 @@ class PrototypeState:
 
     users: tuple[Clustering, ...]
     items: tuple[Clustering, ...]
-
-
-@dataclass
-class KMeansResult:
-    centroids: np.ndarray
-    assignments: np.ndarray
-    inertia: float
-    n_iters: int
-    inertia_history: tuple[float, ...]
 
 
 def _pairwise_sqdist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -126,7 +120,7 @@ def run_kmeans(
     seed: int,
     max_iters: int = 100,
     tol: float = 1e-6,
-) -> KMeansResult:
+) -> Clustering:
     """Lloyd's algorithm with k-means++ seeding on unit-norm points.
 
     Stops when the max-norm centroid shift falls below tol or after
@@ -173,9 +167,10 @@ def run_kmeans(
         _repair_empty_clusters(points, centroids, assignments, counts)
         d2 = _pairwise_sqdist(points, centroids)
     inertia = float(d2[np.arange(n), assignments].sum())
-    return KMeansResult(
+    return Clustering(
         centroids=centroids,
         assignments=assignments.astype(np.int64),
+        k=k,
         inertia=inertia,
         n_iters=n_iters,
         inertia_history=tuple(history),
@@ -202,17 +197,9 @@ def e_step(
     xi, _ = l2_normalize_rows(item_points if item_points is not None else table.item_block)
 
     def _side(points: np.ndarray, ks: tuple[int, ...], tag: int) -> tuple[Clustering, ...]:
-        out = []
-        for m, k in enumerate(ks):
-            res = run_kmeans(points, k, derive_seed(seed, tag, m), max_iters=max_iters, tol=tol)
-            out.append(
-                Clustering(
-                    centroids=res.centroids,
-                    assignments=res.assignments,
-                    k=k,
-                    inertia=res.inertia,
-                )
-            )
-        return tuple(out)
+        return tuple(
+            run_kmeans(points, k, derive_seed(seed, tag, m), max_iters=max_iters, tol=tol)
+            for m, k in enumerate(ks)
+        )
 
     return PrototypeState(users=_side(xu, tuple(k_users), 0), items=_side(xi, tuple(k_items), 1))

@@ -49,18 +49,16 @@ class EpochRecord:
     kmeans_inertia: tuple[float, ...] | None
     n_batches: int
 
-    def as_dict(self, include_timing: bool = True) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "epoch": self.epoch,
             "loss": self.loss.as_dict(),
             "valid_ndcg10": self.valid_ndcg10,
             "valid_recall10": self.valid_recall10,
             "kmeans_inertia": list(self.kmeans_inertia) if self.kmeans_inertia else None,
             "n_batches": self.n_batches,
+            "seconds": self.seconds,
         }
-        if include_timing:
-            out["seconds"] = self.seconds
-        return out
 
 
 @dataclass

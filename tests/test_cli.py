@@ -278,6 +278,34 @@ class TestEvaluate:
         assert sum(masses) > 0
         assert "recall@10" in report["groups"][0]
 
+    @pytest.mark.parametrize("ns", ["0,10", "-3"])
+    def test_cutoff_below_one_rejected(self, run_dir, split_dir, ns):
+        res = run_cli(
+            "evaluate", "--checkpoint", str(run_dir / "model.ckpt"),
+            "--split-dir", str(split_dir), "--ns", ns,
+        )
+        assert res.returncode == 1
+        assert "ns: every cutoff must be >= 1" in res.stderr
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("command", ["evaluate", "train"])
+    def test_header_without_counts_named(self, run_dir, split_dir, tmp_path, command):
+        broken = tmp_path / "split"
+        broken.mkdir()
+        for name in ("train.tsv", "valid.tsv", "test.tsv"):
+            (broken / name).write_bytes((split_dir / name).read_bytes())
+        header = json.loads((split_dir / "header.json").read_text())
+        del header["counts"]
+        (broken / "header.json").write_text(json.dumps(header))
+        args = {
+            "evaluate": ("--checkpoint", str(run_dir / "model.ckpt")),
+            "train": ("--out-dir", str(tmp_path / "run"), "--dry-run"),
+        }[command]
+        res = run_cli(command, "--split-dir", str(broken), *args)
+        assert res.returncode == 1
+        assert "header.json: missing field 'counts.train'" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_shape_mismatch_names_both(self, run_dir, tmp_path):
         small = tmp_path / "small.tsv"
         small.write_text("".join(f"u{u}\ti{i}\n" for u in range(5) for i in range(6)))

@@ -18,7 +18,7 @@ from concf import (
     load_interactions,
     sample_negatives,
 )
-from concf.dataset import DatasetSplit, ParseError, group_by_user
+from concf.dataset import DatasetSplit, ParseError, group_by_user, pair_matrix
 from concf.seeding import rng_stream
 
 from conftest import make_raw, random_split
@@ -271,6 +271,13 @@ class TestBuildSplit:
         for part in ("train", "valid", "test"):
             np.testing.assert_array_equal(getattr(loaded, part), getattr(small_split, part))
 
+    def test_save_writes_one_pair_per_line_in_row_order(self, tmp_path, small_split):
+        small_split.save(tmp_path / "split")
+        for part in ("train", "valid", "test"):
+            rows = getattr(small_split, part)
+            want = "".join(f"{u}\t{i}\n" for u, i in rows.tolist())
+            assert (tmp_path / "split" / f"{part}.tsv").read_text() == want
+
 
 class TestLoadSplit:
     @staticmethod
@@ -283,6 +290,44 @@ class TestLoadSplit:
         header["counts"]["train"] += 1
         (out / "header.json").write_text(json.dumps(header))
         return out
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda h: h.pop("n_users"), "n_users"),
+        (lambda h: h.pop("n_items"), "n_items"),
+        (lambda h: h.pop("counts"), "counts.train"),
+        (lambda h: h["counts"].pop("train"), "counts.train"),
+        (lambda h: h["counts"].pop("valid"), "counts.valid"),
+        (lambda h: h["counts"].pop("test"), "counts.test"),
+    ])
+    def test_missing_header_field_named(self, tmp_path, small_split, edit, field):
+        out = tmp_path / "split"
+        small_split.save(out)
+        header = json.loads((out / "header.json").read_text())
+        edit(header)
+        (out / "header.json").write_text(json.dumps(header))
+        with pytest.raises(ValueError, match=rf"header\.json: missing field '{field}'"):
+            DatasetSplit.load(out)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_users", -1), ("n_items", 2.0), ("n_users", "30"), ("n_items", True),
+        ("counts.test", None), ("counts.valid", -5),
+    ])
+    def test_bad_header_value_named(self, tmp_path, small_split, field, value):
+        out = tmp_path / "split"
+        small_split.save(out)
+        header = json.loads((out / "header.json").read_text())
+        *parents, key = field.split(".")
+        node = header
+        for part in parents:
+            node = node[part]
+        node[key] = value
+        (out / "header.json").write_text(json.dumps(header))
+        with pytest.raises(
+            ValueError,
+            match=rf"header\.json: field '{field}' must be a non-negative integer, "
+            rf"got {re.escape(repr(value))}",
+        ):
+            DatasetSplit.load(out)
 
     def test_out_of_range_id_names_file_and_line(self, tmp_path, small_split):
         n_users, n_items = small_split.n_users, small_split.n_items
@@ -328,10 +373,19 @@ class TestGroupByUser:
         groups = group_by_user(users, items, 4)
         assert [g.tolist() for g in groups] == [[4, 7], [], [9, 1, 5], []]
 
-    def test_train_items_by_user_sorted(self, small_split):
-        for u, items in enumerate(small_split.train_items_by_user):
-            want = np.sort(small_split.train[small_split.train[:, 0] == u, 1])
-            np.testing.assert_array_equal(items, want)
+    def test_train_matrix_rows_sorted(self, small_split):
+        train = small_split.train
+        groups = group_by_user(train[:, 0], train[:, 1], small_split.n_users)
+        for u, items in enumerate(groups):
+            row = small_split.train_matrix[u].indices
+            assert (np.diff(row) > 0).all()
+            np.testing.assert_array_equal(row, np.sort(items))
+
+    def test_pair_matrix_collapses_duplicates(self):
+        m = pair_matrix(np.array([[1, 3], [0, 2], [1, 0], [1, 3]]), 3, 4)
+        assert m.shape == (3, 4) and m.dtype == bool
+        assert m.indptr.tolist() == [0, 1, 3, 3]
+        assert m.indices.tolist() == [2, 0, 3]
 
 
 class TestSampleNegatives:
@@ -343,6 +397,15 @@ class TestSampleNegatives:
         for seed in range(5):
             triples = sample_negatives(small_split, epoch_seed=seed)
             assert not small_split.is_train_pair(triples.users, triples.neg_items).any()
+
+    def test_is_train_pair_matches_the_train_rows(self, small_split):
+        users, items = np.divmod(np.arange(small_split.n_users * small_split.n_items),
+                                 small_split.n_items)
+        expected = {(int(u), int(i)) for u, i in small_split.train}
+        got = small_split.is_train_pair(users, items)
+        assert got.shape == users.shape
+        assert {(int(u), int(i)) for u, i in zip(users[got], items[got])} == expected
+        assert small_split.is_train_pair(users[:0], items[:0]).shape == (0,)
 
     def test_forced_negative(self):
         # the user interacted with every item but one
@@ -388,8 +451,8 @@ class TestSampleNegatives:
             negs = triples.neg_items[triples.users == uid]
             np.add.at(counts, negs, 1)
             n_draws += len(negs)
-        candidates = np.setdiff1d(np.arange(split.n_items), split.train_items_by_user[uid])
-        assert counts[split.train_items_by_user[uid]].sum() == 0
+        candidates = np.setdiff1d(np.arange(split.n_items), split.train_matrix[uid].indices)
+        assert counts[split.train_matrix[uid].indices].sum() == 0
         expected = n_draws / len(candidates)
         chi2 = ((counts[candidates] - expected) ** 2 / expected).sum()
         # chi2 critical value, df=99, alpha=0.001

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from concf import (
+    build_normalized_adjacency,
     forward,
     full_rank_eval,
     init_embeddings,
@@ -14,8 +15,11 @@ from concf import (
     recall_at_n,
     sparsity_group_report,
 )
-from concf.evaluator import _top_n, partition_users_by_mass
+from concf.dataset import group_by_user
+from concf.evaluator import _select_cap, _top_n, partition_users_by_mass
 from concf.model import ForwardPass
+
+from conftest import random_split
 
 
 def brute_force_recall(ranked, relevant, n):
@@ -92,6 +96,72 @@ def forward_from_readout(readout, n_users, n_items):
     return ForwardPass(n_users=n_users, n_items=n_items, layers=[readout], readout=readout)
 
 
+def reference_full_rank_eval(
+    fp, split, target="valid", ns=(10, 20, 50), subset=None, user_cap=None,
+    mask_validation=True,
+):
+    """(metrics, n_evaluated_users) of the per-user loop evaluator the package
+    used before its vectorized pass: chunked scoring, per-user masking, a stable
+    sort of all items, and sums added one user at a time."""
+    target_pairs = split.valid if target == "valid" else split.test
+    targets = group_by_user(target_pairs[:, 0], target_pairs[:, 1], split.n_users)
+    train_items = group_by_user(split.train[:, 0], split.train[:, 1], split.n_users)
+    valid_targets = (
+        group_by_user(split.valid[:, 0], split.valid[:, 1], split.n_users)
+        if (target == "test" and mask_validation)
+        else None
+    )
+    eligible = np.flatnonzero(np.bincount(target_pairs[:, 0], minlength=split.n_users))
+    if subset is not None:
+        eligible = eligible[np.isin(eligible, np.asarray(subset, dtype=np.int64))]
+    eligible = _select_cap(eligible, user_cap)
+
+    ns = tuple(sorted(ns))
+    max_n = min(ns[-1], split.n_items)
+    gains = 1.0 / np.log2(np.arange(2, max_n + 2))
+    idcg_prefix = np.concatenate([[0.0], np.cumsum(gains)])
+    recall_sums = {n: 0.0 for n in ns}
+    ndcg_sums = {n: 0.0 for n in ns}
+    for start in range(0, len(eligible), 512):
+        chunk = eligible[start:start + 512]
+        scores = fp.readout[chunk] @ fp.item_readout.T
+        for row, u in enumerate(chunk):
+            scores[row, train_items[u]] = -np.inf
+            if valid_targets is not None and len(valid_targets[u]):
+                scores[row, valid_targets[u]] = -np.inf
+        order = np.argsort(-scores, axis=1, kind="stable")[:, :max_n]
+        for row, u in enumerate(chunk):
+            rel = np.zeros(split.n_items, dtype=bool)
+            rel[targets[u]] = True
+            hits = rel[order[row]]
+            n_rel = len(targets[u])
+            hit_gains = hits * gains
+            for n in ns:
+                recall_sums[n] += hits[:n].sum() / n_rel
+                ndcg_sums[n] += hit_gains[:n].sum() / idcg_prefix[min(n, n_rel)]
+    n_eval = len(eligible)
+    metrics = {}
+    for n in ns:
+        metrics[f"recall@{n}"] = float(recall_sums[n] / n_eval) if n_eval else 0.0
+        metrics[f"ndcg@{n}"] = float(ndcg_sums[n] / n_eval) if n_eval else 0.0
+    return metrics, n_eval
+
+
+@pytest.fixture(scope="module")
+def tied_forward():
+    """A split and readout whose scores tie (rounded values, duplicated item
+    rows) and are -inf for three items, beside the masked -inf entries."""
+    split = random_split(120, 60, 2400, seed=11)
+    table = init_embeddings(split.n_users, split.n_items, 8, seed=12)
+    fp = forward(build_normalized_adjacency(split), table, 2)
+    readout = np.round(fp.readout, 1)
+    readout[: split.n_users] = np.abs(readout[: split.n_users]) + 0.05
+    items = readout[split.n_users:]
+    items[5:15] = items[4]
+    items[[20, 33, 47]] = -np.inf
+    return split, forward_from_readout(readout, split.n_users, split.n_items)
+
+
 class TestFullRankEval:
     def test_unique_max_scores_perfect(self, small_split, small_adj):
         table = init_embeddings(small_split.n_users, small_split.n_items, 8, seed=0)
@@ -131,7 +201,6 @@ class TestFullRankEval:
             valid=np.array([[0, 1]]),
             test=np.empty((0, 2), dtype=np.int64),
         )
-        split.train_items_by_user = [np.array([], dtype=np.int64)]
         fp = forward_from_readout(readout, 1, 3)
         report = full_rank_eval(fp, split, target="valid", ns=(1, 2))
         assert report.metrics["recall@1"] == 0.0
@@ -153,7 +222,7 @@ class TestFullRankEval:
         for u, relevant in sorted(targets.items()):
             scores = fp.item_readout @ fp.readout[u]
             masked = scores.copy()
-            masked[small_split.train_items_by_user[u]] = -np.inf
+            masked[small_split.train_matrix[u].indices] = -np.inf
             for i in valid_items.get(u, ()):
                 masked[i] = -np.inf
             order = sorted(range(small_split.n_items), key=lambda i: (-masked[i], i))
@@ -164,6 +233,30 @@ class TestFullRankEval:
             assert report.metrics[f"recall@{n}"] == pytest.approx(float(np.mean(recalls[n])), abs=1e-12)
             assert report.metrics[f"ndcg@{n}"] == pytest.approx(float(np.mean(ndcgs[n])), abs=1e-12)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(target="valid", ns=(10,)),
+        dict(target="valid", ns=(10,), user_cap=37),
+        dict(target="test", ns=(1, 10, 20, 50)),
+        dict(target="test", ns=(10, 20, 50), mask_validation=False),
+    ])
+    def test_equals_per_user_loop_exactly(self, tied_forward, kwargs):
+        split, fp = tied_forward
+        report = full_rank_eval(fp, split, **kwargs)
+        metrics, n_eval = reference_full_rank_eval(fp, split, **kwargs)
+        assert report.n_evaluated_users == n_eval
+        assert report.metrics == metrics
+
+    def test_repeated_cutoff_counted_once(self, tied_forward):
+        split, fp = tied_forward
+        once = full_rank_eval(fp, split, target="test", ns=(10, 20))
+        assert full_rank_eval(fp, split, target="test", ns=(20, 10, 10)).metrics == once.metrics
+
+    @pytest.mark.parametrize("ns", [(0, 10), (-3,), ()])
+    def test_cutoffs_below_one_rejected(self, small_split, small_adj, ns):
+        fp = forward(small_adj, init_embeddings(small_split.n_users, small_split.n_items, 4, 0), 2)
+        with pytest.raises(ValueError, match="ns: every cutoff must be >= 1"):
+            full_rank_eval(fp, small_split, ns=ns)
+
     def test_masked_items_never_ranked(self, small_split, small_adj):
         table = init_embeddings(small_split.n_users, small_split.n_items, 8, seed=4)
         # push train items' scores up so masking is what keeps them out
@@ -171,9 +264,10 @@ class TestFullRankEval:
         fp.readout[small_split.n_users:] += 5.0
         for u in range(3):
             scores = fp.item_readout @ fp.readout[u]
-            scores[small_split.train_items_by_user[u]] = -np.inf
+            train_items = small_split.train_matrix[u].indices
+            scores[train_items] = -np.inf
             top = np.argsort(-scores, kind="stable")[:10]
-            assert not set(top.tolist()) & set(small_split.train_items_by_user[u].tolist())
+            assert not set(top.tolist()) & set(train_items.tolist())
 
     def test_tail_permutation_invariant(self):
         # metrics only read the top-N: shuffling scores below the cutoff
@@ -190,7 +284,6 @@ class TestFullRankEval:
             valid=np.array([[0, 3], [0, 7]]),
             test=np.empty((0, 2), dtype=np.int64),
         )
-        split.train_items_by_user = [np.array([], dtype=np.int64)]
 
         def report_for(scores):
             readout = np.zeros((1 + n_items, 1))
@@ -277,6 +370,28 @@ class TestSparsityGroups:
         full = full_rank_eval(fp, small_split, target="test", ns=(10,))
         assert single.metrics == full.metrics
         assert single.n_evaluated_users == full.n_evaluated_users
+
+    @pytest.mark.parametrize("mask_validation", [True, False])
+    def test_groups_equal_per_user_loop_exactly(self, tied_forward, mask_validation):
+        split, fp = tied_forward
+        groups = sparsity_group_report(fp, split, n_groups=5, ns=(10, 20),
+                                       mask_validation=mask_validation)
+        members = partition_users_by_mass(split.train_degrees(), 5)
+        for gi, (report, users) in enumerate(zip(groups, members)):
+            metrics, n_eval = reference_full_rank_eval(
+                fp, split, target="test", ns=(10, 20), subset=users,
+                mask_validation=mask_validation,
+            )
+            assert report.n_evaluated_users == n_eval
+            assert report.metrics == metrics
+            assert report.metadata == {
+                "target": "test",
+                "mask_validation_at_test": mask_validation,
+                "user_cap": None,
+                "group_index": gi,
+                "group_size": len(users),
+                "group_interaction_mass": int(split.train_degrees()[users].sum()),
+            }
 
     def test_weighted_mean_reconciles(self, small_split, small_adj):
         table = init_embeddings(small_split.n_users, small_split.n_items, 8, seed=9)

@@ -113,7 +113,7 @@ class TestTrain:
             vals = []
             for u, rel in targets.items():
                 candidates = np.setdiff1d(
-                    np.arange(split.n_items), split.train_items_by_user[u]
+                    np.arange(split.n_items), split.train_matrix[u].indices
                 )
                 top = rng.permutation(candidates)[:10]
                 vals.append(len(set(top.tolist()) & rel) / len(rel))
