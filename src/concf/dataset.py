@@ -65,7 +65,8 @@ class DatasetSplit:
     ``train``/``valid``/``test`` are (m, 2) int64 arrays of (user_id, item_id).
     ``user_map``/``item_map`` are present when the split was built from raw
     keys and None when loaded back from disk. ``train_matrix`` holds the train
-    pairs as a boolean user x item CSR (see ``pair_matrix``).
+    pairs as a boolean user x item CSR (see ``pair_matrix``); a train pair may
+    occur only once.
     """
 
     n_users: int
@@ -80,6 +81,12 @@ class DatasetSplit:
 
     def __post_init__(self) -> None:
         self.train_matrix = pair_matrix(self.train, self.n_users, self.n_items)
+        if self.train_matrix.nnz != len(self.train):
+            # the adjacency is built from the CSR, so the rows must not repeat a pair
+            keys = self.train[:, 0] * self.n_items + self.train[:, 1]
+            first = np.unique(keys, return_index=True)[1]
+            u, i = self.train[np.setdiff1d(np.arange(len(keys)), first)[0]]
+            raise ValueError(f"duplicate train pair ({u}, {i})")
 
     @property
     def n_interactions(self) -> int:
@@ -121,7 +128,9 @@ class DatasetSplit:
     @classmethod
     def load(cls, split_dir: str | Path) -> "DatasetSplit":
         src = Path(split_dir)
-        header = _load_header(src / "header.json")
+        path = src / "header.json"
+        keys = ("n_users", "n_items", *(f"counts.{name}" for name in _SPLIT_FILES))
+        header = parse_header(path, path.read_bytes(), keys)
         n_users, n_items = header["n_users"], header["n_items"]
         parts = {}
         for name, fname in _SPLIT_FILES.items():
@@ -132,7 +141,10 @@ class DatasetSplit:
                 )
             parts[name] = rows
         meta = {"seed": header.get("seed"), "min_count": header.get("min_count")}
-        return cls(n_users=n_users, n_items=n_items, **parts, meta=meta)
+        try:
+            return cls(n_users=n_users, n_items=n_items, **parts, meta=meta)
+        except ValueError as exc:
+            raise ValueError(f"{src / _SPLIT_FILES['train']}: {exc}") from None
 
 
 def pair_matrix(pairs: np.ndarray, n_users: int, n_items: int) -> sp.csr_matrix:
@@ -150,12 +162,15 @@ def group_by_user(users: np.ndarray, items: np.ndarray, n_users: int) -> list[np
     return np.split(np.asarray(items, dtype=np.int64)[order], ends[:-1])
 
 
-def _load_header(path: Path) -> dict:
-    """A split's header.json, with n_users, n_items and counts.<split> checked
-    to be present and non-negative integers."""
-    with open(path, encoding="utf-8") as fh:
-        header = json.load(fh)
-    for key in ("n_users", "n_items", *(f"counts.{name}" for name in _SPLIT_FILES)):
+def parse_header(path: str | Path, text: str | bytes, keys: tuple[str, ...]) -> dict:
+    """The JSON object ``text`` read from ``path``, with each (dotted) key in
+    ``keys`` checked to be present and a non-negative integer; every error is a
+    ValueError naming ``path``."""
+    try:
+        header = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    for key in keys:
         value = header
         for part in key.split("."):
             if not isinstance(value, dict) or part not in value:

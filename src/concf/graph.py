@@ -52,21 +52,17 @@ def build_normalized_adjacency(
     Degrees come exclusively from train edges so that evaluation data cannot
     leak into propagation. Zero-degree nodes get empty rows.
     """
-    if len(split.train) == 0:
+    if split.train_matrix.nnz == 0:
         raise ValueError("cannot build adjacency from an empty train set")
     n_users, n_items = split.n_users, split.n_items
-    u = split.train[:, 0].astype(np.int64)
-    i = split.train[:, 1].astype(np.int64)
-    deg_u = np.bincount(u, minlength=n_users).astype(np.float64)
-    deg_i = np.bincount(i, minlength=n_items).astype(np.float64)
-    w = (1.0 / np.sqrt(deg_u[u] * deg_i[i])).astype(dtype)
-
-    rows = np.concatenate([u, i + n_users])
-    cols = np.concatenate([i + n_users, u])
-    data = np.concatenate([w, w])
-    coo = sp.coo_matrix((data, (rows, cols)), shape=(n_users + n_items, n_users + n_items))
-    csr = coo.tocsr()
-    csr.sort_indices()
+    pairs = split.train_matrix
+    deg_u = np.diff(pairs.indptr)
+    deg_i = np.bincount(pairs.indices, minlength=n_items)
+    u = np.repeat(np.arange(n_users), deg_u)
+    w = (1.0 / np.sqrt(deg_u[u].astype(np.float64) * deg_i[pairs.indices])).astype(dtype)
+    upper = sp.csr_matrix((w, pairs.indices, pairs.indptr), shape=(n_users, n_items))
+    # the user rows, then the item rows of the transpose: column ids ascend per row
+    csr = sp.bmat([[None, upper], [upper.T, None]], format="csr")
     return NormalizedAdjacency(
         n_users=n_users,
         n_items=n_items,

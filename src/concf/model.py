@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import parse_header
 from .graph import NormalizedAdjacency, propagate
 from .seeding import rng_stream
 
@@ -101,9 +102,9 @@ def forward(adj: NormalizedAdjacency, table: EmbeddingTable, n_layers: int) -> F
 
 # --- checkpoint I/O ----------------------------------------------------------
 #
-# Layout: one line of compact JSON, then row-major little-endian float64
-# payloads: the embedding table, optionally followed by the two Adam moment
-# tables when the checkpoint carries optimizer state.
+# Layout: one JSON line (n_users, n_items, d, L, epoch, dtype), then the
+# embedding table as row-major little-endian float64, and nothing after it.
+# ``dtype`` is the loaded table's dtype; the payload is float64 either way.
 
 
 @dataclass
@@ -111,22 +112,10 @@ class Checkpoint:
     table: EmbeddingTable
     n_layers: int
     epoch: int
-    header: dict
-    adam_m: np.ndarray | None = None
-    adam_v: np.ndarray | None = None
-    adam_step: int = 0
 
 
 def save_checkpoint(
-    path: str | Path,
-    table: EmbeddingTable,
-    *,
-    n_layers: int,
-    epoch: int = 0,
-    adam_m: np.ndarray | None = None,
-    adam_v: np.ndarray | None = None,
-    adam_step: int = 0,
-    extra: dict | None = None,
+    path: str | Path, table: EmbeddingTable, *, n_layers: int, epoch: int = 0
 ) -> None:
     header = {
         "n_users": table.n_users,
@@ -135,51 +124,31 @@ def save_checkpoint(
         "L": n_layers,
         "epoch": epoch,
         "dtype": str(table.matrix.dtype),
-        "has_adam": adam_m is not None,
     }
-    if adam_m is not None:
-        header["adam_step"] = adam_step
-    if extra:
-        header.update(extra)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         fh.write(np.ascontiguousarray(table.matrix, dtype="<f8").tobytes())
-        if adam_m is not None:
-            fh.write(np.ascontiguousarray(adam_m, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(adam_v, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint, rejecting a malformed header or a payload that is not
+    exactly the table; every error is a ValueError naming ``path``."""
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        header = json.loads(header_line.decode("utf-8"))
-        n = header["n_users"] + header["n_items"]
-        d = header["d"]
-        dtype = np.dtype(header.get("dtype", "float64"))
-        nbytes = n * d * 8
-
-        def read_matrix() -> np.ndarray:
-            buf = fh.read(nbytes)
-            if len(buf) != nbytes:
-                raise ValueError(f"{path}: truncated checkpoint payload")
-            return np.frombuffer(buf, dtype="<f8").reshape(n, d).astype(dtype)
-
-        matrix = read_matrix()
-        adam_m = adam_v = None
-        if header.get("has_adam"):
-            adam_m = read_matrix()
-            adam_v = read_matrix()
+        header = parse_header(path, fh.readline(), ("n_users", "n_items", "d", "L", "epoch"))
+        payload = fh.read()
+    dtype = header.get("dtype")
+    if dtype not in ("float32", "float64"):
+        raise ValueError(f"{path}: field 'dtype' must be 'float32' or 'float64', got {dtype!r}")
+    n, d = header["n_users"] + header["n_items"], header["d"]
+    nbytes = n * d * 8
+    if len(payload) < nbytes:
+        raise ValueError(f"{path}: truncated checkpoint payload ({len(payload)} of {nbytes} bytes)")
+    if len(payload) > nbytes:
+        raise ValueError(f"{path}: {len(payload) - nbytes} trailing bytes after the table payload")
+    matrix = np.frombuffer(payload, dtype="<f8").reshape(n, d).astype(dtype)
     table = EmbeddingTable(header["n_users"], header["n_items"], matrix)
-    return Checkpoint(
-        table=table,
-        n_layers=header["L"],
-        epoch=header["epoch"],
-        header=header,
-        adam_m=adam_m,
-        adam_v=adam_v,
-        adam_step=header.get("adam_step", 0),
-    )
+    return Checkpoint(table=table, n_layers=header["L"], epoch=header["epoch"])
 
 
 def write_matrix_text(path: str | Path, ids: np.ndarray, matrix: np.ndarray) -> None:

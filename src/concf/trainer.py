@@ -73,10 +73,10 @@ class TrainResult:
 def adam_step(
     table: EmbeddingTable, grads: np.ndarray, state: AdamState, config: TrainConfig
 ) -> tuple[EmbeddingTable, AdamState]:
-    """Bias-corrected Adam applied only to rows with a nonzero gradient.
+    """Bias-corrected Adam on every row, as ``torch.optim.Adam``: a row with a
+    zero gradient still decays its moments and moves by their corrected ratio.
 
-    Moments of untouched rows are left unchanged; the step counter always
-    increments. Mutates ``table`` and ``state`` in place and returns them.
+    Mutates ``table`` and ``state`` in place and returns them.
     """
     if grads.shape != table.matrix.shape:
         raise ValueError(f"gradient shape {grads.shape} != table shape {table.matrix.shape}")
@@ -85,14 +85,13 @@ def adam_step(
         row = int(np.flatnonzero(bad.any(axis=1))[0])
         raise FloatingPointError(f"gradient blow-up at row {row}")
     state.step += 1
-    rows = np.flatnonzero((grads != 0).any(axis=1))
-    if rows.size:
-        g = grads[rows]
-        state.m[rows] = config.beta1 * state.m[rows] + (1 - config.beta1) * g
-        state.v[rows] = config.beta2 * state.v[rows] + (1 - config.beta2) * (g * g)
-        m_hat = state.m[rows] / (1 - config.beta1 ** state.step)
-        v_hat = state.v[rows] / (1 - config.beta2 ** state.step)
-        table.matrix[rows] -= config.lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    state.m *= config.beta1
+    state.m += (1 - config.beta1) * grads
+    state.v *= config.beta2
+    state.v += (1 - config.beta2) * (grads * grads)
+    m_hat = state.m / (1 - config.beta1 ** state.step)
+    v_hat = state.v / (1 - config.beta2 ** state.step)
+    table.matrix -= config.lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
     return table, state
 
 
@@ -213,18 +212,12 @@ def train(
                 if bad_streak >= config.patience:
                     stopped_early = True
                     break
-    except Exception:
+    except (Exception, KeyboardInterrupt):
         if out_dir is not None:
             path = Path(out_dir)
             path.mkdir(parents=True, exist_ok=True)
             save_checkpoint(
-                path / "crash.ckpt",
-                table,
-                n_layers=config.n_layers,
-                epoch=len(history),
-                adam_m=adam.m,
-                adam_v=adam.v,
-                adam_step=adam.step,
+                path / "crash.ckpt", table, n_layers=config.n_layers, epoch=len(history)
             )
         raise
 

@@ -306,6 +306,33 @@ class TestEvaluate:
         assert "header.json: missing field 'counts.train'" in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_header_not_json_named(self, run_dir, split_dir, tmp_path):
+        broken = tmp_path / "split"
+        broken.mkdir()
+        for name in ("train.tsv", "valid.tsv", "test.tsv"):
+            (broken / name).write_bytes((split_dir / name).read_bytes())
+        (broken / "header.json").write_text("{\n")
+        res = run_cli(
+            "evaluate", "--checkpoint", str(run_dir / "model.ckpt"), "--split-dir", str(broken)
+        )
+        assert res.returncode == 1
+        assert f"error: {broken / 'header.json'}: not valid JSON" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("damage, problem", [
+        (lambda head, payload: (head.replace(b'"d": 8, ', b""), payload), "missing field 'd'"),
+        (lambda head, payload: (head, payload + b"\0"), "1 trailing bytes"),
+    ])
+    def test_malformed_checkpoint_named(self, run_dir, split_dir, tmp_path, damage, problem):
+        head, payload = (run_dir / "model.ckpt").read_bytes().split(b"\n", 1)
+        head, payload = damage(head, payload)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(head + b"\n" + payload)
+        res = run_cli("evaluate", "--checkpoint", str(bad), "--split-dir", str(split_dir))
+        assert res.returncode == 1
+        assert f"error: {bad}: {problem}" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_shape_mismatch_names_both(self, run_dir, tmp_path):
         small = tmp_path / "small.tsv"
         small.write_text("".join(f"u{u}\ti{i}\n" for u in range(5) for i in range(6)))

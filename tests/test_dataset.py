@@ -329,6 +329,21 @@ class TestLoadSplit:
         ):
             DatasetSplit.load(out)
 
+    @pytest.mark.parametrize("text", ["{", "", "n_users: 30", b"\xff\xfe{}"])
+    def test_header_not_json_named(self, tmp_path, small_split, text):
+        out = tmp_path / "split"
+        small_split.save(out)
+        path = out / "header.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(ValueError, match=rf"header\.json: not valid JSON: "):
+            DatasetSplit.load(out)
+
+    def test_duplicate_train_pair_names_file_and_pair(self, tmp_path, small_split):
+        u, i = small_split.train[5]
+        out = self.saved_with_extra_train_row(tmp_path, small_split, (u, i))
+        with pytest.raises(ValueError, match=rf"train\.tsv: duplicate train pair \({u}, {i}\)"):
+            DatasetSplit.load(out)
+
     def test_out_of_range_id_names_file_and_line(self, tmp_path, small_split):
         n_users, n_items = small_split.n_users, small_split.n_items
         line = len(small_split.train) + 1
@@ -386,6 +401,15 @@ class TestGroupByUser:
         assert m.shape == (3, 4) and m.dtype == bool
         assert m.indptr.tolist() == [0, 1, 3, 3]
         assert m.indices.tolist() == [2, 0, 3]
+
+    def test_duplicate_train_pair_rejected(self):
+        train = np.array([[1, 3], [0, 2], [1, 0], [0, 1], [1, 0], [1, 3]])
+        empty = np.empty((0, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match=r"^duplicate train pair \(1, 0\)$"):
+            DatasetSplit(n_users=2, n_items=4, train=train, valid=empty, test=empty)
+        # a pair may repeat across parts; only the train rows must be distinct
+        split = DatasetSplit(n_users=2, n_items=4, train=train[:4], valid=train[4:], test=empty)
+        assert split.train_matrix.nnz == 4
 
 
 class TestSampleNegatives:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,7 @@ from concf import (
     propagate,
 )
 
-from conftest import random_split
+from conftest import planted_communities, random_split
 
 
 def split_from_pairs(pairs, ratios=(1.0, 0.0, 0.0)):
@@ -36,7 +37,42 @@ def dense_adjacency(split):
     return dense
 
 
+def reference_adjacency_arrays(split, dtype):
+    """The adjacency as it was built from the train rows through a COO matrix:
+    (indptr, indices, weights), the reference for the CSR-derived build."""
+    n_users, n_items = split.n_users, split.n_items
+    u = split.train[:, 0].astype(np.int64)
+    i = split.train[:, 1].astype(np.int64)
+    deg_u = np.bincount(u, minlength=n_users).astype(np.float64)
+    deg_i = np.bincount(i, minlength=n_items).astype(np.float64)
+    w = (1.0 / np.sqrt(deg_u[u] * deg_i[i])).astype(dtype)
+    rows = np.concatenate([u, i + n_users])
+    cols = np.concatenate([i + n_users, u])
+    data = np.concatenate([w, w])
+    coo = sp.coo_matrix((data, (rows, cols)), shape=(n_users + n_items, n_users + n_items))
+    csr = coo.tocsr()
+    csr.sort_indices()
+    return csr.indptr.astype(np.int64), csr.indices.astype(np.int64), csr.data
+
+
+@pytest.fixture(scope="module")
+def planted_split():
+    return build_split(planted_communities(seed=0), seed=0)
+
+
 class TestBuildNormalizedAdjacency:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("which", ["small_split", "planted_split"])
+    def test_bitwise_equal_to_coo_reference(self, request, which, dtype):
+        split = request.getfixturevalue(which)
+        adj = build_normalized_adjacency(split, dtype=dtype)
+        got = (adj.indptr, adj.indices, adj.weights)
+        for name, a, b in zip(("indptr", "indices", "weights"), got,
+                              reference_adjacency_arrays(split, dtype)):
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+        assert adj.weights.dtype == dtype and adj.indptr.dtype == adj.indices.dtype == np.int64
+
     def test_single_edge_unit_weight(self):
         adj = build_normalized_adjacency(split_from_pairs([(0, 0)]))
         assert adj.nnz == 2

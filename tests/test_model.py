@@ -1,7 +1,12 @@
 """Embedding init, forward pass, checkpoints, and exports."""
 
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from concf import (
     EmbeddingTable,
@@ -22,6 +27,23 @@ from concf.model import (
 from conftest import random_split
 
 XAVIER_BOUND_64 = 0.21650635094610965  # sqrt(6 / (64 + 64))
+MISSING = object()
+
+
+def checkpoint_with_header(tmp_path, **changes):
+    """A saved 2 x 3 x 4 checkpoint whose header has ``changes`` applied
+    (``MISSING`` deletes the key); the payload is left as written."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_embeddings(2, 3, 4, seed=0), n_layers=2, epoch=1)
+    head, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    for key, value in changes.items():
+        if value is MISSING:
+            del header[key]
+        else:
+            header[key] = value
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    return path
 
 
 class TestInitEmbeddings:
@@ -116,17 +138,6 @@ class TestCheckpoint:
         assert ckpt.n_layers == 3 and ckpt.epoch == 12
         np.testing.assert_array_equal(ckpt.table.matrix, table.matrix)
 
-    def test_roundtrip_with_adam(self, tmp_path):
-        table = init_embeddings(4, 4, 3, seed=0)
-        m = np.random.default_rng(1).standard_normal(table.matrix.shape)
-        v = np.abs(np.random.default_rng(2).standard_normal(table.matrix.shape))
-        path = tmp_path / "resume.ckpt"
-        save_checkpoint(path, table, n_layers=2, epoch=4, adam_m=m, adam_v=v, adam_step=40)
-        ckpt = load_checkpoint(path)
-        assert ckpt.adam_step == 40
-        np.testing.assert_array_equal(ckpt.adam_m, m)
-        np.testing.assert_array_equal(ckpt.adam_v, v)
-
     def test_truncated_payload_rejected(self, tmp_path):
         table = init_embeddings(4, 4, 3, seed=0)
         path = tmp_path / "model.ckpt"
@@ -134,6 +145,74 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_header_has_no_optimizer_state(self, tmp_path):
+        table = init_embeddings(2, 3, 4, seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, table, n_layers=2, epoch=7)
+        head, payload = path.read_bytes().split(b"\n", 1)
+        assert json.loads(head) == {
+            "n_users": 2, "n_items": 3, "d": 4, "L": 2, "epoch": 7, "dtype": "float64",
+        }
+        assert payload == table.matrix.astype("<f8").tobytes()
+
+    def test_adam_payload_rejected(self, tmp_path):
+        # a file that also carries two moment tables after the table
+        table = init_embeddings(4, 4, 3, seed=0)
+        header = {"n_users": 4, "n_items": 4, "d": 3, "L": 2, "epoch": 1,
+                  "dtype": "float64", "has_adam": True, "adam_step": 9}
+        path = tmp_path / "crash.ckpt"
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n"
+                         + table.matrix.tobytes() * 3)
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: 384 trailing bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_users", None), ("n_items", -1), ("d", 3.0), ("L", "2"), ("epoch", True),
+    ])
+    def test_bad_header_field_named(self, tmp_path, field, value):
+        path = checkpoint_with_header(tmp_path, **{field: value})
+        with pytest.raises(
+            ValueError,
+            match=rf"{re.escape(str(path))}: field '{field}' must be a non-negative integer",
+        ):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["n_users", "n_items", "d", "L", "epoch"])
+    def test_missing_header_field_named(self, tmp_path, field):
+        path = checkpoint_with_header(tmp_path, **{field: MISSING})
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: missing field '{field}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", ["int8", "float16", None, MISSING])
+    def test_bad_dtype_named(self, tmp_path, value):
+        path = checkpoint_with_header(tmp_path, dtype=value)
+        want = rf"{re.escape(str(path))}: field 'dtype' must be 'float32' or 'float64'"
+        with pytest.raises(ValueError, match=want):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("head", [b"{", b"[1, 2]", b"\xff{}", b""])
+    def test_header_not_json_object_named(self, tmp_path, head):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(head + b"\n" + bytes(8))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_truncation_or_extension_named(self, tmp_path, data):
+        table = init_embeddings(3, 2, 4, seed=5)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, table, n_layers=2, epoch=3)
+        whole = path.read_bytes()
+        if data.draw(st.booleans(), label="truncate"):
+            bad = whole[: data.draw(st.integers(0, len(whole) - 1), label="keep")]
+        else:
+            bad = whole + data.draw(st.binary(min_size=1, max_size=64), label="extra")
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             load_checkpoint(path)
 
 

@@ -55,17 +55,34 @@ class TestAdamStep:
         for a, b in zip(deltas, deltas[1:]):
             assert b <= a + 1e-12
 
-    def test_untouched_rows_keep_moments(self):
+    def test_zero_gradient_row_decays_moments_and_moves(self):
+        # dense Adam, as torch.optim.Adam: row 0 never gets a gradient after
+        # the moments are seeded, yet its moments decay by beta1 / beta2 and
+        # it keeps moving by the bias-corrected ratio of what is left
+        cfg = TrainConfig(lr=0.05)
         rng = np.random.default_rng(0)
         table = EmbeddingTable(2, 2, rng.standard_normal((4, 3)))
         state = AdamState.zeros_like(table)
         state.m[:] = 0.5
         state.v[:] = 0.25
+        state.step = 3
         grads = np.zeros((4, 3))
         grads[1] = 1.0
-        adam_step(table, grads, state, TrainConfig())
-        assert (state.m[0] == 0.5).all() and (state.v[0] == 0.25).all()
-        assert (state.m[1] != 0.5).any()
+        start = table.matrix[0].copy()
+        m, v, x = 0.5, 0.25, start
+        for t in range(4, 9):
+            row1 = table.matrix[1].copy()
+            adam_step(table, grads, state, cfg)
+            m, v = cfg.beta1 * m, cfg.beta2 * v
+            m_hat, v_hat = m / (1 - cfg.beta1 ** t), v / (1 - cfg.beta2 ** t)
+            x = x - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            assert state.step == t
+            np.testing.assert_allclose(state.m[0], m, rtol=1e-15)
+            np.testing.assert_allclose(state.v[0], v, rtol=1e-15)
+            np.testing.assert_allclose(table.matrix[0], x, rtol=1e-14)
+            assert (table.matrix[1] < row1).all()
+        # the decaying positive first moment kept pulling the row down
+        assert (start - table.matrix[0] > 0.01).all()
 
     def test_nonfinite_gradient_names_row(self):
         table = scalar_table()
@@ -178,23 +195,34 @@ class TestTrain:
             assert ra.valid_ndcg10 == rb.valid_ndcg10
         np.testing.assert_array_equal(with_k1.table.matrix, disabled.table.matrix)
 
-    def test_crash_checkpoint_written(self, tmp_path):
+    @staticmethod
+    def crash_at_epoch_two(tmp_path, error):
+        """Train until eval_fn raises ``error`` at epoch 2, then check that
+        crash.ckpt holds that epoch's table."""
         split = random_split(20, 25, 300, seed=10)
         cfg = quick_config(max_epochs=5)
-        boom = RuntimeError("boom")
+        snapshots = {}
 
         def eval_fn(table, epoch):
+            snapshots[epoch] = table.matrix.copy()
             if epoch == 2:
-                raise boom
+                raise error
             return {"ndcg@10": 0.1}
 
-        with pytest.raises(RuntimeError):
+        with pytest.raises(type(error)):
             train(cfg, split, out_dir=tmp_path, eval_fn=eval_fn)
-        assert (tmp_path / "crash.ckpt").exists()
         from concf import load_checkpoint
 
         ckpt = load_checkpoint(tmp_path / "crash.ckpt")
-        assert ckpt.adam_m is not None
+        assert ckpt.table.matrix.shape == (split.n_users + split.n_items, cfg.d)
+        assert ckpt.epoch == 1 and ckpt.n_layers == cfg.n_layers
+        np.testing.assert_array_equal(ckpt.table.matrix, snapshots[2])
+
+    def test_crash_checkpoint_written(self, tmp_path):
+        self.crash_at_epoch_two(tmp_path, RuntimeError("boom"))
+
+    def test_crash_checkpoint_written_on_keyboard_interrupt(self, tmp_path):
+        self.crash_at_epoch_two(tmp_path, KeyboardInterrupt())
 
     def test_log_stream_gets_one_line_per_epoch(self, tmp_path):
         import io
