@@ -303,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     _set_threads(getattr(args, "threads", None))
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

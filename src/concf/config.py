@@ -141,14 +141,18 @@ def _coerce(key: str, raw: Any) -> Any:
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Parse a flat ``key = value`` file; '#' starts a comment."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8 ({exc.reason})") from None
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {ln}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for ln, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {ln}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values

@@ -8,11 +8,10 @@ test.tsv; one ``user_id<TAB>item_id`` per line) plus a header.json with
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,21 +28,34 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class RawInteractions:
-    """Deduplicated (user_key, item_key) records in stable input order.
+    """Distinct (user, item) records as int64 codes, in stable input order.
 
-    Timestamps are kept when present but nothing downstream consumes them;
-    splitting is random, not temporal.
+    ``user_keys``/``item_keys`` hold the sorted, distinct keys as object arrays
+    (so keys stay exact), and every key occurs in some record. A record's codes
+    index them and become the split's ids. Splitting is random, not temporal.
     """
 
-    users: tuple[str, ...]
-    items: tuple[str, ...]
-    timestamps: tuple[float, ...] | None = None
+    user_keys: np.ndarray
+    item_keys: np.ndarray
+    users: np.ndarray
+    items: np.ndarray
 
     def __len__(self) -> int:
         return len(self.users)
 
-    def pairs(self) -> Iterator[tuple[str, str]]:
-        return zip(self.users, self.items)
+    @classmethod
+    def from_keys(cls, users: Sequence[str], items: Sequence[str]) -> "RawInteractions":
+        """Code each column by sorted key order and drop repeated pairs,
+        keeping each pair's first occurrence."""
+        tables, codes = [], []
+        for keys in (users, items):
+            table = sorted(set(keys))
+            index = {k: n for n, k in enumerate(table)}
+            tables.append(np.array(table, dtype=object))
+            codes.append(np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys)))
+        u, i = codes
+        first = np.sort(np.unique(u * len(tables[1]) + i, return_index=True)[1])
+        return cls(*tables, u[first], i[first])
 
 
 @dataclass(frozen=True)
@@ -63,10 +75,8 @@ class DatasetSplit:
     """Contiguous-ID interaction sets partitioned into train/valid/test.
 
     ``train``/``valid``/``test`` are (m, 2) int64 arrays of (user_id, item_id).
-    ``user_map``/``item_map`` are present when the split was built from raw
-    keys and None when loaded back from disk. ``train_matrix`` holds the train
-    pairs as a boolean user x item CSR (see ``pair_matrix``); a train pair may
-    occur only once.
+    ``train_matrix`` holds the train pairs as a boolean user x item CSR (see
+    ``pair_matrix``); a train pair may occur only once.
     """
 
     n_users: int
@@ -74,8 +84,6 @@ class DatasetSplit:
     train: np.ndarray
     valid: np.ndarray
     test: np.ndarray
-    user_map: dict[str, int] | None = None
-    item_map: dict[str, int] | None = None
     meta: dict = field(default_factory=dict)
     train_matrix: sp.csr_matrix = field(init=False, repr=False)
 
@@ -207,74 +215,55 @@ def _load_pairs(path: Path, n_users: int, n_items: int) -> np.ndarray:
 def _first_unparsable_line(path: Path) -> str | None:
     """``line <n>: ...`` (1-based) for the first line that is not two integer
     fields; blank and ``#`` comment lines are skipped, as ``np.loadtxt`` does."""
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            fields = line.split("#", 1)[0].rstrip("\r\n")
-            if not fields.strip():
-                continue
-            fields = fields.split("\t")
-            if len(fields) != 2:
-                return f"line {ln}: expected 2 fields, got {len(fields)}"
-            for col, field in enumerate(fields, start=1):
-                try:
-                    int(field)
-                except ValueError:
-                    return f"line {ln}: field {col}: {field!r} is not an integer"
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        return f"not valid UTF-8 ({exc.reason})"
+    for ln, line in enumerate(lines, start=1):
+        fields = line.split("#", 1)[0].rstrip("\r\n")
+        if not fields.strip():
+            continue
+        fields = fields.split("\t")
+        if len(fields) != 2:
+            return f"line {ln}: expected 2 fields, got {len(fields)}"
+        for col, field in enumerate(fields, start=1):
+            try:
+                int(field)
+            except ValueError:
+                return f"line {ln}: field {col}: {field!r} is not an integer"
     return None
 
 
 def load_interactions(path: str | Path, fmt: str = "tsv") -> RawInteractions:
     """Read a delimited interaction log.
 
-    Each line is ``user<sep>item[<sep>rating][<sep>timestamp]``; lines starting
-    with '#' and blank lines are skipped. Exact duplicate (user, item) pairs
-    are dropped, keeping the first occurrence.
+    Each line is ``user<sep>item``; further fields (rating, timestamp) are
+    ignored. Lines starting with '#' and blank lines are skipped. Exact
+    duplicate (user, item) pairs are dropped, keeping the first occurrence.
     """
     if fmt not in ("tsv", "csv"):
         raise ValueError(f"unknown format {fmt!r}, expected 'tsv' or 'csv'")
     sep = "\t" if fmt == "tsv" else ","
-    users: list[str] = []
-    items: list[str] = []
-    stamps: list[float] = []
-    any_stamp = False
-    seen: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(sep)
-            if len(fields) < 2:
-                raise ParseError(f"{path}: line {ln}: expected at least 2 fields, got {len(fields)}")
-            user, item = fields[0], fields[1]
-            if not user or not item:
-                raise ParseError(f"{path}: line {ln}: empty user or item key")
-            ts = math.nan
-            if len(fields) >= 4:
-                try:
-                    ts = float(fields[3])
-                except ValueError as exc:
-                    raise ParseError(f"{path}: line {ln}: bad timestamp {fields[3]!r}") from exc
-                any_stamp = True
-            if (user, item) in seen:
-                continue
-            seen.add((user, item))
-            users.append(user)
-            items.append(item)
-            stamps.append(ts)
+    users, items = [], []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for ln, line in enumerate(fh, start=1):
+                line = line.rstrip("\n").rstrip("\r")
+                if not line or line.startswith("#"):
+                    continue
+                fields = line.split(sep, 2)
+                if len(fields) < 2:
+                    raise ParseError(f"{path}: line {ln}: expected at least 2 fields, got 1")
+                if not fields[0] or not fields[1]:
+                    raise ParseError(f"{path}: line {ln}: empty user or item key")
+                users.append(fields[0])
+                items.append(fields[1])
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
     if not users:
         raise ParseError(f"{path}: no interactions found")
-    return RawInteractions(
-        users=tuple(users),
-        items=tuple(items),
-        timestamps=tuple(stamps) if any_stamp else None,
-    )
-
-
-def _sorted_ids(keys: tuple[str, ...]) -> tuple[dict[str, int], np.ndarray]:
-    """Ids by sorted key order: the key -> id map and each record's id."""
-    index = {k: n for n, k in enumerate(sorted(set(keys)))}
-    return index, np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
+    return RawInteractions.from_keys(users, items)
 
 
 def k_core_filter(raw: RawInteractions, min_count: int) -> RawInteractions:
@@ -286,26 +275,18 @@ def k_core_filter(raw: RawInteractions, min_count: int) -> RawInteractions:
         raise ValueError("min_count must be >= 0")
     if min_count <= 1:
         return raw
-    _, uids = _sorted_ids(raw.users)
-    _, iids = _sorted_ids(raw.items)
-    keep = np.arange(len(raw))
+    u, i = raw.users, raw.items
     while True:
-        u, i = uids[keep], iids[keep]
         ok = (np.bincount(u)[u] >= min_count) & (np.bincount(i)[i] >= min_count)
         if ok.all():
             break
-        keep = keep[ok]
-    if not keep.size:
+        u, i = u[ok], i[ok]
+    if not len(u):
         raise ValueError("k-core eliminated all data")
-
-    def pick(column: tuple) -> tuple:
-        return tuple(np.array(column, dtype=object)[keep])
-
-    return RawInteractions(
-        users=pick(raw.users),
-        items=pick(raw.items),
-        timestamps=pick(raw.timestamps) if raw.timestamps else None,
-    )
+    # drop the keys that no longer occur; codes keep their sorted key order
+    kept_users, u = np.unique(u, return_inverse=True)
+    kept_items, i = np.unique(i, return_inverse=True)
+    return RawInteractions(raw.user_keys[kept_users], raw.item_keys[kept_items], u, i)
 
 
 def build_split(
@@ -313,25 +294,21 @@ def build_split(
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
     seed: int = 0,
 ) -> DatasetSplit:
-    """Per-user random split into train/valid/test.
+    """Per-user random split into train/valid/test; the ids are ``raw``'s codes.
 
-    IDs are assigned by sorted key order. For a user with n interactions,
-    valid and test get floor(ratio * n) each and train gets the remainder,
-    so every user keeps at least one train interaction.
+    For a user with n interactions, valid and test get floor(ratio * n) each
+    and train gets the remainder, so every user keeps at least one train
+    interaction.
     """
     if len(raw) == 0:
         raise ValueError("empty interaction set")
     if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must be three nonnegative values summing to 1, got {ratios}")
-    user_map, uids = _sorted_ids(raw.users)
-    item_map, iids = _sorted_ids(raw.items)
-    n_users, n_items = len(user_map), len(item_map)
-
+    n_users, n_items = len(raw.user_keys), len(raw.item_keys)
     rng = rng_stream(seed)
-    shuffled = np.concatenate(
-        [items[rng.permutation(len(items))] for items in group_by_user(uids, iids, n_users)]
-    )
-    counts = np.bincount(uids, minlength=n_users)
+    groups = group_by_user(raw.users, raw.items, n_users)
+    shuffled = np.concatenate([items[rng.permutation(len(items))] for items in groups])
+    counts = np.bincount(raw.users, minlength=n_users)
     # guard against 0.3*10 == 2.9999... style representation undershoot
     n_valid = np.floor(ratios[1] * counts + 1e-12).astype(np.int64)
     n_test = np.floor(ratios[2] * counts + 1e-12).astype(np.int64)
@@ -345,8 +322,6 @@ def build_split(
         train=pairs[part == 0],
         valid=pairs[part == 1],
         test=pairs[part == 2],
-        user_map=user_map,
-        item_map=item_map,
         meta={"seed": seed, "ratios": tuple(ratios)},
     )
 

@@ -172,11 +172,17 @@ def write_matrix_binary(path: str | Path, ids: np.ndarray, matrix: np.ndarray) -
 
 
 def read_matrix_binary(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a binary export, rejecting a malformed header or a payload that is
+    not exactly the ids and rows; every error is a ValueError naming ``path``."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("kind") != "embedding_export":
-            raise ValueError(f"{path}: not an embedding export")
-        rows, cols = header["rows"], header["cols"]
-        ids = np.frombuffer(fh.read(8 * rows), dtype="<i8").astype(np.int64)
-        matrix = np.frombuffer(fh.read(8 * rows * cols), dtype="<f8").reshape(rows, cols).copy()
+        header = parse_header(path, fh.readline(), ("rows", "cols"))
+        payload = fh.read()
+    if header.get("kind") != "embedding_export":
+        raise ValueError(f"{path}: not an embedding export")
+    rows, cols = header["rows"], header["cols"]
+    nbytes = 8 * rows * (1 + cols)
+    if len(payload) != nbytes:
+        raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {nbytes}")
+    ids = np.frombuffer(payload, dtype="<i8", count=rows).astype(np.int64)
+    matrix = np.frombuffer(payload, dtype="<f8", offset=8 * rows).reshape(rows, cols).copy()
     return ids, matrix

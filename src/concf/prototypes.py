@@ -110,7 +110,8 @@ def _update_centroids(
     sums = np.zeros((k, d), dtype=points.dtype)
     np.add.at(sums, assignments, points)
     counts = np.bincount(assignments, minlength=k)
-    centroids = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], 0.0)
+    divisor = np.maximum(counts, 1).astype(points.dtype)[:, None]
+    centroids = np.where(counts[:, None] > 0, sums / divisor, 0.0)
     return centroids, counts
 
 

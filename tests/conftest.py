@@ -22,9 +22,8 @@ def make_raw(n_users: int, n_items: int, n_pairs: int, seed: int = 0) -> RawInte
     while len(pairs) < n_pairs:
         pairs.add((int(rng.integers(n_users)), int(rng.integers(n_items))))
     pairs = sorted(pairs)
-    return RawInteractions(
-        users=tuple(f"u{u:04d}" for u, _ in pairs),
-        items=tuple(f"i{i:04d}" for _, i in pairs),
+    return RawInteractions.from_keys(
+        [f"u{u:04d}" for u, _ in pairs], [f"i{i:04d}" for _, i in pairs]
     )
 
 
@@ -71,7 +70,9 @@ def planted_communities(
             own = np.flatnonzero(same[u])
             mask[u, own[rng.integers(len(own))]] = True
     us, its = np.nonzero(mask)
-    return RawInteractions(
-        users=tuple(f"u{u:04d}" for u in us),
-        items=tuple(f"i{i:04d}" for i in its),
-    )
+    return RawInteractions.from_keys([f"u{u:04d}" for u in us], [f"i{i:04d}" for i in its])
+
+
+def key_pairs(raw: RawInteractions) -> list[tuple[str, str]]:
+    """Each record's (user key, item key), in record order."""
+    return list(zip(raw.user_keys[raw.users], raw.item_keys[raw.items]))

@@ -47,7 +47,7 @@ from concf.trainer import (
 )
 from concf.seeding import derive_seed, rng_stream
 
-from conftest import planted_communities, random_split
+from conftest import key_pairs, planted_communities, random_split
 
 
 @contextmanager
@@ -320,7 +320,7 @@ class TestCriterion9ThreadCountDeterminism:
             data = tmp_path / "interactions.tsv"
             raw = planted_communities(seed=0)
             with open(data, "w") as fh:
-                for u, i in raw.pairs():
+                for u, i in key_pairs(raw):
                     fh.write(f"{u}\t{i}\n")
             split_dir = tmp_path / "split"
             res = subprocess.run(

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_raw
+from conftest import key_pairs, make_raw
 
 
 def run_cli(*args, env=None):
@@ -30,13 +31,20 @@ def checksum(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def assert_error_names(res, path):
+    """A one-line ``error: ...`` exit naming ``path``, without a traceback."""
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: ") and str(path) in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 @pytest.fixture(scope="module")
 def interactions_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "interactions.tsv"
     raw = make_raw(25, 30, 500, seed=13)
     with open(path, "w") as fh:
         fh.write("# synthetic interactions\n")
-        for u, i in raw.pairs():
+        for u, i in key_pairs(raw):
             fh.write(f"{u}\t{i}\n")
     return path
 
@@ -89,6 +97,17 @@ class TestPrepare:
         res = run_cli("prepare", "--input", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "o"))
         assert res.returncode != 0
         assert "error" in res.stderr
+
+    def test_non_utf8_input_named(self, tmp_path):
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes("u\ti0\nb\xe9\ti1\n".encode("latin-1"))
+        res = run_cli("prepare", "--input", str(path), "--out", str(tmp_path / "o"))
+        assert_error_names(res, path)
+        assert "not valid UTF-8" in res.stderr
+
+    def test_directory_input_named(self, tmp_path):
+        res = run_cli("prepare", "--input", str(tmp_path), "--out", str(tmp_path / "o"))
+        assert_error_names(res, tmp_path)
 
     def test_min_count_filters(self, tmp_path):
         path = tmp_path / "tiny.tsv"
@@ -244,8 +263,32 @@ class TestTrain:
         assert res.returncode != 0
         assert "nonsense" in res.stderr
 
+    def test_non_utf8_split_file_named(self, split_dir, tmp_path):
+        broken = shutil.copytree(split_dir, tmp_path / "split")
+        with open(broken / "valid.tsv", "ab") as fh:
+            fh.write(b"\xff\t1\n")
+        res = run_cli(
+            "train", "--split-dir", str(broken), "--out-dir", str(tmp_path / "run"), "--dry-run"
+        )
+        assert_error_names(res, broken / "valid.tsv")
+        assert "not valid UTF-8" in res.stderr
+
+    def test_non_utf8_config_file_named(self, split_dir, tmp_path):
+        cfg_file = tmp_path / "latin1.cfg"
+        cfg_file.write_bytes("d = 8  # caf\xe9\n".encode("latin-1"))
+        res = run_cli(
+            "train", "--split-dir", str(split_dir), "--out-dir", "/dev/null",
+            "--config", str(cfg_file), "--dry-run",
+        )
+        assert_error_names(res, cfg_file)
+        assert "not valid UTF-8" in res.stderr
+
 
 class TestEvaluate:
+    def test_directory_checkpoint_named(self, split_dir, tmp_path):
+        res = run_cli("evaluate", "--checkpoint", str(tmp_path), "--split-dir", str(split_dir))
+        assert_error_names(res, tmp_path)
+
     def test_report_keys(self, run_dir, split_dir):
         res = run_cli(
             "evaluate", "--checkpoint", str(run_dir / "model.ckpt"),

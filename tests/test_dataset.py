@@ -21,41 +21,66 @@ from concf import (
 from concf.dataset import DatasetSplit, ParseError, group_by_user, pair_matrix
 from concf.seeding import rng_stream
 
-from conftest import make_raw, random_split
+from conftest import key_pairs, make_raw, random_split
+
+
+def shuffled_rows(n_users, n_items, n_pairs, seed, n_rows=None):
+    """``n_rows`` (user, item) key rows drawn from make_raw's pairs, in random
+    order and with repeats; without ``n_rows``, each pair once."""
+    pairs = key_pairs(make_raw(n_users, n_items, n_pairs, seed=seed))
+    rng = np.random.default_rng(seed)
+    picks = rng.permutation(len(pairs)) if n_rows is None else rng.integers(len(pairs), size=n_rows)
+    return [pairs[j] for j in picks]
 
 
 def shuffled_raw(n_users, n_items, n_pairs, seed):
-    """make_raw's pairs in a random input order, each with a timestamp."""
-    raw = make_raw(n_users, n_items, n_pairs, seed=seed)
-    order = np.random.default_rng(seed).permutation(len(raw))
-    return RawInteractions(
-        users=tuple(raw.users[j] for j in order),
-        items=tuple(raw.items[j] for j in order),
-        timestamps=tuple(float(j) for j in order),
-    )
+    """make_raw's pairs in a random input order."""
+    users, items = zip(*shuffled_rows(n_users, n_items, n_pairs, seed))
+    return RawInteractions.from_keys(users, items)
 
 
-def loop_k_core(raw, min_count):
+def loop_ingest(rows):
+    """Reference: distinct rows in input order via a seen set, and each key's
+    id from a sorted(set(keys)) map."""
+    seen, kept = set(), []
+    for row in rows:
+        if row not in seen:
+            seen.add(row)
+            kept.append(row)
+    user_map = {k: n for n, k in enumerate(sorted({u for u, _ in kept}))}
+    item_map = {k: n for n, k in enumerate(sorted({i for _, i in kept}))}
+    return kept, user_map, item_map
+
+
+def assert_key_tables(raw):
+    """Each key table is sorted and distinct, and every key is used."""
+    for keys, codes in ((raw.user_keys, raw.users), (raw.item_keys, raw.items)):
+        assert keys.dtype == object and codes.dtype == np.int64
+        assert keys.tolist() == sorted(set(keys.tolist()))
+        np.testing.assert_array_equal(np.unique(codes), np.arange(len(keys)))
+
+
+def loop_k_core(pairs, min_count):
     """Reference: peel by per-key degree counts until nothing changes."""
-    keep = list(range(len(raw)))
+    keep = list(range(len(pairs)))
     while True:
-        u_deg = Counter(raw.users[j] for j in keep)
-        i_deg = Counter(raw.items[j] for j in keep)
+        u_deg = Counter(pairs[j][0] for j in keep)
+        i_deg = Counter(pairs[j][1] for j in keep)
         survivors = [
             j for j in keep
-            if u_deg[raw.users[j]] >= min_count and i_deg[raw.items[j]] >= min_count
+            if u_deg[pairs[j][0]] >= min_count and i_deg[pairs[j][1]] >= min_count
         ]
         if len(survivors) == len(keep):
             return keep
         keep = survivors
 
 
-def loop_build_split(raw, ratios, seed):
+def loop_build_split(pairs, ratios, seed):
     """Reference: one permutation per user, in user order, cut into three parts."""
-    user_map = {k: n for n, k in enumerate(sorted(set(raw.users)))}
-    item_map = {k: n for n, k in enumerate(sorted(set(raw.items)))}
+    user_map = {k: n for n, k in enumerate(sorted({u for u, _ in pairs}))}
+    item_map = {k: n for n, k in enumerate(sorted({i for _, i in pairs}))}
     items_of_user = [[] for _ in user_map]
-    for u, i in raw.pairs():
+    for u, i in pairs:
         items_of_user[user_map[u]].append(item_map[i])
     rng = rng_stream(seed)
     parts = ([], [], [])
@@ -75,7 +100,7 @@ class TestLoadInteractions:
         path.write_text("a\tx\nb\ty\na\tx\n")
         raw = load_interactions(path)
         assert len(raw) == 2
-        assert list(raw.pairs()) == [("a", "x"), ("b", "y")]
+        assert key_pairs(raw) == [("a", "x"), ("b", "y")]
 
     def test_single_record(self, tmp_path):
         path = tmp_path / "one.tsv"
@@ -86,18 +111,18 @@ class TestLoadInteractions:
         path = tmp_path / "inter.csv"
         path.write_text("a,x,5\nb,y,3\n")
         raw = load_interactions(path, fmt="csv")
-        assert list(raw.pairs()) == [("a", "x"), ("b", "y")]
+        assert key_pairs(raw) == [("a", "x"), ("b", "y")]
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "inter.tsv"
         path.write_text("# header\n\na\tx\n# trailing\nb\ty\n")
         assert len(load_interactions(path)) == 2
 
-    def test_rating_and_timestamp_fields(self, tmp_path):
+    def test_fields_after_item_ignored(self, tmp_path):
         path = tmp_path / "inter.tsv"
-        path.write_text("a\tx\t5\t100\nb\ty\t4\t200\n")
+        path.write_text("a\tx\t5\t100\nb\ty\t4\tnot a time\tmore\n")
         raw = load_interactions(path)
-        assert raw.timestamps == (100.0, 200.0)
+        assert key_pairs(raw) == [("a", "x"), ("b", "y")]
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -119,16 +144,36 @@ class TestLoadInteractions:
         path = tmp_path / "inter.tsv"
         path.write_text("z\t9\na\t1\nm\t5\n")
         raw = load_interactions(path)
-        assert raw.users == ("z", "a", "m")
+        assert [u for u, _ in key_pairs(raw)] == ["z", "a", "m"]
+        assert raw.user_keys.tolist() == ["a", "m", "z"]
+        assert raw.users.tolist() == [2, 0, 1]
+
+
+class TestFromKeys:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_matches_loop_reference(self, seed):
+        rows = shuffled_rows(8, 8, 30, seed, n_rows=60)
+        raw = RawInteractions.from_keys(*zip(*rows))
+        kept, user_map, item_map = loop_ingest(rows)
+        assert key_pairs(raw) == kept
+        assert raw.user_keys.tolist() == list(user_map)
+        assert raw.item_keys.tolist() == list(item_map)
+        assert raw.users.tolist() == [user_map[u] for u, _ in kept]
+        assert raw.items.tolist() == [item_map[i] for _, i in kept]
+        assert_key_tables(raw)
+
+    def test_keys_stay_exact(self):
+        # NumPy's fixed-width str dtype would drop the trailing NUL
+        raw = RawInteractions.from_keys(["a", "a\0", "é"], ["x", "x", "x"])
+        assert raw.user_keys.tolist() == ["a", "a\0", "é"]
+        assert raw.users.tolist() == [0, 1, 2]
 
 
 class TestKCoreFilter:
     def test_star_graph_peels_to_nothing(self):
         # 1 user with 20 degree-1 items: items die first, then the user
-        raw = RawInteractions(
-            users=tuple("u" for _ in range(20)),
-            items=tuple(f"i{j}" for j in range(20)),
-        )
+        raw = RawInteractions.from_keys(["u"] * 20, [f"i{j}" for j in range(20)])
         with pytest.raises(ValueError, match="eliminated all data"):
             k_core_filter(raw, 15)
 
@@ -146,9 +191,9 @@ class TestKCoreFilter:
             for i in range(20):
                 users.append(f"u{u}")
                 items.append(f"i{i}")
-        raw = RawInteractions(users=tuple(users), items=tuple(items))
+        raw = RawInteractions.from_keys(users, items)
         out = k_core_filter(raw, 15)
-        assert list(out.pairs()) == list(raw.pairs())
+        assert key_pairs(out) == key_pairs(raw)
 
     def test_cascading_removal(self):
         # u0 holds i0..i2 (degree 3); u1/u2 each touch i0 only; core-3 kills
@@ -157,11 +202,9 @@ class TestKCoreFilter:
                  ("u1", "i0"), ("u2", "i0"),
                  ("u3", "i1"), ("u4", "i1"), ("u3", "i2"), ("u4", "i2"),
                  ("u3", "i3"), ("u4", "i3"), ("u0", "i3")]
-        raw = RawInteractions(
-            users=tuple(u for u, _ in pairs), items=tuple(i for _, i in pairs)
-        )
+        raw = RawInteractions.from_keys(*zip(*pairs))
         out = k_core_filter(raw, 3)
-        survivors = set(out.pairs())
+        survivors = set(key_pairs(out))
         assert ("u1", "i0") not in survivors and ("u0", "i0") not in survivors
         assert all(i != "i0" for _, i in survivors)
 
@@ -169,15 +212,16 @@ class TestKCoreFilter:
     @given(st.integers(0, 10_000), st.integers(2, 5))
     def test_matches_loop_reference(self, seed, k):
         raw = shuffled_raw(8, 8, 30, seed)
-        keep = loop_k_core(raw, k)
+        assert_key_tables(raw)
+        pairs = key_pairs(raw)
+        keep = loop_k_core(pairs, k)
         if not keep:
             with pytest.raises(ValueError, match="eliminated"):
                 k_core_filter(raw, k)
             return
         out = k_core_filter(raw, k)
-        assert out.users == tuple(raw.users[j] for j in keep)
-        assert out.items == tuple(raw.items[j] for j in keep)
-        assert out.timestamps == tuple(raw.timestamps[j] for j in keep)
+        assert key_pairs(out) == [pairs[j] for j in keep]
+        assert_key_tables(out)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 5))
@@ -188,25 +232,22 @@ class TestKCoreFilter:
         except ValueError:
             return
         twice = k_core_filter(once, k)
-        assert list(twice.pairs()) == list(once.pairs())
+        assert key_pairs(twice) == key_pairs(once)
 
 
 class TestBuildSplit:
     def test_exact_ratios_for_ten(self):
-        raw = RawInteractions(
-            users=tuple("u" for _ in range(10)) + ("v",),
-            items=tuple(f"i{j}" for j in range(10)) + ("i0",),
-        )
+        raw = RawInteractions.from_keys(["u"] * 10 + ["v"], [f"i{j}" for j in range(10)] + ["i0"])
         split = build_split(raw, seed=3)
-        u = split.user_map["u"]
+        u = list(raw.user_keys).index("u")
         assert (split.train[:, 0] == u).sum() == 8
         assert (split.valid[:, 0] == u).sum() == 1
         assert (split.test[:, 0] == u).sum() == 1
 
     def test_two_interactions_all_train(self):
-        raw = RawInteractions(users=("u", "u", "w"), items=("a", "b", "a"))
+        raw = RawInteractions.from_keys(("u", "u", "w"), ("a", "b", "a"))
         split = build_split(raw, seed=0)
-        u = split.user_map["u"]
+        u = list(raw.user_keys).index("u")
         assert (split.train[:, 0] == u).sum() == 2
         assert (split.valid[:, 0] == u).sum() == 0
         assert (split.test[:, 0] == u).sum() == 0
@@ -224,10 +265,11 @@ class TestBuildSplit:
                     and np.array_equal(a.train, b.train))
 
     def test_id_maps_sorted_key_order(self):
-        raw = RawInteractions(users=("b", "a", "c"), items=("z", "y", "x"))
+        raw = RawInteractions.from_keys(("b", "a", "c"), ("z", "y", "x"))
         split = build_split(raw, seed=0)
-        assert split.user_map == {"a": 0, "b": 1, "c": 2}
-        assert split.item_map == {"x": 0, "y": 1, "z": 2}
+        assert raw.user_keys.tolist() == ["a", "b", "c"]
+        assert raw.item_keys.tolist() == ["x", "y", "z"]
+        assert sorted(split.train.tolist()) == [[0, 1], [1, 2], [2, 0]]
 
     def test_bad_ratios_rejected(self):
         raw = make_raw(4, 4, 10)
@@ -255,7 +297,7 @@ class TestBuildSplit:
         raw = shuffled_raw(12, 15, 100, seed)
         split = build_split(raw, ratios=ratios, seed=seed)
         for got, want in zip((split.train, split.valid, split.test),
-                             loop_build_split(raw, ratios, seed)):
+                             loop_build_split(key_pairs(raw), ratios, seed)):
             np.testing.assert_array_equal(got, want)
             assert got.dtype == np.int64 and got.shape[1] == 2
 
@@ -371,7 +413,7 @@ class TestLoadSplit:
             DatasetSplit.load(out)
 
     def test_empty_split_files_load_without_warning(self, tmp_path):
-        raw = RawInteractions(users=("u", "u", "w"), items=("a", "b", "a"))
+        raw = RawInteractions.from_keys(("u", "u", "w"), ("a", "b", "a"))
         split = build_split(raw, ratios=(1.0, 0.0, 0.0), seed=0)
         split.save(tmp_path / "split")
         with warnings.catch_warnings():
@@ -435,16 +477,16 @@ class TestSampleNegatives:
         # the user interacted with every item but one
         users = tuple("u" for _ in range(5)) + ("w",)
         items = tuple(f"i{j}" for j in range(5)) + ("i5",)
-        raw = RawInteractions(users=users, items=items)
+        raw = RawInteractions.from_keys(users, items)
         split = build_split(raw, ratios=(1.0, 0.0, 0.0), seed=0)
-        u = split.user_map["u"]
-        missing = split.item_map["i5"]
+        u = list(raw.user_keys).index("u")
+        missing = list(raw.item_keys).index("i5")
         for seed in range(10):
             triples = sample_negatives(split, epoch_seed=seed)
             assert (triples.neg_items[triples.users == u] == missing).all()
 
     def test_full_coverage_user_errors(self):
-        raw = RawInteractions(users=("u", "u"), items=("a", "b"))
+        raw = RawInteractions.from_keys(("u", "u"), ("a", "b"))
         split = build_split(raw, ratios=(1.0, 0.0, 0.0), seed=0)
         with pytest.raises(ValueError, match="no negative"):
             sample_negatives(split, epoch_seed=0)
@@ -465,9 +507,9 @@ class TestSampleNegatives:
         items = tuple(f"i{j:03d}" for j in train_items) + tuple(
             f"i{j:03d}" for j in range(200)
         )
-        raw = RawInteractions(users=users, items=items)
+        raw = RawInteractions.from_keys(users, items)
         split = build_split(raw, ratios=(1.0, 0.0, 0.0), seed=0)
-        uid = split.user_map["u"]
+        uid = list(raw.user_keys).index("u")
         counts = np.zeros(split.n_items, dtype=np.int64)
         n_draws = 0
         for epoch in range(1000):

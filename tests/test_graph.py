@@ -17,10 +17,7 @@ from conftest import planted_communities, random_split
 
 
 def split_from_pairs(pairs, ratios=(1.0, 0.0, 0.0)):
-    raw = RawInteractions(
-        users=tuple(f"u{u}" for u, _ in pairs),
-        items=tuple(f"i{i}" for _, i in pairs),
-    )
+    raw = RawInteractions.from_keys([f"u{u}" for u, _ in pairs], [f"i{i}" for _, i in pairs])
     return build_split(raw, ratios=ratios, seed=0)
 
 
@@ -156,7 +153,7 @@ class TestPropagate:
 
     def test_zero_degree_node_row_is_zero(self):
         # item i1 never appears in train, so its row propagates to zero
-        raw = RawInteractions(users=("u0", "u0"), items=("i0", "i1"))
+        raw = RawInteractions.from_keys(("u0", "u0"), ("i0", "i1"))
         split = build_split(raw, ratios=(0.5, 0.5, 0.0), seed=0)
         adj = build_normalized_adjacency(split)
         z = np.ones((adj.n_nodes, 3))

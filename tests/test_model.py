@@ -84,7 +84,7 @@ class TestForward:
     def test_no_edges_scales_readout(self):
         # one of u0's items lands in valid only, leaving that item isolated:
         # its readout is table / (L + 1)
-        raw = RawInteractions(users=("u0", "u0"), items=("i0", "i1"))
+        raw = RawInteractions.from_keys(("u0", "u0"), ("i0", "i1"))
         split = build_split(raw, ratios=(0.5, 0.5, 0.0), seed=0)
         adj = build_normalized_adjacency(split)
         table = init_embeddings(split.n_users, split.n_items, 4, seed=0)
@@ -94,7 +94,7 @@ class TestForward:
         np.testing.assert_allclose(fp.readout[isolated], table.matrix[isolated] / 3.0)
 
     def test_single_edge_hand_unrolled(self):
-        raw = RawInteractions(users=("u0",), items=("i0",))
+        raw = RawInteractions.from_keys(("u0",), ("i0",))
         split = build_split(raw, ratios=(1.0, 0.0, 0.0), seed=0)
         adj = build_normalized_adjacency(split)
         a = np.array([1.0, -2.0, 0.5])
@@ -203,9 +203,14 @@ class TestCheckpoint:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_any_truncation_or_extension_named(self, tmp_path, data):
+        # a checkpoint and a binary export share the header-then-payload layout
         table = init_embeddings(3, 2, 4, seed=5)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, table, n_layers=2, epoch=3)
+        if data.draw(st.booleans(), label="export"):
+            path, load = tmp_path / "emb.bin", read_matrix_binary
+            write_matrix_binary(path, np.arange(table.n_nodes), table.matrix)
+        else:
+            path, load = tmp_path / "model.ckpt", load_checkpoint
+            save_checkpoint(path, table, n_layers=2, epoch=3)
         whole = path.read_bytes()
         if data.draw(st.booleans(), label="truncate"):
             bad = whole[: data.draw(st.integers(0, len(whole) - 1), label="keep")]
@@ -213,7 +218,7 @@ class TestCheckpoint:
             bad = whole + data.draw(st.binary(min_size=1, max_size=64), label="extra")
         path.write_bytes(bad)
         with pytest.raises(ValueError, match=re.escape(str(path))):
-            load_checkpoint(path)
+            load(path)
 
 
 class TestExportFormats:

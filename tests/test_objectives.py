@@ -396,13 +396,13 @@ class TestTotalLossAndGradient:
         # the second component's rows have zero gradient here
         from concf import RawInteractions, build_split
 
-        raw = RawInteractions(users=("a", "b"), items=("x", "y"))
+        raw = RawInteractions.from_keys(("a", "b"), ("x", "y"))
         split = build_split(raw, ratios=(1.0, 0.0, 0.0), seed=0)
         adj = build_normalized_adjacency(split)
         rng = np.random.default_rng(11)
         table = EmbeddingTable(2, 2, rng.standard_normal((4, 3)))
         cfg = TrainConfig(d=3, n_layers=2, k_layer=2, lambda1=0.5, lambda2=0.0, lambda3=0.1)
-        ua, ia = split.user_map["a"], split.item_map["x"]
+        ua, ia = list(raw.user_keys).index("a"), list(raw.item_keys).index("x")
         batch = triple([ua], [ia], [ia])
         b0, grad = total_loss_and_gradient(adj, table, batch, None, cfg)
         r = int(np.flatnonzero((grad == 0).all(axis=1))[0])
@@ -418,14 +418,14 @@ class TestTotalLossAndGradient:
         # leave the second component's rows untouched (no prototype term)
         from concf import RawInteractions, build_split
 
-        raw = RawInteractions(users=("a", "b"), items=("x", "y"))
+        raw = RawInteractions.from_keys(("a", "b"), ("x", "y"))
         split = build_split(raw, ratios=(1.0, 0.0, 0.0), seed=0)
         adj = build_normalized_adjacency(split)
         rng = np.random.default_rng(0)
         table = EmbeddingTable(2, 2, rng.standard_normal((4, 3)))
         cfg = TrainConfig(d=3, n_layers=2, k_layer=2, lambda1=0.5, lambda2=0.0, lambda3=0.1)
-        ua, ia = split.user_map["a"], split.item_map["x"]
-        ub, ib = split.user_map["b"], split.item_map["y"]
+        ua, ia = list(raw.user_keys).index("a"), list(raw.item_keys).index("x")
+        ub, ib = list(raw.user_keys).index("b"), list(raw.item_keys).index("y")
         batch = triple([ua], [ia], [ia])
         _, grad = total_loss_and_gradient(adj, table, batch, None, cfg)
         assert (grad[ub] == 0).all() and (grad[2 + ib] == 0).all()

@@ -140,6 +140,12 @@ class TestRunKmeans:
         np.testing.assert_array_equal(a.assignments, b.assignments)
         np.testing.assert_array_equal(a.centroids, b.centroids)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_centroids_keep_points_dtype(self, dtype):
+        # three clusters over two tight blobs, with and without duplicate points
+        for points in (two_blobs(), np.repeat(two_blobs(n_per_blob=3), 4, axis=0)):
+            assert run_kmeans(points.astype(dtype), k=3, seed=0).centroids.dtype == dtype
+
 
 def reference_plusplus_seeding(points, k, rng):
     """Reference k-means++ seeding: every distance update computed from scratch."""
@@ -223,6 +229,13 @@ class TestEStep:
         b = e_step(table, (2,), (2,), seed=3)
         assert not np.array_equal(a.users[0].centroids, b.users[0].centroids)
         np.testing.assert_array_equal(a.items[0].centroids, b.items[0].centroids)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_centroids_keep_table_dtype(self, dtype):
+        table = self.make_table(seed=2)
+        table.matrix = table.matrix.astype(dtype)
+        protos = e_step(table, (2, 4), (3,), seed=1)
+        assert {c.centroids.dtype for c in protos.users + protos.items} == {np.dtype(dtype)}
 
     def test_zero_norm_row_rejected(self):
         table = self.make_table(seed=6)
