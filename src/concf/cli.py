@@ -108,7 +108,10 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     if not in_path.exists():
         print(f"error: input file not found: {args.input}", file=sys.stderr)
         return 1
-    ratios = tuple(float(r) for r in args.ratios.split(","))
+    try:
+        ratios = tuple(float(r) for r in args.ratios.split(","))
+    except ValueError as exc:
+        raise ValueError(f"--ratios: {exc}") from None
     raw = dataset.load_interactions(in_path, fmt=args.format)
     if args.min_count > 1:
         raw = dataset.k_core_filter(raw, args.min_count)
@@ -131,7 +134,6 @@ def _resolved_config(args: argparse.Namespace):
 
 def cmd_train(args: argparse.Namespace) -> int:
     from .dataset import DatasetSplit
-    from .graph import build_normalized_adjacency
     from .trainer import train
     from .model import save_checkpoint
     from . import __version__
@@ -146,14 +148,13 @@ def cmd_train(args: argparse.Namespace) -> int:
         return 1
 
     if args.dry_run:
-        adj = build_normalized_adjacency(split)
         echo = {
             "config": config.to_dict(),
             "backbone": config.backbone_tag,
             "n_users": split.n_users,
             "n_items": split.n_items,
             "n_train": int(len(split.train)),
-            "nnz": adj.nnz,
+            "nnz": 2 * split.train_matrix.nnz,  # each train pair is two adjacency entries
         }
         print(json.dumps(echo, sort_keys=True))
         return 0

@@ -39,7 +39,7 @@ class TrainConfig:
     kmeans_max_iters: int = 100
     kmeans_tol: float = 1e-6
     cluster_source: str = "base"   # "base" clusters the embedding table, "readout" the averaged layers
-    dtype: str = "float64"
+    dtype: str = "float32"   # "float64" for bit-exact comparisons and gradient oracles
 
     def validate(self) -> None:
         """Raise ValueError naming the first offending field."""

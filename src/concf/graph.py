@@ -75,11 +75,17 @@ def build_normalized_adjacency(
 def propagate(adj: NormalizedAdjacency, z_prev: np.ndarray) -> np.ndarray:
     """One propagation step: z_next[v] = sum over neighbors w of weight(v,w) * z_prev[w].
 
-    No self-loop contribution; rows of zero-degree nodes come out zero.
+    No self-loop contribution; rows of zero-degree nodes come out zero. The
+    input must have the weights' dtype: a mixed product would silently come
+    out in the wider one.
     """
     z_prev = np.asarray(z_prev)
     if z_prev.shape[0] != adj.n_nodes:
         raise ValueError(
             f"dimension mismatch: adjacency has {adj.n_nodes} nodes, input has {z_prev.shape[0]} rows"
+        )
+    if z_prev.dtype != adj.weights.dtype:
+        raise ValueError(
+            f"dtype mismatch: adjacency weights are {adj.weights.dtype}, input is {z_prev.dtype}"
         )
     return adj.matrix @ z_prev

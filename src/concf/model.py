@@ -103,8 +103,23 @@ def forward(adj: NormalizedAdjacency, table: EmbeddingTable, n_layers: int) -> F
 # --- checkpoint I/O ----------------------------------------------------------
 #
 # Layout: one JSON line (n_users, n_items, d, L, epoch, dtype), then the
-# embedding table as row-major little-endian float64, and nothing after it.
-# ``dtype`` is the loaded table's dtype; the payload is float64 either way.
+# embedding table as row-major little-endian floats of the header's dtype
+# (float32 or float64), and nothing after it.
+
+
+def _payload_dtype(path: str | Path, name: object) -> np.dtype:
+    """The little-endian payload dtype for a header's ``dtype`` ``name``."""
+    if name not in ("float32", "float64"):
+        raise ValueError(f"{path}: field 'dtype' must be 'float32' or 'float64', got {name!r}")
+    return np.dtype(name).newbyteorder("<")
+
+
+def _check_length(path: str | Path, payload: bytes, nbytes: int) -> None:
+    """Reject a payload that is not exactly ``nbytes`` long, naming ``path``."""
+    if len(payload) < nbytes:
+        raise ValueError(f"{path}: truncated payload ({len(payload)} of {nbytes} bytes)")
+    if len(payload) > nbytes:
+        raise ValueError(f"{path}: {len(payload) - nbytes} trailing bytes after the payload")
 
 
 @dataclass
@@ -125,28 +140,24 @@ def save_checkpoint(
         "epoch": epoch,
         "dtype": str(table.matrix.dtype),
     }
+    dtype = _payload_dtype(path, header["dtype"])
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(np.ascontiguousarray(table.matrix, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(table.matrix, dtype=dtype).tobytes())
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint, rejecting a malformed header or a payload that is not
-    exactly the table; every error is a ValueError naming ``path``."""
+    exactly the table in the header's dtype; every error is a ValueError
+    naming ``path``."""
     with open(path, "rb") as fh:
         header = parse_header(path, fh.readline(), ("n_users", "n_items", "d", "L", "epoch"))
         payload = fh.read()
-    dtype = header.get("dtype")
-    if dtype not in ("float32", "float64"):
-        raise ValueError(f"{path}: field 'dtype' must be 'float32' or 'float64', got {dtype!r}")
+    dtype = _payload_dtype(path, header.get("dtype"))
     n, d = header["n_users"] + header["n_items"], header["d"]
-    nbytes = n * d * 8
-    if len(payload) < nbytes:
-        raise ValueError(f"{path}: truncated checkpoint payload ({len(payload)} of {nbytes} bytes)")
-    if len(payload) > nbytes:
-        raise ValueError(f"{path}: {len(payload) - nbytes} trailing bytes after the table payload")
-    matrix = np.frombuffer(payload, dtype="<f8").reshape(n, d).astype(dtype)
+    _check_length(path, payload, n * d * dtype.itemsize)
+    matrix = np.frombuffer(payload, dtype=dtype).reshape(n, d).astype(header["dtype"])
     table = EmbeddingTable(header["n_users"], header["n_items"], matrix)
     return Checkpoint(table=table, n_layers=header["L"], epoch=header["epoch"])
 
@@ -162,27 +173,34 @@ def write_matrix_text(path: str | Path, ids: np.ndarray, matrix: np.ndarray) -> 
 
 
 def write_matrix_binary(path: str | Path, ids: np.ndarray, matrix: np.ndarray) -> None:
-    """Binary export: JSON header line + little-endian int64 ids + float64 rows."""
-    header = {"kind": "embedding_export", "rows": int(matrix.shape[0]), "cols": int(matrix.shape[1])}
+    """Binary export: JSON header line + little-endian int64 ids + rows in the
+    matrix's own dtype (named by the header's ``dtype``)."""
+    header = {
+        "kind": "embedding_export",
+        "rows": int(matrix.shape[0]),
+        "cols": int(matrix.shape[1]),
+        "dtype": str(matrix.dtype),
+    }
+    dtype = _payload_dtype(path, header["dtype"])
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         fh.write(np.ascontiguousarray(ids, dtype="<i8").tobytes())
-        fh.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(matrix, dtype=dtype).tobytes())
 
 
 def read_matrix_binary(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a binary export, rejecting a malformed header or a payload that is
-    not exactly the ids and rows; every error is a ValueError naming ``path``."""
+    not exactly the ids and the rows in the header's dtype; every error is a
+    ValueError naming ``path``."""
     with open(path, "rb") as fh:
         header = parse_header(path, fh.readline(), ("rows", "cols"))
         payload = fh.read()
     if header.get("kind") != "embedding_export":
         raise ValueError(f"{path}: not an embedding export")
+    dtype = _payload_dtype(path, header.get("dtype"))
     rows, cols = header["rows"], header["cols"]
-    nbytes = 8 * rows * (1 + cols)
-    if len(payload) != nbytes:
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {nbytes}")
+    _check_length(path, payload, rows * (8 + cols * dtype.itemsize))
     ids = np.frombuffer(payload, dtype="<i8", count=rows).astype(np.int64)
-    matrix = np.frombuffer(payload, dtype="<f8", offset=8 * rows).reshape(rows, cols).copy()
-    return ids, matrix
+    matrix = np.frombuffer(payload, dtype=dtype, offset=8 * rows).reshape(rows, cols)
+    return ids, matrix.astype(header["dtype"])

@@ -82,14 +82,15 @@ class TestCriterion1GradientOracle:
             t_start = time.perf_counter()
             split = random_split(5, 7, 17, seed=7)
             assert split.n_users == 5 and split.n_items == 7
-            adj = build_normalized_adjacency(split)
+            # central differences with h = 1e-6 need float64 throughout
+            adj = build_normalized_adjacency(split, dtype=np.float64)
             rng = np.random.default_rng(2024)
-            table = EmbeddingTable(5, 7, rng.standard_normal((12, 8)) * 0.3)
+            table = EmbeddingTable(5, 7, rng.standard_normal((12, 8), dtype=np.float64) * 0.3)
             triples = sample_negatives(split, epoch_seed=1)
             cfg = TrainConfig(
                 d=8, n_layers=2, k_layer=2, tau=0.1, alpha=1.0,
                 lambda1=1e-2, lambda2=1e-2, lambda3=1e-3,
-                k_users=(2,), k_items=(2,),
+                k_users=(2,), k_items=(2,), dtype="float64",
             )
             protos = e_step(table, cfg.k_users, cfg.k_items, seed=5)
             _, grad = total_loss_and_gradient(adj, table, triples, protos, cfg)
@@ -220,44 +221,54 @@ class TestCriterion5MetricOracles:
 
 
 class TestCriterion6AblationIdentity:
+    @staticmethod
+    def check_ablation_identity(**dtype):
+        split = random_split(100, 120, 3000, seed=6)
+        cfg = TrainConfig(
+            d=16, n_layers=2, k_layer=2, lambda1=0.0, lambda2=0.0, lambda3=1e-4,
+            batch_size=512, lr=1e-2, max_epochs=5, patience=50, seed=17, **dtype,
+        )
+        result = train(cfg, split)
+
+        # independent minimal loop: ranking backbone only, same streams, the run's dtype
+        adj = build_normalized_adjacency(split, dtype=np.dtype(cfg.dtype))
+        table = init_embeddings(
+            split.n_users, split.n_items, cfg.d, derive_seed(cfg.seed, STREAM_INIT),
+            dtype=np.dtype(cfg.dtype),
+        )
+        adam = AdamState.zeros_like(table)
+        for epoch in range(1, 6):
+            triples = sample_negatives(
+                split, derive_seed(cfg.seed, STREAM_NEGATIVES, epoch)
+            )
+            order = rng_stream(cfg.seed, STREAM_SHUFFLE, epoch).permutation(len(triples))
+            parts = []
+            for batch in iter_batches(triples, order, cfg.batch_size):
+                breakdown, grad = total_loss_and_gradient(adj, table, batch, None, cfg)
+                adam_step(table, grad, adam, cfg)
+                parts.append(breakdown)
+            fp = forward(adj, table, cfg.n_layers)
+            report = full_rank_eval(fp, split, target="valid", ns=(10,))
+            record = result.history[epoch - 1]
+            assert record.loss.bpr == np.mean([p.bpr for p in parts])
+            assert record.loss.total == np.mean([p.total for p in parts])
+            assert record.loss.structure == 0.0 and record.loss.prototype == 0.0
+            assert record.valid_ndcg10 == report.metrics["ndcg@10"]
+            assert record.kmeans_inertia is None
+        assert result.table.matrix.dtype == table.matrix.dtype == np.dtype(cfg.dtype)
+        # the trainer kept the best-epoch copy; epoch-5 table must match
+        # only if epoch 5 was best, so compare against the final table of
+        # a full re-run instead
+        rerun = train(cfg, split)
+        np.testing.assert_array_equal(result.table.matrix, rerun.table.matrix)
+
     def test_zero_weights_reproduce_backbone_bitwise(self):
         with criterion(6, "contrastive-off training equals plain backbone bitwise"):
-            split = random_split(100, 120, 3000, seed=6)
-            cfg = TrainConfig(
-                d=16, n_layers=2, k_layer=2, lambda1=0.0, lambda2=0.0, lambda3=1e-4,
-                batch_size=512, lr=1e-2, max_epochs=5, patience=50, seed=17,
-            )
-            result = train(cfg, split)
+            self.check_ablation_identity()  # the default dtype, float32
 
-            # independent minimal loop: ranking backbone only, same streams
-            adj = build_normalized_adjacency(split)
-            table = init_embeddings(
-                split.n_users, split.n_items, cfg.d, derive_seed(cfg.seed, STREAM_INIT)
-            )
-            adam = AdamState.zeros_like(table)
-            for epoch in range(1, 6):
-                triples = sample_negatives(
-                    split, derive_seed(cfg.seed, STREAM_NEGATIVES, epoch)
-                )
-                order = rng_stream(cfg.seed, STREAM_SHUFFLE, epoch).permutation(len(triples))
-                parts = []
-                for batch in iter_batches(triples, order, cfg.batch_size):
-                    breakdown, grad = total_loss_and_gradient(adj, table, batch, None, cfg)
-                    adam_step(table, grad, adam, cfg)
-                    parts.append(breakdown)
-                fp = forward(adj, table, cfg.n_layers)
-                report = full_rank_eval(fp, split, target="valid", ns=(10,))
-                record = result.history[epoch - 1]
-                assert record.loss.bpr == np.mean([p.bpr for p in parts])
-                assert record.loss.total == np.mean([p.total for p in parts])
-                assert record.loss.structure == 0.0 and record.loss.prototype == 0.0
-                assert record.valid_ndcg10 == report.metrics["ndcg@10"]
-                assert record.kmeans_inertia is None
-            # the trainer kept the best-epoch copy; epoch-5 table must match
-            # only if epoch 5 was best, so compare against the final table of
-            # a full re-run instead
-            rerun = train(cfg, split)
-            np.testing.assert_array_equal(result.table.matrix, rerun.table.matrix)
+    def test_zero_weights_reproduce_backbone_bitwise_float64(self):
+        with criterion(6, "contrastive-off training equals plain backbone bitwise (float64)"):
+            self.check_ablation_identity(dtype="float64")
 
 
 class TestCriterion7DirectionalImprovement:
@@ -265,7 +276,7 @@ class TestCriterion7DirectionalImprovement:
         with criterion(7, "contrastive objectives lift recall on planted communities"):
             t_start = time.perf_counter()
             split = community_split
-            adj = build_normalized_adjacency(split)
+            adj = build_normalized_adjacency(split, dtype=np.dtype(TrainConfig().dtype))
             seeds = (0, 1, 2)
 
             def run(seed, lam, tau):

@@ -84,14 +84,22 @@ class TestPrepare:
             "prepare", "--input", str(interactions_file), "--out", str(out2), "--seed", "5"
         )
         assert res.returncode == 0
-        first = Path(str(interactions_file)).parent  # not the split dir
+        ref = run_cli(
+            "prepare", "--input", str(interactions_file),
+            "--out", str(tmp_path / "ref"), "--seed", "5",
+        )
+        assert ref.returncode == 0
         for name in ("train.tsv", "valid.tsv", "test.tsv", "header.json"):
-            ref = run_cli(
-                "prepare", "--input", str(interactions_file),
-                "--out", str(tmp_path / "ref"), "--seed", "5",
-            )
-            assert ref.returncode == 0
             assert checksum(out2 / name) == checksum(tmp_path / "ref" / name)
+
+    def test_unparsable_ratios_name_the_flag(self, interactions_file, tmp_path):
+        res = run_cli(
+            "prepare", "--input", str(interactions_file), "--out", str(tmp_path / "o"),
+            "--ratios", "a,b,c",
+        )
+        assert res.returncode == 1
+        assert res.stderr == "error: --ratios: could not convert string to float: 'a'\n"
+        assert not (tmp_path / "o").exists()
 
     def test_missing_input_nonzero_exit(self, tmp_path):
         res = run_cli("prepare", "--input", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "o"))
@@ -143,7 +151,10 @@ class TestTrain:
         assert cfg["d"] == 64 and cfg["batch_size"] == 4096 and cfg["patience"] == 10
         assert cfg["n_layers"] == 3 and cfg["k_layer"] == 2
         assert cfg["k_users"] == [5] and cfg["k_items"] == [5]
+        assert cfg["dtype"] == "float32"
         assert echo["n_users"] == 25
+        # each train pair is one user -> item and one item -> user adjacency entry
+        assert echo["nnz"] == 2 * echo["n_train"]
 
     def test_dry_run_rejects_more_clusters_than_nodes(self, split_dir, tmp_path):
         out = tmp_path / "o"
@@ -414,8 +425,10 @@ class TestExport:
         assert res.returncode == 0, res.stderr
         ckpt = load_checkpoint(run_dir / "model.ckpt")
         split = DatasetSplit.load(split_dir)
-        fp = forward(build_normalized_adjacency(split), ckpt.table, ckpt.n_layers)
+        adj = build_normalized_adjacency(split, dtype=ckpt.table.matrix.dtype)
+        fp = forward(adj, ckpt.table, ckpt.n_layers)
         _, users = read_matrix_binary(f"{out}.users.bin")
+        assert users.dtype == fp.user_readout.dtype == np.float32  # the training default
         np.testing.assert_array_equal(users, fp.user_readout)
 
     def test_fresh_table_base_export_within_xavier_bound(self, split_dir, tmp_path):

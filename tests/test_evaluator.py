@@ -351,6 +351,18 @@ class TestTopN:
         expected = np.argsort(-scores, axis=1, kind="stable")[:, :n]
         np.testing.assert_array_equal(_top_n(scores, n), expected)
 
+    @pytest.mark.parametrize("n", [1, 10, 20])
+    def test_float32_scores_with_planted_ties(self, n):
+        # offsets below float32 resolution: distinct float64 scores that tie in float32
+        rng = np.random.default_rng(n)
+        scores = rng.standard_normal((64, 50)).round(1) + rng.uniform(0, 1e-9, (64, 50))
+        scores = scores.astype(np.float32)
+        scores[rng.random(scores.shape) < 0.1] = -np.inf
+        top = np.sort(scores, axis=1)[:, ::-1][:, :n + 1]
+        assert (top[:, :-1] == top[:, 1:]).any()  # ties at or above the cut
+        expected = np.argsort(-scores, axis=1, kind="stable")[:, :n]
+        np.testing.assert_array_equal(_top_n(scores, n), expected)
+
 
 class TestSparsityGroups:
     def test_uniform_degrees_equal_groups(self):

@@ -151,6 +151,17 @@ class TestPropagate:
         with pytest.raises(ValueError, match="dimension mismatch"):
             propagate(small_adj, np.zeros((3, 4)))
 
+    @pytest.mark.parametrize("adj_dtype, z_dtype", [
+        (np.float64, np.float32), (np.float32, np.float64),
+    ])
+    def test_dtype_mismatch_names_both(self, small_split, adj_dtype, z_dtype):
+        # a mixed product would silently come out in the wider dtype
+        adj = build_normalized_adjacency(small_split, dtype=adj_dtype)
+        z = np.ones((adj.n_nodes, 4), dtype=z_dtype)
+        want = f"adjacency weights are {np.dtype(adj_dtype)}, input is {np.dtype(z_dtype)}"
+        with pytest.raises(ValueError, match=want):
+            propagate(adj, z)
+
     def test_zero_degree_node_row_is_zero(self):
         # item i1 never appears in train, so its row propagates to zero
         raw = RawInteractions.from_keys(("u0", "u0"), ("i0", "i1"))

@@ -128,6 +128,14 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(small_adj, table, 1)
 
+    def test_float32_table_with_float64_adjacency_rejected(self, small_split):
+        adj = build_normalized_adjacency(small_split, dtype=np.float64)
+        table = init_embeddings(
+            small_split.n_users, small_split.n_items, 4, seed=0, dtype=np.float32
+        )
+        with pytest.raises(ValueError, match="adjacency weights are float64, input is float32"):
+            forward(adj, table, 2)
+
 
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
@@ -156,6 +164,33 @@ class TestCheckpoint:
             "n_users": 2, "n_items": 3, "d": 4, "L": 2, "epoch": 7, "dtype": "float64",
         }
         assert payload == table.matrix.astype("<f8").tobytes()
+
+    def test_float32_table_written_as_float32(self, tmp_path):
+        table = init_embeddings(2, 3, 4, seed=0, dtype=np.float32)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, table, n_layers=2)
+        head, data = path.read_bytes().split(b"\n", 1)
+        assert json.loads(head)["dtype"] == "float32"
+        assert data == table.matrix.astype("<f4").tobytes()
+        loaded = load_checkpoint(path).table.matrix
+        assert loaded.dtype == np.float32 and loaded.tobytes() == table.matrix.tobytes()
+
+    def test_float32_header_with_float64_payload_rejected(self, tmp_path):
+        # the layout before payloads followed the header's dtype
+        table = init_embeddings(2, 3, 4, seed=0, dtype=np.float32)
+        header = {"n_users": 2, "n_items": 3, "d": 4, "L": 2, "epoch": 0, "dtype": "float32"}
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(json.dumps(header).encode() + b"\n"
+                         + table.matrix.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: 80 trailing bytes"):
+            load_checkpoint(path)
+
+    def test_unsupported_table_dtype_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="field 'dtype' must be 'float32' or 'float64'"):
+            save_checkpoint(path, EmbeddingTable(1, 1, np.zeros((2, 3), dtype=np.float16)),
+                            n_layers=1)
+        assert not path.exists()
 
     def test_adam_payload_rejected(self, tmp_path):
         # a file that also carries two moment tables after the table
@@ -204,7 +239,8 @@ class TestCheckpoint:
     @given(data=st.data())
     def test_any_truncation_or_extension_named(self, tmp_path, data):
         # a checkpoint and a binary export share the header-then-payload layout
-        table = init_embeddings(3, 2, 4, seed=5)
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+        table = init_embeddings(3, 2, 4, seed=5, dtype=dtype)
         if data.draw(st.booleans(), label="export"):
             path, load = tmp_path / "emb.bin", read_matrix_binary
             write_matrix_binary(path, np.arange(table.n_nodes), table.matrix)
@@ -231,3 +267,29 @@ class TestExportFormats:
         got_ids, got = read_matrix_binary(path)
         np.testing.assert_array_equal(got_ids, ids)
         np.testing.assert_array_equal(got, matrix)
+
+    @pytest.mark.parametrize("dtype, itemsize", [(np.float32, 4), (np.float64, 8)])
+    def test_binary_rows_in_matrix_dtype(self, tmp_path, dtype, itemsize):
+        matrix = np.random.default_rng(0).standard_normal((6, 4)).astype(dtype)
+        path = tmp_path / "emb.bin"
+        write_matrix_binary(path, np.arange(6), matrix)
+        head, payload = path.read_bytes().split(b"\n", 1)
+        assert json.loads(head)["dtype"] == np.dtype(dtype).name
+        assert len(payload) == 6 * 8 + 6 * 4 * itemsize
+        _, got = read_matrix_binary(path)
+        assert got.dtype == dtype and got.tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize("value", ["int64", None, MISSING])
+    def test_binary_bad_dtype_named(self, tmp_path, value):
+        path = tmp_path / "emb.bin"
+        write_matrix_binary(path, np.arange(2), np.ones((2, 3)))
+        head, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        if value is MISSING:
+            del header["dtype"]
+        else:
+            header["dtype"] = value
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        want = rf"{re.escape(str(path))}: field 'dtype' must be 'float32' or 'float64'"
+        with pytest.raises(ValueError, match=want):
+            read_matrix_binary(path)

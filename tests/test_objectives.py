@@ -249,8 +249,8 @@ class TestNormalizationBackward:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(8)
-        x = rng.standard_normal((4, 5))
-        w = rng.standard_normal((4, 5))
+        x = rng.standard_normal((4, 5), dtype=np.float64)
+        w = rng.standard_normal((4, 5), dtype=np.float64)
 
         def f(mat):
             y, _ = l2_normalize_rows(mat)
@@ -284,11 +284,12 @@ class TestRowLogsumexpSoftmax:
 
 
 def gradient_check_setup(seed=0, n_users=5, n_items=7, d=8):
+    # finite differences with h = 1e-6 need float64 throughout
     split = random_split(n_users, n_items, n_users * n_items // 2, seed=seed)
-    adj = build_normalized_adjacency(split)
+    adj = build_normalized_adjacency(split, dtype=np.float64)
     rng = np.random.default_rng(seed + 100)
     table = EmbeddingTable(
-        n_users, n_items, rng.standard_normal((n_users + n_items, d)) * 0.3
+        n_users, n_items, rng.standard_normal((n_users + n_items, d), dtype=np.float64) * 0.3
     )
     from concf import sample_negatives
 
@@ -324,6 +325,7 @@ class TestTotalLossAndGradient:
         cfg = TrainConfig(
             d=8, n_layers=2, k_layer=2, tau=0.1, alpha=1.0,
             lambda1=1e-2, lambda2=1e-2, lambda3=1e-3, k_users=(2,), k_items=(2,),
+            dtype="float64",
         )
         protos = e_step(table, cfg.k_users, cfg.k_items, seed=3)
         breakdown, grad = total_loss_and_gradient(adj, table, triples, protos, cfg)
@@ -359,7 +361,7 @@ class TestTotalLossAndGradient:
         split, adj, table, triples = gradient_check_setup(seed=3)
         cfg_all = TrainConfig(
             d=8, n_layers=2, k_layer=2, tau=0.1, lambda1=0.0, lambda2=0.0,
-            lambda3=0.0, k_users=(2,), k_items=(2,),
+            lambda3=0.0, k_users=(2,), k_items=(2,), dtype="float64",
         )
         b, grad = total_loss_and_gradient(adj, table, triples, None, cfg_all)
         assert b.structure == 0.0 and b.prototype == 0.0 and b.reg == 0.0
@@ -398,10 +400,12 @@ class TestTotalLossAndGradient:
 
         raw = RawInteractions.from_keys(("a", "b"), ("x", "y"))
         split = build_split(raw, ratios=(1.0, 0.0, 0.0), seed=0)
-        adj = build_normalized_adjacency(split)
+        adj = build_normalized_adjacency(split, dtype=np.float64)
         rng = np.random.default_rng(11)
-        table = EmbeddingTable(2, 2, rng.standard_normal((4, 3)))
-        cfg = TrainConfig(d=3, n_layers=2, k_layer=2, lambda1=0.5, lambda2=0.0, lambda3=0.1)
+        table = EmbeddingTable(2, 2, rng.standard_normal((4, 3), dtype=np.float64))
+        cfg = TrainConfig(
+            d=3, n_layers=2, k_layer=2, lambda1=0.5, lambda2=0.0, lambda3=0.1, dtype="float64"
+        )
         ua, ia = list(raw.user_keys).index("a"), list(raw.item_keys).index("x")
         batch = triple([ua], [ia], [ia])
         b0, grad = total_loss_and_gradient(adj, table, batch, None, cfg)

@@ -118,7 +118,7 @@ class TestTrain:
         cfg = quick_config(max_epochs=60, patience=12)
         result = train(cfg, split)
         assert result.history[-1].loss.bpr < result.history[0].loss.bpr
-        adj = build_normalized_adjacency(split)
+        adj = build_normalized_adjacency(split, dtype=np.dtype(cfg.dtype))
         fp = forward(adj, result.table, cfg.n_layers)
         report = full_rank_eval(fp, split, target="valid", ns=(10,))
         rng = np.random.default_rng(0)
@@ -245,3 +245,51 @@ class TestTrain:
         with pytest.raises(ValueError, match="k_items: 13 clusters"):
             train(quick_config(k_items=(4, 13)), split, out_dir=tmp_path)
         assert not (tmp_path / "crash.ckpt").exists()
+
+
+class TestFloat32:
+    def test_every_array_of_a_run_stays_float32(self, monkeypatch, tmp_path):
+        import concf.objectives
+        import concf.trainer
+        from concf import load_checkpoint, save_checkpoint
+
+        seen: dict[str, set] = {}
+
+        def note(what, *arrays):
+            seen.setdefault(what, set()).update(a.dtype for a in arrays)
+
+        def spy(module, name, record):
+            real = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                out = real(*args, **kwargs)
+                record(out, *args)
+                return out
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        spy(concf.objectives, "forward",
+            lambda fp, *_: note("step forward layers and readout", *fp.layers, fp.readout))
+        spy(concf.trainer, "forward",
+            lambda fp, *_: note("eval forward layers and readout", *fp.layers, fp.readout))
+        spy(concf.trainer, "e_step", lambda protos, *_: note(
+            "centroids", *(c.centroids for c in protos.users + protos.items)))
+
+        def after_adam(_, table, grads, state, cfg):
+            note("gradient", grads)
+            note("adam moments", state.m, state.v)
+            note("table", table.matrix)
+
+        spy(concf.trainer, "adam_step", after_adam)
+
+        cfg = quick_config(max_epochs=2)
+        assert cfg.dtype == "float32" and cfg.lambda1 > 0 and cfg.lambda2 > 0
+        result = train(cfg, random_split(20, 25, 300, seed=12))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, result.table, n_layers=cfg.n_layers, epoch=result.best_epoch)
+        note("loaded checkpoint table", load_checkpoint(path).table.matrix)
+
+        assert seen == dict.fromkeys([
+            "step forward layers and readout", "eval forward layers and readout", "centroids",
+            "gradient", "adam moments", "table", "loaded checkpoint table",
+        ], {np.dtype(np.float32)})
