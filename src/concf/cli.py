@@ -49,6 +49,22 @@ def _set_threads(n: int | None) -> None:
         os.environ[var] = str(n)
 
 
+def _parse_list(flag: str, raw: str, parse) -> tuple:
+    """Comma-separated flag values, each through ``parse``; errors name the flag."""
+    try:
+        return tuple(parse(v) for v in raw.split(","))
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
+def _check_at_least(args: argparse.Namespace, **bounds: int) -> None:
+    """Raise ValueError naming the first given flag below its bound."""
+    for name, low in bounds.items():
+        value = getattr(args, name)
+        if value is not None and value < low:
+            raise ValueError(f"--{name.replace('_', '-')}: must be >= {low}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="concf",
@@ -104,14 +120,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_prepare(args: argparse.Namespace) -> int:
     from . import dataset
 
+    _check_at_least(args, min_count=0, seed=0)
+    ratios = _parse_list("--ratios", args.ratios, float)
     in_path = _resolve_path(args.input)
     if not in_path.exists():
         print(f"error: input file not found: {args.input}", file=sys.stderr)
         return 1
-    try:
-        ratios = tuple(float(r) for r in args.ratios.split(","))
-    except ValueError as exc:
-        raise ValueError(f"--ratios: {exc}") from None
     raw = dataset.load_interactions(in_path, fmt=args.format)
     if args.min_count > 1:
         raw = dataset.k_core_filter(raw, args.min_count)
@@ -138,14 +152,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .model import save_checkpoint
     from . import __version__
 
+    try:
+        config = _resolved_config(args)
+    except ValueError as exc:
+        raise ValueError(f"invalid config: {exc}") from None
     split_dir = _resolve_path(args.split_dir)
     split = DatasetSplit.load(split_dir)
     try:
-        config = _resolved_config(args)
         config.validate_for_split(split.n_users, split.n_items)
     except ValueError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"invalid config: {exc}") from None
 
     if args.dry_run:
         echo = {
@@ -236,8 +252,11 @@ def _load_compatible(args: argparse.Namespace):
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from .evaluator import full_rank_eval, sparsity_group_report
 
+    _check_at_least(args, groups=1)
+    ns = _parse_list("--ns", args.ns, int)
+    if min(ns) < 1:
+        raise ValueError("--ns: every cutoff must be >= 1")
     ckpt, split, fp = _load_compatible(args)
-    ns = tuple(int(n) for n in args.ns.split(","))
     mask_validation = not args.no_mask_validation
     report = full_rank_eval(fp, split, target=args.target, ns=ns, mask_validation=mask_validation)
     if args.groups:

@@ -68,12 +68,16 @@ class TrainConfig:
             raise ValueError("max_epochs: must be >= 1")
         if self.patience < 1:
             raise ValueError("patience: must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed: must be >= 0")
         if not self.k_users or any(k < 1 for k in self.k_users):
             raise ValueError("k_users: every cluster count must be >= 1")
         if not self.k_items or any(k < 1 for k in self.k_items):
             raise ValueError("k_items: every cluster count must be >= 1")
         if self.valid_user_cap is not None and self.valid_user_cap < 1:
             raise ValueError("valid_user_cap: must be >= 1 or unset")
+        if self.kmeans_max_iters < 1:
+            raise ValueError("kmeans_max_iters: must be >= 1")
         if self.cluster_source not in ("base", "readout"):
             raise ValueError("cluster_source: must be 'base' or 'readout'")
         if self.dtype not in ("float64", "float32"):

@@ -249,7 +249,7 @@ def load_interactions(path: str | Path, fmt: str = "tsv") -> RawInteractions:
     try:
         with open(path, encoding="utf-8") as fh:
             for ln, line in enumerate(fh, start=1):
-                line = line.rstrip("\n").rstrip("\r")
+                line = line.rstrip("\n")
                 if not line or line.startswith("#"):
                     continue
                 fields = line.split(sep, 2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,7 +168,8 @@ def partition_users_by_mass(degrees: np.ndarray, n_groups: int) -> list[np.ndarr
     Greedy rule: each group's quota is the remaining mass divided by the
     remaining group count; users are added until crossing the quota, taking
     the boundary user only when that lands closer to the quota than stopping
-    short. At least one user is left for every unfilled group.
+    short. At least one user is left for every unfilled group. Degrees are
+    integer interaction counts.
     """
     n_users = len(degrees)
     if n_groups < 1:
@@ -175,33 +177,23 @@ def partition_users_by_mass(degrees: np.ndarray, n_groups: int) -> list[np.ndarr
     if n_users < n_groups:
         raise ValueError(f"fewer users ({n_users}) than groups ({n_groups})")
     order = np.argsort(degrees, kind="stable")
-    groups: list[np.ndarray] = []
-    pos = 0
-    remaining_mass = float(degrees.sum())
-    for g in range(n_groups):
+    cum = np.concatenate([[0], np.cumsum(degrees[order], dtype=np.int64)])
+    bounds = [0]
+    for g in range(n_groups - 1):
+        pos = bounds[-1]
         remaining_groups = n_groups - g
-        if g == n_groups - 1:
-            groups.append(order[pos:])
-            break
-        quota = remaining_mass / remaining_groups
-        mass = 0.0
-        end = pos
+        quota = float(cum[-1] - cum[pos]) / remaining_groups
         last_end = n_users - (remaining_groups - 1)
-        while end < last_end:
-            nxt = float(degrees[order[end]])
-            if end > pos and mass + nxt >= quota:
-                # take the boundary user only if that is the closer landing
-                if (mass + nxt - quota) > (quota - mass):
-                    break
-                mass += nxt
-                end += 1
-                break
-            mass += nxt
-            end += 1
-        groups.append(order[pos:end])
-        remaining_mass -= mass
-        pos = end
-    return groups
+        # the first end past the group's first user whose (integer) mass
+        # reaches the quota
+        end = max(int(np.searchsorted(cum, cum[pos] + math.ceil(quota))), pos + 2)
+        if end > last_end:
+            end = last_end
+        elif float(cum[end] - cum[pos]) - quota > quota - float(cum[end - 1] - cum[pos]):
+            end -= 1  # stopping short of the boundary user is the closer landing
+        bounds.append(end)
+    bounds.append(n_users)
+    return [order[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def sparsity_group_report(

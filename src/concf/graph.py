@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,14 +16,13 @@ class NormalizedAdjacency:
 
     Node ordering is users [0, n_users) followed by items
     [n_users, n_users + n_items). Column indices are ascending within each
-    row, which fixes the per-row summation order.
+    row, which fixes the per-row summation order. ``matrix`` holds the only
+    copy of the arrays; ``indptr``, ``indices`` and ``weights`` are its own.
     """
 
     n_users: int
     n_items: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    weights: np.ndarray
+    matrix: sp.csr_matrix
 
     @property
     def n_nodes(self) -> int:
@@ -32,16 +30,19 @@ class NormalizedAdjacency:
 
     @property
     def nnz(self) -> int:
-        return len(self.indices)
+        return self.matrix.nnz
 
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        m = sp.csr_matrix(
-            (self.weights, self.indices, self.indptr),
-            shape=(self.n_nodes, self.n_nodes),
-        )
-        m.has_sorted_indices = True
-        return m
+    @property
+    def indptr(self) -> np.ndarray:
+        return self.matrix.indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.matrix.indices
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.matrix.data
 
 
 def build_normalized_adjacency(
@@ -62,14 +63,8 @@ def build_normalized_adjacency(
     w = (1.0 / np.sqrt(deg_u[u].astype(np.float64) * deg_i[pairs.indices])).astype(dtype)
     upper = sp.csr_matrix((w, pairs.indices, pairs.indptr), shape=(n_users, n_items))
     # the user rows, then the item rows of the transpose: column ids ascend per row
-    csr = sp.bmat([[None, upper], [upper.T, None]], format="csr")
-    return NormalizedAdjacency(
-        n_users=n_users,
-        n_items=n_items,
-        indptr=csr.indptr.astype(np.int64),
-        indices=csr.indices.astype(np.int64),
-        weights=csr.data,
-    )
+    matrix = sp.bmat([[None, upper], [upper.T, None]], format="csr")
+    return NormalizedAdjacency(n_users=n_users, n_items=n_items, matrix=matrix)
 
 
 def propagate(adj: NormalizedAdjacency, z_prev: np.ndarray) -> np.ndarray:

@@ -85,22 +85,19 @@ def _repair_empty_clusters(
     never empties another cluster. Mutates all arrays in place.
     """
     dist = _pairwise_sqdist(points, centroids)[np.arange(len(points)), assignments]
-    stolen: set[int] = set()
+    # counts only fall and a stolen point sits alone in its cluster, so a point
+    # passed over once never becomes donatable: one walk serves every empty cluster
+    candidates = iter(np.argsort(-dist, kind="stable"))
     for empty in np.flatnonzero(counts == 0):
-        order = np.argsort(-dist, kind="stable")
-        for cand in order:
-            cand = int(cand)
-            if cand in stolen or counts[assignments[cand]] < 2:
-                continue
-            counts[assignments[cand]] -= 1
-            assignments[cand] = empty
-            counts[empty] = 1
-            centroids[empty] = points[cand]
-            dist[cand] = 0.0
-            stolen.add(cand)
-            break
+        for cand in candidates:
+            if counts[assignments[cand]] >= 2:
+                break
         else:
             raise RuntimeError("cannot repair empty cluster: no donatable point")
+        counts[assignments[cand]] -= 1
+        assignments[cand] = empty
+        counts[empty] = 1
+        centroids[empty] = points[cand]
 
 
 def _update_centroids(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, IO
 
@@ -50,15 +50,7 @@ class EpochRecord:
     n_batches: int
 
     def as_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "loss": self.loss.as_dict(),
-            "valid_ndcg10": self.valid_ndcg10,
-            "valid_recall10": self.valid_recall10,
-            "kmeans_inertia": list(self.kmeans_inertia) if self.kmeans_inertia else None,
-            "n_batches": self.n_batches,
-            "seconds": self.seconds,
-        }
+        return asdict(self)
 
 
 @dataclass

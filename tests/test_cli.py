@@ -101,6 +101,16 @@ class TestPrepare:
         assert res.stderr == "error: --ratios: could not convert string to float: 'a'\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--min-count", "-3"), ("--seed", "-1")])
+    def test_negative_flag_named(self, interactions_file, tmp_path, flag, value):
+        res = run_cli(
+            "prepare", "--input", str(interactions_file), "--out", str(tmp_path / "o"),
+            flag, value,
+        )
+        assert res.returncode == 1
+        assert res.stderr == f"error: {flag}: must be >= 0\n"
+        assert not (tmp_path / "o").exists()
+
     def test_missing_input_nonzero_exit(self, tmp_path):
         res = run_cli("prepare", "--input", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "o"))
         assert res.returncode != 0
@@ -295,6 +305,26 @@ class TestTrain:
         assert "not valid UTF-8" in res.stderr
 
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--kmeans-max-iters", "0", "kmeans_max_iters: must be >= 1"),
+        ("--seed", "-1", "seed: must be >= 0"),
+    ])
+    def test_bad_field_rejected_before_work(self, split_dir, tmp_path, flag, value, message):
+        out = tmp_path / "o"
+        res = run_cli("train", "--split-dir", str(split_dir), "--out-dir", str(out), flag, value)
+        assert res.returncode == 1
+        assert res.stderr == f"error: invalid config: {message}\n"
+        assert not out.exists()  # no crash.ckpt, no history.jsonl
+
+    def test_config_checked_before_split_loads(self, tmp_path):
+        res = run_cli(
+            "train", "--split-dir", str(tmp_path / "missing"), "--out-dir", str(tmp_path / "o"),
+            "--lambda1", "-1",
+        )
+        assert res.returncode == 1
+        assert res.stderr == "error: invalid config: lambda1: must be >= 0\n"
+
+
 class TestEvaluate:
     def test_directory_checkpoint_named(self, split_dir, tmp_path):
         res = run_cli("evaluate", "--checkpoint", str(tmp_path), "--split-dir", str(split_dir))
@@ -331,6 +361,28 @@ class TestEvaluate:
         masses = [g["metadata"]["group_interaction_mass"] for g in report["groups"]]
         assert sum(masses) > 0
         assert "recall@10" in report["groups"][0]
+
+    def test_unparsable_cutoff_names_the_flag(self, run_dir, split_dir):
+        res = run_cli(
+            "evaluate", "--checkpoint", str(run_dir / "model.ckpt"),
+            "--split-dir", str(split_dir), "--ns", "a",
+        )
+        assert res.returncode == 1
+        assert res.stderr == "error: --ns: invalid literal for int() with base 10: 'a'\n"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--groups", "0", "must be >= 1"),
+        ("--groups", "-2", "must be >= 1"),
+        ("--ns", "10,0", "every cutoff must be >= 1"),
+    ])
+    def test_flag_rejected_before_loading(self, split_dir, tmp_path, flag, value, message):
+        # the checkpoint does not exist: the flag is checked first
+        res = run_cli(
+            "evaluate", "--checkpoint", str(tmp_path / "missing.ckpt"),
+            "--split-dir", str(split_dir), flag, value,
+        )
+        assert res.returncode == 1
+        assert res.stderr == f"error: {flag}: {message}\n"
 
     @pytest.mark.parametrize("ns", ["0,10", "-3"])
     def test_cutoff_below_one_rejected(self, run_dir, split_dir, ns):

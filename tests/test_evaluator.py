@@ -364,6 +364,49 @@ class TestTopN:
         np.testing.assert_array_equal(_top_n(scores, n), expected)
 
 
+def reference_partition_users_by_mass(degrees, n_groups):
+    """The partition as one Python loop over the users, the reference for the
+    prefix-sum search."""
+    n_users = len(degrees)
+    order = np.argsort(degrees, kind="stable")
+    groups = []
+    pos = 0
+    remaining_mass = float(degrees.sum())
+    for g in range(n_groups):
+        remaining_groups = n_groups - g
+        if g == n_groups - 1:
+            groups.append(order[pos:])
+            break
+        quota = remaining_mass / remaining_groups
+        mass = 0.0
+        end = pos
+        last_end = n_users - (remaining_groups - 1)
+        while end < last_end:
+            nxt = float(degrees[order[end]])
+            if end > pos and mass + nxt >= quota:
+                if (mass + nxt - quota) > (quota - mass):
+                    break
+                mass += nxt
+                end += 1
+                break
+            mass += nxt
+            end += 1
+        groups.append(order[pos:end])
+        remaining_mass -= mass
+        pos = end
+    return groups
+
+
+@st.composite
+def degrees_and_groups(draw):
+    """Integer degrees with zeros and ties (narrow or wide range), and a group
+    count from 1 to the number of users."""
+    n_users = draw(st.integers(1, 60))
+    high = draw(st.sampled_from([1, 3, 10, 1000]))
+    degrees = draw(hnp.arrays(np.int64, n_users, elements=st.integers(0, high)))
+    return degrees, draw(st.integers(1, n_users))
+
+
 class TestSparsityGroups:
     def test_uniform_degrees_equal_groups(self):
         groups = partition_users_by_mass(np.full(10, 3), 5)
@@ -419,6 +462,27 @@ class TestSparsityGroups:
         groups = partition_users_by_mass(degrees, 5)
         masses = np.array([degrees[g].sum() for g in groups])
         assert masses.max() - masses.min() <= degrees.max()
+
+    @settings(max_examples=500, deadline=None)
+    @given(degrees_and_groups())
+    def test_equals_per_user_loop(self, case):
+        degrees, n_groups = case
+        got = partition_users_by_mass(degrees, n_groups)
+        want = reference_partition_users_by_mass(degrees, n_groups)
+        assert len(got) == len(want) == n_groups
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(degrees_and_groups())
+    def test_groups_nonempty_and_contiguous_in_degree_order(self, case):
+        degrees, n_groups = case
+        groups = partition_users_by_mass(degrees, n_groups)
+        assert all(len(g) > 0 for g in groups)
+        # every user exactly once, in the stable ascending-degree order
+        np.testing.assert_array_equal(
+            np.concatenate(groups), np.argsort(degrees, kind="stable")
+        )
 
     def test_more_groups_than_users_rejected(self):
         with pytest.raises(ValueError, match="fewer users"):

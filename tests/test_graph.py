@@ -34,9 +34,10 @@ def dense_adjacency(split):
     return dense
 
 
-def reference_adjacency_arrays(split, dtype):
+def reference_adjacency_arrays(split, dtype, index_dtype):
     """The adjacency as it was built from the train rows through a COO matrix:
-    (indptr, indices, weights), the reference for the CSR-derived build."""
+    (indptr, indices, weights), the reference for the CSR-derived build, with
+    its index arrays cast to ``index_dtype``."""
     n_users, n_items = split.n_users, split.n_items
     u = split.train[:, 0].astype(np.int64)
     i = split.train[:, 1].astype(np.int64)
@@ -49,7 +50,7 @@ def reference_adjacency_arrays(split, dtype):
     coo = sp.coo_matrix((data, (rows, cols)), shape=(n_users + n_items, n_users + n_items))
     csr = coo.tocsr()
     csr.sort_indices()
-    return csr.indptr.astype(np.int64), csr.indices.astype(np.int64), csr.data
+    return csr.indptr.astype(index_dtype), csr.indices.astype(index_dtype), csr.data
 
 
 @pytest.fixture(scope="module")
@@ -65,10 +66,19 @@ class TestBuildNormalizedAdjacency:
         adj = build_normalized_adjacency(split, dtype=dtype)
         got = (adj.indptr, adj.indices, adj.weights)
         for name, a, b in zip(("indptr", "indices", "weights"), got,
-                              reference_adjacency_arrays(split, dtype)):
+                              reference_adjacency_arrays(split, dtype, adj.indices.dtype)):
             assert a.dtype == b.dtype, name
             assert np.array_equal(a, b), name
-        assert adj.weights.dtype == dtype and adj.indptr.dtype == adj.indices.dtype == np.int64
+        # scipy's own index dtype, int32 at these sizes
+        assert adj.weights.dtype == dtype and adj.indptr.dtype == adj.indices.dtype == np.int32
+
+    def test_arrays_are_the_matrix_arrays(self, small_adj):
+        # one copy: the CSR arrays are the matrix's, not copies of them
+        m = small_adj.matrix
+        assert small_adj.indptr is m.indptr
+        assert small_adj.indices is m.indices
+        assert small_adj.weights is m.data
+        assert small_adj.nnz == m.nnz and m.shape == (small_adj.n_nodes,) * 2
 
     def test_single_edge_unit_weight(self):
         adj = build_normalized_adjacency(split_from_pairs([(0, 0)]))

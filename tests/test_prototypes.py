@@ -4,10 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from concf import EmbeddingTable, e_step, run_kmeans
 from concf.numerics import l2_normalize_rows
-from concf.prototypes import _plusplus_seeding
+from concf.prototypes import _pairwise_sqdist, _plusplus_seeding, _repair_empty_clusters
 from concf.seeding import rng_stream
 
 
@@ -242,3 +245,82 @@ class TestEStep:
         table.matrix[2] = 0.0
         with pytest.raises(ValueError, match="degenerate"):
             e_step(table, (2,), (2,), seed=0)
+
+
+def reference_repair_empty_clusters(points, centroids, assignments, counts):
+    """The repair that re-sorts every distance for each empty cluster and keeps
+    a set of stolen points, the reference for the single walk."""
+    dist = _pairwise_sqdist(points, centroids)[np.arange(len(points)), assignments]
+    stolen = set()
+    for empty in np.flatnonzero(counts == 0):
+        order = np.argsort(-dist, kind="stable")
+        for cand in order:
+            cand = int(cand)
+            if cand in stolen or counts[assignments[cand]] < 2:
+                continue
+            counts[assignments[cand]] -= 1
+            assignments[cand] = empty
+            counts[empty] = 1
+            centroids[empty] = points[cand]
+            dist[cand] = 0.0
+            stolen.add(cand)
+            break
+        else:
+            raise RuntimeError("cannot repair empty cluster: no donatable point")
+
+
+@st.composite
+def repair_cases(draw):
+    """Points from a few coordinate values (duplicates and distance ties),
+    centroids, and assignments that leave some of the k clusters empty."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(1, n))
+    d = draw(st.integers(1, 3))
+    values = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+    points = draw(hnp.arrays(dtype, (n, d), elements=values))
+    centroids = draw(hnp.arrays(dtype, (k, d), elements=values))
+    assignments = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    return points, centroids, assignments
+
+
+def _run_repair(repair, points, centroids, assignments, counts):
+    centroids, assignments, counts = centroids.copy(), assignments.copy(), counts.copy()
+    try:
+        repair(points, centroids, assignments, counts)
+    except RuntimeError as exc:
+        return str(exc)
+    return centroids, assignments, counts
+
+
+class TestRepairEmptyClusters:
+    @settings(max_examples=500, deadline=None)
+    @given(repair_cases(), st.integers(0, 2**32 - 1))
+    def test_equals_resorting_reference(self, case, zero_seed):
+        points, centroids, assignments = case
+        k = len(centroids)
+        counts = np.bincount(assignments, minlength=k)
+        # run_kmeans also zeroes the counts of occupied zero-norm clusters
+        for zeroed in (False, True):
+            if zeroed:
+                counts[np.random.default_rng(zero_seed).random(k) < 0.3] = 0
+            got = _run_repair(_repair_empty_clusters, points, centroids, assignments, counts)
+            want = _run_repair(
+                reference_repair_empty_clusters, points, centroids, assignments, counts
+            )
+            if isinstance(want, str):
+                assert got == want
+                continue
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(repair_cases())
+    def test_no_empty_cluster_and_counts_match(self, case):
+        points, centroids, assignments = case
+        k = len(centroids)
+        counts = np.bincount(assignments, minlength=k)
+        _repair_empty_clusters(points, centroids, assignments, counts)
+        assert (counts > 0).all()
+        np.testing.assert_array_equal(counts, np.bincount(assignments, minlength=k))

@@ -240,6 +240,13 @@ class TestTrain:
         with pytest.raises(ValueError, match="k_layer"):
             train(quick_config(k_layer=3), split)
 
+    @pytest.mark.parametrize("field, value", [("kmeans_max_iters", 0), ("seed", -1)])
+    def test_bad_field_rejected_before_work(self, tmp_path, field, value):
+        split = random_split(10, 12, 80, seed=0)
+        with pytest.raises(ValueError, match=f"^{field}: must be >= "):
+            train(quick_config(**{field: value}), split, out_dir=tmp_path)
+        assert not (tmp_path / "crash.ckpt").exists()
+
     def test_cluster_count_above_split_size_rejected_before_work(self, tmp_path):
         split = random_split(10, 12, 80, seed=0)
         with pytest.raises(ValueError, match="k_items: 13 clusters"):
