@@ -42,7 +42,8 @@ def _sha256(path: Path) -> str:
 
 
 def _set_threads(n: int | None) -> None:
-    # must run before numpy is imported anywhere in this process
+    # no effect yet: concf/__init__ has already imported NumPy, which reads
+    # these variables when it loads
     if n is None:
         return
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -253,17 +254,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     from .evaluator import full_rank_eval, sparsity_group_report
 
     _check_at_least(args, groups=1)
-    ns = _parse_list("--ns", args.ns, int)
+    ns = tuple(dict.fromkeys(_parse_list("--ns", args.ns, int)))  # each cutoff once
     if min(ns) < 1:
         raise ValueError("--ns: every cutoff must be >= 1")
+    if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     ckpt, split, fp = _load_compatible(args)
-    mask_validation = not args.no_mask_validation
-    report = full_rank_eval(fp, split, target=args.target, ns=ns, mask_validation=mask_validation)
+    kwargs = dict(ns=ns, target=args.target, mask_validation=not args.no_mask_validation)
     if args.groups:
-        report.groups = sparsity_group_report(
-            fp, split, n_groups=args.groups, ns=ns,
-            target=args.target, mask_validation=mask_validation,
-        )
+        report = sparsity_group_report(fp, split, n_groups=args.groups, **kwargs)
+    else:
+        report = full_rank_eval(fp, split, **kwargs)
     payload = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, get_type_hints
@@ -43,6 +44,9 @@ class TrainConfig:
 
     def validate(self) -> None:
         """Raise ValueError naming the first offending field."""
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite")
         if self.d < 1:
             raise ValueError("d: must be >= 1")
         if self.n_layers < 1:
@@ -64,6 +68,8 @@ class TrainConfig:
             raise ValueError("lr: must be > 0")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ValueError("beta1/beta2: must be in [0, 1)")
+        if self.adam_eps <= 0:
+            raise ValueError("adam_eps: must be > 0")
         if self.max_epochs < 1:
             raise ValueError("max_epochs: must be >= 1")
         if self.patience < 1:
@@ -78,6 +84,8 @@ class TrainConfig:
             raise ValueError("valid_user_cap: must be >= 1 or unset")
         if self.kmeans_max_iters < 1:
             raise ValueError("kmeans_max_iters: must be >= 1")
+        if self.kmeans_tol < 0:
+            raise ValueError("kmeans_tol: must be >= 0")
         if self.cluster_source not in ("base", "readout"):
             raise ValueError("cluster_source: must be 'base' or 'readout'")
         if self.dtype not in ("float64", "float32"):
@@ -131,6 +139,7 @@ _PARSERS = {
     int: int, float: float, str: str, tuple[int, ...]: _int_tuple, int | None: _optional_int
 }
 _FIELD_PARSERS = {name: _PARSERS[hint] for name, hint in get_type_hints(TrainConfig).items()}
+_FLOAT_FIELDS = tuple(name for name, parse in _FIELD_PARSERS.items() if parse is float)
 
 
 def _coerce(key: str, raw: Any) -> Any:

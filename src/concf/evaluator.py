@@ -203,18 +203,21 @@ def sparsity_group_report(
     ns: tuple[int, ...] = (10, 20, 50),
     target: str = "test",
     mask_validation: bool = True,
-) -> list[EvalReport]:
-    """Per-group full-ranking reports over equal-interaction-mass user groups.
+) -> EvalReport:
+    """``full_rank_eval``'s report with ``groups``: one report per
+    equal-interaction-mass user group.
 
-    One ranking pass scores every user; each group's means are taken over its
-    members' values from that pass.
+    One ranking pass scores every user. The overall means equal
+    ``full_rank_eval``'s on the same arguments; each group's means are taken
+    over its members' values from the same pass.
     """
     degrees = split.train_degrees()
     groups = partition_users_by_mass(degrees, n_groups)
     users, values, metadata = _user_metrics(fp, split, target, ns, mask_validation)
-    reports = []
+    report = _report(values, np.ones(len(users), dtype=bool), metadata)
+    report.groups = []
     for gi, members in enumerate(groups):
         mass = int(degrees[members].sum())
         group = {"group_index": gi, "group_size": len(members), "group_interaction_mass": mass}
-        reports.append(_report(values, np.isin(users, members), {**metadata, **group}))
-    return reports
+        report.groups.append(_report(values, np.isin(users, members), {**metadata, **group}))
+    return report

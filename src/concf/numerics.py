@@ -32,17 +32,8 @@ def l2_normalize_backward(grad_y: np.ndarray, y: np.ndarray, norms: np.ndarray) 
     return (grad_y - inner[:, None] * y) / norms[:, None]
 
 
-def row_logsumexp(s: np.ndarray) -> np.ndarray:
-    """logsumexp along axis 1, shift-stabilized."""
-    m = s.max(axis=1)
-    return m + np.log(np.exp(s - m[:, None]).sum(axis=1))
-
-
 def row_logsumexp_softmax(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(logsumexp, softmax) along axis 1 from one shift-stabilized exp pass.
-
-    The logsumexp is bitwise ``row_logsumexp(s)``.
-    """
+    """(logsumexp, softmax) along axis 1 from one shift-stabilized exp pass."""
     m = s.max(axis=1)
     e = np.exp(s - m[:, None])
     total = e.sum(axis=1)

@@ -33,7 +33,6 @@ from .model import EmbeddingTable, ForwardPass, forward
 from .numerics import (
     l2_normalize_backward,
     l2_normalize_rows,
-    row_logsumexp,
     row_logsumexp_softmax,
     softplus,
 )
@@ -83,24 +82,21 @@ def bpr_loss(
     return float(softplus(-gaps).sum())
 
 
-def _infonce_self_pairs(
-    anchors: np.ndarray, bases: np.ndarray, counts: np.ndarray, tau: float, with_grad: bool
-) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """InfoNCE where row i's positive is bases[i] and every base is a candidate.
+def _infonce(
+    anchors: np.ndarray, candidates: np.ndarray, targets: np.ndarray, tau: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """InfoNCE of each anchor row against every candidate, its positive being
+    ``candidates[targets[i]]``.
 
-    Rows are assumed unit-norm. ``counts`` weights each row's term (batch
-    multiplicity). Returns (weighted sum, grad wrt anchors, grad wrt bases);
-    the gradients are None unless ``with_grad``.
+    Returns the per-row losses and their gradient w.r.t. the logits
+    ``anchors @ candidates.T / tau`` (softmax minus one-hot).
     """
-    logits = (anchors @ bases.T) / tau
-    diag = np.arange(len(anchors))
-    if not with_grad:
-        return float(counts @ (row_logsumexp(logits) - logits[diag, diag])), None, None
+    logits = anchors @ candidates.T / tau
+    rows = np.arange(len(anchors))
     lse, dlogits = row_logsumexp_softmax(logits)
-    term = float(counts @ (lse - logits[diag, diag]))
-    dlogits[diag, diag] -= 1.0
-    dlogits *= counts[:, None]
-    return term, dlogits @ bases / tau, dlogits.T @ anchors / tau
+    losses = lse - logits[rows, targets]
+    dlogits[rows, targets] -= 1.0
+    return losses, dlogits
 
 
 def structure_contrastive_loss(
@@ -138,16 +134,18 @@ def structure_contrastive_loss(
         distinct, counts = np.unique(rows, return_counts=True)
         anchors, anchor_norms = l2_normalize_rows(fp.layers[k_layer][distinct])
         bases, base_norms = l2_normalize_rows(fp.layers[0][distinct])
-        term, g_anchor, g_base = _infonce_self_pairs(
-            anchors, bases, counts.astype(anchors.dtype), tau, cot_layers is not None
-        )
-        total += side_weight * term
+        counts = counts.astype(anchors.dtype)
+        losses, dlogits = _infonce(anchors, bases, np.arange(len(distinct)), tau)
+        total += side_weight * float(counts @ losses)
         if cot_layers is not None:
             scale = weight * side_weight
+            dlogits *= counts[:, None]
             cot_layers[k_layer][distinct] += scale * l2_normalize_backward(
-                g_anchor, anchors, anchor_norms
+                dlogits @ bases / tau, anchors, anchor_norms
             )
-            cot_layers[0][distinct] += scale * l2_normalize_backward(g_base, bases, base_norms)
+            cot_layers[0][distinct] += scale * l2_normalize_backward(
+                dlogits.T @ anchors / tau, bases, base_norms
+            )
     return total
 
 
@@ -179,7 +177,6 @@ def prototype_contrastive_loss(
             raise ValueError("prototype state is missing a side")
         points, norms = l2_normalize_rows(table.matrix[block])
         n = len(points)
-        idx = np.arange(n)
         grad_points = np.zeros_like(points) if cot0 is not None else None
         side_term = 0.0
         for cl in clusterings:
@@ -187,14 +184,10 @@ def prototype_contrastive_loss(
                 raise ValueError(
                     f"clustering has {len(cl.assignments)} assignments for {n} nodes"
                 )
-            logits = points @ cl.centroids.T / tau
-            if grad_points is None:
-                lse = row_logsumexp(logits)
-            else:
-                lse, dlogits = row_logsumexp_softmax(logits)
-                dlogits[idx, cl.assignments] -= 1.0
+            losses, dlogits = _infonce(points, cl.centroids, cl.assignments, tau)
+            side_term += float(losses.sum())
+            if grad_points is not None:
                 grad_points += dlogits @ cl.centroids / tau
-            side_term += float((lse - logits[idx, cl.assignments]).sum())
         side_term /= len(clusterings)
         total += side_weight * side_term
         if cot0 is not None:

@@ -317,7 +317,7 @@ class TestCriterion8SparsityGroupConsistency:
             adj = build_normalized_adjacency(split)
             table = init_embeddings(split.n_users, split.n_items, 16, seed=8)
             fp = forward(adj, table, 2)
-            reports = sparsity_group_report(fp, split, n_groups=5, ns=(10,))
+            reports = sparsity_group_report(fp, split, n_groups=5, ns=(10,)).groups
             full = full_rank_eval(fp, split, target="test", ns=(10,))
             weighted = sum(r.metrics["recall@10"] * r.n_evaluated_users for r in reports)
             weighted /= sum(r.n_evaluated_users for r in reports)

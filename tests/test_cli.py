@@ -308,6 +308,10 @@ class TestTrain:
     @pytest.mark.parametrize("flag, value, message", [
         ("--kmeans-max-iters", "0", "kmeans_max_iters: must be >= 1"),
         ("--seed", "-1", "seed: must be >= 0"),
+        ("--tau", "nan", "tau: must be finite"),
+        ("--lambda1", "inf", "lambda1: must be finite"),
+        ("--adam-eps", "0", "adam_eps: must be > 0"),
+        ("--kmeans-tol", "-1", "kmeans_tol: must be >= 0"),
     ])
     def test_bad_field_rejected_before_work(self, split_dir, tmp_path, flag, value, message):
         out = tmp_path / "o"
@@ -361,6 +365,47 @@ class TestEvaluate:
         masses = [g["metadata"]["group_interaction_mass"] for g in report["groups"]]
         assert sum(masses) > 0
         assert "recall@10" in report["groups"][0]
+
+    def test_groups_rank_each_user_once(self, run_dir, split_dir, tmp_path, monkeypatch):
+        from concf import cli, evaluator
+
+        targets = []
+        user_metrics = evaluator._user_metrics
+
+        def counted(fp, split, target, *args, **kwargs):
+            targets.append(target)
+            return user_metrics(fp, split, target, *args, **kwargs)
+
+        monkeypatch.setattr(evaluator, "_user_metrics", counted)
+        rc = cli.main([
+            "evaluate", "--checkpoint", str(run_dir / "model.ckpt"),
+            "--split-dir", str(split_dir), "--groups", "5", "--out", str(tmp_path / "r.json"),
+        ])
+        assert rc == 0
+        assert targets == ["test"]
+
+    def test_repeated_cutoff_printed_once(self, run_dir, split_dir, tmp_path):
+        out = tmp_path / "report.json"
+        res = run_cli(
+            "evaluate", "--checkpoint", str(run_dir / "model.ckpt"),
+            "--split-dir", str(split_dir), "--ns", "10,10", "--groups", "2", "--out", str(out),
+        )
+        assert res.returncode == 0, res.stderr
+        header, recall, ndcg, _, *groups = res.stdout.splitlines()
+        assert header.split() == ["metric", "@10"]
+        assert len(recall.split()) == len(ndcg.split()) == 2
+        assert len(groups) == 2 and all(g.split(": recall ")[1].count(" ") == 0 for g in groups)
+        report = json.loads(out.read_text())
+        assert sorted(k for k in report if "@" in k) == ["ndcg@10", "recall@10"]
+
+    def test_out_into_missing_directory(self, run_dir, split_dir, tmp_path):
+        out = tmp_path / "missing" / "deeper" / "report.json"
+        res = run_cli(
+            "evaluate", "--checkpoint", str(run_dir / "model.ckpt"),
+            "--split-dir", str(split_dir), "--out", str(out),
+        )
+        assert res.returncode == 0, res.stderr
+        assert json.loads(out.read_text())["n_evaluated_users"] > 0
 
     def test_unparsable_cutoff_names_the_flag(self, run_dir, split_dir):
         res = run_cli(

@@ -421,7 +421,7 @@ class TestSparsityGroups:
     def test_single_group_equals_full_eval(self, small_split, small_adj):
         table = init_embeddings(small_split.n_users, small_split.n_items, 8, seed=8)
         fp = forward(small_adj, table, 2)
-        [single] = sparsity_group_report(fp, small_split, n_groups=1, ns=(10,))
+        [single] = sparsity_group_report(fp, small_split, n_groups=1, ns=(10,)).groups
         full = full_rank_eval(fp, small_split, target="test", ns=(10,))
         assert single.metrics == full.metrics
         assert single.n_evaluated_users == full.n_evaluated_users
@@ -430,7 +430,7 @@ class TestSparsityGroups:
     def test_groups_equal_per_user_loop_exactly(self, tied_forward, mask_validation):
         split, fp = tied_forward
         groups = sparsity_group_report(fp, split, n_groups=5, ns=(10, 20),
-                                       mask_validation=mask_validation)
+                                       mask_validation=mask_validation).groups
         members = partition_users_by_mass(split.train_degrees(), 5)
         for gi, (report, users) in enumerate(zip(groups, members)):
             metrics, n_eval = reference_full_rank_eval(
@@ -451,11 +451,22 @@ class TestSparsityGroups:
     def test_weighted_mean_reconciles(self, small_split, small_adj):
         table = init_embeddings(small_split.n_users, small_split.n_items, 8, seed=9)
         fp = forward(small_adj, table, 2)
-        groups = sparsity_group_report(fp, small_split, n_groups=5, ns=(10,))
+        groups = sparsity_group_report(fp, small_split, n_groups=5, ns=(10,)).groups
         full = full_rank_eval(fp, small_split, target="test", ns=(10,))
         weighted = sum(g.metrics["recall@10"] * g.n_evaluated_users for g in groups)
         weighted /= sum(g.n_evaluated_users for g in groups)
         assert abs(weighted - full.metrics["recall@10"]) < 1e-12
+
+    @pytest.mark.parametrize("mask_validation", [True, False])
+    def test_overall_report_equals_full_rank_eval(self, tied_forward, mask_validation):
+        split, fp = tied_forward
+        kwargs = dict(target="test", ns=(20, 10, 50), mask_validation=mask_validation)
+        report = sparsity_group_report(fp, split, n_groups=5, **kwargs)
+        full = full_rank_eval(fp, split, **kwargs)
+        assert report.metrics == full.metrics
+        assert report.n_evaluated_users == full.n_evaluated_users
+        assert report.metadata == full.metadata
+        assert full.groups is None and len(report.groups) == 5
 
     def test_mass_spread_bounded_by_max_degree(self, small_split, small_adj):
         degrees = small_split.train_degrees()

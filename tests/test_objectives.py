@@ -19,7 +19,6 @@ from concf.dataset import TripleBatch
 from concf.numerics import (
     l2_normalize_backward,
     l2_normalize_rows,
-    row_logsumexp,
     row_logsumexp_softmax,
 )
 from concf.prototypes import Clustering, PrototypeState
@@ -276,10 +275,12 @@ class TestRowLogsumexpSoftmax:
         b = rng.standard_normal((shape[1], 16))
         logits = scale * (a @ b.T) / 4.0
         lse, softmax = row_logsumexp_softmax(logits)
-        # reference: the shifted-exp softmax, computed on its own
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        # reference: the shift-stabilized logsumexp and softmax, computed on their own
+        m = logits.max(axis=1, keepdims=True)
+        e = np.exp(logits - m)
+        expected_lse = m[:, 0] + np.log(e.sum(axis=1))
         expected = e / e.sum(axis=1, keepdims=True)
-        assert lse.tobytes() == row_logsumexp(logits).tobytes()
+        assert lse.tobytes() == expected_lse.tobytes()
         assert softmax.tobytes() == expected.tobytes()
 
 

@@ -1,5 +1,7 @@
 """Adam updates, the training loop, early stopping, and reproducibility."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,33 @@ class TestTrain:
         with pytest.raises(ValueError, match="k_items: 13 clusters"):
             train(quick_config(k_items=(4, 13)), split, out_dir=tmp_path)
         assert not (tmp_path / "crash.ckpt").exists()
+
+
+FLOAT_FIELDS = [f.name for f in fields(TrainConfig) if f.type == "float"]
+
+
+class TestConfigValidate:
+    def test_float_fields(self):
+        assert FLOAT_FIELDS == ["tau", "alpha", "lambda1", "lambda2", "lambda3",
+                                "lr", "beta1", "beta2", "adam_eps", "kmeans_tol"]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    def test_nonfinite_float_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: must be finite$"):
+            TrainConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("adam_eps", 0.0, "must be > 0"),
+        ("adam_eps", -1e-8, "must be > 0"),
+        ("kmeans_tol", -1.0, "must be >= 0"),
+    ])
+    def test_float_bound_named(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{field}: {message}$"):
+            TrainConfig(**{field: value}).validate()
+
+    def test_zero_kmeans_tol_accepted(self):
+        TrainConfig(kmeans_tol=0.0).validate()
 
 
 class TestFloat32:
