@@ -258,7 +258,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if min(ns) < 1:
         raise ValueError("--ns: every cutoff must be >= 1")
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        out = Path(args.out)
+        if out.is_dir():
+            raise ValueError(f"--out: {args.out} is a directory")
+        out.parent.mkdir(parents=True, exist_ok=True)
     ckpt, split, fp = _load_compatible(args)
     kwargs = dict(ns=ns, target=args.target, mask_validation=not args.no_mask_validation)
     if args.groups:
@@ -267,7 +270,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         report = full_rank_eval(fp, split, **kwargs)
     payload = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
+        out.write_text(payload, encoding="utf-8")
         _print_table(report, ns)
     else:
         sys.stdout.write(payload)

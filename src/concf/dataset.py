@@ -246,6 +246,8 @@ def load_interactions(path: str | Path, fmt: str = "tsv") -> RawInteractions:
         raise ValueError(f"unknown format {fmt!r}, expected 'tsv' or 'csv'")
     sep = "\t" if fmt == "tsv" else ","
     users, items = [], []
+    # one str object per distinct key, not a fresh copy per line
+    keys: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for ln, line in enumerate(fh, start=1):
@@ -257,8 +259,8 @@ def load_interactions(path: str | Path, fmt: str = "tsv") -> RawInteractions:
                     raise ParseError(f"{path}: line {ln}: expected at least 2 fields, got 1")
                 if not fields[0] or not fields[1]:
                     raise ParseError(f"{path}: line {ln}: empty user or item key")
-                users.append(fields[0])
-                items.append(fields[1])
+                users.append(keys.setdefault(fields[0], fields[0]))
+                items.append(keys.setdefault(fields[1], fields[1]))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
     if not users:

@@ -94,7 +94,10 @@ def forward(adj: NormalizedAdjacency, table: EmbeddingTable, n_layers: int) -> F
     layers = [table.matrix]
     for _ in range(n_layers):
         layers.append(propagate(adj, layers[-1]))
-    readout = np.add.reduce(layers) / (n_layers + 1)
+    readout = layers[0] + layers[1]
+    for layer in layers[2:]:
+        readout += layer
+    readout /= n_layers + 1
     return ForwardPass(
         n_users=table.n_users, n_items=table.n_items, layers=layers, readout=readout
     )

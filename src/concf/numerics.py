@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def softplus(x: np.ndarray | float) -> np.ndarray:
@@ -32,10 +33,17 @@ def l2_normalize_backward(grad_y: np.ndarray, y: np.ndarray, norms: np.ndarray) 
     return (grad_y - inner[:, None] * y) / norms[:, None]
 
 
-def row_logsumexp_softmax(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(logsumexp, softmax) along axis 1 from one shift-stabilized exp pass."""
-    m = s.max(axis=1)
-    e = np.exp(s - m[:, None])
-    total = e.sum(axis=1)
-    e /= total[:, None]
-    return m + np.log(total), e
+def scatter_add_rows(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """``np.add.at(zeros((n_rows, d)), index, values)``, bit for bit, as one CSR product.
+
+    Row r is the sum, from zero and in the order of ``index``, of the
+    ``values`` rows whose index is r: the stable argsort lists each row's
+    entries in that order, and the CSR kernel adds them up in that order.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    order = np.argsort(index, kind="stable")
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(index, minlength=n_rows), out=indptr[1:])
+    ones = np.ones(len(index), dtype=values.dtype)
+    select = sp.csr_matrix((ones, order, indptr), shape=(n_rows, len(index)))
+    return select @ values

@@ -33,7 +33,7 @@ from .model import EmbeddingTable, ForwardPass, forward
 from .numerics import (
     l2_normalize_backward,
     l2_normalize_rows,
-    row_logsumexp_softmax,
+    scatter_add_rows,
     softplus,
 )
 from .prototypes import PrototypeState
@@ -72,13 +72,19 @@ def bpr_loss(
     zu = fp.readout[users]
     zi = fp.readout[pos]
     zj = fp.readout[neg]
-    gaps = np.einsum("ij,ij->i", zu, zi - zj)
+    diff = zi - zj
+    gaps = np.einsum("ij,ij->i", zu, diff)
     if grad_readout is not None:
         # d/dgap of softplus(-gap) = -sigmoid(-gap)
         coef = (-expit(-gaps) * weight)[:, None]
-        np.add.at(grad_readout, users, coef * (zi - zj))
-        np.add.at(grad_readout, pos, coef * zu)
-        np.add.at(grad_readout, neg, -coef * zu)
+        n = len(gaps)
+        # the gradient rows of the users, then the positives, then the negatives
+        values = np.empty((3 * n, zu.shape[1]), dtype=zu.dtype)
+        np.multiply(coef, diff, out=values[:n])
+        np.multiply(coef, zu, out=values[n:2 * n])
+        np.multiply(-coef, zu, out=values[2 * n:])
+        index = np.concatenate([users, pos, neg])
+        grad_readout += scatter_add_rows(index, values, len(grad_readout))
     return float(softplus(-gaps).sum())
 
 
@@ -91,12 +97,18 @@ def _infonce(
     Returns the per-row losses and their gradient w.r.t. the logits
     ``anchors @ candidates.T / tau`` (softmax minus one-hot).
     """
-    logits = anchors @ candidates.T / tau
+    logits = anchors @ candidates.T
+    logits /= tau
     rows = np.arange(len(anchors))
-    lse, dlogits = row_logsumexp_softmax(logits)
-    losses = lse - logits[rows, targets]
-    dlogits[rows, targets] -= 1.0
-    return losses, dlogits
+    positive = logits[rows, targets]
+    # shift-stabilized logsumexp and softmax, in place on the logits
+    m = logits.max(axis=1)
+    logits -= m[:, None]
+    np.exp(logits, out=logits)
+    total = logits.sum(axis=1)
+    logits /= total[:, None]
+    logits[rows, targets] -= 1.0
+    return m + np.log(total) - positive, logits
 
 
 def structure_contrastive_loss(
@@ -225,14 +237,15 @@ def total_loss_and_gradient(
     fp = forward(adj, table, config.n_layers)
     n_batch = len(triples)
     n_layers = config.n_layers
-    cot_layers = [np.zeros_like(table.matrix) for _ in range(n_layers + 1)]
 
     grad_readout = np.zeros_like(table.matrix)
     bpr = bpr_loss(fp, triples, grad_readout, weight=1.0 / n_batch) / n_batch
-    # readout is the uniform layer average, so its cotangent spreads evenly
-    per_layer = grad_readout / (n_layers + 1)
-    for l in range(n_layers + 1):
-        cot_layers[l] += per_layer
+    # readout is the uniform layer average, so its cotangent spreads evenly;
+    # only layers 0 and k_layer receive more terms, the others share this one
+    grad_readout /= n_layers + 1
+    cot_layers = [grad_readout] * (n_layers + 1)
+    cot_layers[0] = grad_readout.copy()
+    cot_layers[config.k_layer] = grad_readout.copy()
 
     structure = 0.0
     if config.lambda1 > 0:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import EmbeddingTable
-from .numerics import l2_normalize_rows
+from .numerics import l2_normalize_rows, scatter_add_rows
 from .seeding import derive_seed, rng_stream
 
 
@@ -103,9 +103,7 @@ def _repair_empty_clusters(
 def _update_centroids(
     points: np.ndarray, assignments: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    d = points.shape[1]
-    sums = np.zeros((k, d), dtype=points.dtype)
-    np.add.at(sums, assignments, points)
+    sums = scatter_add_rows(assignments, points, k)
     counts = np.bincount(assignments, minlength=k)
     divisor = np.maximum(counts, 1).astype(points.dtype)[:, None]
     centroids = np.where(counts[:, None] > 0, sums / divisor, 0.0)

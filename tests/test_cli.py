@@ -407,6 +407,15 @@ class TestEvaluate:
         assert res.returncode == 0, res.stderr
         assert json.loads(out.read_text())["n_evaluated_users"] > 0
 
+    def test_out_directory_fails_before_loading(self, split_dir, tmp_path):
+        # the checkpoint does not exist: only the --out check can have run
+        res = run_cli(
+            "evaluate", "--checkpoint", str(tmp_path / "missing.ckpt"),
+            "--split-dir", str(split_dir), "--out", str(tmp_path),
+        )
+        assert_error_names(res, tmp_path)
+        assert res.stderr == f"error: --out: {tmp_path} is a directory\n"
+
     def test_unparsable_cutoff_names_the_flag(self, run_dir, split_dir):
         res = run_cli(
             "evaluate", "--checkpoint", str(run_dir / "model.ckpt"),

@@ -2,6 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import reference_step
 
 from concf import (
     EmbeddingTable,
@@ -19,9 +24,11 @@ from concf.dataset import TripleBatch
 from concf.numerics import (
     l2_normalize_backward,
     l2_normalize_rows,
-    row_logsumexp_softmax,
+    scatter_add_rows,
 )
+from concf.objectives import _infonce
 from concf.prototypes import Clustering, PrototypeState
+from concf.trainer import AdamState, adam_step
 
 from conftest import random_split
 
@@ -267,21 +274,49 @@ class TestNormalizationBackward:
 
 
 class TestRowLogsumexpSoftmax:
+    """``_infonce`` computes the row logsumexp and softmax in place on the logits."""
+
     @pytest.mark.parametrize("shape, scale", [((1, 1), 1.0), ((7, 13), 1.0), ((300, 1000), 20.0),
                                               ((64, 5), 700.0)])
     def test_bitwise_equal_to_separate_passes(self, shape, scale):
         rng = np.random.default_rng(shape[1])
-        a = rng.standard_normal((shape[0], 16))
-        b = rng.standard_normal((shape[1], 16))
-        logits = scale * (a @ b.T) / 4.0
-        lse, softmax = row_logsumexp_softmax(logits)
-        # reference: the shift-stabilized logsumexp and softmax, computed on their own
-        m = logits.max(axis=1, keepdims=True)
-        e = np.exp(logits - m)
-        expected_lse = m[:, 0] + np.log(e.sum(axis=1))
-        expected = e / e.sum(axis=1, keepdims=True)
-        assert lse.tobytes() == expected_lse.tobytes()
-        assert softmax.tobytes() == expected.tobytes()
+        targets = rng.integers(shape[1], size=shape[0])
+        for dtype in (np.float64, np.float32):
+            a = (scale * rng.standard_normal((shape[0], 16))).astype(dtype)
+            b = rng.standard_normal((shape[1], 16)).astype(dtype)
+            losses, dlogits = _infonce(a, b, targets, 4.0)
+            # reference: the shift-stabilized logsumexp and softmax, computed on their own
+            logits = a @ b.T / 4.0
+            m = logits.max(axis=1, keepdims=True)
+            e = np.exp(logits - m)
+            expected_lse = m[:, 0] + np.log(e.sum(axis=1))
+            expected = e / e.sum(axis=1, keepdims=True)
+            rows = np.arange(shape[0])
+            expected[rows, targets] -= 1.0
+            assert losses.tobytes() == (expected_lse - logits[rows, targets]).tobytes()
+            assert dlogits.tobytes() == expected.tobytes()
+
+
+class TestScatterAddRows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        n_rows=st.integers(1, 9),
+        d=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_bitwise_equal_to_add_at(self, dtype, n_rows, d, data):
+        # few rows and many entries: repeated indices and empty rows both occur
+        index = data.draw(hnp.arrays(np.int64, st.integers(0, 30), elements=st.integers(0, n_rows - 1)))
+        values = data.draw(hnp.arrays(
+            dtype, (len(index), d),
+            elements=st.one_of(st.just(-0.0), st.floats(-1e3, 1e3, width=np.finfo(dtype).bits)),
+        ))
+        expected = np.zeros((n_rows, d), dtype=dtype)
+        np.add.at(expected, index, values)
+        got = scatter_add_rows(index, values, n_rows)
+        assert got.dtype == dtype
+        assert got.tobytes() == expected.tobytes()
 
 
 def gradient_check_setup(seed=0, n_users=5, n_items=7, d=8):
@@ -441,3 +476,34 @@ class TestTotalLossAndGradient:
         cfg = TrainConfig(d=8, n_layers=2, k_layer=2, lambda2=1e-3)
         with pytest.raises(ValueError, match="prototype state"):
             total_loss_and_gradient(adj, table, triples, None, cfg)
+
+
+class TestStepMatchesReference:
+    """The in-place step reproduces the out-of-place one bit for bit."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("n_layers, k_layer, lambda1", [(3, 2, 0.3), (2, 2, 0.3), (3, 2, 0.0)])
+    def test_three_adam_steps(self, dtype, n_layers, k_layer, lambda1):
+        split = random_split(12, 15, 90, seed=8)
+        adj = build_normalized_adjacency(split, dtype=np.dtype(dtype))
+        cfg = TrainConfig(
+            d=6, n_layers=n_layers, k_layer=k_layer, tau=0.2, lambda1=lambda1, lambda2=0.2,
+            lambda3=0.1, k_users=(3, 4), k_items=(3,), lr=0.05, dtype=dtype,
+        )
+        rng = np.random.default_rng(9)
+        matrix = (0.3 * rng.standard_normal((27, 6))).astype(dtype)
+        # users 0 and 4 repeat; item 2 is a positive and a negative, item 5 twice a negative
+        triples = triple([0, 4, 0, 7, 4, 11], [2, 3, 9, 2, 2, 14], [5, 2, 5, 1, 8, 0])
+        protos = e_step(EmbeddingTable(12, 15, matrix), cfg.k_users, cfg.k_items, seed=2)
+        ours, theirs = EmbeddingTable(12, 15, matrix.copy()), EmbeddingTable(12, 15, matrix.copy())
+        ours_state, theirs_state = AdamState.zeros_like(ours), AdamState.zeros_like(theirs)
+        for _ in range(3):
+            b, grad = total_loss_and_gradient(adj, ours, triples, protos, cfg)
+            ref_b, ref_grad = reference_step.loss_and_gradient(adj, theirs, triples, protos, cfg)
+            assert b == ref_b
+            assert grad.dtype == ref_grad.dtype == np.dtype(dtype)
+            assert grad.tobytes() == ref_grad.tobytes()
+            adam_step(ours, grad, ours_state, cfg)
+            adam_step(theirs, ref_grad, theirs_state, cfg)
+            assert ours.matrix.tobytes() == theirs.matrix.tobytes()
+        assert b.structure > 0 if lambda1 else b.structure == 0.0
