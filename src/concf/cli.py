@@ -123,6 +123,9 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
     _check_at_least(args, min_count=0, seed=0)
     ratios = _parse_list("--ratios", args.ratios, float)
+    out = Path(args.out)
+    if out.exists() and not out.is_dir():
+        raise ValueError(f"--out: {args.out} is not a directory")
     in_path = _resolve_path(args.input)
     if not in_path.exists():
         print(f"error: input file not found: {args.input}", file=sys.stderr)
@@ -132,9 +135,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         raw = dataset.k_core_filter(raw, args.min_count)
     split = dataset.build_split(raw, ratios=ratios, seed=args.seed)
     split.meta["min_count"] = args.min_count
-    split.save(args.out)
-    header = json.loads((Path(args.out) / "header.json").read_text())
-    print(json.dumps(header, sort_keys=True))
+    print(json.dumps(split.save(out), sort_keys=True))
     return 0
 
 

@@ -8,6 +8,7 @@ test.tsv; one ``user_id<TAB>item_id`` per line) plus a header.json with
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +21,9 @@ from .seeding import rng_stream
 
 _SPLIT_FILES = {"train": "train.tsv", "valid": "valid.tsv", "test": "test.tsv"}
 _MAX_REJECTION_ROUNDS = 100_000
+_MAX_ROUND_WORDS = 256  # key words one sorting round compares
+# _LEADING_BYTES[k] keeps the k leading bytes of a big-endian word
+_LEADING_BYTES = np.array([2**64 - 2 ** (64 - 8 * k) for k in range(9)], dtype=np.uint64)
 
 
 class ParseError(ValueError):
@@ -53,9 +57,16 @@ class RawInteractions:
             index = {k: n for n, k in enumerate(table)}
             tables.append(np.array(table, dtype=object))
             codes.append(np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys)))
-        u, i = codes
-        first = np.sort(np.unique(u * len(tables[1]) + i, return_index=True)[1])
-        return cls(*tables, u[first], i[first])
+        return cls._first_occurrences(*tables, *codes)
+
+    @classmethod
+    def _first_occurrences(
+        cls, user_keys: np.ndarray, item_keys: np.ndarray, users: np.ndarray, items: np.ndarray
+    ) -> "RawInteractions":
+        """The records of int64 code columns, with each repeated (user, item)
+        pair dropped after its first occurrence."""
+        first = np.sort(np.unique(users * len(item_keys) + items, return_index=True)[1])
+        return cls(user_keys, item_keys, users[first], items[first])
 
 
 @dataclass(frozen=True)
@@ -111,7 +122,9 @@ class DatasetSplit:
             return np.zeros(0, dtype=bool)
         return np.asarray(self.train_matrix[users, items]).ravel()
 
-    def save(self, out_dir: str | Path) -> None:
+    def save(self, out_dir: str | Path) -> dict:
+        """Write the split files and header.json, each through a temporary file
+        in ``out_dir`` that replaces it, and return the header."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         # each id's text is formatted once; a file is its rows' cells joined
@@ -120,8 +133,7 @@ class DatasetSplit:
         for name, fname in _SPLIT_FILES.items():
             arr = getattr(self, name)
             cells = np.stack([user_cells[arr[:, 0]], item_cells[arr[:, 1]]], axis=1)
-            with open(out / fname, "w", encoding="utf-8") as fh:
-                fh.write("".join(cells.ravel().tolist()))
+            _write_replacing(out / fname, "".join(cells.ravel().tolist()))
         header = {
             "n_users": self.n_users,
             "n_items": self.n_items,
@@ -129,9 +141,8 @@ class DatasetSplit:
             "seed": self.meta.get("seed"),
             "min_count": self.meta.get("min_count"),
         }
-        with open(out / "header.json", "w", encoding="utf-8") as fh:
-            json.dump(header, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_replacing(out / "header.json", json.dumps(header, indent=2, sort_keys=True) + "\n")
+        return header
 
     @classmethod
     def load(cls, split_dir: str | Path) -> "DatasetSplit":
@@ -153,6 +164,19 @@ class DatasetSplit:
             return cls(n_users=n_users, n_items=n_items, **parts, meta=meta)
         except ValueError as exc:
             raise ValueError(f"{src / _SPLIT_FILES['train']}: {exc}") from None
+
+
+def _write_replacing(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then move it onto
+    ``path``; a failed write leaves the previous file and no temporary one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def pair_matrix(pairs: np.ndarray, n_users: int, n_items: int) -> sp.csr_matrix:
@@ -238,34 +262,128 @@ def _first_unparsable_line(path: Path) -> str | None:
 def load_interactions(path: str | Path, fmt: str = "tsv") -> RawInteractions:
     """Read a delimited interaction log.
 
-    Each line is ``user<sep>item``; further fields (rating, timestamp) are
-    ignored. Lines starting with '#' and blank lines are skipped. Exact
-    duplicate (user, item) pairs are dropped, keeping the first occurrence.
+    The whole file must be UTF-8; lines end in ``\\n``, ``\\r\\n`` or ``\\r``. Each
+    line is ``user<sep>item``; further fields (rating, timestamp) are ignored.
+    Blank lines and lines whose first byte is '#' are skipped. Exact duplicate
+    (user, item) pairs are dropped, keeping the first occurrence.
+
+    The file is parsed as one byte buffer: lines and fields are found by index
+    arithmetic, and only the distinct keys become ``str``.
     """
     if fmt not in ("tsv", "csv"):
         raise ValueError(f"unknown format {fmt!r}, expected 'tsv' or 'csv'")
-    sep = "\t" if fmt == "tsv" else ","
-    users, items = [], []
-    # one str object per distinct key, not a fresh copy per line
-    keys: dict[str, str] = {}
+    data = Path(path).read_bytes()
     try:
-        with open(path, encoding="utf-8") as fh:
-            for ln, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split(sep, 2)
-                if len(fields) < 2:
-                    raise ParseError(f"{path}: line {ln}: expected at least 2 fields, got 1")
-                if not fields[0] or not fields[1]:
-                    raise ParseError(f"{path}: line {ln}: empty user or item key")
-                users.append(keys.setdefault(fields[0], fields[0]))
-                items.append(keys.setdefault(fields[1], fields[1]))
+        data.decode("utf-8")  # the whole file is checked before any line
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
-    if not users:
+    if b"\r" in data:
+        # universal newlines, as a text-mode read translates them
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    has_nul = b"\0" in data
+    # 8 zero bytes let every key offset be read as a whole word
+    data += bytes(8)
+    buf = np.frombuffer(data, dtype=np.uint8)[:-8]
+    pos = np.int32 if len(buf) < 2**31 - 1 else np.int64
+    ends = np.flatnonzero(buf == ord("\n")).astype(pos)
+    if len(buf) and buf[-1] != ord("\n"):
+        ends = np.append(ends, pos(len(buf)))
+    starts = np.empty_like(ends)
+    starts[:1], starts[1:] = 0, ends[:-1] + 1
+    # line indices (0-based) of the lines that hold a record
+    lines = np.flatnonzero((ends > starts) & (buf[starts] != ord("#")))
+    starts, ends = starts[lines], ends[lines]
+    # the first two separators at or after each line start, or the buffer end
+    seps = np.flatnonzero(buf == ord("\t" if fmt == "tsv" else ",")).astype(pos)
+    seps = np.append(seps, np.full(2, len(buf), pos))
+    nxt = np.searchsorted(seps, starts)
+    user_end, item_end = seps[nxt], np.minimum(seps[nxt + 1], ends)
+    del seps, nxt
+    one_field = user_end >= ends
+    bad = np.flatnonzero(one_field | (user_end == starts) | (item_end == user_end + 1))
+    if bad.size:
+        ln = lines[bad[0]] + 1
+        problem = "expected at least 2 fields, got 1" if one_field[bad[0]] else "empty user or item key"
+        raise ParseError(f"{path}: line {ln}: {problem}")
+    if not len(starts):
         raise ParseError(f"{path}: no interactions found")
-    return RawInteractions.from_keys(users, items)
+    del lines, ends, one_field, bad
+    user_keys, users = _distinct_keys(data, starts, user_end - starts, has_nul)
+    starts, lens = user_end + 1, item_end - user_end - 1
+    del user_end, item_end
+    item_keys, items = _distinct_keys(data, starts, lens, has_nul)
+    del data, buf, starts, lens
+    return RawInteractions._first_occurrences(user_keys, item_keys, users, items)
+
+
+def _distinct_keys(
+    data: bytes, starts: np.ndarray, lens: np.ndarray, has_nul: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct keys ``data[s:s + n]`` as an object array of str,
+    and each key's int64 code into it; ``data`` ends in 8 padding bytes.
+
+    Keys are ordered by their bytes as zero-padded big-endian 8-byte words,
+    then by length, which separates "a" from "a\\0"; for UTF-8 that is code
+    point order, the order of ``sorted`` on the decoded keys. Each round sorts
+    only the keys that still tie with another key, by the sorted position of
+    their tie group and the next block of words, so a long key is read only
+    as far as it ties with another.
+    """
+    # the big-endian 8 bytes from each offset
+    window = np.ndarray((len(data) - 7,), dtype=">u8", buffer=data, strides=(1,))
+    n = len(starts)
+    # sorted position of the first key of each key's tie group
+    group = np.zeros(n, dtype=np.int64)
+    tied = np.arange(n)
+    first = 0
+    while tied.size:
+        tied_lens = lens[tied]
+        # about n words per round in all, none past the longest tied key, and
+        # few enough that lexsort's per-key state stays small
+        width = min(max(1, n // tied.size), _MAX_ROUND_WORDS, -(-int(tied_lens.max()) // 8) - first)
+        at = 8 * np.arange(first, first + width)
+        words = window[np.minimum(starts[tied, None] + at, len(window) - 1)].astype(np.uint64)
+        words &= _LEADING_BYTES[np.clip(tied_lens[:, None] - at, 0, 8)]
+        later, first = first > 0, first + width
+        done = tied_lens <= 8 * first
+        # sort keys, least significant first: length, words, tie group
+        rows = [words.T[::-1]]
+        if has_nul:
+            # a key whose remaining bytes are NUL ties on words with a shorter one
+            rows.insert(0, np.where(done, tied_lens, np.iinfo(lens.dtype).max)[None])
+        if later:
+            rows.append(group[tied][None])
+        keys = np.concatenate(rows, dtype=np.uint64, casting="unsafe") if len(rows) > 1 else rows[0]
+        del rows, words
+        order = np.lexsort(keys) if len(keys) > 1 else np.argsort(keys[0])
+        tied, done = tied[order], done[order]
+        keys = keys[:, order]
+        del order
+        # the first of each run of keys that tie on all keys, or on the group
+        new = np.ones(tied.size, dtype=bool)
+        new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+        old = np.zeros(tied.size, dtype=bool)
+        old[0] = True
+        if later:
+            old[1:] = keys[-1, 1:] != keys[-1, :-1]
+        del keys
+        heads, old = np.flatnonzero(new), np.flatnonzero(old)
+        sizes = np.diff(heads, append=tied.size)
+        # a new tie group starts as many places after its old group's start as
+        # it comes after it among the sorted tied keys
+        offset = np.repeat(heads, sizes)
+        offset -= np.repeat(old, np.diff(old, append=tied.size))
+        group[tied] += offset
+        more = (sizes > 1) & ~np.logical_and.reduceat(done, heads)
+        tied = tied[np.repeat(more, sizes)]
+    present = np.zeros(n, dtype=bool)
+    present[group] = True
+    codes = (np.cumsum(present) - 1)[group]
+    one = np.empty(np.count_nonzero(present), dtype=np.int64)
+    del present, group
+    one[codes] = np.arange(n)
+    keys = [data[s:s + k].decode("utf-8") for s, k in zip(starts[one].tolist(), lens[one].tolist())]
+    return np.array(keys, dtype=object), codes
 
 
 def k_core_filter(raw: RawInteractions, min_count: int) -> RawInteractions:

@@ -136,9 +136,23 @@ class TestPrepare:
         )
         assert res.returncode == 0
         header = json.loads((tmp_path / "o" / "header.json").read_text())
+        assert json.loads(res.stdout) == header
         # w/i9 peel away (degree 1); u, v and i0..i2 survive
         assert header["n_users"] == 2 and header["n_items"] == 3
         assert header["min_count"] == 2
+
+    def test_out_file_fails_before_reading_input(self, interactions_file, tmp_path, monkeypatch, capsys):
+        from concf import cli, dataset
+
+        calls = []
+        monkeypatch.setattr(dataset, "load_interactions", lambda *a, **k: calls.append(a))
+        out = tmp_path / "notadir"
+        out.write_text("keep\n")
+        rc = cli.main(["prepare", "--input", str(interactions_file), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --out: {out} is not a directory\n"
+        assert calls == []
+        assert out.read_text() == "keep\n"
 
     def test_data_root_env_resolution(self, interactions_file, tmp_path):
         res = run_cli(
