@@ -149,7 +149,7 @@ def _resolved_config(args: argparse.Namespace):
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    from .dataset import DatasetSplit
+    from .dataset import DatasetSplit, _write_replacing
     from .trainer import train
     from .model import save_checkpoint
     from . import __version__
@@ -223,9 +223,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     manifest["best_valid_ndcg10"] = result.best_metric
     manifest["epochs_run"] = len(result.history)
     manifest["stopped_early"] = result.stopped_early
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_replacing(
+        out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    )
     print(
         f"done: best epoch {result.best_epoch} "
         f"(valid ndcg@10 {result.best_metric:.6f}), run {manifest['run_id']}",
@@ -252,6 +252,7 @@ def _load_compatible(args: argparse.Namespace):
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .dataset import _write_replacing
     from .evaluator import full_rank_eval, sparsity_group_report
 
     _check_at_least(args, groups=1)
@@ -271,7 +272,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         report = full_rank_eval(fp, split, **kwargs)
     payload = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
-        out.write_text(payload, encoding="utf-8")
+        _write_replacing(out, payload)
         _print_table(report, ns)
     else:
         sys.stdout.write(payload)

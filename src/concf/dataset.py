@@ -166,13 +166,16 @@ class DatasetSplit:
             raise ValueError(f"{src / _SPLIT_FILES['train']}: {exc}") from None
 
 
-def _write_replacing(path: Path, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then move it onto
-    ``path``; a failed write leaves the previous file and no temporary one."""
+def _write_replacing(path: str | Path, data: str | bytes) -> None:
+    """Write ``data`` (UTF-8 text or bytes) to a temporary file beside ``path``,
+    then move it onto ``path``; a failed write leaves the previous file and no
+    temporary one."""
+    path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    mode, encoding = ("w", "utf-8") if isinstance(data, str) else ("wb", None)
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, mode, encoding=encoding) as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import parse_header
+from .dataset import _write_replacing, parse_header
 from .graph import NormalizedAdjacency, propagate
 from .seeding import rng_stream
 
@@ -144,10 +144,11 @@ def save_checkpoint(
         "dtype": str(table.matrix.dtype),
     }
     dtype = _payload_dtype(path, header["dtype"])
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(np.ascontiguousarray(table.matrix, dtype=dtype).tobytes())
+    _write_replacing(path, b"".join([
+        json.dumps(header, sort_keys=True).encode("utf-8"),
+        b"\n",
+        np.ascontiguousarray(table.matrix, dtype=dtype).tobytes(),
+    ]))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -167,12 +168,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 def write_matrix_text(path: str | Path, ids: np.ndarray, matrix: np.ndarray) -> None:
     """Plain-text export: one row per id, tab-separated values."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row_id, row in zip(ids, matrix):
-            fh.write(str(int(row_id)))
-            fh.write("\t")
-            fh.write("\t".join(repr(float(v)) for v in row))
-            fh.write("\n")
+    _write_replacing(path, "".join(
+        f"{int(row_id)}\t" + "\t".join(repr(float(v)) for v in row) + "\n"
+        for row_id, row in zip(ids, matrix)
+    ))
 
 
 def write_matrix_binary(path: str | Path, ids: np.ndarray, matrix: np.ndarray) -> None:
@@ -185,11 +184,12 @@ def write_matrix_binary(path: str | Path, ids: np.ndarray, matrix: np.ndarray) -
         "dtype": str(matrix.dtype),
     }
     dtype = _payload_dtype(path, header["dtype"])
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(np.ascontiguousarray(ids, dtype="<i8").tobytes())
-        fh.write(np.ascontiguousarray(matrix, dtype=dtype).tobytes())
+    _write_replacing(path, b"".join([
+        json.dumps(header, sort_keys=True).encode("utf-8"),
+        b"\n",
+        np.ascontiguousarray(ids, dtype="<i8").tobytes(),
+        np.ascontiguousarray(matrix, dtype=dtype).tobytes(),
+    ]))
 
 
 def read_matrix_binary(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

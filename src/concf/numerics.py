@@ -33,17 +33,32 @@ def l2_normalize_backward(grad_y: np.ndarray, y: np.ndarray, norms: np.ndarray) 
     return (grad_y - inner[:, None] * y) / norms[:, None]
 
 
-def scatter_add_rows(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
-    """``np.add.at(zeros((n_rows, d)), index, values)``, bit for bit, as one CSR product.
+def scatter_add_rows(
+    index: np.ndarray,
+    values: np.ndarray,
+    n_rows: int,
+    weights: np.ndarray | None = None,
+    sources: np.ndarray | None = None,
+) -> np.ndarray:
+    """``np.add.at(zeros((n_rows, d)), index, weights[:, None] * values[sources])``,
+    bit for bit, as one CSR product.
 
-    Row r is the sum, from zero and in the order of ``index``, of the
-    ``values`` rows whose index is r: the stable argsort lists each row's
-    entries in that order, and the CSR kernel adds them up in that order.
+    Entry e adds ``weights[e] * values[sources[e]]`` to row ``index[e]``;
+    ``weights`` defaults to ones and ``sources`` to ``arange(len(index))``.
+    Row r is the sum, from zero and in the order of ``index``, of its
+    entries' products: the stable argsort lists each row's entries in that
+    order, and the CSR kernel forms each product and adds it in that order.
+    This holds only while the kernel rounds the product before the addition;
+    a SciPy build that fuses ``a*x + y`` into one FMA would differ in the
+    last bit wherever a weight is not 1.
     """
     index = np.asarray(index, dtype=np.int64)
-    order = np.argsort(index, kind="stable")
+    # the same stable order, sorted as the narrowest unsigned type that holds
+    # every row id: NumPy radix-sorts 8- and 16-bit keys, about 12x faster
+    order = np.argsort(index.astype(np.min_scalar_type(max(n_rows - 1, 0))), kind="stable")
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(index, minlength=n_rows), out=indptr[1:])
-    ones = np.ones(len(index), dtype=values.dtype)
-    select = sp.csr_matrix((ones, order, indptr), shape=(n_rows, len(index)))
+    data = np.ones(len(index), dtype=values.dtype) if weights is None else weights[order]
+    columns = order if sources is None else np.asarray(sources, dtype=np.int64)[order]
+    select = sp.csr_matrix((data, columns, indptr), shape=(n_rows, len(values)))
     return select @ values

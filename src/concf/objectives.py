@@ -67,24 +67,38 @@ def bpr_loss(
     if len(triples) == 0:
         raise ValueError("empty triple batch")
     users = np.asarray(triples.users, dtype=np.int64)
-    pos = np.asarray(triples.pos_items, dtype=np.int64) + fp.n_users
-    neg = np.asarray(triples.neg_items, dtype=np.int64) + fp.n_users
-    zu = fp.readout[users]
-    zi = fp.readout[pos]
-    zj = fp.readout[neg]
-    diff = zi - zj
+    pos = np.asarray(triples.pos_items, dtype=np.int64)
+    neg = np.asarray(triples.neg_items, dtype=np.int64)
+    for name, ids, bound in (
+        ("users", users, fp.n_users), ("pos_items", pos, fp.n_items), ("neg_items", neg, fp.n_items)
+    ):
+        if ids.min() < 0 or ids.max() >= bound:
+            raise ValueError(f"{name}: ids must lie in [0, {bound})")
+    pos = pos + fp.n_users
+    neg = neg + fp.n_users
+    n = len(users)
+    # rows [0, n) hold zi - zj and rows [n, 2n) hold zu, gathered in place; the
+    # ids are checked, so take need not buffer its output as mode="raise" does
+    source = np.empty((2 * n, fp.readout.shape[1]), dtype=fp.readout.dtype)
+    diff, zu = source[:n], source[n:]
+    np.take(fp.readout, pos, axis=0, out=diff, mode="wrap")
+    np.take(fp.readout, neg, axis=0, out=zu, mode="wrap")
+    diff -= zu
+    np.take(fp.readout, users, axis=0, out=zu, mode="wrap")
     gaps = np.einsum("ij,ij->i", zu, diff)
     if grad_readout is not None:
         # d/dgap of softplus(-gap) = -sigmoid(-gap)
-        coef = (-expit(-gaps) * weight)[:, None]
-        n = len(gaps)
-        # the gradient rows of the users, then the positives, then the negatives
-        values = np.empty((3 * n, zu.shape[1]), dtype=zu.dtype)
-        np.multiply(coef, diff, out=values[:n])
-        np.multiply(coef, zu, out=values[n:2 * n])
-        np.multiply(-coef, zu, out=values[2 * n:])
-        index = np.concatenate([users, pos, neg])
-        grad_readout += scatter_add_rows(index, values, len(grad_readout))
+        coef = -expit(-gaps) * weight
+        # user rows get coef * (zi - zj), positive rows coef * zu and negative
+        # rows -coef * zu, each row summed users first, then positives, then negatives
+        triple_rows = np.arange(n)
+        grad_readout += scatter_add_rows(
+            np.concatenate([users, pos, neg]),
+            source,
+            len(grad_readout),
+            weights=np.concatenate([coef, coef, -coef]),
+            sources=np.concatenate([triple_rows, triple_rows + n, triple_rows + n]),
+        )
     return float(softplus(-gaps).sum())
 
 

@@ -43,12 +43,9 @@ def _pairwise_sqdist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 def _sqdist(sq_norms: np.ndarray, twice_points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """``_pairwise_sqdist`` from the points' squared norms and ``2.0 * points``."""
-    d2 = (
-        sq_norms[:, None]
-        + np.einsum("ij,ij->i", centers, centers)[None, :]
-        - twice_points @ centers.T
-    )
-    return np.maximum(d2, 0.0)
+    d2 = np.add(sq_norms[:, None], np.einsum("ij,ij->i", centers, centers)[None, :])
+    d2 -= twice_points @ centers.T
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _plusplus_seeding(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -31,6 +31,26 @@ def random_split(n_users: int, n_items: int, n_pairs: int, seed: int = 0):
     return build_split(make_raw(n_users, n_items, n_pairs, seed), seed=seed)
 
 
+def fail_mid_write(monkeypatch, name: str) -> None:
+    """Make ``dataset._write_replacing`` fail halfway through writing ``name``:
+    the temporary file gets the first half of the data, then the write raises."""
+    from concf import dataset
+
+    def half_then_fail(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        if Path(path).name.startswith(f".{name}."):
+            write = fh.write
+
+            def failing(data):
+                write(data[: len(data) // 2])
+                raise OSError("No space left on device")
+
+            fh.write = failing
+        return fh
+
+    monkeypatch.setattr(dataset, "open", half_then_fail, raising=False)
+
+
 @pytest.fixture(scope="session")
 def small_split():
     """30 users x 40 items, ~900 interactions; every user in every split."""

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import key_pairs, make_raw
+from conftest import fail_mid_write, key_pairs, make_raw
 
 
 def run_cli(*args, env=None):
@@ -227,6 +227,24 @@ class TestTrain:
         history = [json.loads(l) for l in (run_dir / "history.jsonl").read_text().splitlines()]
         assert [h["epoch"] for h in history] == list(range(1, len(history) + 1))
 
+    def test_failed_manifest_write_keeps_previous_run(self, run_dir, split_dir, tmp_path,
+                                                      monkeypatch):
+        from concf import cli
+
+        out = tmp_path / "r"
+        shutil.copytree(run_dir, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        fail_mid_write(monkeypatch, "manifest.json")
+        rc = cli.main([
+            "train", "--split-dir", str(split_dir), "--out-dir", str(out),
+            "--d", "8", "--batch-size", "128", "--lr", "0.05", "--k-users", "3", "--k-items", "3",
+            "--max-epochs", "2", "--patience", "10", "--seed", "1",
+        ])
+        assert rc == 1
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)
+        assert (out / "manifest.json").read_bytes() == before["manifest.json"]
+        assert len((out / "history.jsonl").read_text().splitlines()) == 2  # the new run's
+
     def test_config_file_with_flag_override(self, split_dir, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(
@@ -397,6 +415,22 @@ class TestEvaluate:
         ])
         assert rc == 0
         assert targets == ["test"]
+
+    def test_failed_out_write_keeps_previous_report(self, run_dir, split_dir, tmp_path,
+                                                    monkeypatch):
+        from concf import cli
+
+        out = tmp_path / "report.json"
+        out.write_text("previous\n")
+        argv = ["evaluate", "--checkpoint", str(run_dir / "model.ckpt"),
+                "--split-dir", str(split_dir), "--out", str(out)]
+        fail_mid_write(monkeypatch, "report.json")
+        assert cli.main(argv) == 1
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert out.read_text() == "previous\n"
+        assert cli.main(argv) == 0
+        assert out.read_text() == run_cli(*argv[:-2]).stdout
 
     def test_repeated_cutoff_printed_once(self, run_dir, split_dir, tmp_path):
         out = tmp_path / "report.json"

@@ -7,7 +7,6 @@ import re
 import tracemalloc
 import warnings
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,11 +22,10 @@ from concf import (
     load_interactions,
     sample_negatives,
 )
-from concf import dataset
 from concf.dataset import DatasetSplit, ParseError, group_by_user, pair_matrix
 from concf.seeding import rng_stream
 
-from conftest import key_pairs, make_raw, random_split
+from conftest import fail_mid_write, key_pairs, make_raw, random_split
 
 
 def shuffled_rows(n_users, n_items, n_pairs, seed, n_rows=None):
@@ -483,17 +481,7 @@ class TestSaveReplacesFiles:
     def test_failed_write_keeps_previous_file(self, tmp_path, small_split, monkeypatch, failing):
         random_split(12, 15, 60, seed=3).save(tmp_path)
         before = {name: (tmp_path / name).read_bytes() for name in self.FILES}
-
-        def half_then_fail(path, *args, **kwargs):
-            fh = open(path, *args, **kwargs)
-            if Path(path).name.startswith(f".{failing}."):
-                def write(text):
-                    fh.buffer.write(text[: len(text) // 2].encode())
-                    raise OSError("No space left on device")
-                fh.write = write
-            return fh
-
-        monkeypatch.setattr(dataset, "open", half_then_fail, raising=False)
+        fail_mid_write(monkeypatch, failing)
         with pytest.raises(OSError, match="No space left"):
             small_split.save(tmp_path)
         monkeypatch.undo()

@@ -21,10 +21,11 @@ from concf import (
 from concf.model import (
     read_matrix_binary,
     write_matrix_binary,
+    write_matrix_text,
     xavier_bound,
 )
 
-from conftest import random_split
+from conftest import fail_mid_write, random_split
 
 XAVIER_BOUND_64 = 0.21650635094610965  # sqrt(6 / (64 + 64))
 MISSING = object()
@@ -293,3 +294,30 @@ class TestExportFormats:
         want = rf"{re.escape(str(path))}: field 'dtype' must be 'float32' or 'float64'"
         with pytest.raises(ValueError, match=want):
             read_matrix_binary(path)
+
+
+class TestWritesReplaceFiles:
+    WRITERS = {
+        "model.ckpt": lambda path, m: save_checkpoint(path, EmbeddingTable(2, 3, m), n_layers=2),
+        "emb.tsv": lambda path, m: write_matrix_text(path, np.arange(5), m),
+        "emb.bin": lambda path, m: write_matrix_binary(path, np.arange(5), m),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, name, dtype):
+        write = self.WRITERS[name]
+        rng = np.random.default_rng(0)
+        path = tmp_path / name
+        write(path, rng.standard_normal((5, 4)).astype(dtype))
+        before = path.read_bytes()
+        fail_mid_write(monkeypatch, name)
+        with pytest.raises(OSError, match="No space left"):
+            write(path, rng.standard_normal((5, 4)).astype(dtype))
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert path.read_bytes() == before
+
+    def test_text_export_rows(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        write_matrix_text(path, np.array([3, 7]), np.array([[0.1, -2.0], [1e-300, 0.5]]))
+        assert path.read_bytes() == b"3\t0.1\t-2.0\n7\t1e-300\t0.5\n"

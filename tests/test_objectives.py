@@ -1,5 +1,7 @@
 """Loss values against hand-derived constants and gradients against finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,18 @@ class TestBprLoss:
         fp = fp_with_readout(np.zeros((2, 1)), n_users=1)
         with pytest.raises(ValueError):
             bpr_loss(fp, triple([], [], []))
+
+    @pytest.mark.parametrize("users, pos, neg, message", [
+        ([1], [0], [0], r"users: ids must lie in \[0, 1\)"),
+        ([-1], [0], [0], r"users: ids must lie in \[0, 1\)"),
+        ([0], [2], [0], r"pos_items: ids must lie in \[0, 2\)"),
+        ([0], [0], [-1], r"neg_items: ids must lie in \[0, 2\)"),
+        ([0], [0], [2], r"neg_items: ids must lie in \[0, 2\)"),
+    ])
+    def test_out_of_range_ids_rejected(self, users, pos, neg, message):
+        fp = fp_with_readout(np.ones((3, 2)), n_users=1)
+        with pytest.raises(ValueError, match=message):
+            bpr_loss(fp, triple(users, pos, neg))
 
 
 def fp_with_layers(z0: np.ndarray, zk: np.ndarray, n_users: int):
@@ -318,6 +332,66 @@ class TestScatterAddRows:
         assert got.dtype == dtype
         assert got.tobytes() == expected.tobytes()
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        n_rows=st.integers(1, 9),
+        n_values=st.integers(1, 6),
+        d=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_weighted_sources_bitwise_equal_to_add_at(self, dtype, n_rows, n_values, d, data):
+        # repeated rows and sources, empty rows, -0.0 and non-unit weights; a
+        # kernel that fused the product into the addition (FMA) would differ
+        n = data.draw(st.integers(0, 30))
+        index = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, n_rows - 1)))
+        sources = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, n_values - 1)))
+        floats = st.one_of(st.just(-0.0), st.floats(-1e3, 1e3, width=np.finfo(dtype).bits))
+        weights = data.draw(hnp.arrays(dtype, n, elements=floats))
+        values = data.draw(hnp.arrays(dtype, (n_values, d), elements=floats))
+        expected = np.zeros((n_rows, d), dtype=dtype)
+        np.add.at(expected, index, weights[:, None] * values[sources])
+        got = scatter_add_rows(index, values, n_rows, weights=weights, sources=sources)
+        assert got.dtype == dtype
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_rows", [1, 256, 257, 65536, 65537])
+    def test_every_sort_key_width(self, n_rows):
+        # row ids are sorted as uint8, uint16 or uint32, by the largest id that fits
+        rng = np.random.default_rng(n_rows)
+        index = rng.integers(max(0, n_rows - 300), n_rows, 2000)
+        index[:2] = n_rows - 1, 0
+        sources = rng.integers(0, 50, 2000)
+        weights, values = rng.standard_normal(2000), rng.standard_normal((50, 3))
+        expected = np.zeros((n_rows, 3))
+        np.add.at(expected, index, weights[:, None] * values[sources])
+        got = scatter_add_rows(index, values, n_rows, weights=weights, sources=sources)
+        assert got.tobytes() == expected.tobytes()
+
+
+class TestBprMemory:
+    # tracemalloc peak of bpr_loss with a gradient over n * d * itemsize, on
+    # 4096 triples and the planted 500 x 64 float32 readout: 2.79 with the
+    # weighted scatter from one gathered source, 7.52 with a 3n x d values buffer
+    PEAK_PER_BATCH_BYTE = 4.0
+
+    def test_peak_within_bound(self):
+        rng = np.random.default_rng(0)
+        n_users, n_items, d, n = 200, 300, 64, 4096
+        readout = rng.standard_normal((n_users + n_items, d)).astype(np.float32)
+        fp = fp_with_readout(readout, n_users)
+        triples = triple(rng.integers(0, n_users, n), rng.integers(0, n_items, n),
+                         rng.integers(0, n_items, n))
+        grad = np.zeros_like(fp.readout)
+        tracemalloc.start()
+        try:
+            bpr_loss(fp, triples, grad, weight=1.0 / n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.any(grad != 0.0)
+        assert peak < self.PEAK_PER_BATCH_BYTE * n * d * fp.readout.itemsize
+
 
 def gradient_check_setup(seed=0, n_users=5, n_items=7, d=8):
     # finite differences with h = 1e-6 need float64 throughout
@@ -507,3 +581,25 @@ class TestStepMatchesReference:
             adam_step(theirs, ref_grad, theirs_state, cfg)
             assert ours.matrix.tobytes() == theirs.matrix.tobytes()
         assert b.structure > 0 if lambda1 else b.structure == 0.0
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_random_batch(self, dtype):
+        split = random_split(40, 60, 600, seed=3)
+        adj = build_normalized_adjacency(split, dtype=np.dtype(dtype))
+        cfg = TrainConfig(
+            d=16, n_layers=3, k_layer=2, tau=0.2, lambda1=0.3, lambda2=0.2, lambda3=0.1,
+            k_users=(4,), k_items=(5,), dtype=dtype,
+        )
+        rng = np.random.default_rng(4)
+        matrix = (0.3 * rng.standard_normal((100, 16))).astype(dtype)
+        n = 600
+        users, pos, neg = rng.integers(0, 40, n), rng.integers(0, 60, n), rng.integers(0, 60, n)
+        neg[:3] = pos[0]  # triple 0's positive is the negative of triples 0, 1 and 2
+        assert len(np.unique(users)) < n and len(np.intersect1d(pos, neg)) > 0
+        triples = triple(users, pos, neg)
+        table = EmbeddingTable(40, 60, matrix)
+        protos = e_step(table, cfg.k_users, cfg.k_items, seed=5)
+        b, grad = total_loss_and_gradient(adj, table, triples, protos, cfg)
+        ref_b, ref_grad = reference_step.loss_and_gradient(adj, table, triples, protos, cfg)
+        assert b == ref_b
+        assert grad.tobytes() == ref_grad.tobytes()

@@ -176,15 +176,51 @@ def reference_plusplus_seeding(points, k, rng):
     return points[np.array(chosen)].copy()
 
 
+class TestPairwiseSqdist:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        n=st.integers(1, 12),
+        k=st.integers(1, 6),
+        d=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_bitwise_equal_to_out_of_place(self, dtype, n, k, d, data):
+        # equal and near-equal rows make the clip at zero matter
+        floats = st.floats(-4, 4, width=np.finfo(dtype).bits)
+        elements = st.one_of(st.just(-0.0), st.just(1.0), floats)
+        points = data.draw(hnp.arrays(dtype, (n, d), elements=elements))
+        others = data.draw(hnp.arrays(dtype, (k, d), elements=elements))
+        centers = np.concatenate([points[:1], others])
+        expected = np.maximum(
+            np.einsum("ij,ij->i", points, points)[:, None]
+            + np.einsum("ij,ij->i", centers, centers)[None, :]
+            - 2.0 * points @ centers.T,
+            0.0,
+        )
+        got = _pairwise_sqdist(points, centers)
+        assert got.dtype == dtype
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestPlusPlusSeeding:
-    @pytest.mark.parametrize("k", [1, 2, 17, 120])
-    def test_matches_reference_bitwise(self, k):
-        points = unit_rows(np.random.default_rng(k).standard_normal((120, 8)))
+    @staticmethod
+    def assert_matches_reference(k, dtype):
+        points = unit_rows(np.random.default_rng(k).standard_normal((120, 8))).astype(dtype)
         rng, ref_rng = rng_stream(k), rng_stream(k)
         got = _plusplus_seeding(points, k, rng)
+        assert got.dtype == dtype
         assert got.tobytes() == reference_plusplus_seeding(points, k, ref_rng).tobytes()
         # both consumed the same draws from the stream
         assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+    @pytest.mark.parametrize("k", [1, 2, 17, 120])
+    def test_matches_reference_bitwise(self, k):
+        self.assert_matches_reference(k, np.float64)
+
+    @pytest.mark.parametrize("k", [1, 2, 17, 120])
+    def test_float32_matches_reference_bitwise(self, k):
+        self.assert_matches_reference(k, np.float32)
 
     @pytest.mark.parametrize("n_distinct, k", [(1, 4), (3, 5), (3, 30)])
     def test_duplicate_points_fallback_matches_reference(self, n_distinct, k):
