@@ -16,7 +16,15 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
+from . import __version__, dataset
 from .config import TrainConfig, load_config_file
+from .dataset import DatasetSplit, _write_replacing
+from .evaluator import full_rank_eval, sparsity_group_report
+from .graph import build_normalized_adjacency
+from .model import forward, load_checkpoint, save_checkpoint, write_matrix_binary, write_matrix_text
+from .trainer import train
 
 DATA_ROOT_ENV = "CONCF_DATA_ROOT"
 
@@ -39,15 +47,6 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _set_threads(n: int | None) -> None:
-    # no effect yet: concf/__init__ has already imported NumPy, which reads
-    # these variables when it loads
-    if n is None:
-        return
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
 
 
 def _parse_list(flag: str, raw: str, parse) -> tuple:
@@ -81,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratios", default="0.8,0.1,0.1", help="train,valid,test fractions")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True, help="output split directory")
-    p.add_argument("--threads", type=int, default=None)
 
     t = sub.add_parser("train", help="train on a prepared split")
     t.add_argument("--split-dir", required=True)
@@ -89,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out-dir", required=True)
     t.add_argument("--dry-run", action="store_true",
                    help="validate config and data shapes, then exit")
-    t.add_argument("--threads", type=int, default=None)
     # one flag per config field (n_layers -> --n-layers); the raw string goes
     # through TrainConfig.from_dict, the same parser as config-file values
     for f in fields(TrainConfig):
@@ -105,7 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--no-mask-validation", action="store_true",
                    help="keep validation items as test-time candidates")
     e.add_argument("--out", default=None, help="write report JSON here instead of stdout")
-    e.add_argument("--threads", type=int, default=None)
 
     x = sub.add_parser("export", help="write user/item representations")
     x.add_argument("--checkpoint", required=True)
@@ -114,15 +110,13 @@ def _build_parser() -> argparse.ArgumentParser:
     x.add_argument("--representation", choices=("readout", "base"), default="readout",
                    help="averaged propagation output or the raw embedding table")
     x.add_argument("--out", required=True, help="output path prefix")
-    x.add_argument("--threads", type=int, default=None)
     return parser
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
-    from . import dataset
-
     _check_at_least(args, min_count=0, seed=0)
     ratios = _parse_list("--ratios", args.ratios, float)
+    dataset.check_ratios(ratios, "--ratios")
     out = Path(args.out)
     if out.exists() and not out.is_dir():
         raise ValueError(f"--out: {args.out} is not a directory")
@@ -149,11 +143,6 @@ def _resolved_config(args: argparse.Namespace):
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    from .dataset import DatasetSplit, _write_replacing
-    from .trainer import train
-    from .model import save_checkpoint
-    from . import __version__
-
     try:
         config = _resolved_config(args)
     except ValueError as exc:
@@ -235,10 +224,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_compatible(args: argparse.Namespace):
-    from .dataset import DatasetSplit
-    from .graph import build_normalized_adjacency
-    from .model import forward, load_checkpoint
-
     ckpt = load_checkpoint(_resolve_path(args.checkpoint))
     split = DatasetSplit.load(_resolve_path(args.split_dir))
     if (ckpt.table.n_users, ckpt.table.n_items) != (split.n_users, split.n_items):
@@ -252,9 +237,6 @@ def _load_compatible(args: argparse.Namespace):
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from .dataset import _write_replacing
-    from .evaluator import full_rank_eval, sparsity_group_report
-
     _check_at_least(args, groups=1)
     ns = tuple(dict.fromkeys(_parse_list("--ns", args.ns, int)))  # each cutoff once
     if min(ns) < 1:
@@ -297,10 +279,6 @@ def _print_table(report, ns: tuple[int, ...]) -> None:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from .model import write_matrix_binary, write_matrix_text
-
     ckpt, split, fp = _load_compatible(args)
     if args.representation == "readout":
         user_m, item_m = fp.user_readout, fp.item_readout
@@ -326,7 +304,6 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    _set_threads(getattr(args, "threads", None))
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, FloatingPointError) as exc:

@@ -8,6 +8,7 @@ test.tsv; one ``user_id<TAB>item_id`` per line) plus a header.json with
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -412,6 +413,14 @@ def k_core_filter(raw: RawInteractions, min_count: int) -> RawInteractions:
     return RawInteractions(raw.user_keys[kept_users], raw.item_keys[kept_items], u, i)
 
 
+def check_ratios(ratios: tuple[float, ...], name: str = "ratios") -> None:
+    """Raise ValueError naming ``name`` unless ``ratios`` are three finite,
+    nonnegative values summing to 1."""
+    finite = all(math.isfinite(r) and r >= 0 for r in ratios)
+    if len(ratios) != 3 or not finite or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"{name}: must be three finite nonnegative values summing to 1, got {ratios}")
+
+
 def build_split(
     raw: RawInteractions,
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
@@ -425,8 +434,7 @@ def build_split(
     """
     if len(raw) == 0:
         raise ValueError("empty interaction set")
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must be three nonnegative values summing to 1, got {ratios}")
+    check_ratios(ratios)
     n_users, n_items = len(raw.user_keys), len(raw.item_keys)
     rng = rng_stream(seed)
     groups = group_by_user(raw.users, raw.items, n_users)

@@ -158,6 +158,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     with open(path, "rb") as fh:
         header = parse_header(path, fh.readline(), ("n_users", "n_items", "d", "L", "epoch"))
         payload = fh.read()
+    for key in ("d", "L"):
+        if header[key] < 1:
+            raise ValueError(f"{path}: field {key!r} must be >= 1, got {header[key]}")
     dtype = _payload_dtype(path, header.get("dtype"))
     n, d = header["n_users"] + header["n_items"], header["d"]
     _check_length(path, payload, n * d * dtype.itemsize)

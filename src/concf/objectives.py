@@ -53,6 +53,12 @@ class LossBreakdown:
         return asdict(self)
 
 
+def _check_ids(name: str, ids: np.ndarray, bound: int) -> None:
+    """Raise ValueError naming ``name`` unless every id of nonempty ``ids`` lies in [0, bound)."""
+    if ids.min() < 0 or ids.max() >= bound:
+        raise ValueError(f"{name}: ids must lie in [0, {bound})")
+
+
 def bpr_loss(
     fp: ForwardPass,
     triples: TripleBatch,
@@ -69,11 +75,9 @@ def bpr_loss(
     users = np.asarray(triples.users, dtype=np.int64)
     pos = np.asarray(triples.pos_items, dtype=np.int64)
     neg = np.asarray(triples.neg_items, dtype=np.int64)
-    for name, ids, bound in (
-        ("users", users, fp.n_users), ("pos_items", pos, fp.n_items), ("neg_items", neg, fp.n_items)
-    ):
-        if ids.min() < 0 or ids.max() >= bound:
-            raise ValueError(f"{name}: ids must lie in [0, {bound})")
+    _check_ids("users", users, fp.n_users)
+    _check_ids("pos_items", pos, fp.n_items)
+    _check_ids("neg_items", neg, fp.n_items)
     pos = pos + fp.n_users
     neg = neg + fp.n_users
     n = len(users)
@@ -151,11 +155,13 @@ def structure_contrastive_loss(
     if len(batch_users) == 0 or len(batch_items) == 0:
         raise ValueError("batch lists must be nonempty")
 
+    users = np.asarray(batch_users, dtype=np.int64)
+    items = np.asarray(batch_items, dtype=np.int64)
+    _check_ids("batch_users", users, fp.n_users)
+    _check_ids("batch_items", items, fp.n_items)
+
     total = 0.0
-    sides = (
-        (np.asarray(batch_users, dtype=np.int64), 1.0),
-        (np.asarray(batch_items, dtype=np.int64) + fp.n_users, alpha),
-    )
+    sides = ((users, 1.0), (items + fp.n_users, alpha))
     for rows, side_weight in sides:
         distinct, counts = np.unique(rows, return_counts=True)
         anchors, anchor_norms = l2_normalize_rows(fp.layers[k_layer][distinct])
@@ -227,6 +233,7 @@ def reg_loss(table: EmbeddingTable, touched: np.ndarray) -> float:
     ids = np.unique(np.asarray(touched, dtype=np.int64))
     if ids.size == 0:
         return 0.0
+    _check_ids("touched", ids, table.n_nodes)
     rows = table.matrix[ids]
     return float(0.5 * np.einsum("ij,ij->", rows, rows))
 

@@ -7,6 +7,7 @@ the README, not a CI test.
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -341,16 +342,20 @@ class TestCriterion9ThreadCountDeterminism:
             )
             assert res.returncode == 0, res.stderr
 
-            histories = {}
+            histories, checkpoints, reports = {}, {}, {}
             for threads in (1, 4):
+                # BLAS reads these when NumPy loads, so only the child's
+                # environment can set them
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                           OMP_NUM_THREADS=str(threads))
                 out_dir = tmp_path / f"run_t{threads}"
                 res = subprocess.run(
                     [sys.executable, "-m", "concf", "train",
                      "--split-dir", str(split_dir), "--out-dir", str(out_dir),
                      "--lambda1", "1e-6", "--lambda2", "1e-6", "--tau", "0.05",
                      "--k-users", "8", "--k-items", "8", "--seed", "0",
-                     "--max-epochs", "12", "--threads", str(threads)],
-                    capture_output=True, text=True,
+                     "--max-epochs", "12"],
+                    capture_output=True, text=True, env=env,
                 )
                 assert res.returncode == 0, res.stderr
                 records = [
@@ -359,5 +364,16 @@ class TestCriterion9ThreadCountDeterminism:
                 ]
                 for record in records:
                     record.pop("seconds")  # wall clock is the one legitimate difference
+                evaluated = subprocess.run(
+                    [sys.executable, "-m", "concf", "evaluate",
+                     "--checkpoint", str(out_dir / "model.ckpt"),
+                     "--split-dir", str(split_dir), "--groups", "5"],
+                    capture_output=True, text=True, env=env,
+                )
+                assert evaluated.returncode == 0, evaluated.stderr
                 histories[threads] = records
+                checkpoints[threads] = (out_dir / "model.ckpt").read_bytes()
+                reports[threads] = evaluated.stdout
             assert histories[1] == histories[4]
+            assert checkpoints[1] == checkpoints[4]
+            assert reports[1] == reports[4]

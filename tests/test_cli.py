@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -100,6 +102,18 @@ class TestPrepare:
         assert res.returncode == 1
         assert res.stderr == "error: --ratios: could not convert string to float: 'a'\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("ratios", ["nan,0.5,0.5", "inf,0,0", "0.5,0.5", "0.5,0.2,0.2"])
+    def test_bad_ratios_rejected_before_reading_input(self, tmp_path, capsys, ratios):
+        from concf import cli
+
+        # the input does not exist, so a later check would report it instead
+        rc = cli.main(["prepare", "--input", str(tmp_path / "missing.tsv"),
+                       "--out", str(tmp_path / "o"), "--ratios", ratios])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --ratios: must be three finite nonnegative values summing to 1, got "
+        )
 
     @pytest.mark.parametrize("flag, value", [("--min-count", "-3"), ("--seed", "-1")])
     def test_negative_flag_named(self, interactions_file, tmp_path, flag, value):
@@ -290,7 +304,7 @@ class TestTrain:
         for name in names:
             argv += ["--" + name.replace("_", "-"), "raw"]
         parsed = vars(_build_parser().parse_args(argv))
-        own = {"command", "split_dir", "config", "out_dir", "dry_run", "threads"}
+        own = {"command", "split_dir", "config", "out_dir", "dry_run"}
         assert sorted(set(parsed) - own) == sorted(names)
         assert all(parsed[name] == "raw" for name in names)
 
@@ -603,3 +617,45 @@ class TestExport:
         _, items = read_matrix_binary(f"{out}.items.bin")
         bound = xavier_bound(16)
         assert (np.abs(users) <= bound).all() and (np.abs(items) <= bound).all()
+
+
+@pytest.mark.parametrize("argv", [
+    ["prepare", "--input", "i", "--out", "o"],
+    ["train", "--split-dir", "s", "--out-dir", "o"],
+    ["evaluate", "--checkpoint", "c", "--split-dir", "s"],
+    ["export", "--checkpoint", "c", "--split-dir", "s", "--out", "o"],
+], ids=lambda argv: argv[0])
+def test_threads_flag_unknown(argv, capsys):
+    from concf.cli import _build_parser
+
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(argv + ["--threads", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every ``concf ...`` line in the README's fenced bash blocks,
+    with backslash continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```bash\n(.*?)^```", text, flags=re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("concf "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_shows_every_subcommand():
+    assert {argv[0] for argv in readme_commands()} == {"prepare", "train", "evaluate", "export"}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_parses(argv, capsys):
+    from concf.cli import _build_parser
+
+    try:
+        _build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"README command does not parse: concf {' '.join(argv)}\n"
+                    + capsys.readouterr().err)

@@ -424,6 +424,13 @@ class TestBuildSplit:
         with pytest.raises(ValueError, match="ratios"):
             build_split(raw, ratios=(0.5, 0.2, 0.2))
 
+    @pytest.mark.parametrize("ratios", [(math.nan, 0.5, 0.5), (math.inf, 0.0, 0.0), (0.5, 0.5)])
+    def test_malformed_ratios_named(self, ratios):
+        # with nan, a user with 2 interactions would keep no train row
+        raw = make_raw(4, 4, 10)
+        with pytest.raises(ValueError, match=r"^ratios: must be three finite nonnegative values"):
+            build_split(raw, ratios=ratios)
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
     def test_partition_property(self, seed):

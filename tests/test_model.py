@@ -215,6 +215,12 @@ class TestCheckpoint:
         ):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field", ["d", "L"])
+    def test_zero_width_or_depth_named(self, tmp_path, field):
+        path = checkpoint_with_header(tmp_path, **{field: 0})
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: field '{field}' must be >= 1"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("field", ["n_users", "n_items", "d", "L", "epoch"])
     def test_missing_header_field_named(self, tmp_path, field):
         path = checkpoint_with_header(tmp_path, **{field: MISSING})

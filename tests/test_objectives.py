@@ -153,6 +153,18 @@ class TestStructureContrastiveLoss:
         again = structure_contrastive_loss(fp, users, items, 2, 0.3, alpha=1.4)
         assert abs(again - (u_only + 1.4 * i_only)) < 1e-9
 
+    @pytest.mark.parametrize("users, items, message", [
+        ([0, 5], [0], r"batch_users: ids must lie in \[0, 5\)"),
+        ([-1], [0], r"batch_users: ids must lie in \[0, 5\)"),
+        ([0], [-1, 1], r"batch_items: ids must lie in \[0, 7\)"),
+        ([0], [7], r"batch_items: ids must lie in \[0, 7\)"),
+    ])
+    def test_out_of_range_ids_rejected(self, users, items, message):
+        # unchecked, user 5 would read item 0's rows and item -1 the last user's
+        fp = fp_with_layers(np.ones((12, 2)), np.ones((12, 2)), n_users=5)
+        with pytest.raises(ValueError, match=message):
+            structure_contrastive_loss(fp, users, items, k_layer=2, tau=1.0)
+
     def test_odd_layer_rejected(self):
         fp = fp_with_layers(np.ones((3, 2)), np.ones((3, 2)), n_users=2)
         with pytest.raises(ValueError, match="k_layer"):
@@ -254,6 +266,12 @@ class TestRegLoss:
     def test_duplicate_ids_counted_once(self):
         table = EmbeddingTable(1, 1, np.array([[3.0, 4.0], [0.0, 0.0]]))
         assert reg_loss(table, np.array([0, 0, 0])) == 12.5
+
+    @pytest.mark.parametrize("touched", [[-1], [0, 12]])
+    def test_out_of_range_ids_rejected(self, touched):
+        table = EmbeddingTable(5, 7, np.ones((12, 2)))
+        with pytest.raises(ValueError, match=r"touched: ids must lie in \[0, 12\)"):
+            reg_loss(table, np.array(touched))
 
 
 class TestNormalizationBackward:
