@@ -223,17 +223,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_compatible(args: argparse.Namespace):
+def _load_model(args: argparse.Namespace, split: DatasetSplit):
+    """The checkpoint ``args.checkpoint``, checked against ``split``'s shape,
+    and its forward pass on ``split``'s graph."""
     ckpt = load_checkpoint(_resolve_path(args.checkpoint))
-    split = DatasetSplit.load(_resolve_path(args.split_dir))
     if (ckpt.table.n_users, ckpt.table.n_items) != (split.n_users, split.n_items):
         raise ValueError(
             f"shape mismatch: checkpoint has {ckpt.table.n_users} users / "
             f"{ckpt.table.n_items} items, split has {split.n_users} / {split.n_items}"
         )
     adj = build_normalized_adjacency(split, dtype=ckpt.table.matrix.dtype)
-    fp = forward(adj, ckpt.table, ckpt.n_layers)
-    return ckpt, split, fp
+    return ckpt, forward(adj, ckpt.table, ckpt.n_layers)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -245,8 +245,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         out = Path(args.out)
         if out.is_dir():
             raise ValueError(f"--out: {args.out} is a directory")
-        out.parent.mkdir(parents=True, exist_ok=True)
-    ckpt, split, fp = _load_compatible(args)
+    split = DatasetSplit.load(_resolve_path(args.split_dir))
+    if args.groups and args.groups > split.n_users:
+        raise ValueError(f"--groups: must be <= {split.n_users}, the split's user count")
+    _, fp = _load_model(args, split)
     kwargs = dict(ns=ns, target=args.target, mask_validation=not args.no_mask_validation)
     if args.groups:
         report = sparsity_group_report(fp, split, n_groups=args.groups, **kwargs)
@@ -254,6 +256,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         report = full_rank_eval(fp, split, **kwargs)
     payload = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
+        out.parent.mkdir(parents=True, exist_ok=True)
         _write_replacing(out, payload)
         _print_table(report, ns)
     else:
@@ -279,7 +282,8 @@ def _print_table(report, ns: tuple[int, ...]) -> None:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    ckpt, split, fp = _load_compatible(args)
+    split = DatasetSplit.load(_resolve_path(args.split_dir))
+    ckpt, fp = _load_model(args, split)
     if args.representation == "readout":
         user_m, item_m = fp.user_readout, fp.item_readout
     else:

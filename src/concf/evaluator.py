@@ -60,27 +60,64 @@ def _select_cap(users: np.ndarray, cap: int | None) -> np.ndarray:
     return users[idx]
 
 
-def _top_n(scores: np.ndarray, n: int) -> np.ndarray:
-    """Column ids of each row's n highest scores, best first, ties to the lower id.
+def _nth_largest_bound(scores: np.ndarray, n: int) -> np.ndarray:
+    """Per row, a lower bound on its n-th largest number (``0 < n < width``),
+    or NaN.
 
-    Equals ``np.argsort(-scores, axis=1, kind="stable")[:, :n]`` but orders only
-    the n selected entries of a row, not all of them.
+    Each row's columns are folded pairwise by ``np.maximum`` until 4n to 8n
+    maxima of disjoint column groups remain, and their n-th largest is the
+    bound: n group maxima are n distinct entries. An odd width's last column
+    joins no group, which can only lower the bound. ``np.maximum`` carries a
+    NaN into its group's maximum; the bound of a row with a NaN maximum is NaN.
     """
-    neg = -scores
-    if not 0 < n < scores.shape[1]:
-        return np.argsort(neg, axis=1, kind="stable")[:, :n]
-    ids = np.argpartition(neg, n - 1, axis=1)[:, :n]
-    vals = np.take_along_axis(neg, ids, axis=1)
-    order = np.lexsort((ids, vals), axis=1)
-    ids = np.take_along_axis(ids, order, axis=1)
-    cut = vals.max(axis=1, keepdims=True)
-    # the partition keeps an arbitrary subset of the entries equal to the cut
-    # value (ties, masked -inf); rows that left some out, or whose cut is NaN,
-    # need the full sort
-    redo = (neg == cut).sum(axis=1) > (vals == cut).sum(axis=1)
-    redo |= np.isnan(cut[:, 0])
-    ids[redo] = np.argsort(neg[redo], axis=1, kind="stable")[:, :n]
+    groups, w = scores, scores.shape[1]
+    while w >= 8 * n:
+        w //= 2
+        groups = np.maximum(groups[:, :w], groups[:, w:2 * w],
+                            out=None if groups is scores else groups[:, :w])
+    bound = np.partition(groups, w - n, axis=1)[:, w - n]
+    bound[np.isnan(groups).any(axis=1)] = np.nan
+    return bound
+
+
+def _top_n(scores: np.ndarray, n: int) -> np.ndarray:
+    """Column ids of each row's n highest scores, best first: exactly
+    ``np.argsort(-scores, axis=1, kind="stable")[:, :n]``, so a tie goes to the
+    lower id and NaN ranks after every number, -inf included.
+
+    A row's candidates are its entries at or above ``_nth_largest_bound``:
+    at least n numbers, which hold its top n, as NaN ranks last. A stable sort
+    of their negated scores, padded per row, orders them. A row whose bound is
+    NaN gets the stable sort of the whole row.
+    """
+    n_rows, width = scores.shape
+    if not 0 < n < width:
+        return np.argsort(-scores, axis=1, kind="stable")[:, :n]
+    bound = _nth_largest_bound(scores, n)
+    flat = np.flatnonzero(scores >= bound[:, None])  # none where the bound is NaN
+    rows, cols = np.divmod(flat, width)
+    counts = np.bincount(rows, minlength=n_rows)
+    slot = np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts, counts)
+    # candidates left-aligned per row, NaN-padded so padding sorts last
+    size = (n_rows, max(int(counts.max(initial=0)), n))
+    neg = np.full(size, np.nan, dtype=scores.dtype)
+    neg[rows, slot] = -scores.ravel()[flat]
+    ids = np.zeros(size, dtype=np.int64)
+    ids[rows, slot] = cols
+    ids = np.take_along_axis(ids, np.argsort(neg, axis=1, kind="stable")[:, :n], axis=1)
+    redo = np.isnan(bound)
+    if redo.any():
+        ids[redo] = np.argsort(-scores[redo], axis=1, kind="stable")[:, :n]
     return ids
+
+
+def _chunk_entries(matrix, rows: np.ndarray) -> np.ndarray:
+    """Flat indices into a ``(len(rows), matrix.shape[1])`` array of the CSR
+    ``matrix``'s entries in ``rows``."""
+    starts, counts = matrix.indptr[rows], np.diff(matrix.indptr)[rows]
+    offsets = np.cumsum(counts) - counts
+    pos = np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
+    return np.repeat(np.arange(len(rows)) * matrix.shape[1], counts) + matrix.indices[pos]
 
 
 def _user_metrics(
@@ -103,10 +140,16 @@ def _user_metrics(
         raise ValueError(f"{target} split is empty")
     mask_validation = bool(target == "test" and mask_validation)
     relevant = pair_matrix(target_pairs, split.n_users, split.n_items)
-    masked = split.train_matrix
+    masked = [split.train_matrix]
     if mask_validation:
-        masked = masked + pair_matrix(split.valid, split.n_users, split.n_items)
+        masked.append(pair_matrix(split.valid, split.n_users, split.n_items))
     n_rel = np.diff(relevant.indptr)
+    # the target pairs as ascending keys user * n_items + item, then one key
+    # past them all, where the search for a larger key ends
+    target_keys = np.append(
+        np.repeat(np.arange(split.n_users), n_rel) * split.n_items + relevant.indices,
+        split.n_users * split.n_items,
+    )
     users = _select_cap(np.flatnonzero(n_rel), user_cap)
     n_rel = n_rel[users]
 
@@ -118,9 +161,11 @@ def _user_metrics(
     for start in range(0, len(users), _CHUNK):
         rows = users[start:start + _CHUNK]
         scores = fp.readout[rows] @ fp.item_readout.T
-        scores[masked[rows].nonzero()] = -np.inf
-        order = _top_n(scores, max_n)
-        hits[start:start + _CHUNK] = np.take_along_axis(relevant[rows].toarray(), order, axis=1)
+        for matrix in masked:
+            np.put(scores, _chunk_entries(matrix, rows), -np.inf)
+        keys = _top_n(scores, max_n)
+        keys += (rows * split.n_items)[:, None]
+        hits[start:start + _CHUNK] = target_keys[np.searchsorted(target_keys, keys)] == keys
     values = {}
     for n in ns:
         top = hits[:, :n]
@@ -151,11 +196,12 @@ def full_rank_eval(
 ) -> EvalReport:
     """Rank all non-masked items per user and average Recall@N / NDCG@N.
 
-    Train items are always masked from candidacy; when ``target`` is "test"
-    and ``mask_validation`` is set, validation items are masked too. Ties are
-    broken by ascending item id. Ranking selects each user's top ``max(ns)``
-    items and orders only those, with the same result as a stable sort of
-    all items. Users with no target interactions are excluded from the means.
+    Train items are always masked from candidacy (they score -inf); when
+    ``target`` is "test" and ``mask_validation`` is set, validation items are
+    masked too. Ties are broken by ascending item id, and NaN ranks last.
+    Ranking selects each user's top ``max(ns)`` items by a score threshold
+    (``_top_n``) and orders only those, with the same result as a stable sort
+    of all items. Users with no target interactions are excluded from the means.
     """
     users, values, metadata = _user_metrics(fp, split, target, ns, mask_validation, user_cap)
     return _report(values, np.ones(len(users), dtype=bool), metadata)

@@ -478,6 +478,29 @@ class TestEvaluate:
         assert_error_names(res, tmp_path)
         assert res.stderr == f"error: --out: {tmp_path} is a directory\n"
 
+    def test_failed_evaluate_creates_no_out_directory(self, split_dir, tmp_path):
+        res = run_cli(
+            "evaluate", "--checkpoint", str(tmp_path / "missing.ckpt"),
+            "--split-dir", str(split_dir), "--out", str(tmp_path / "new" / "deeper" / "r.json"),
+        )
+        assert_error_names(res, tmp_path / "missing.ckpt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_groups_above_user_count_fails_before_checkpoint(self, split_dir, tmp_path):
+        # the checkpoint does not exist: only the split has been read
+        n_users = json.loads((split_dir / "header.json").read_text())["n_users"]
+        res = run_cli(
+            "evaluate", "--checkpoint", str(tmp_path / "missing.ckpt"),
+            "--split-dir", str(split_dir), "--groups", str(n_users + 1),
+        )
+        assert res.returncode == 1
+        assert res.stderr == f"error: --groups: must be <= {n_users}, the split's user count\n"
+        res = run_cli(
+            "evaluate", "--checkpoint", str(tmp_path / "missing.ckpt"),
+            "--split-dir", str(split_dir), "--groups", str(n_users),
+        )
+        assert_error_names(res, tmp_path / "missing.ckpt")
+
     def test_unparsable_cutoff_names_the_flag(self, run_dir, split_dir):
         res = run_cli(
             "evaluate", "--checkpoint", str(run_dir / "model.ckpt"),

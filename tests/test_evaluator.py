@@ -1,5 +1,7 @@
 """Metric primitives against brute-force references; full-ranking protocol."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,23 @@ def tied_forward():
     return split, forward_from_readout(readout, split.n_users, split.n_items)
 
 
+@pytest.fixture(scope="module")
+def tied_forward_three_chunks():
+    """``tied_forward``'s kind of readout over 1200 users (three evaluation
+    chunks), with one user's readout row NaN, so that its scores are NaN
+    besides its masked -inf entries."""
+    split = random_split(1200, 80, 30000, seed=21)
+    table = init_embeddings(split.n_users, split.n_items, 8, seed=22)
+    fp = forward(build_normalized_adjacency(split), table, 2)
+    readout = np.round(fp.readout, 1)
+    readout[: split.n_users] = np.abs(readout[: split.n_users]) + 0.05
+    readout[700] = np.nan
+    items = readout[split.n_users:]
+    items[5:15] = items[4]
+    items[[20, 33, 47]] = -np.inf
+    return split, forward_from_readout(readout, split.n_users, split.n_items)
+
+
 class TestFullRankEval:
     def test_unique_max_scores_perfect(self, small_split, small_adj):
         table = init_embeddings(small_split.n_users, small_split.n_items, 8, seed=0)
@@ -246,6 +265,27 @@ class TestFullRankEval:
         assert report.n_evaluated_users == n_eval
         assert report.metrics == metrics
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(target="valid", ns=(10,)),
+        dict(target="test", ns=(1, 10, 20, 50)),
+        dict(target="test", ns=(5, 20), mask_validation=False),
+    ])
+    def test_three_chunks_equal_per_user_loop_exactly(self, tied_forward_three_chunks, kwargs):
+        split, fp = tied_forward_three_chunks
+        metrics, n_eval = reference_full_rank_eval(fp, split, **kwargs)
+        assert n_eval > 2 * 512
+        report = full_rank_eval(fp, split, **kwargs)
+        assert report.n_evaluated_users == n_eval
+        assert report.metrics == metrics
+        if kwargs["target"] == "test":
+            groups = sparsity_group_report(fp, split, n_groups=3, **kwargs)
+            assert groups.metrics == metrics
+            members = partition_users_by_mass(split.train_degrees(), 3)
+            for group, users in zip(groups.groups, members):
+                metrics, n_eval = reference_full_rank_eval(fp, split, subset=users, **kwargs)
+                assert group.n_evaluated_users == n_eval
+                assert group.metrics == metrics
+
     def test_repeated_cutoff_counted_once(self, tied_forward):
         split, fp = tied_forward
         once = full_rank_eval(fp, split, target="test", ns=(10, 20))
@@ -324,14 +364,70 @@ class TestFullRankEval:
             full_rank_eval(fp, empty, target="test")
 
 
+class TestEvalMemory:
+    # tracemalloc peak of full_rank_eval over one chunk's score bytes, on 512
+    # users x 3000 items in float32: 1.53 with the threshold top-N and the
+    # flat-index masking, 4.03 with argpartition on a negated copy, sparse row
+    # indexing and a dense relevance chunk
+    PEAK_PER_CHUNK_BYTE = 2.5
+
+    def test_peak_within_bound(self):
+        from concf import DatasetSplit
+
+        n_users, n_items, d = 512, 3000, 64
+        rng = np.random.default_rng(0)
+        valid = np.stack([np.arange(n_users), rng.integers(0, n_items, n_users)], axis=1)
+        keys = np.setdiff1d(rng.integers(0, n_users * n_items, 40 * n_users),
+                            valid[:, 0] * n_items + valid[:, 1])
+        train = np.stack(np.divmod(keys, n_items), axis=1)
+        split = DatasetSplit(n_users=n_users, n_items=n_items, train=train, valid=valid,
+                             test=valid[:0])
+        readout = rng.standard_normal((n_users + n_items, d)).astype(np.float32)
+        fp = forward_from_readout(readout, n_users, n_items)
+        tracemalloc.start()
+        try:
+            report = full_rank_eval(fp, split, target="valid", ns=(10,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_evaluated_users == n_users
+        assert peak < self.PEAK_PER_CHUNK_BYTE * n_users * n_items * readout.itemsize
+
+
 @st.composite
 def scores_and_n(draw):
-    """Small integer-valued scores (many ties) with -inf masks, and an n from
-    1 to three past the row length."""
-    n_rows, n_items = draw(st.integers(1, 6)), draw(st.integers(1, 25))
-    values = st.sampled_from([-np.inf, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
-    scores = draw(hnp.arrays(np.float64, (n_rows, n_items), elements=values))
+    """float32 or float64 scores from a few values (many ties, NaN, +-inf,
+    -0.0 and 0.0) and arbitrary floats, with up to 400 columns so that the
+    rows fold, and an n from 1 to three past the row length."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n_rows, n_items = draw(st.integers(1, 6)), draw(st.integers(1, 400))
+    values = st.sampled_from([np.nan, -np.inf, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf])
+    values |= st.floats(-4.0, 4.0, width=32)
+    scores = draw(hnp.arrays(dtype, (n_rows, n_items), elements=values))
     return scores, draw(st.integers(1, n_items + 3))
+
+
+def special_rows(n_items, n, dtype, rng):
+    """Rows the threshold selection must not trip on, beside ordinary ones."""
+    fewer_finite = np.full(n_items, -np.inf)
+    fewer_finite[rng.choice(n_items, n // 2, replace=False)] = rng.standard_normal(n // 2)
+    tied_cut = np.zeros(n_items)
+    tied_cut[rng.choice(n_items, n // 2, replace=False)] = 1.0  # 0.0 ties across the cut
+    signed_zeros = np.where(rng.random(n_items) < 0.5, -0.0, 0.0)
+    signed_zeros[rng.random(n_items) < 0.2] = -np.inf
+    one_nan = rng.standard_normal(n_items)
+    one_nan[n_items // 3] = np.nan
+    rows = [
+        np.full(n_items, np.nan),
+        np.full(n_items, -np.inf),
+        fewer_finite,
+        tied_cut,
+        signed_zeros,
+        one_nan,
+        rng.standard_normal(n_items),
+        rng.integers(0, 3, n_items).astype(float),
+    ]
+    return np.stack(rows).astype(dtype)
 
 
 class TestTopN:
@@ -339,6 +435,13 @@ class TestTopN:
     @given(scores_and_n())
     def test_equals_stable_argsort_slice(self, case):
         scores, n = case
+        expected = np.argsort(-scores, axis=1, kind="stable")[:, :n]
+        np.testing.assert_array_equal(_top_n(scores, n), expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_items, n", [(400, 1), (400, 10), (397, 20), (301, 37), (64, 50)])
+    def test_special_rows(self, dtype, n_items, n):
+        scores = special_rows(n_items, n, dtype, np.random.default_rng(n))
         expected = np.argsort(-scores, axis=1, kind="stable")[:, :n]
         np.testing.assert_array_equal(_top_n(scores, n), expected)
 
