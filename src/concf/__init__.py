@@ -1,5 +1,14 @@
 """Contrastive graph collaborative filtering: training and evaluation engine."""
 
+import os
+
+# BLAS reads its thread count once, when NumPy first loads, and a float64
+# product's bytes depend on it; one thread makes every run independent of the
+# machine's cores. A caller that loaded NumPy before concf keeps its setting.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+del _var
+
 from .config import TrainConfig
 from .dataset import (
     DatasetSplit,

@@ -16,11 +16,25 @@ terms as per-batch means and the contrastive terms in summed form, so the
 contrastive weights stay calibrated against a fixed batch size.
 
 Each term is one public function: it returns the loss, and when given a
-cotangent accumulator it also adds its weighted gradient into it.
+cotangent accumulator it also adds its weighted gradient into it. The
+prototype term instead hands back one weighted increment per side, so that
+the step can compute it on another thread and add it in the serial order.
+
+On a large enough graph and with two usable CPUs, ``total_loss_and_gradient``
+runs two jobs on one worker thread while the calling thread does the rest of
+the step: the prototype term beside the forward propagation, and the first
+backward product beside the structure term. Each job is the same
+computation on the same full-size operands as the serial step, and every
+sum into a cotangent happens on the calling thread in the serial order, so
+the step's losses and gradient do not depend on whether the worker ran.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -57,6 +71,14 @@ def _check_ids(name: str, ids: np.ndarray, bound: int) -> None:
     """Raise ValueError naming ``name`` unless every id of nonempty ``ids`` lies in [0, bound)."""
     if ids.min() < 0 or ids.max() >= bound:
         raise ValueError(f"{name}: ids must lie in [0, {bound})")
+
+
+def _distinct(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_counts=True)`` for nonnegative int64 ids, by one
+    ``bincount``, where NumPy's unique hashes or sorts."""
+    counts = np.bincount(ids)
+    distinct = np.flatnonzero(counts)
+    return distinct, counts[distinct]
 
 
 def bpr_loss(
@@ -107,15 +129,21 @@ def bpr_loss(
 
 
 def _infonce(
-    anchors: np.ndarray, candidates: np.ndarray, targets: np.ndarray, tau: float
+    anchors: np.ndarray,
+    candidates: np.ndarray,
+    targets: np.ndarray,
+    tau: float,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """InfoNCE of each anchor row against every candidate, its positive being
     ``candidates[targets[i]]``.
 
     Returns the per-row losses and their gradient w.r.t. the logits
-    ``anchors @ candidates.T / tau`` (softmax minus one-hot).
+    ``anchors @ candidates.T / tau`` (softmax minus one-hot). The gradient is
+    computed in ``out`` when given, a C-contiguous (anchors, candidates)
+    array of the product's dtype, and in a new array otherwise.
     """
-    logits = anchors @ candidates.T
+    logits = np.matmul(anchors, candidates.T, out=out)
     logits /= tau
     rows = np.arange(len(anchors))
     positive = logits[rows, targets]
@@ -163,7 +191,7 @@ def structure_contrastive_loss(
     total = 0.0
     sides = ((users, 1.0), (items + fp.n_users, alpha))
     for rows, side_weight in sides:
-        distinct, counts = np.unique(rows, return_counts=True)
+        distinct, counts = _distinct(rows)
         anchors, anchor_norms = l2_normalize_rows(fp.layers[k_layer][distinct])
         bases, base_norms = l2_normalize_rows(fp.layers[0][distinct])
         counts = counts.astype(anchors.dtype)
@@ -186,16 +214,21 @@ def prototype_contrastive_loss(
     protos: PrototypeState,
     tau: float,
     alpha: float = 1.0,
-    cot0: np.ndarray | None = None,
+    increments: list[tuple[slice, np.ndarray]] | None = None,
     weight: float = 1.0,
+    logits: np.ndarray | None = None,
 ) -> float:
     """Prototype-contrastive loss summed over the full population.
 
     Every node's normalized base embedding is contrasted with its assigned
     centroid against all centroids of the clustering; terms are averaged
     across granularities and the item side is weighted by ``alpha``.
-    Centroids are constants: no gradient flows into them. With ``cot0``,
-    ``weight`` times the loss's gradient w.r.t. the table is added into it.
+    Centroids are constants: no gradient flows into them. With
+    ``increments``, ``weight`` times the loss's gradient w.r.t. each side's
+    rows of the table is appended to it as ``(rows, gradient)``, users
+    first. ``logits``, a flat buffer of the logits' dtype with room for
+    every side's nodes times every clustering's centroids, holds the logits
+    in place of a new array per clustering.
     """
     if tau <= 0:
         raise ValueError("tau: must be > 0")
@@ -209,33 +242,128 @@ def prototype_contrastive_loss(
             raise ValueError("prototype state is missing a side")
         points, norms = l2_normalize_rows(table.matrix[block])
         n = len(points)
-        grad_points = np.zeros_like(points) if cot0 is not None else None
+        grad_points = np.zeros_like(points) if increments is not None else None
         side_term = 0.0
         for cl in clusterings:
             if len(cl.assignments) != n:
                 raise ValueError(
                     f"clustering has {len(cl.assignments)} assignments for {n} nodes"
                 )
-            losses, dlogits = _infonce(points, cl.centroids, cl.assignments, tau)
+            out = None
+            if logits is not None:
+                out = logits[: n * len(cl.centroids)].reshape(n, len(cl.centroids))
+            losses, dlogits = _infonce(points, cl.centroids, cl.assignments, tau, out)
             side_term += float(losses.sum())
             if grad_points is not None:
                 grad_points += dlogits @ cl.centroids / tau
         side_term /= len(clusterings)
         total += side_weight * side_term
-        if cot0 is not None:
+        if increments is not None:
             scale = weight * side_weight / len(clusterings)
-            cot0[block] += scale * l2_normalize_backward(grad_points, points, norms)
+            increments.append((block, scale * l2_normalize_backward(grad_points, points, norms)))
     return total
 
 
 def reg_loss(table: EmbeddingTable, touched: np.ndarray) -> float:
     """Half the squared L2 norm of the touched rows."""
-    ids = np.unique(np.asarray(touched, dtype=np.int64))
+    ids = np.asarray(touched, dtype=np.int64)
     if ids.size == 0:
         return 0.0
     _check_ids("touched", ids, table.n_nodes)
-    rows = table.matrix[ids]
+    rows = table.matrix[_distinct(ids)[0]]
     return float(0.5 * np.einsum("ij,ij->", rows, rows))
+
+
+# A step hands two jobs to its worker only when propagation is at least this
+# many multiply-adds (adj.nnz * d). On scaled ML-1M-shaped graphs the worker
+# first paid off between 3.1M (no gain) and 8.3M (1.2x) on two free cores,
+# and cost 1-9% at every size when the second core was busy; the planted
+# criterion-7 job is 0.63M and ML-1M 82M.
+OVERLAP_MIN_WORK = 1 << 24
+
+# one single-thread pool per process: a forked child cannot use its parent's
+_WORKERS: dict[int, ThreadPoolExecutor] = {}
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _step_worker(adj: NormalizedAdjacency, d: int) -> ThreadPoolExecutor | None:
+    """The worker a step on ``adj`` with width ``d`` hands its jobs to, or None to run them inline."""
+    if adj.nnz * d < OVERLAP_MIN_WORK or _usable_cpus() < 2:
+        return None
+    pid = os.getpid()
+    worker = _WORKERS.get(pid)
+    if worker is None:
+        # a pool starts its thread at the first submit, so losing this race starts none
+        worker = _WORKERS.setdefault(
+            pid, ThreadPoolExecutor(max_workers=1, thread_name_prefix="concf-step")
+        )
+    return worker
+
+
+class _Deferred:
+    """A job that runs on the calling thread when its result is asked for."""
+
+    def __init__(self, fn, *args) -> None:
+        self._call = functools.partial(fn, *args)
+
+    def result(self):
+        return self._call()
+
+    def cancel(self) -> bool:
+        return True
+
+
+def _this_cpu() -> int | None:
+    """The CPU the calling thread is running on, where Linux's procfs says."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as fh:
+            # field 39, counted after the parenthesized command name
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _kept_to(cpus: set[int], fn, *args):
+    """``fn(*args)`` on a thread allowed only ``cpus``, when that set is not empty."""
+    if cpus:
+        with contextlib.suppress(OSError):  # the process's CPUs changed meanwhile
+            os.sched_setaffinity(0, cpus)
+    return fn(*args)
+
+
+def _start(worker: ThreadPoolExecutor | None, fn, *args):
+    """``fn(*args)`` as a future on ``worker``, or deferred to its ``result()`` without one.
+
+    The worker is kept off the calling thread's CPU: Linux would at times
+    wake it there and leave both threads sharing one CPU for a whole job
+    while another stood idle.
+    """
+    if worker is None:
+        return _Deferred(fn, *args)
+    cpus = os.sched_getaffinity(0) - {_this_cpu()} if hasattr(os, "sched_setaffinity") else set()
+    return worker.submit(_kept_to, cpus, fn, *args)
+
+
+def _logits_buffer(
+    table: EmbeddingTable, protos: PrototypeState, worker: ThreadPoolExecutor | None
+) -> np.ndarray | None:
+    """The prototype term's logits buffer for a job on ``worker``, or None inline.
+
+    It is allocated on the calling thread: glibc gives the worker its own
+    malloc arena, and logits allocated there raised the ML-1M peak RSS by 12%.
+    """
+    if worker is None:
+        return None
+    centroids = [cl.centroids for cl in (*protos.users, *protos.items)]
+    k = max((len(c) for c in centroids), default=0)
+    dtype = np.result_type(table.matrix, *centroids)
+    return np.empty(max(table.n_users, table.n_items) * k, dtype=dtype)
 
 
 def total_loss_and_gradient(
@@ -249,52 +377,73 @@ def total_loss_and_gradient(
 
     The ranking and regularization terms are divided by the batch size;
     contrastive terms keep their summed form. Inactive terms (zero weight)
-    are skipped entirely and reported as 0.
+    are skipped entirely and reported as 0. When ``adj.nnz * d`` reaches
+    ``OVERLAP_MIN_WORK`` and two CPUs are usable, the prototype term and the
+    first backward product run on the worker thread, with the same bytes.
     """
     if len(triples) == 0:
         raise ValueError("empty triple batch")
     if config.lambda2 > 0 and protos is None:
         raise ValueError("lambda2 > 0 requires a prototype state")
-    fp = forward(adj, table, config.n_layers)
     n_batch = len(triples)
     n_layers = config.n_layers
+    worker = _step_worker(adj, table.matrix.shape[1])
+    proto_job = first_product = None
+    try:
+        increments: list[tuple[slice, np.ndarray]] = []
+        if config.lambda2 > 0:
+            proto_job = _start(
+                worker, prototype_contrastive_loss, table, protos, config.tau, config.alpha,
+                increments, config.lambda2, _logits_buffer(table, protos, worker),
+            )
+        fp = forward(adj, table, n_layers)
 
-    grad_readout = np.zeros_like(table.matrix)
-    bpr = bpr_loss(fp, triples, grad_readout, weight=1.0 / n_batch) / n_batch
-    # readout is the uniform layer average, so its cotangent spreads evenly;
-    # only layers 0 and k_layer receive more terms, the others share this one
-    grad_readout /= n_layers + 1
-    cot_layers = [grad_readout] * (n_layers + 1)
-    cot_layers[0] = grad_readout.copy()
-    cot_layers[config.k_layer] = grad_readout.copy()
-
-    structure = 0.0
-    if config.lambda1 > 0:
-        structure = structure_contrastive_loss(
-            fp, triples.users, triples.pos_items, config.k_layer, config.tau, config.alpha,
-            cot_layers, weight=config.lambda1,
+        grad_readout = np.zeros_like(table.matrix)
+        bpr = bpr_loss(fp, triples, grad_readout, weight=1.0 / n_batch) / n_batch
+        # readout is the uniform layer average, so its cotangent spreads evenly;
+        # only layers 0 and k_layer receive more terms, the others share this one
+        grad_readout /= n_layers + 1
+        cot_layers = [grad_readout] * (n_layers + 1)
+        cot_layers[0] = grad_readout.copy()
+        cot_layers[config.k_layer] = grad_readout.copy()
+        # the top layer's cotangent is final now unless the structure term adds to it
+        first_product = _start(
+            worker if config.k_layer != n_layers else None,
+            propagate, adj, cot_layers[n_layers],
         )
 
-    prototype = 0.0
-    if config.lambda2 > 0:
-        prototype = prototype_contrastive_loss(
-            table, protos, config.tau, config.alpha, cot_layers[0], weight=config.lambda2
-        )
+        structure = 0.0
+        if config.lambda1 > 0:
+            structure = structure_contrastive_loss(
+                fp, triples.users, triples.pos_items, config.k_layer, config.tau, config.alpha,
+                cot_layers, weight=config.lambda1,
+            )
 
-    reg = 0.0
-    if config.lambda3 > 0:
-        touched = np.unique(np.concatenate([
-            np.asarray(triples.users, dtype=np.int64),
-            np.asarray(triples.pos_items, dtype=np.int64) + table.n_users,
-            np.asarray(triples.neg_items, dtype=np.int64) + table.n_users,
-        ]))
-        reg = reg_loss(table, touched) / n_batch
-        cot_layers[0][touched] += (config.lambda3 / n_batch) * table.matrix[touched]
+        prototype = 0.0
+        if proto_job is not None:
+            prototype = proto_job.result()
+            for block, increment in increments:
+                cot_layers[0][block] += increment
 
-    grad = cot_layers[n_layers]
-    for l in range(n_layers - 1, -1, -1):
-        grad = propagate(adj, grad)
-        grad += cot_layers[l]
+        reg = 0.0
+        if config.lambda3 > 0:
+            touched = _distinct(np.concatenate([
+                np.asarray(triples.users, dtype=np.int64),
+                np.asarray(triples.pos_items, dtype=np.int64) + table.n_users,
+                np.asarray(triples.neg_items, dtype=np.int64) + table.n_users,
+            ]))[0]
+            reg = reg_loss(table, touched) / n_batch
+            cot_layers[0][touched] += (config.lambda3 / n_batch) * table.matrix[touched]
+
+        grad = first_product.result()
+        grad += cot_layers[n_layers - 1]
+        for l in range(n_layers - 2, -1, -1):
+            grad = propagate(adj, grad)
+            grad += cot_layers[l]
+    finally:
+        # a failed step leaves nothing queued or running: drop what has not
+        # started, newest first, and wait for what has
+        wait([job for job in (first_product, proto_job) if job is not None and not job.cancel()])
 
     total = bpr + config.lambda1 * structure + config.lambda2 * prototype + config.lambda3 * reg
     return LossBreakdown(bpr, structure, prototype, reg, total), grad

@@ -51,6 +51,28 @@ def fail_mid_write(monkeypatch, name: str) -> None:
     monkeypatch.setattr(dataset, "open", half_then_fail, raising=False)
 
 
+def open_worker_gate(monkeypatch) -> None:
+    """Let every training step hand its jobs to a worker thread, whatever the
+    graph's size and the number of usable CPUs; the test starts a new one."""
+    from concf import objectives
+
+    monkeypatch.setattr(objectives, "OVERLAP_MIN_WORK", 0)
+    monkeypatch.setattr(objectives, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(objectives, "_WORKERS", {})
+
+
+@pytest.fixture
+def open_gate(monkeypatch):
+    open_worker_gate(monkeypatch)
+
+
+def worker_started() -> bool:
+    """Whether a step of this process has started its worker since the gate opened."""
+    from concf import objectives
+
+    return os.getpid() in objectives._WORKERS
+
+
 @pytest.fixture(scope="session")
 def small_split():
     """30 users x 40 items, ~900 interactions; every user in every split."""

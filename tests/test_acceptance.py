@@ -326,54 +326,91 @@ class TestCriterion8SparsityGroupConsistency:
             assert sum(r.n_evaluated_users for r in reports) == full.n_evaluated_users
 
 
-class TestCriterion9ThreadCountDeterminism:
-    def test_history_identical_across_blas_thread_counts(self, community_split, tmp_path):
-        with criterion(9, "identical training history across thread counts"):
-            data = tmp_path / "interactions.tsv"
-            raw = planted_communities(seed=0)
-            with open(data, "w") as fh:
-                for u, i in key_pairs(raw):
-                    fh.write(f"{u}\t{i}\n")
-            split_dir = tmp_path / "split"
-            res = subprocess.run(
-                [sys.executable, "-m", "concf", "prepare", "--input", str(data),
-                 "--out", str(split_dir), "--seed", "0"],
-                capture_output=True, text=True,
-            )
-            assert res.returncode == 0, res.stderr
+# a child that runs the concf CLI with every training step's jobs on the worker thread
+WORKER_CHILD = """
+import os, sys
+from concf import cli, objectives
+objectives.OVERLAP_MIN_WORK = 0
+objectives._usable_cpus = lambda: 2
+code = cli.main(sys.argv[1:])
+sys.exit(code or (0 if os.getpid() in objectives._WORKERS else 'the worker never started'))
+"""
 
-            histories, checkpoints, reports = {}, {}, {}
-            for threads in (1, 4):
-                # BLAS reads these when NumPy loads, so only the child's
-                # environment can set them
-                env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-                           OMP_NUM_THREADS=str(threads))
-                out_dir = tmp_path / f"run_t{threads}"
-                res = subprocess.run(
-                    [sys.executable, "-m", "concf", "train",
-                     "--split-dir", str(split_dir), "--out-dir", str(out_dir),
-                     "--lambda1", "1e-6", "--lambda2", "1e-6", "--tau", "0.05",
-                     "--k-users", "8", "--k-items", "8", "--seed", "0",
-                     "--max-epochs", "12"],
-                    capture_output=True, text=True, env=env,
-                )
-                assert res.returncode == 0, res.stderr
-                records = [
-                    json.loads(line)
-                    for line in (out_dir / "history.jsonl").read_text().splitlines()
-                ]
-                for record in records:
-                    record.pop("seconds")  # wall clock is the one legitimate difference
-                evaluated = subprocess.run(
-                    [sys.executable, "-m", "concf", "evaluate",
-                     "--checkpoint", str(out_dir / "model.ckpt"),
-                     "--split-dir", str(split_dir), "--groups", "5"],
-                    capture_output=True, text=True, env=env,
-                )
-                assert evaluated.returncode == 0, evaluated.stderr
-                histories[threads] = records
-                checkpoints[threads] = (out_dir / "model.ckpt").read_bytes()
-                reports[threads] = evaluated.stdout
-            assert histories[1] == histories[4]
-            assert checkpoints[1] == checkpoints[4]
-            assert reports[1] == reports[4]
+
+@pytest.fixture(scope="module")
+def planted_split_dir(tmp_path_factory):
+    """The criterion-7 data, prepared by ``concf prepare --seed 0``."""
+    root = tmp_path_factory.mktemp("criterion9")
+    data = root / "interactions.tsv"
+    raw = planted_communities(seed=0)
+    with open(data, "w") as fh:
+        for u, i in key_pairs(raw):
+            fh.write(f"{u}\t{i}\n")
+    split_dir = root / "split"
+    res = subprocess.run(
+        [sys.executable, "-m", "concf", "prepare", "--input", str(data),
+         "--out", str(split_dir), "--seed", "0"],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    return split_dir
+
+
+def train_and_evaluate(split_dir, out_dir, threads: int, *extra: str, worker: bool = False):
+    """History without ``seconds``, checkpoint bytes and ``evaluate --groups 5``
+    output of the criterion-7 job trained for 12 epochs in a child process."""
+    # BLAS reads these when NumPy loads, and concf sets them to 1 before that:
+    # the runs check that the child's environment cannot change what it produces
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    launch = [sys.executable, "-c", WORKER_CHILD] if worker else [sys.executable, "-m", "concf"]
+    res = subprocess.run(
+        [*launch, "train", "--split-dir", str(split_dir), "--out-dir", str(out_dir),
+         "--lambda1", "1e-6", "--lambda2", "1e-6", "--tau", "0.05",
+         "--k-users", "8", "--k-items", "8", "--seed", "0", "--max-epochs", "12", *extra],
+        capture_output=True, text=True, env=env,
+    )
+    assert res.returncode == 0, res.stderr
+    records = [json.loads(line) for line in (out_dir / "history.jsonl").read_text().splitlines()]
+    for record in records:
+        record.pop("seconds")  # wall clock is the one legitimate difference
+    evaluated = subprocess.run(
+        [sys.executable, "-m", "concf", "evaluate", "--checkpoint", str(out_dir / "model.ckpt"),
+         "--split-dir", str(split_dir), "--groups", "5"],
+        capture_output=True, text=True, env=env,
+    )
+    assert evaluated.returncode == 0, evaluated.stderr
+    return records, (out_dir / "model.ckpt").read_bytes(), evaluated.stdout
+
+
+class TestCriterion9ThreadCountDeterminism:
+    def test_history_identical_across_blas_thread_counts(self, planted_split_dir, tmp_path):
+        with criterion(9, "identical training history across thread counts"):
+            runs = [train_and_evaluate(planted_split_dir, tmp_path / f"run_t{threads}", threads)
+                    for threads in (1, 4)]
+            assert runs[0] == runs[1]
+
+    def test_history_identical_across_blas_thread_counts_float64(self, planted_split_dir, tmp_path):
+        with criterion(9, "identical float64 training history across thread counts"):
+            runs = [train_and_evaluate(planted_split_dir, tmp_path / f"run_t{threads}", threads,
+                                       "--dtype", "float64")
+                    for threads in (1, 4)]
+            assert runs[0] == runs[1]
+
+    def test_worker_step_matches_serial_runs(self, planted_split_dir, tmp_path):
+        with criterion(9, "identical training history with the step's worker thread"):
+            serial = [train_and_evaluate(planted_split_dir, tmp_path / f"run_t{threads}", threads)
+                      for threads in (1, 4)]
+            on_worker = train_and_evaluate(planted_split_dir, tmp_path / "run_worker", 4,
+                                           worker=True)
+            assert on_worker == serial[0] == serial[1]
+
+    def test_import_pins_blas_to_one_thread(self):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="4", OMP_NUM_THREADS="4",
+                   MKL_NUM_THREADS="4")
+        res = subprocess.run(
+            [sys.executable, "-c", "import os, concf; print(os.environ['OPENBLAS_NUM_THREADS'],"
+             " os.environ['OMP_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])"],
+            capture_output=True, text=True, env=env,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["1", "1", "1"]

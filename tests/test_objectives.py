@@ -1,5 +1,10 @@
 """Loss values against hand-derived constants and gradients against finite differences."""
 
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -28,11 +33,12 @@ from concf.numerics import (
     l2_normalize_rows,
     scatter_add_rows,
 )
-from concf.objectives import _infonce
+from concf import objectives
+from concf.objectives import _distinct, _infonce
 from concf.prototypes import Clustering, PrototypeState
 from concf.trainer import AdamState, adam_step
 
-from conftest import random_split
+from conftest import open_worker_gate, random_split, worker_started
 
 LN2 = 0.6931471805599453
 NEG_LOG_SIGMOID_1 = 0.3132616875182228  # -ln(sigmoid(1)) == ln(1 + 1/e)
@@ -250,6 +256,17 @@ class TestPrototypeContrastiveLoss:
             )
 
 
+class TestDistinct:
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.int64, st.integers(0, 200), elements=st.integers(0, 500)))
+    def test_equals_unique_with_counts(self, ids):
+        distinct, counts = _distinct(ids)
+        expected, expected_counts = np.unique(ids, return_counts=True)
+        assert distinct.dtype == expected.dtype and counts.dtype == expected_counts.dtype
+        assert distinct.tobytes() == expected.tobytes()
+        assert counts.tobytes() == expected_counts.tobytes()
+
+
 class TestRegLoss:
     def test_zero_table(self):
         table = EmbeddingTable(2, 2, np.zeros((4, 3)))
@@ -327,6 +344,23 @@ class TestRowLogsumexpSoftmax:
             expected[rows, targets] -= 1.0
             assert losses.tobytes() == (expected_lse - logits[rows, targets]).tobytes()
             assert dlogits.tobytes() == expected.tobytes()
+
+
+class TestInfonceOut:
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 13), (300, 1000), (6040, 31), (64, 5)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_prefix_of_a_flat_buffer_gives_the_same_bytes(self, shape, dtype):
+        rng = np.random.default_rng(shape[0])
+        targets = rng.integers(shape[1], size=shape[0])
+        a = rng.standard_normal((shape[0], 64)).astype(dtype)
+        b = rng.standard_normal((shape[1], 64)).astype(dtype)
+        buffer = np.full(shape[0] * shape[1] + 17, np.nan, dtype=dtype)
+        out = buffer[: shape[0] * shape[1]].reshape(shape)
+        losses, dlogits = _infonce(a, b, targets, 0.2, out)
+        expected_losses, expected = _infonce(a, b, targets, 0.2)
+        assert np.shares_memory(dlogits, buffer)
+        assert losses.tobytes() == expected_losses.tobytes()
+        assert dlogits.tobytes() == expected.tobytes()
 
 
 class TestScatterAddRows:
@@ -621,3 +655,153 @@ class TestStepMatchesReference:
         ref_b, ref_grad = reference_step.loss_and_gradient(adj, table, triples, protos, cfg)
         assert b == ref_b
         assert grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("n_layers, k_layer, lambda1", [(3, 2, 0.3), (2, 2, 0.3), (3, 2, 0.0)])
+    def test_three_adam_steps_on_worker(self, open_gate, dtype, n_layers, k_layer, lambda1):
+        self.test_three_adam_steps(dtype, n_layers, k_layer, lambda1)
+        assert worker_started()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_random_batch_on_worker(self, open_gate, dtype):
+        self.test_random_batch(dtype)
+        assert worker_started()
+
+
+def worker_case(dtype: str = "float64"):
+    """A small step with every term active: adjacency, table, triples, prototypes, config."""
+    split = random_split(40, 60, 600, seed=3)
+    adj = build_normalized_adjacency(split, dtype=np.dtype(dtype))
+    cfg = TrainConfig(
+        d=16, n_layers=3, k_layer=2, tau=0.2, lambda1=0.3, lambda2=0.2, lambda3=0.1,
+        k_users=(4,), k_items=(5,), dtype=dtype,
+    )
+    rng = np.random.default_rng(4)
+    table = EmbeddingTable(40, 60, (0.3 * rng.standard_normal((100, 16))).astype(dtype))
+    triples = triple(rng.integers(0, 40, 300), rng.integers(0, 60, 300), rng.integers(0, 60, 300))
+    return adj, table, triples, e_step(table, cfg.k_users, cfg.k_items, seed=5), cfg
+
+
+class TestStepWorker:
+    """The step's worker thread: when it starts, and how a failure leaves it."""
+
+    def test_closed_gate_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(objectives, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(objectives, "_WORKERS", {})
+        adj, table, triples, protos, cfg = worker_case()
+        assert adj.nnz * cfg.d < objectives.OVERLAP_MIN_WORK
+        before = threading.active_count()
+        total_loss_and_gradient(adj, table, triples, protos, cfg)
+        assert not worker_started()
+        assert threading.active_count() == before
+
+    def test_one_usable_cpu_starts_no_thread(self, open_gate, monkeypatch):
+        monkeypatch.setattr(objectives, "_usable_cpus", lambda: 1)
+        total_loss_and_gradient(*worker_case())
+        assert not worker_started()
+
+    def test_failing_job_raises_the_serial_error(self, monkeypatch):
+        adj, table, triples, protos, cfg = worker_case()
+        users = protos.users[0]
+        short = Clustering(centroids=users.centroids, assignments=users.assignments[:-1],
+                           k=users.k, inertia=users.inertia)
+        bad = PrototypeState(users=(short,), items=protos.items)
+        errors = []
+        for gate in ("closed", "open"):
+            if gate == "open":
+                open_worker_gate(monkeypatch)
+            with pytest.raises(ValueError) as info:
+                total_loss_and_gradient(adj, table, triples, bad, cfg)
+            errors.append((type(info.value), str(info.value)))
+        assert worker_started()
+        assert errors[0] == errors[1] == (ValueError, "clustering has 39 assignments for 40 nodes")
+
+    def test_failed_step_leaves_no_job(self, open_gate, monkeypatch):
+        adj, table, triples, protos, cfg = worker_case()
+        real_prototype, real_propagate = (
+            objectives.prototype_contrastive_loss, objectives.propagate)
+        events = []
+
+        def slow_prototype(*args):
+            time.sleep(0.2)
+            loss = real_prototype(*args)
+            events.append("prototype finished")
+            return loss
+
+        def noted_propagate(adj, z):
+            events.append(f"propagate on {threading.current_thread().name}")
+            return real_propagate(adj, z)
+
+        def failing_structure(*args, **kwargs):
+            raise ValueError("structure term failed")
+
+        monkeypatch.setattr(objectives, "prototype_contrastive_loss", slow_prototype)
+        monkeypatch.setattr(objectives, "propagate", noted_propagate)
+        monkeypatch.setattr(objectives, "structure_contrastive_loss", failing_structure)
+        with pytest.raises(ValueError, match="structure term failed"):
+            total_loss_and_gradient(adj, table, triples, protos, cfg)
+        # the prototype job ran to its end before the error left the step, and
+        # the queued first backward product never started
+        assert events == ["prototype finished"]
+        assert objectives._WORKERS[os.getpid()].submit(lambda: "idle").result(timeout=5) == "idle"
+        assert events == ["prototype finished"]
+
+    def test_concurrent_steps_share_the_worker(self, open_gate):
+        adj, table, triples, protos, cfg = worker_case()
+        expected_loss, expected_grad = reference_step.loss_and_gradient(
+            adj, table, triples, protos, cfg)
+        results = []
+
+        def steps():
+            for _ in range(3):
+                b, grad = total_loss_and_gradient(adj, table, triples, protos, cfg)
+                results.append(b == expected_loss and grad.tobytes() == expected_grad.tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=steps) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [True] * 12
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs per-thread CPU affinity and two usable CPUs")
+    def test_worker_is_kept_off_the_callers_cpu(self, open_gate, monkeypatch):
+        allowed = os.sched_getaffinity(0)
+        assert objectives._this_cpu() in allowed
+        adj, table, triples, protos, cfg = worker_case()
+        worker = objectives._step_worker(adj, cfg.d)
+        for cpu in sorted(allowed)[:2]:
+            monkeypatch.setattr(objectives, "_this_cpu", lambda: cpu)
+            job = objectives._start(worker, os.sched_getaffinity, 0)
+            assert job.result(timeout=30) == allowed - {cpu}
+        assert os.sched_getaffinity(0) == allowed
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_forked_child_starts_its_own_worker(self, open_gate):
+        adj, table, triples, protos, cfg = worker_case()
+        _, expected = total_loss_and_gradient(adj, table, triples, protos, cfg)
+        assert worker_started()
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+
+        def child():
+            send.send(total_loss_and_gradient(adj, table, triples, protos, cfg)[1].tobytes())
+
+        process = ctx.Process(target=child)
+        process.start()
+        try:
+            assert receive.poll(30), "the forked child's step did not finish"
+            assert receive.recv() == expected.tobytes()
+        finally:
+            process.join(timeout=30)
+            if process.is_alive():
+                process.kill()
+        assert process.exitcode == 0

@@ -11,12 +11,13 @@ from concf import (
     TrainConfig,
     adam_step,
     build_normalized_adjacency,
+    build_split,
     forward,
     full_rank_eval,
     train,
 )
 
-from conftest import random_split
+from conftest import open_worker_gate, planted_communities, random_split, worker_started
 
 
 def scalar_table(value=1.0):
@@ -257,6 +258,26 @@ class TestTrain:
 
 
 FLOAT_FIELDS = [f.name for f in fields(TrainConfig) if f.type == "float"]
+
+
+class TestStepWorker:
+    def test_open_gate_trains_the_same_bytes(self, monkeypatch):
+        # the criterion-7 job, cut to 3 epochs
+        split = build_split(planted_communities(seed=0), seed=0)
+        cfg = TrainConfig(tau=0.05, lambda1=1e-6, lambda2=1e-6, k_users=(8,), k_items=(8,),
+                          max_epochs=3, seed=0)
+        runs = {}
+        for gate in ("closed", "open"):
+            if gate == "open":
+                open_worker_gate(monkeypatch)
+            result = train(cfg, split)
+            history = [record.as_dict() for record in result.history]
+            for record in history:
+                record.pop("seconds")
+            runs[gate] = history, result.table.matrix.tobytes()
+        assert worker_started()
+        assert len(runs["open"][0]) == 3
+        assert runs["open"] == runs["closed"]
 
 
 class TestConfigValidate:
