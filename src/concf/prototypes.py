@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,26 +37,109 @@ class PrototypeState:
     items: tuple[Clustering, ...]
 
 
-def _pairwise_sqdist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, clipped at zero against rounding."""
-    return _sqdist(np.einsum("ij,ij->i", points, points), 2.0 * points, centers)
+# Row tiles of an n x k distance matrix. A tile's product must run on the
+# BLAS kernel the untiled product runs on: OpenBLAS sends a 1-row product to
+# gemv, and OpenBLAS 0.3.31 still sent a product of 69,632 multiply-adds to
+# its small-matrix kernel; either changes last bits. So a tile has at least
+# 2 rows and MIN_TILE_WORK multiply-adds, and the rows that do not fill a
+# tile are shared out among the full ones. Above that floor a tile holds
+# about TILE_ENTRIES distances, so that its two buffers stay in a 2 MB L2
+# cache.
+MIN_TILE_WORK = 2**21
+TILE_ENTRIES = 2**17
 
 
-def _sqdist(sq_norms: np.ndarray, twice_points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """``_pairwise_sqdist`` from the points' squared norms and ``2.0 * points``."""
-    d2 = np.add(sq_norms[:, None], np.einsum("ij,ij->i", centers, centers)[None, :])
-    d2 -= twice_points @ centers.T
-    return np.maximum(d2, 0.0, out=d2)
+def _tile_rows(k: int, d: int) -> int:
+    """Rows of a full tile of an n x d by d x k product, by the rule above."""
+    return max(2, -(-MIN_TILE_WORK // max(k * d, 1)), -(-TILE_ENTRIES // k))
 
 
-def _plusplus_seeding(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+class _Distances:
+    """Squared Euclidean distances from fixed points to k centers, clipped at
+    zero against rounding.
+
+    The points' squared norms and ``2.0 * points`` are computed once. Each
+    row tile is ``(|x|^2 + |c|^2) - (2x) @ c.T``, formed in two reused tile
+    x k buffers, so no n x k array is ever allocated.
+    """
+
+    def __init__(self, points: np.ndarray, k: int) -> None:
+        n, d = points.shape
+        self.points = points
+        self.sq_norms = np.einsum("ij,ij->i", points, points)
+        self.twice_points = 2.0 * points
+        count = max(n // _tile_rows(k, d), 1)
+        bounds = [i * n // count for i in range(count + 1)]
+        self.tiles = list(zip(bounds[:-1], bounds[1:]))
+        longest = -(-n // count)
+        self.sums = np.empty((longest, k), dtype=self.sq_norms.dtype)
+        self.products = np.empty_like(self.sums)
+        self.rows = np.arange(longest)
+
+    def _unclipped(self, centers: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Yield each tile's ``(start, stop, d2)`` before the clip at zero."""
+        center_sq = np.einsum("ij,ij->i", centers, centers)
+        for start, stop in self.tiles:
+            m = stop - start
+            d2 = np.add(self.sq_norms[start:stop, None], center_sq, out=self.sums[:m])
+            d2 -= np.matmul(self.twice_points[start:stop], centers.T, out=self.products[:m])
+            yield start, stop, d2
+
+    def nearest(self, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each point's nearest center (the first on a tie) and its distance."""
+        n = len(self.sq_norms)
+        assignments = np.empty(n, dtype=np.intp)
+        dist = np.empty(n, dtype=self.sq_norms.dtype)
+        for start, stop, d2 in self._unclipped(centers):
+            rows = self.rows[: stop - start]
+            nearest = np.argmin(d2, axis=1, out=assignments[start:stop])
+            dist[start:stop] = d2[rows, nearest]
+            # the clip at zero can change only a row whose minimum is <= 0
+            if (dist[start:stop] <= 0.0).any():
+                np.maximum(d2, 0.0, out=d2)
+                np.argmin(d2, axis=1, out=nearest)
+                dist[start:stop] = d2[rows, nearest]
+        return assignments, dist
+
+    def assigned(self, centers: np.ndarray, assignments: np.ndarray) -> np.ndarray:
+        """Each point's distance to the center it is assigned to."""
+        dist = np.empty(len(self.sq_norms), dtype=self.sq_norms.dtype)
+        for start, stop, d2 in self._unclipped(centers):
+            dist[start:stop] = d2[self.rows[: stop - start], assignments[start:stop]]
+        return np.maximum(dist, 0.0, out=dist)
+
+
+def _weighted_draw(weights: np.ndarray, total: np.floating, rng: np.random.Generator) -> int:
+    """``rng.choice(len(weights), p=weights / total)`` without its checks.
+
+    ``choice`` casts p to float64, takes its cumulative sum, divides it by
+    the last entry, draws one ``rng.random()`` and returns the first index
+    whose entry exceeds the draw; this is that computation, so the index and
+    the stream's next value are the same. It skips ``choice``'s validation
+    of p, so the caller keeps ``weights`` finite, non-negative and not all zero.
+    """
+    cdf = np.cumsum(weights / total, dtype=np.float64)
+    draw = rng.random()
+    cdf /= cdf[-1]
+    return int(np.searchsorted(cdf, draw, side="right"))
+
+
+def _plusplus_seeding(distances: _Distances, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ start: spread initial centers proportionally to squared distance."""
+    points = distances.points
     n = len(points)
-    # the point-side parts of every distance update, computed once
-    sq_norms = np.einsum("ij,ij->i", points, points)
-    twice_points = 2.0 * points
+    # each point's distance to its nearest chosen center, and the buffers
+    # each update writes into
+    d2, new, product = (np.empty_like(distances.sq_norms) for _ in range(3))
+
+    def distances_to(i: int, out: np.ndarray) -> np.ndarray:
+        center = points[i][None, :]
+        np.add(distances.sq_norms, np.einsum("ij,ij->i", center, center), out=out)
+        out -= np.matmul(distances.twice_points, points[i], out=product)
+        return np.maximum(out, 0.0, out=out)
+
     chosen = [int(rng.integers(n))]
-    d2 = _sqdist(sq_norms, twice_points, points[chosen[-1]][None, :])[:, 0]
+    distances_to(chosen[-1], d2)
     for _ in range(k - 1):
         total = d2.sum()
         if total <= 0.0:
@@ -63,15 +147,24 @@ def _plusplus_seeding(points: np.ndarray, k: int, rng: np.random.Generator) -> n
             # uniform choice among indices not picked yet
             candidates = np.setdiff1d(np.arange(n), np.array(chosen))
             pick = int(candidates[rng.integers(len(candidates))])
+        elif not np.isfinite(total):
+            raise ValueError("points: squared distances overflow")
         else:
-            pick = int(rng.choice(n, p=d2 / total))
+            pick = _weighted_draw(d2, total, rng)
         chosen.append(pick)
-        d2 = np.minimum(d2, _sqdist(sq_norms, twice_points, points[pick][None, :])[:, 0])
+        np.minimum(d2, distances_to(pick, new), out=d2)
     return points[np.array(chosen)].copy()
 
 
+def _check_finite(points: np.ndarray, name: str) -> None:
+    """Raise ValueError naming the first row of ``points`` with a NaN or inf."""
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{name}: row {int(np.argmin(finite))} is not finite")
+
+
 def _repair_empty_clusters(
-    points: np.ndarray,
+    distances: _Distances,
     centroids: np.ndarray,
     assignments: np.ndarray,
     counts: np.ndarray,
@@ -79,9 +172,10 @@ def _repair_empty_clusters(
     """Give each empty cluster the point currently farthest from its centroid.
 
     Only points whose cluster keeps >= 2 members may be stolen, so the repair
-    never empties another cluster. Mutates all arrays in place.
+    never empties another cluster. Mutates all arrays but the points in place.
     """
-    dist = _pairwise_sqdist(points, centroids)[np.arange(len(points)), assignments]
+    points = distances.points
+    dist = distances.assigned(centroids, assignments)
     # counts only fall and a stolen point sits alone in its cluster, so a point
     # passed over once never becomes donatable: one walk serves every empty cluster
     candidates = iter(np.argsort(-dist, kind="stable"))
@@ -127,17 +221,17 @@ def run_kmeans(
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    rng = rng_stream(seed)
-    centroids = _plusplus_seeding(points, k, rng)
+    _check_finite(points, "points")
+    distances = _Distances(points, k)
+    centroids = _plusplus_seeding(distances, k, rng_stream(seed))
     history: list[float] = []
     n_iters = 0
     for n_iters in range(1, max_iters + 1):
-        d2 = _pairwise_sqdist(points, centroids)
-        assignments = np.argmin(d2, axis=1)
-        history.append(float(d2[np.arange(n), assignments].sum()))
+        assignments, dist = distances.nearest(centroids)
+        history.append(float(dist.sum()))
         new_centroids, counts = _update_centroids(points, assignments, k)
         if np.any(counts == 0):
-            _repair_empty_clusters(points, new_centroids, assignments, counts)
+            _repair_empty_clusters(distances, new_centroids, assignments, counts)
         shift = float(np.abs(new_centroids - centroids).max())
         centroids = new_centroids
         if shift < tol:
@@ -149,17 +243,16 @@ def run_kmeans(
     if np.any(norms < 1e-12):
         counts = np.bincount(assignments, minlength=k)
         counts[norms < 1e-12] = 0
-        _repair_empty_clusters(points, centroids, assignments, counts)
+        _repair_empty_clusters(distances, centroids, assignments, counts)
         norms = np.linalg.norm(centroids, axis=1)
     centroids = centroids / norms[:, None]
 
-    d2 = _pairwise_sqdist(points, centroids)
-    assignments = np.argmin(d2, axis=1)
+    assignments, dist = distances.nearest(centroids)
     counts = np.bincount(assignments, minlength=k)
     if np.any(counts == 0):
-        _repair_empty_clusters(points, centroids, assignments, counts)
-        d2 = _pairwise_sqdist(points, centroids)
-    inertia = float(d2[np.arange(n), assignments].sum())
+        _repair_empty_clusters(distances, centroids, assignments, counts)
+        dist = distances.assigned(centroids, assignments)
+    inertia = float(dist.sum())
     return Clustering(
         centroids=centroids,
         assignments=assignments.astype(np.int64),
@@ -186,8 +279,12 @@ def e_step(
     (e.g. readout rows instead of the base table); defaults are the raw
     embedding blocks.
     """
-    xu, _ = l2_normalize_rows(user_points if user_points is not None else table.user_block)
-    xi, _ = l2_normalize_rows(item_points if item_points is not None else table.item_block)
+    user_points = table.user_block if user_points is None else user_points
+    item_points = table.item_block if item_points is None else item_points
+    _check_finite(user_points, "users")
+    _check_finite(item_points, "items")
+    xu, _ = l2_normalize_rows(user_points)
+    xi, _ = l2_normalize_rows(item_points)
 
     def _side(points: np.ndarray, ks: tuple[int, ...], tag: int) -> tuple[Clustering, ...]:
         return tuple(

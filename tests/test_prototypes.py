@@ -1,6 +1,7 @@
 """Lloyd's k-means with k-means++ seeding, and the per-side clustering step."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,10 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from concf import EmbeddingTable, e_step, run_kmeans
+import reference_kmeans
+from concf import EmbeddingTable, e_step, prototypes, run_kmeans
+from concf.model import init_embeddings
 from concf.numerics import l2_normalize_rows
-from concf.prototypes import _pairwise_sqdist, _plusplus_seeding, _repair_empty_clusters
-from concf.seeding import rng_stream
+from concf.prototypes import (
+    _Distances,
+    _plusplus_seeding,
+    _repair_empty_clusters,
+    _tile_rows,
+    _weighted_draw,
+)
+from concf.seeding import derive_seed, rng_stream
+from concf.trainer import STREAM_INIT, STREAM_KMEANS
+from reference_kmeans import _pairwise_sqdist
 
 
 def unit_rows(x):
@@ -198,7 +209,8 @@ class TestPairwiseSqdist:
             - 2.0 * points @ centers.T,
             0.0,
         )
-        got = _pairwise_sqdist(points, centers)
+        tiles = [d2.copy() for _, _, d2 in _Distances(points, len(centers))._unclipped(centers)]
+        got = np.maximum(np.concatenate(tiles), 0.0)
         assert got.dtype == dtype
         assert got.tobytes() == expected.tobytes()
 
@@ -208,7 +220,7 @@ class TestPlusPlusSeeding:
     def assert_matches_reference(k, dtype):
         points = unit_rows(np.random.default_rng(k).standard_normal((120, 8))).astype(dtype)
         rng, ref_rng = rng_stream(k), rng_stream(k)
-        got = _plusplus_seeding(points, k, rng)
+        got = _plusplus_seeding(_Distances(points, k), k, rng)
         assert got.dtype == dtype
         assert got.tobytes() == reference_plusplus_seeding(points, k, ref_rng).tobytes()
         # both consumed the same draws from the stream
@@ -227,7 +239,7 @@ class TestPlusPlusSeeding:
         base = unit_rows(np.random.default_rng(n_distinct).standard_normal((n_distinct, 4)))
         points = np.repeat(base, 10, axis=0)
         rng, ref_rng = rng_stream(7), rng_stream(7)
-        got = _plusplus_seeding(points, k, rng)
+        got = _plusplus_seeding(_Distances(points, k), k, rng)
         assert got.tobytes() == reference_plusplus_seeding(points, k, ref_rng).tobytes()
         assert rng.integers(2**62) == ref_rng.integers(2**62)
 
@@ -320,6 +332,10 @@ def repair_cases(draw):
     return points, centroids, assignments
 
 
+def repair_from_points(points, centroids, assignments, counts):
+    _repair_empty_clusters(_Distances(points, len(centroids)), centroids, assignments, counts)
+
+
 def _run_repair(repair, points, centroids, assignments, counts):
     centroids, assignments, counts = centroids.copy(), assignments.copy(), counts.copy()
     try:
@@ -340,7 +356,7 @@ class TestRepairEmptyClusters:
         for zeroed in (False, True):
             if zeroed:
                 counts[np.random.default_rng(zero_seed).random(k) < 0.3] = 0
-            got = _run_repair(_repair_empty_clusters, points, centroids, assignments, counts)
+            got = _run_repair(repair_from_points, points, centroids, assignments, counts)
             want = _run_repair(
                 reference_repair_empty_clusters, points, centroids, assignments, counts
             )
@@ -357,6 +373,208 @@ class TestRepairEmptyClusters:
         points, centroids, assignments = case
         k = len(centroids)
         counts = np.bincount(assignments, minlength=k)
-        _repair_empty_clusters(points, centroids, assignments, counts)
+        repair_from_points(points, centroids, assignments, counts)
         assert (counts > 0).all()
         np.testing.assert_array_equal(counts, np.bincount(assignments, minlength=k))
+
+
+class TestNonFinitePoints:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_run_kmeans_names_the_row(self, bad):
+        points = unit_rows(np.random.default_rng(0).standard_normal((10, 3)))
+        points[7, 1] = bad
+        with pytest.raises(ValueError, match="^points: row 7 is not finite$"):
+            run_kmeans(points, k=3, seed=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflowing_distances_rejected(self):
+        # finite points whose squared distances overflow float32
+        points = np.full((6, 3), 3e19, dtype=np.float32)
+        points[::2] *= -1.0
+        with pytest.raises(ValueError, match="squared distances overflow"):
+            run_kmeans(points, k=2, seed=0)
+
+    @pytest.mark.parametrize("side, row", [("users", 4), ("items", 15)])
+    def test_e_step_names_the_side(self, side, row):
+        table = EmbeddingTable(12, 15, np.random.default_rng(1).standard_normal((27, 6)))
+        table.matrix[row, 2] = np.nan
+        side_row = row if side == "users" else row - 12
+        with pytest.raises(ValueError, match=f"^{side}: row {side_row} is not finite$"):
+            e_step(table, (2,), (2,), seed=0)
+
+
+@st.composite
+def draw_weights(draw):
+    """Non-negative weights with a positive sum: zeros, subnormals, a single
+    nonzero entry and single-entry vectors among them."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    info = np.finfo(dtype)
+    n = draw(st.integers(1, 300))
+    positive = st.one_of(
+        st.floats(float(info.smallest_subnormal), float(info.smallest_normal), width=info.bits),
+        st.floats(float(info.smallest_normal), 4.0, width=info.bits),
+        st.just(1.0),
+    )
+    weights = draw(hnp.arrays(dtype, n, elements=st.one_of(st.just(0.0), positive)))
+    if weights.sum() <= 0.0:
+        weights[draw(st.integers(0, n - 1))] = draw(positive)
+    return weights
+
+
+class TestWeightedDraw:
+    @settings(max_examples=400, deadline=None)
+    @given(draw_weights(), st.integers(0, 2**32 - 1))
+    def test_equals_generator_choice(self, weights, seed):
+        total = weights.sum()
+        rng, ref_rng = rng_stream(seed), rng_stream(seed)
+        got = _weighted_draw(weights, total, rng)
+        assert got == int(ref_rng.choice(len(weights), p=weights / total))
+        # both used the same draws from the stream
+        assert rng.random() == ref_rng.random()
+
+    def test_single_nonzero_entry_is_drawn(self):
+        weights = np.zeros(9, dtype=np.float32)
+        weights[6] = np.finfo(np.float32).smallest_subnormal
+        for seed in range(20):
+            assert _weighted_draw(weights, weights.sum(), rng_stream(seed)) == 6
+
+
+def assert_same_clustering(got, want):
+    for field in ("centroids", "assignments"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes(), field
+    assert got.k == want.k
+    assert np.float64(got.inertia).tobytes() == np.float64(want.inertia).tobytes()
+    assert got.n_iters == want.n_iters
+    assert np.array(got.inertia_history).tobytes() == np.array(want.inertia_history).tobytes()
+
+
+def assert_same_state(got, want):
+    assert len(got.users) == len(want.users) and len(got.items) == len(want.items)
+    for a, b in zip(got.users + got.items, want.users + want.items):
+        assert_same_clustering(a, b)
+
+
+def assert_kmeans_matches_reference(points, k, seed, **kwargs):
+    try:
+        want = reference_kmeans.run_kmeans(points, k, seed, **kwargs)
+    except RuntimeError as exc:
+        with pytest.raises(RuntimeError, match=re.escape(str(exc))):
+            run_kmeans(points, k, seed, **kwargs)
+        return
+    assert_same_clustering(run_kmeans(points, k, seed, **kwargs), want)
+
+
+@st.composite
+def kmeans_cases(draw, max_n=1500):
+    """Unit-norm points, 1 to 3 tiles of them plus part of a tile where
+    ``max_n`` points make that many tiles, and a cluster count from 1 to n."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    # tiles are at least 2^17 / k rows, so only a large k gives several
+    k = draw(st.one_of(st.integers(1, 600), st.integers(300, 600)))
+    d = draw(st.one_of(st.integers(1, 32), st.integers(16, 32)))
+    rows = _tile_rows(k, d)
+    tiles = draw(st.integers(1, 3)) if 3 * rows <= max_n else 1
+    low = max(k, (tiles > 1) * tiles * rows)
+    n = draw(st.integers(low, max(low, min((tiles + 1) * rows - 1, max_n))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    points = unit_rows(np.random.default_rng(seed).standard_normal((n, d))).astype(dtype)
+    return points, k, seed
+
+
+class TestMatchesFrozenReference:
+    """Every Clustering field equals the frozen untiled E-step's, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kmeans_cases())
+    def test_random_points(self, case):
+        points, k, seed = case
+        assert_kmeans_matches_reference(points, k, seed)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_distinct, k", [(1, 1), (1, 4), (3, 5), (3, 30), (40, 60)])
+    def test_duplicate_points(self, dtype, n_distinct, k):
+        # fewer distinct points than clusters: the seeding's uniform fallback
+        # and the empty-cluster repair both run
+        base = unit_rows(np.random.default_rng(n_distinct).standard_normal((n_distinct, 4)))
+        assert_kmeans_matches_reference(np.repeat(base, 10, axis=0).astype(dtype), k, seed=7)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_antipodal_cluster_repair(self, dtype, monkeypatch):
+        # a blob and its mirror image, far from a third: every seeding puts
+        # the two into one cluster, whose mean is zero (exactly: the values
+        # are dyadic), so the final repair replaces it by a far point
+        blob = np.array([[1.0, 0.5], [1.0, -0.5], [1.0, 0.25]])
+        points = np.vstack([blob, -blob, [[0.0, 10.0]] * 4]).astype(dtype)
+        calls = []
+        repair = prototypes._repair_empty_clusters
+        monkeypatch.setattr(
+            prototypes, "_repair_empty_clusters", lambda *a: calls.append(1) or repair(*a)
+        )
+        for seed in range(8):
+            assert_kmeans_matches_reference(points, 2, seed)
+        assert calls
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_forced_empty_clusters(self, dtype, k):
+        points = unit_rows(np.array([[1.0, 0.0]] * 6 + [[-1.0, 0.001]] * 6)).astype(dtype)
+        for seed in range(5):
+            assert_kmeans_matches_reference(points, k, seed)
+
+    @pytest.mark.parametrize("k, d", [(1, 16), (8, 64), (64, 64), (1000, 64)])
+    def test_tile_boundaries(self, k, d):
+        # one row short of a whole number of tiles, exactly on it, one row
+        # into the next tile (which joins the last), and twice as many plus one
+        rows = _tile_rows(k, d)
+        tiles = -(-k // rows)
+        rng = np.random.default_rng(k)
+        for n in (tiles * rows - 1, tiles * rows, tiles * rows + 1, 2 * tiles * rows + 1):
+            if n < k:
+                continue
+            points = unit_rows(rng.standard_normal((n, d))).astype(np.float32)
+            assert_kmeans_matches_reference(points, k, seed=n, max_iters=8)
+
+    def test_e_step_on_ml1m_shaped_init_table(self):
+        # the first E-step of a default run on the ML-1M shape (6040 users x
+        # 3629 items, d=64, K=1000 per side, float32), as the benchmark runs it
+        table = init_embeddings(6040, 3629, 64, derive_seed(42, STREAM_INIT), dtype=np.float32)
+        seed = derive_seed(42, STREAM_KMEANS, 1)
+        got = e_step(table, (1000,), (1000,), seed)
+        assert_same_state(got, reference_kmeans.e_step(table, (1000,), (1000,), seed))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_e_step_granularities_and_points(self, dtype):
+        rng = np.random.default_rng(3)
+        table = EmbeddingTable(40, 50, rng.standard_normal((90, 5)).astype(dtype))
+        readout = rng.standard_normal((40, 5)).astype(dtype)
+        for kwargs in ({}, {"user_points": readout}):
+            got = e_step(table, (2, 7), (1, 50), 11, **kwargs)
+            assert_same_state(got, reference_kmeans.e_step(table, (2, 7), (1, 50), 11, **kwargs))
+
+
+class TestKmeansMemory:
+    """No n x k array: the tracemalloc peak stays within a few tiles of k
+    columns plus a few copies of the points, below one n x k float32 array."""
+
+    @pytest.mark.parametrize("n_distinct", [3000, 400])
+    def test_peak_below_one_distance_matrix(self, n_distinct):
+        import tracemalloc
+
+        n, d, k = 3000, 64, 500
+        rng = np.random.default_rng(n_distinct)
+        base = unit_rows(rng.standard_normal((n_distinct, d))).astype(np.float32)
+        # with 400 distinct rows, most clusters are found empty and repaired
+        points = base[np.arange(n) % n_distinct]
+        rows = _tile_rows(k, d)
+        budget = 2 * points.nbytes + 4 * rows * k * points.itemsize
+        assert budget < n * k * points.itemsize
+        run_kmeans(points, k, seed=0, max_iters=5)  # warm every code path first
+        tracemalloc.start()
+        try:
+            run_kmeans(points, k, seed=0, max_iters=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
