@@ -41,14 +41,6 @@ def _resolve_path(path: str) -> Path:
     return p
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _parse_list(flag: str, raw: str, parse) -> tuple:
     """Comma-separated flag values, each through ``parse``; errors name the flag."""
     try:
@@ -99,8 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--ns", default="10,20,50")
     e.add_argument("--groups", type=int, default=None,
                    help="also report per sparsity group (equal interaction mass)")
-    e.add_argument("--no-mask-validation", action="store_true",
-                   help="keep validation items as test-time candidates")
     e.add_argument("--out", default=None, help="write report JSON here instead of stdout")
 
     x = sub.add_parser("export", help="write user/item representations")
@@ -153,6 +143,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         config.validate_for_split(split.n_users, split.n_items)
     except ValueError as exc:
         raise ValueError(f"invalid config: {exc}") from None
+    split.require("train", "valid")
 
     if args.dry_run:
         echo = {
@@ -175,7 +166,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "command": "train",
         "split_dir": str(split_dir),
         "split_checksums": {
-            name: _sha256(split_dir / name)
+            name: hashlib.sha256((split_dir / name).read_bytes()).hexdigest()
             for name in ("train.tsv", "valid.tsv", "test.tsv", "header.json")
         },
         "config": config.to_dict(),
@@ -249,11 +240,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.groups and args.groups > split.n_users:
         raise ValueError(f"--groups: must be <= {split.n_users}, the split's user count")
     _, fp = _load_model(args, split)
-    kwargs = dict(ns=ns, target=args.target, mask_validation=not args.no_mask_validation)
     if args.groups:
-        report = sparsity_group_report(fp, split, n_groups=args.groups, **kwargs)
+        report = sparsity_group_report(fp, split, n_groups=args.groups, ns=ns, target=args.target)
     else:
-        report = full_rank_eval(fp, split, **kwargs)
+        report = full_rank_eval(fp, split, ns=ns, target=args.target)
     payload = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
         out.parent.mkdir(parents=True, exist_ok=True)

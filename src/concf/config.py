@@ -30,9 +30,6 @@ class TrainConfig:
     k_items: tuple[int, ...] = (1000,)
     batch_size: int = 4096
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     max_epochs: int = 200
     patience: int = 10
     seed: int = 42
@@ -47,10 +44,9 @@ class TrainConfig:
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name}: must be finite")
-        if self.d < 1:
-            raise ValueError("d: must be >= 1")
-        if self.n_layers < 1:
-            raise ValueError("n_layers: must be >= 1")
+        for name in ("d", "n_layers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be >= 1")
         if self.k_layer % 2 != 0 or self.k_layer < 2:
             raise ValueError("k_layer: must be a positive even number")
         if self.k_layer > self.n_layers:
@@ -66,20 +62,14 @@ class TrainConfig:
             raise ValueError("batch_size: must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr: must be > 0")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ValueError("beta1/beta2: must be in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps: must be > 0")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs: must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience: must be >= 1")
+        for name in ("max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be >= 1")
         if self.seed < 0:
             raise ValueError("seed: must be >= 0")
-        if not self.k_users or any(k < 1 for k in self.k_users):
-            raise ValueError("k_users: every cluster count must be >= 1")
-        if not self.k_items or any(k < 1 for k in self.k_items):
-            raise ValueError("k_items: every cluster count must be >= 1")
+        for name in ("k_users", "k_items"):
+            if not getattr(self, name) or min(getattr(self, name)) < 1:
+                raise ValueError(f"{name}: every cluster count must be >= 1")
         if self.valid_user_cap is not None and self.valid_user_cap < 1:
             raise ValueError("valid_user_cap: must be >= 1 or unset")
         if self.kmeans_max_iters < 1:
@@ -153,7 +143,7 @@ def _coerce(key: str, raw: Any) -> Any:
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a flat ``key = value`` file; '#' starts a comment."""
+    """Parse a flat ``key = value`` file, each key set once; '#' starts a comment."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -166,6 +156,10 @@ def load_config_file(path: str | Path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"{path}: line {ln}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key:
+            raise ValueError(f"{path}: line {ln}: empty key")
+        if key in values:
+            raise ValueError(f"{path}: line {ln}: repeated key {key!r}")
+        values[key] = value
     return values

@@ -13,7 +13,6 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,18 +46,6 @@ class RawInteractions:
 
     def __len__(self) -> int:
         return len(self.users)
-
-    @classmethod
-    def from_keys(cls, users: Sequence[str], items: Sequence[str]) -> "RawInteractions":
-        """Code each column by sorted key order and drop repeated pairs,
-        keeping each pair's first occurrence."""
-        tables, codes = [], []
-        for keys in (users, items):
-            table = sorted(set(keys))
-            index = {k: n for n, k in enumerate(table)}
-            tables.append(np.array(table, dtype=object))
-            codes.append(np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys)))
-        return cls._first_occurrences(*tables, *codes)
 
     @classmethod
     def _first_occurrences(
@@ -111,6 +98,12 @@ class DatasetSplit:
     @property
     def n_interactions(self) -> int:
         return len(self.train) + len(self.valid) + len(self.test)
+
+    def require(self, *names: str) -> None:
+        """Raise ValueError naming the first of the splits ``names`` that is empty."""
+        for name in names:
+            if not len(getattr(self, name)):
+                raise ValueError(f"{name} split is empty")
 
     def train_degrees(self) -> np.ndarray:
         """Per-user train interaction counts."""
@@ -415,10 +408,12 @@ def k_core_filter(raw: RawInteractions, min_count: int) -> RawInteractions:
 
 def check_ratios(ratios: tuple[float, ...], name: str = "ratios") -> None:
     """Raise ValueError naming ``name`` unless ``ratios`` are three finite,
-    nonnegative values summing to 1."""
+    nonnegative values summing to 1, the first (train) one positive."""
     finite = all(math.isfinite(r) and r >= 0 for r in ratios)
     if len(ratios) != 3 or not finite or abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"{name}: must be three finite nonnegative values summing to 1, got {ratios}")
+    if ratios[0] == 0:
+        raise ValueError(f"{name}: the train fraction must be > 0, got {ratios}")
 
 
 def build_split(

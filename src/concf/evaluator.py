@@ -125,7 +125,6 @@ def _user_metrics(
     split: DatasetSplit,
     target: str,
     ns: tuple[int, ...],
-    mask_validation: bool,
     user_cap: int | None = None,
 ) -> tuple[np.ndarray, dict[str, np.ndarray], dict]:
     """Ascending ids of the users with a ``target`` interaction (thinned by
@@ -135,13 +134,11 @@ def _user_metrics(
         raise ValueError(f"target must be 'valid' or 'test', got {target!r}")
     if not ns or min(ns) < 1:
         raise ValueError("ns: every cutoff must be >= 1")
-    target_pairs = split.valid if target == "valid" else split.test
-    if len(target_pairs) == 0:
-        raise ValueError(f"{target} split is empty")
-    mask_validation = bool(target == "test" and mask_validation)
+    split.require(target)
+    target_pairs = getattr(split, target)
     relevant = pair_matrix(target_pairs, split.n_users, split.n_items)
     masked = [split.train_matrix]
-    if mask_validation:
+    if target == "test":
         masked.append(pair_matrix(split.valid, split.n_users, split.n_items))
     n_rel = np.diff(relevant.indptr)
     # the target pairs as ascending keys user * n_items + item, then one key
@@ -171,7 +168,7 @@ def _user_metrics(
         top = hits[:, :n]
         values[f"recall@{n}"] = top.sum(axis=1) / n_rel
         values[f"ndcg@{n}"] = (top * gains[:n]).sum(axis=1) / idcg_prefix[np.minimum(n, n_rel)]
-    metadata = {"target": target, "mask_validation_at_test": mask_validation, "user_cap": user_cap}
+    metadata = {"target": target, "user_cap": user_cap}
     return users, values, metadata
 
 
@@ -192,18 +189,17 @@ def full_rank_eval(
     target: str = "valid",
     ns: tuple[int, ...] = (10, 20, 50),
     user_cap: int | None = None,
-    mask_validation: bool = True,
 ) -> EvalReport:
     """Rank all non-masked items per user and average Recall@N / NDCG@N.
 
     Train items are always masked from candidacy (they score -inf); when
-    ``target`` is "test" and ``mask_validation`` is set, validation items are
-    masked too. Ties are broken by ascending item id, and NaN ranks last.
-    Ranking selects each user's top ``max(ns)`` items by a score threshold
-    (``_top_n``) and orders only those, with the same result as a stable sort
-    of all items. Users with no target interactions are excluded from the means.
+    ``target`` is "test", validation items are masked too. Ties are broken
+    by ascending item id, and NaN ranks last. Ranking selects each user's top
+    ``max(ns)`` items by a score threshold (``_top_n``) and orders only
+    those, with the same result as a stable sort of all items. Users with no
+    target interactions are excluded from the means.
     """
-    users, values, metadata = _user_metrics(fp, split, target, ns, mask_validation, user_cap)
+    users, values, metadata = _user_metrics(fp, split, target, ns, user_cap)
     return _report(values, np.ones(len(users), dtype=bool), metadata)
 
 
@@ -248,7 +244,6 @@ def sparsity_group_report(
     n_groups: int = 5,
     ns: tuple[int, ...] = (10, 20, 50),
     target: str = "test",
-    mask_validation: bool = True,
 ) -> EvalReport:
     """``full_rank_eval``'s report with ``groups``: one report per
     equal-interaction-mass user group.
@@ -259,7 +254,7 @@ def sparsity_group_report(
     """
     degrees = split.train_degrees()
     groups = partition_users_by_mass(degrees, n_groups)
-    users, values, metadata = _user_metrics(fp, split, target, ns, mask_validation)
+    users, values, metadata = _user_metrics(fp, split, target, ns)
     report = _report(values, np.ones(len(users), dtype=bool), metadata)
     report.groups = []
     for gi, members in enumerate(groups):

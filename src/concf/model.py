@@ -103,11 +103,10 @@ def forward(adj: NormalizedAdjacency, table: EmbeddingTable, n_layers: int) -> F
     )
 
 
-# --- checkpoint I/O ----------------------------------------------------------
+# --- framed binary files: checkpoints and binary exports ---------------------
 #
-# Layout: one JSON line (n_users, n_items, d, L, epoch, dtype), then the
-# embedding table as row-major little-endian floats of the header's dtype
-# (float32 or float64), and nothing after it.
+# Layout: one JSON header line, whose ``dtype`` names the floats (float32 or
+# float64), then row-major little-endian arrays, and nothing after them.
 
 
 def _payload_dtype(path: str | Path, name: object) -> np.dtype:
@@ -123,6 +122,26 @@ def _check_length(path: str | Path, payload: bytes, nbytes: int) -> None:
         raise ValueError(f"{path}: truncated payload ({len(payload)} of {nbytes} bytes)")
     if len(payload) > nbytes:
         raise ValueError(f"{path}: {len(payload) - nbytes} trailing bytes after the payload")
+
+
+def _write_framed(path: str | Path, header: dict, *arrays: np.ndarray) -> None:
+    """Write ``header`` as one sorted-key JSON line, then each array's bytes in
+    its own dtype, little-endian; an unsupported header ``dtype`` writes nothing."""
+    _payload_dtype(path, header["dtype"])
+    _write_replacing(path, b"".join([
+        json.dumps(header, sort_keys=True).encode("utf-8"),
+        b"\n",
+        *(np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")).tobytes() for a in arrays),
+    ]))
+
+
+def _read_framed(path: str | Path, keys: tuple[str, ...]) -> tuple[dict, np.dtype, bytes]:
+    """The header of the framed file ``path``, with each of ``keys`` a
+    non-negative integer, the little-endian dtype it names, and the payload."""
+    with open(path, "rb") as fh:
+        header = parse_header(path, fh.readline(), keys)
+        payload = fh.read()
+    return header, _payload_dtype(path, header.get("dtype")), payload
 
 
 @dataclass
@@ -143,25 +162,17 @@ def save_checkpoint(
         "epoch": epoch,
         "dtype": str(table.matrix.dtype),
     }
-    dtype = _payload_dtype(path, header["dtype"])
-    _write_replacing(path, b"".join([
-        json.dumps(header, sort_keys=True).encode("utf-8"),
-        b"\n",
-        np.ascontiguousarray(table.matrix, dtype=dtype).tobytes(),
-    ]))
+    _write_framed(path, header, table.matrix)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint, rejecting a malformed header or a payload that is not
     exactly the table in the header's dtype; every error is a ValueError
     naming ``path``."""
-    with open(path, "rb") as fh:
-        header = parse_header(path, fh.readline(), ("n_users", "n_items", "d", "L", "epoch"))
-        payload = fh.read()
+    header, dtype, payload = _read_framed(path, ("n_users", "n_items", "d", "L", "epoch"))
     for key in ("d", "L"):
         if header[key] < 1:
             raise ValueError(f"{path}: field {key!r} must be >= 1, got {header[key]}")
-    dtype = _payload_dtype(path, header.get("dtype"))
     n, d = header["n_users"] + header["n_items"], header["d"]
     _check_length(path, payload, n * d * dtype.itemsize)
     matrix = np.frombuffer(payload, dtype=dtype).reshape(n, d).astype(header["dtype"])
@@ -186,25 +197,16 @@ def write_matrix_binary(path: str | Path, ids: np.ndarray, matrix: np.ndarray) -
         "cols": int(matrix.shape[1]),
         "dtype": str(matrix.dtype),
     }
-    dtype = _payload_dtype(path, header["dtype"])
-    _write_replacing(path, b"".join([
-        json.dumps(header, sort_keys=True).encode("utf-8"),
-        b"\n",
-        np.ascontiguousarray(ids, dtype="<i8").tobytes(),
-        np.ascontiguousarray(matrix, dtype=dtype).tobytes(),
-    ]))
+    _write_framed(path, header, np.asarray(ids, dtype=np.int64), matrix)
 
 
 def read_matrix_binary(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a binary export, rejecting a malformed header or a payload that is
     not exactly the ids and the rows in the header's dtype; every error is a
     ValueError naming ``path``."""
-    with open(path, "rb") as fh:
-        header = parse_header(path, fh.readline(), ("rows", "cols"))
-        payload = fh.read()
+    header, dtype, payload = _read_framed(path, ("rows", "cols"))
     if header.get("kind") != "embedding_export":
         raise ValueError(f"{path}: not an embedding export")
-    dtype = _payload_dtype(path, header.get("dtype"))
     rows, cols = header["rows"], header["cols"]
     _check_length(path, payload, rows * (8 + cols * dtype.itemsize))
     ids = np.frombuffer(payload, dtype="<i8", count=rows).astype(np.int64)

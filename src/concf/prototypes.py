@@ -225,7 +225,6 @@ def run_kmeans(
     distances = _Distances(points, k)
     centroids = _plusplus_seeding(distances, k, rng_stream(seed))
     history: list[float] = []
-    n_iters = 0
     for n_iters in range(1, max_iters + 1):
         assignments, dist = distances.nearest(centroids)
         history.append(float(dist.sum()))

@@ -25,6 +25,8 @@ STREAM_NEGATIVES = 2
 STREAM_SHUFFLE = 3
 STREAM_KMEANS = 4
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # torch.optim.Adam's defaults
+
 
 @dataclass
 class AdamState:
@@ -77,13 +79,13 @@ def adam_step(
         row = int(np.flatnonzero(bad.any(axis=1))[0])
         raise FloatingPointError(f"gradient blow-up at row {row}")
     state.step += 1
-    state.m *= config.beta1
-    state.m += (1 - config.beta1) * grads
-    state.v *= config.beta2
-    state.v += (1 - config.beta2) * (grads * grads)
-    m_hat = state.m / (1 - config.beta1 ** state.step)
-    v_hat = state.v / (1 - config.beta2 ** state.step)
-    table.matrix -= config.lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    state.m *= BETA1
+    state.m += (1 - BETA1) * grads
+    state.v *= BETA2
+    state.v += (1 - BETA2) * (grads * grads)
+    m_hat = state.m / (1 - BETA1 ** state.step)
+    v_hat = state.v / (1 - BETA2 ** state.step)
+    table.matrix -= config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return table, state
 
 
@@ -120,8 +122,9 @@ def train(
     """
     config.validate()
     config.validate_for_split(split.n_users, split.n_items)
-    if len(split.train) == 0:
-        raise ValueError("empty train split")
+    split.require("train")
+    if eval_fn is None:
+        split.require("valid")  # the default evaluation ranks it
     dtype = np.dtype(config.dtype)
     adj = build_normalized_adjacency(split, dtype=dtype)
     table = init_embeddings(

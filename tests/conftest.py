@@ -15,6 +15,18 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 )
 
 
+def from_keys(users, items) -> RawInteractions:
+    """The records of two key columns: each column coded by sorted key order,
+    each repeated (user, item) pair dropped after its first occurrence."""
+    tables, codes = [], []
+    for keys in (users, items):
+        table = sorted(set(keys))
+        index = {k: n for n, k in enumerate(table)}
+        tables.append(np.array(table, dtype=object))
+        codes.append(np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys)))
+    return RawInteractions._first_occurrences(*tables, *codes)
+
+
 def make_raw(n_users: int, n_items: int, n_pairs: int, seed: int = 0) -> RawInteractions:
     """Random distinct (user, item) pairs with zero-padded string keys."""
     rng = np.random.default_rng(seed)
@@ -22,7 +34,7 @@ def make_raw(n_users: int, n_items: int, n_pairs: int, seed: int = 0) -> RawInte
     while len(pairs) < n_pairs:
         pairs.add((int(rng.integers(n_users)), int(rng.integers(n_items))))
     pairs = sorted(pairs)
-    return RawInteractions.from_keys(
+    return from_keys(
         [f"u{u:04d}" for u, _ in pairs], [f"i{i:04d}" for _, i in pairs]
     )
 
@@ -112,7 +124,7 @@ def planted_communities(
             own = np.flatnonzero(same[u])
             mask[u, own[rng.integers(len(own))]] = True
     us, its = np.nonzero(mask)
-    return RawInteractions.from_keys([f"u{u:04d}" for u in us], [f"i{i:04d}" for i in its])
+    return from_keys([f"u{u:04d}" for u in us], [f"i{i:04d}" for i in its])
 
 
 def key_pairs(raw: RawInteractions) -> list[tuple[str, str]]:

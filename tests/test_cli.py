@@ -115,6 +115,13 @@ class TestPrepare:
             "error: --ratios: must be three finite nonnegative values summing to 1, got "
         )
 
+    def test_zero_train_ratio_rejected(self, interactions_file, tmp_path):
+        res = run_cli("prepare", "--input", str(interactions_file), "--out", str(tmp_path / "o"),
+                      "--ratios", "0,0.5,0.5")
+        assert res.returncode == 1
+        assert res.stderr == "error: --ratios: the train fraction must be > 0, got (0.0, 0.5, 0.5)\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("flag, value", [("--min-count", "-3"), ("--seed", "-1")])
     def test_negative_flag_named(self, interactions_file, tmp_path, flag, value):
         res = run_cli(
@@ -356,7 +363,6 @@ class TestTrain:
         ("--seed", "-1", "seed: must be >= 0"),
         ("--tau", "nan", "tau: must be finite"),
         ("--lambda1", "inf", "lambda1: must be finite"),
-        ("--adam-eps", "0", "adam_eps: must be > 0"),
         ("--kmeans-tol", "-1", "kmeans_tol: must be >= 0"),
     ])
     def test_bad_field_rejected_before_work(self, split_dir, tmp_path, flag, value, message):
@@ -365,6 +371,48 @@ class TestTrain:
         assert res.returncode == 1
         assert res.stderr == f"error: invalid config: {message}\n"
         assert not out.exists()  # no crash.ckpt, no history.jsonl
+
+    def test_empty_valid_split_rejected_before_work(self, interactions_file, tmp_path):
+        split = tmp_path / "split"
+        res = run_cli("prepare", "--input", str(interactions_file), "--out", str(split),
+                      "--ratios", "0.9,0,0.1")
+        assert res.returncode == 0 and json.loads(res.stdout)["counts"]["valid"] == 0
+        out = tmp_path / "o"
+        res = run_cli("train", "--split-dir", str(split), "--out-dir", str(out),
+                      "--k-users", "3", "--k-items", "3")
+        assert res.returncode == 1
+        assert res.stderr == "error: valid split is empty\n"
+        assert not out.exists()  # no crash.ckpt, no history.jsonl
+
+    def test_empty_train_split_rejected_before_work(self, split_dir, tmp_path):
+        from concf import DatasetSplit
+
+        full = DatasetSplit.load(split_dir)
+        split = tmp_path / "split"
+        DatasetSplit(full.n_users, full.n_items, np.empty((0, 2), dtype=np.int64),
+                     full.valid, full.test).save(split)
+        out = tmp_path / "o"
+        res = run_cli("train", "--split-dir", str(split), "--out-dir", str(out),
+                      "--k-users", "3", "--k-items", "3")
+        assert res.returncode == 1
+        assert res.stderr == "error: train split is empty\n"
+        assert not out.exists()
+
+    def test_repeated_config_key_named(self, split_dir, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("tau = 0.2\n# the second value must not win silently\ntau = 0.05\n")
+        res = run_cli("train", "--split-dir", str(split_dir), "--out-dir", str(tmp_path / "o"),
+                      "--config", str(cfg_file), "--dry-run")
+        assert res.returncode == 1
+        assert res.stderr == f"error: invalid config: {cfg_file}: line 3: repeated key 'tau'\n"
+
+    def test_empty_config_key_named(self, split_dir, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("d = 8\n = 5\n")
+        res = run_cli("train", "--split-dir", str(split_dir), "--out-dir", str(tmp_path / "o"),
+                      "--config", str(cfg_file), "--dry-run")
+        assert res.returncode == 1
+        assert res.stderr == f"error: invalid config: {cfg_file}: line 2: empty key\n"
 
     def test_config_checked_before_split_loads(self, tmp_path):
         res = run_cli(
@@ -655,6 +703,34 @@ def test_threads_flag_unknown(argv, capsys):
         _build_parser().parse_args(argv + ["--threads", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--split-dir", "s", "--out-dir", "o", "--beta1", "0.9"],
+    ["train", "--split-dir", "s", "--out-dir", "o", "--beta2", "0.999"],
+    ["train", "--split-dir", "s", "--out-dir", "o", "--adam-eps", "1e-8"],
+    ["evaluate", "--checkpoint", "c", "--split-dir", "s", "--no-mask-validation"],
+], ids=["beta1", "beta2", "adam-eps", "no-mask-validation"])
+def test_fixed_choice_flag_unknown(argv, capsys):
+    # Adam's constants and test-time validation masking are not options
+    from concf.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[5:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["beta1", "beta2", "adam_eps"])
+def test_adam_constant_in_config_file_unknown(tmp_path, capsys, field):
+    from concf.cli import main
+
+    cfg_file = tmp_path / "adam.cfg"
+    cfg_file.write_text(f"{field} = 0.5\n")
+    assert main(["train", "--split-dir", str(tmp_path / "missing"), "--out-dir",
+                 str(tmp_path / "o"), "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err == f"error: invalid config: {field}: unknown config field\n"
+    assert not (tmp_path / "o").exists()
 
 
 def readme_commands() -> list[list[str]]:

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import reference_ingest
 
 from concf import (
-    RawInteractions,
     build_split,
     k_core_filter,
     load_interactions,
@@ -25,7 +24,7 @@ from concf import (
 from concf.dataset import DatasetSplit, ParseError, group_by_user, pair_matrix
 from concf.seeding import rng_stream
 
-from conftest import fail_mid_write, key_pairs, make_raw, random_split
+from conftest import fail_mid_write, from_keys, key_pairs, make_raw, random_split
 
 
 def shuffled_rows(n_users, n_items, n_pairs, seed, n_rows=None):
@@ -40,7 +39,7 @@ def shuffled_rows(n_users, n_items, n_pairs, seed, n_rows=None):
 def shuffled_raw(n_users, n_items, n_pairs, seed):
     """make_raw's pairs in a random input order."""
     users, items = zip(*shuffled_rows(n_users, n_items, n_pairs, seed))
-    return RawInteractions.from_keys(users, items)
+    return from_keys(users, items)
 
 
 def loop_ingest(rows):
@@ -302,7 +301,7 @@ class TestFromKeys:
     @given(st.integers(0, 10_000))
     def test_matches_loop_reference(self, seed):
         rows = shuffled_rows(8, 8, 30, seed, n_rows=60)
-        raw = RawInteractions.from_keys(*zip(*rows))
+        raw = from_keys(*zip(*rows))
         kept, user_map, item_map = loop_ingest(rows)
         assert key_pairs(raw) == kept
         assert raw.user_keys.tolist() == list(user_map)
@@ -313,7 +312,7 @@ class TestFromKeys:
 
     def test_keys_stay_exact(self):
         # NumPy's fixed-width str dtype would drop the trailing NUL
-        raw = RawInteractions.from_keys(["a", "a\0", "é"], ["x", "x", "x"])
+        raw = from_keys(["a", "a\0", "é"], ["x", "x", "x"])
         assert raw.user_keys.tolist() == ["a", "a\0", "é"]
         assert raw.users.tolist() == [0, 1, 2]
 
@@ -321,7 +320,7 @@ class TestFromKeys:
 class TestKCoreFilter:
     def test_star_graph_peels_to_nothing(self):
         # 1 user with 20 degree-1 items: items die first, then the user
-        raw = RawInteractions.from_keys(["u"] * 20, [f"i{j}" for j in range(20)])
+        raw = from_keys(["u"] * 20, [f"i{j}" for j in range(20)])
         with pytest.raises(ValueError, match="eliminated all data"):
             k_core_filter(raw, 15)
 
@@ -339,7 +338,7 @@ class TestKCoreFilter:
             for i in range(20):
                 users.append(f"u{u}")
                 items.append(f"i{i}")
-        raw = RawInteractions.from_keys(users, items)
+        raw = from_keys(users, items)
         out = k_core_filter(raw, 15)
         assert key_pairs(out) == key_pairs(raw)
 
@@ -350,7 +349,7 @@ class TestKCoreFilter:
                  ("u1", "i0"), ("u2", "i0"),
                  ("u3", "i1"), ("u4", "i1"), ("u3", "i2"), ("u4", "i2"),
                  ("u3", "i3"), ("u4", "i3"), ("u0", "i3")]
-        raw = RawInteractions.from_keys(*zip(*pairs))
+        raw = from_keys(*zip(*pairs))
         out = k_core_filter(raw, 3)
         survivors = set(key_pairs(out))
         assert ("u1", "i0") not in survivors and ("u0", "i0") not in survivors
@@ -385,7 +384,7 @@ class TestKCoreFilter:
 
 class TestBuildSplit:
     def test_exact_ratios_for_ten(self):
-        raw = RawInteractions.from_keys(["u"] * 10 + ["v"], [f"i{j}" for j in range(10)] + ["i0"])
+        raw = from_keys(["u"] * 10 + ["v"], [f"i{j}" for j in range(10)] + ["i0"])
         split = build_split(raw, seed=3)
         u = list(raw.user_keys).index("u")
         assert (split.train[:, 0] == u).sum() == 8
@@ -393,7 +392,7 @@ class TestBuildSplit:
         assert (split.test[:, 0] == u).sum() == 1
 
     def test_two_interactions_all_train(self):
-        raw = RawInteractions.from_keys(("u", "u", "w"), ("a", "b", "a"))
+        raw = from_keys(("u", "u", "w"), ("a", "b", "a"))
         split = build_split(raw, seed=0)
         u = list(raw.user_keys).index("u")
         assert (split.train[:, 0] == u).sum() == 2
@@ -413,7 +412,7 @@ class TestBuildSplit:
                     and np.array_equal(a.train, b.train))
 
     def test_id_maps_sorted_key_order(self):
-        raw = RawInteractions.from_keys(("b", "a", "c"), ("z", "y", "x"))
+        raw = from_keys(("b", "a", "c"), ("z", "y", "x"))
         split = build_split(raw, seed=0)
         assert raw.user_keys.tolist() == ["a", "b", "c"]
         assert raw.item_keys.tolist() == ["x", "y", "z"]
@@ -430,6 +429,13 @@ class TestBuildSplit:
         raw = make_raw(4, 4, 10)
         with pytest.raises(ValueError, match=r"^ratios: must be three finite nonnegative values"):
             build_split(raw, ratios=ratios)
+
+    def test_zero_train_ratio_named(self):
+        # every user must keep a train row; with (0, 0.5, 0.5) a user with two
+        # interactions would keep none
+        raw = make_raw(4, 4, 10)
+        with pytest.raises(ValueError, match=r"^ratios: the train fraction must be > 0"):
+            build_split(raw, ratios=(0.0, 0.5, 0.5))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
@@ -594,7 +600,7 @@ class TestLoadSplit:
             DatasetSplit.load(out)
 
     def test_empty_split_files_load_without_warning(self, tmp_path):
-        raw = RawInteractions.from_keys(("u", "u", "w"), ("a", "b", "a"))
+        raw = from_keys(("u", "u", "w"), ("a", "b", "a"))
         split = build_split(raw, ratios=(1.0, 0.0, 0.0), seed=0)
         split.save(tmp_path / "split")
         with warnings.catch_warnings():
@@ -658,7 +664,7 @@ class TestSampleNegatives:
         # the user interacted with every item but one
         users = tuple("u" for _ in range(5)) + ("w",)
         items = tuple(f"i{j}" for j in range(5)) + ("i5",)
-        raw = RawInteractions.from_keys(users, items)
+        raw = from_keys(users, items)
         split = build_split(raw, ratios=(1.0, 0.0, 0.0), seed=0)
         u = list(raw.user_keys).index("u")
         missing = list(raw.item_keys).index("i5")
@@ -667,7 +673,7 @@ class TestSampleNegatives:
             assert (triples.neg_items[triples.users == u] == missing).all()
 
     def test_full_coverage_user_errors(self):
-        raw = RawInteractions.from_keys(("u", "u"), ("a", "b"))
+        raw = from_keys(("u", "u"), ("a", "b"))
         split = build_split(raw, ratios=(1.0, 0.0, 0.0), seed=0)
         with pytest.raises(ValueError, match="no negative"):
             sample_negatives(split, epoch_seed=0)
@@ -688,7 +694,7 @@ class TestSampleNegatives:
         items = tuple(f"i{j:03d}" for j in train_items) + tuple(
             f"i{j:03d}" for j in range(200)
         )
-        raw = RawInteractions.from_keys(users, items)
+        raw = from_keys(users, items)
         split = build_split(raw, ratios=(1.0, 0.0, 0.0), seed=0)
         uid = list(raw.user_keys).index("u")
         counts = np.zeros(split.n_items, dtype=np.int64)

@@ -100,7 +100,6 @@ def forward_from_readout(readout, n_users, n_items):
 
 def reference_full_rank_eval(
     fp, split, target="valid", ns=(10, 20, 50), subset=None, user_cap=None,
-    mask_validation=True,
 ):
     """(metrics, n_evaluated_users) of the per-user loop evaluator the package
     used before its vectorized pass: chunked scoring, per-user masking, a stable
@@ -110,7 +109,7 @@ def reference_full_rank_eval(
     train_items = group_by_user(split.train[:, 0], split.train[:, 1], split.n_users)
     valid_targets = (
         group_by_user(split.valid[:, 0], split.valid[:, 1], split.n_users)
-        if (target == "test" and mask_validation)
+        if target == "test"
         else None
     )
     eligible = np.flatnonzero(np.bincount(target_pairs[:, 0], minlength=split.n_users))
@@ -256,7 +255,7 @@ class TestFullRankEval:
         dict(target="valid", ns=(10,)),
         dict(target="valid", ns=(10,), user_cap=37),
         dict(target="test", ns=(1, 10, 20, 50)),
-        dict(target="test", ns=(10, 20, 50), mask_validation=False),
+        dict(target="test", ns=(10, 20, 50), user_cap=37),
     ])
     def test_equals_per_user_loop_exactly(self, tied_forward, kwargs):
         split, fp = tied_forward
@@ -268,7 +267,7 @@ class TestFullRankEval:
     @pytest.mark.parametrize("kwargs", [
         dict(target="valid", ns=(10,)),
         dict(target="test", ns=(1, 10, 20, 50)),
-        dict(target="test", ns=(5, 20), mask_validation=False),
+        dict(target="test", ns=(5, 20)),
     ])
     def test_three_chunks_equal_per_user_loop_exactly(self, tied_forward_three_chunks, kwargs):
         split, fp = tied_forward_three_chunks
@@ -338,15 +337,20 @@ class TestFullRankEval:
         after = report_for(shuffled)
         assert before == after
 
-    def test_valid_masking_at_test_toggle(self, small_split, small_adj):
-        table = init_embeddings(small_split.n_users, small_split.n_items, 8, seed=6)
-        fp = forward(small_adj, table, 2)
-        strict = full_rank_eval(fp, small_split, target="test", mask_validation=True)
-        loose = full_rank_eval(fp, small_split, target="test", mask_validation=False)
-        assert strict.metadata["mask_validation_at_test"] is True
-        assert loose.metadata["mask_validation_at_test"] is False
-        # stricter candidacy can only help the target items
-        assert strict.metrics["recall@10"] >= loose.metrics["recall@10"] - 1e-12
+    def test_validation_items_masked_at_test(self):
+        # item 0 is train, 1 valid, 2 test; item 1 outscores item 2, so the
+        # test item ranks first only when the validation item is masked
+        from concf import DatasetSplit
+
+        split = DatasetSplit(
+            n_users=1, n_items=4, train=np.array([[0, 0]]), valid=np.array([[0, 1]]),
+            test=np.array([[0, 2]]),
+        )
+        fp = forward_from_readout(np.array([[1.0], [3.0], [2.5], [2.0], [1.0]]), 1, 4)
+        report = full_rank_eval(fp, split, target="test", ns=(1,))
+        assert report.metrics == {"recall@1": 1.0, "ndcg@1": 1.0}
+        assert report.metadata == {"target": "test", "user_cap": None}
+        assert full_rank_eval(fp, split, target="valid", ns=(1,)).metrics["recall@1"] == 1.0
 
     def test_user_cap(self, small_split, small_adj):
         table = init_embeddings(small_split.n_users, small_split.n_items, 8, seed=7)
@@ -529,22 +533,18 @@ class TestSparsityGroups:
         assert single.metrics == full.metrics
         assert single.n_evaluated_users == full.n_evaluated_users
 
-    @pytest.mark.parametrize("mask_validation", [True, False])
-    def test_groups_equal_per_user_loop_exactly(self, tied_forward, mask_validation):
+    def test_groups_equal_per_user_loop_exactly(self, tied_forward):
         split, fp = tied_forward
-        groups = sparsity_group_report(fp, split, n_groups=5, ns=(10, 20),
-                                       mask_validation=mask_validation).groups
+        groups = sparsity_group_report(fp, split, n_groups=5, ns=(10, 20)).groups
         members = partition_users_by_mass(split.train_degrees(), 5)
         for gi, (report, users) in enumerate(zip(groups, members)):
             metrics, n_eval = reference_full_rank_eval(
-                fp, split, target="test", ns=(10, 20), subset=users,
-                mask_validation=mask_validation,
+                fp, split, target="test", ns=(10, 20), subset=users
             )
             assert report.n_evaluated_users == n_eval
             assert report.metrics == metrics
             assert report.metadata == {
                 "target": "test",
-                "mask_validation_at_test": mask_validation,
                 "user_cap": None,
                 "group_index": gi,
                 "group_size": len(users),
@@ -560,10 +560,9 @@ class TestSparsityGroups:
         weighted /= sum(g.n_evaluated_users for g in groups)
         assert abs(weighted - full.metrics["recall@10"]) < 1e-12
 
-    @pytest.mark.parametrize("mask_validation", [True, False])
-    def test_overall_report_equals_full_rank_eval(self, tied_forward, mask_validation):
+    def test_overall_report_equals_full_rank_eval(self, tied_forward):
         split, fp = tied_forward
-        kwargs = dict(target="test", ns=(20, 10, 50), mask_validation=mask_validation)
+        kwargs = dict(target="test", ns=(20, 10, 50))
         report = sparsity_group_report(fp, split, n_groups=5, **kwargs)
         full = full_rank_eval(fp, split, **kwargs)
         assert report.metrics == full.metrics

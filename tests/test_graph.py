@@ -7,17 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concf import (
-    RawInteractions,
     build_normalized_adjacency,
     build_split,
     propagate,
 )
 
-from conftest import planted_communities, random_split
+from conftest import from_keys, planted_communities, random_split
 
 
 def split_from_pairs(pairs, ratios=(1.0, 0.0, 0.0)):
-    raw = RawInteractions.from_keys([f"u{u}" for u, _ in pairs], [f"i{i}" for _, i in pairs])
+    raw = from_keys([f"u{u}" for u, _ in pairs], [f"i{i}" for _, i in pairs])
     return build_split(raw, ratios=ratios, seed=0)
 
 
@@ -174,7 +173,7 @@ class TestPropagate:
 
     def test_zero_degree_node_row_is_zero(self):
         # item i1 never appears in train, so its row propagates to zero
-        raw = RawInteractions.from_keys(("u0", "u0"), ("i0", "i1"))
+        raw = from_keys(("u0", "u0"), ("i0", "i1"))
         split = build_split(raw, ratios=(0.5, 0.5, 0.0), seed=0)
         adj = build_normalized_adjacency(split)
         z = np.ones((adj.n_nodes, 3))

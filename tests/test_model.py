@@ -1,5 +1,6 @@
 """Embedding init, forward pass, checkpoints, and exports."""
 
+import hashlib
 import json
 import re
 
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from concf import (
     EmbeddingTable,
-    RawInteractions,
     build_normalized_adjacency,
     build_split,
     forward,
@@ -25,7 +25,7 @@ from concf.model import (
     xavier_bound,
 )
 
-from conftest import fail_mid_write, random_split
+from conftest import fail_mid_write, from_keys, random_split
 
 XAVIER_BOUND_64 = 0.21650635094610965  # sqrt(6 / (64 + 64))
 MISSING = object()
@@ -85,7 +85,7 @@ class TestForward:
     def test_no_edges_scales_readout(self):
         # one of u0's items lands in valid only, leaving that item isolated:
         # its readout is table / (L + 1)
-        raw = RawInteractions.from_keys(("u0", "u0"), ("i0", "i1"))
+        raw = from_keys(("u0", "u0"), ("i0", "i1"))
         split = build_split(raw, ratios=(0.5, 0.5, 0.0), seed=0)
         adj = build_normalized_adjacency(split)
         table = init_embeddings(split.n_users, split.n_items, 4, seed=0)
@@ -95,7 +95,7 @@ class TestForward:
         np.testing.assert_allclose(fp.readout[isolated], table.matrix[isolated] / 3.0)
 
     def test_single_edge_hand_unrolled(self):
-        raw = RawInteractions.from_keys(("u0",), ("i0",))
+        raw = from_keys(("u0",), ("i0",))
         split = build_split(raw, ratios=(1.0, 0.0, 0.0), seed=0)
         adj = build_normalized_adjacency(split)
         a = np.array([1.0, -2.0, 0.5])
@@ -300,6 +300,28 @@ class TestExportFormats:
         want = rf"{re.escape(str(path))}: field 'dtype' must be 'float32' or 'float64'"
         with pytest.raises(ValueError, match=want):
             read_matrix_binary(path)
+
+
+# SHA-256 of the checkpoint and the binary export that
+# ``test_framed_file_bytes_pinned`` writes: a change of format changes them, a
+# refactor of the codec must not
+FRAMED_SHA256 = {
+    "float32": ("749e477d6bbdaa9d3d1114418503ed17308cfa721966a945377a13e17f6eaf63",
+                "3e476900b331324c828f0ac1da2662b8df2d62590c56a4e1f1d950052d4b6dbd"),
+    "float64": ("1ae6a007c254e2647763cceeaaa8a18baaa4f60c4fe2e95a8db51598e5fec534",
+                "aa3f17e7bafd148c7aae5ee80df4fa8204d4ba734edc6afc7cc797411a644673"),
+}
+
+
+@pytest.mark.parametrize("dtype", sorted(FRAMED_SHA256))
+def test_framed_file_bytes_pinned(tmp_path, dtype):
+    """A checkpoint and a binary export of a fixed 5 x 4 matrix, byte for byte."""
+    values = ((np.arange(20) - 9.5) / 3).reshape(5, 4).astype(dtype)
+    ckpt, export = tmp_path / "model.ckpt", tmp_path / "emb.bin"
+    save_checkpoint(ckpt, EmbeddingTable(2, 3, values), n_layers=3, epoch=7)
+    write_matrix_binary(export, np.array([4, 0, 2]), values[:3])
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (ckpt, export))
+    assert digests == FRAMED_SHA256[dtype]
 
 
 class TestWritesReplaceFiles:

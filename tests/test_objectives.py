@@ -38,7 +38,7 @@ from concf.objectives import _distinct, _infonce
 from concf.prototypes import Clustering, PrototypeState
 from concf.trainer import AdamState, adam_step
 
-from conftest import open_worker_gate, random_split, worker_started
+from conftest import from_keys, open_worker_gate, random_split, worker_started
 
 LN2 = 0.6931471805599453
 NEG_LOG_SIGMOID_1 = 0.3132616875182228  # -ln(sigmoid(1)) == ln(1 + 1/e)
@@ -558,9 +558,9 @@ class TestTotalLossAndGradient:
     def test_stationary_row_second_order(self):
         # perturbing a zero-gradient row changes the loss only at O(eps^2);
         # the second component's rows have zero gradient here
-        from concf import RawInteractions, build_split
+        from concf import build_split
 
-        raw = RawInteractions.from_keys(("a", "b"), ("x", "y"))
+        raw = from_keys(("a", "b"), ("x", "y"))
         split = build_split(raw, ratios=(1.0, 0.0, 0.0), seed=0)
         adj = build_normalized_adjacency(split, dtype=np.float64)
         rng = np.random.default_rng(11)
@@ -582,9 +582,9 @@ class TestTotalLossAndGradient:
     def test_disconnected_component_has_zero_gradient(self):
         # two separate edges; a batch touching only the first component must
         # leave the second component's rows untouched (no prototype term)
-        from concf import RawInteractions, build_split
+        from concf import build_split
 
-        raw = RawInteractions.from_keys(("a", "b"), ("x", "y"))
+        raw = from_keys(("a", "b"), ("x", "y"))
         split = build_split(raw, ratios=(1.0, 0.0, 0.0), seed=0)
         adj = build_normalized_adjacency(split)
         rng = np.random.default_rng(0)

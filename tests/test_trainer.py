@@ -16,6 +16,7 @@ from concf import (
     full_rank_eval,
     train,
 )
+from concf.trainer import ADAM_EPS, BETA1, BETA2
 
 from conftest import open_worker_gate, planted_communities, random_split, worker_started
 
@@ -25,6 +26,9 @@ def scalar_table(value=1.0):
 
 
 class TestAdamStep:
+    def test_constants_are_torch_defaults(self):
+        assert (BETA1, BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
+
     def test_zero_gradient_leaves_table(self):
         table = scalar_table()
         before = table.matrix.copy()
@@ -40,7 +44,7 @@ class TestAdamStep:
         state = AdamState.zeros_like(table)
         grads = np.array([[1.0], [0.0]])
         adam_step(table, grads, state, cfg)
-        expected = 2.0 - cfg.lr * 1.0 / (1.0 + cfg.adam_eps)
+        expected = 2.0 - cfg.lr * 1.0 / (1.0 + ADAM_EPS)
         assert table.matrix[0, 0] == pytest.approx(expected, abs=1e-15)
         assert table.matrix[1, 0] == 0.0
 
@@ -76,9 +80,9 @@ class TestAdamStep:
         for t in range(4, 9):
             row1 = table.matrix[1].copy()
             adam_step(table, grads, state, cfg)
-            m, v = cfg.beta1 * m, cfg.beta2 * v
-            m_hat, v_hat = m / (1 - cfg.beta1 ** t), v / (1 - cfg.beta2 ** t)
-            x = x - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            m, v = BETA1 * m, BETA2 * v
+            m_hat, v_hat = m / (1 - BETA1 ** t), v / (1 - BETA2 ** t)
+            x = x - cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             assert state.step == t
             np.testing.assert_allclose(state.m[0], m, rtol=1e-15)
             np.testing.assert_allclose(state.v[0], v, rtol=1e-15)
@@ -256,6 +260,30 @@ class TestTrain:
             train(quick_config(k_items=(4, 13)), split, out_dir=tmp_path)
         assert not (tmp_path / "crash.ckpt").exists()
 
+    @pytest.mark.parametrize("empty, custom_eval", [
+        ("train", False), ("train", True), ("valid", False),
+    ])
+    def test_empty_split_rejected_before_first_e_step(self, tmp_path, monkeypatch, empty,
+                                                      custom_eval):
+        import concf.trainer
+
+        def no_e_step(*args, **kwargs):
+            raise AssertionError("the E-step ran")
+
+        monkeypatch.setattr(concf.trainer, "e_step", no_e_step)
+        split = random_split(10, 12, 80, seed=0)
+        setattr(split, empty, np.empty((0, 2), dtype=np.int64))
+        eval_fn = (lambda table, epoch: {}) if custom_eval else None
+        with pytest.raises(ValueError, match=f"^{empty} split is empty$"):
+            train(quick_config(), split, out_dir=tmp_path, eval_fn=eval_fn)
+        assert not list(tmp_path.iterdir())
+
+    def test_custom_evaluation_needs_no_valid_split(self):
+        split = random_split(10, 12, 80, seed=0)
+        split.valid = np.empty((0, 2), dtype=np.int64)
+        result = train(quick_config(max_epochs=1), split, eval_fn=lambda table, epoch: {})
+        assert len(result.history) == 1
+
 
 FLOAT_FIELDS = [f.name for f in fields(TrainConfig) if f.type == "float"]
 
@@ -283,7 +311,7 @@ class TestStepWorker:
 class TestConfigValidate:
     def test_float_fields(self):
         assert FLOAT_FIELDS == ["tau", "alpha", "lambda1", "lambda2", "lambda3",
-                                "lr", "beta1", "beta2", "adam_eps", "kmeans_tol"]
+                                "lr", "kmeans_tol"]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("field", FLOAT_FIELDS)
@@ -292,8 +320,6 @@ class TestConfigValidate:
             TrainConfig(**{field: value}).validate()
 
     @pytest.mark.parametrize("field, value, message", [
-        ("adam_eps", 0.0, "must be > 0"),
-        ("adam_eps", -1e-8, "must be > 0"),
         ("kmeans_tol", -1.0, "must be >= 0"),
     ])
     def test_float_bound_named(self, field, value, message):
