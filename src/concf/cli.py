@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -167,7 +167,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "split_dir": str(split_dir),
         "split_checksums": {
             name: hashlib.sha256((split_dir / name).read_bytes()).hexdigest()
-            for name in ("train.tsv", "valid.tsv", "test.tsv", "header.json")
+            for name in (*dataset._SPLIT_FILES.values(), "header.json")
         },
         "config": config.to_dict(),
         "backbone": config.backbone_tag,
@@ -181,6 +181,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     ).hexdigest()[:12]
 
     def _progress(record) -> None:
+        log_stream.write(json.dumps(asdict(record), sort_keys=True) + "\n")
+        log_stream.flush()
         print(
             f"epoch {record.epoch:4d}  loss {record.loss.total:.6f}  "
             f"bpr {record.loss.bpr:.6f}  valid ndcg@10 {record.valid_ndcg10:.6f}  "
@@ -189,9 +191,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
 
     with open(out_dir / "history.jsonl", "w", encoding="utf-8") as log_stream:
-        result = train(
-            config, split, out_dir=out_dir, log_stream=log_stream, progress=_progress
-        )
+        result = train(config, split, out_dir=out_dir, progress=_progress)
 
     save_checkpoint(
         out_dir / "model.ckpt",

@@ -16,9 +16,10 @@ terms as per-batch means and the contrastive terms in summed form, so the
 contrastive weights stay calibrated against a fixed batch size.
 
 Each term is one public function: it returns the loss, and when given a
-cotangent accumulator it also adds its weighted gradient into it. The
-prototype term instead hands back one weighted increment per side, so that
-the step can compute it on another thread and add it in the serial order.
+gradient accumulator and a weight it also adds its weighted gradient into
+it. The prototype term's accumulator is a list that takes one weighted
+increment per side, so that the step can compute the term on another
+thread and add it in the serial order.
 
 On a large enough graph and with two usable CPUs, ``total_loss_and_gradient``
 runs two jobs on one worker thread while the calling thread does the rest of
@@ -35,7 +36,7 @@ import contextlib
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -62,9 +63,6 @@ class LossBreakdown:
     prototype: float
     reg: float
     total: float
-
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
 
 
 def _check_ids(name: str, ids: np.ndarray, bound: int) -> None:
@@ -264,13 +262,25 @@ def prototype_contrastive_loss(
     return total
 
 
-def reg_loss(table: EmbeddingTable, touched: np.ndarray) -> float:
-    """Half the squared L2 norm of the touched rows."""
+def reg_loss(
+    table: EmbeddingTable,
+    touched: np.ndarray,
+    cot: np.ndarray | None = None,
+    weight: float = 1.0,
+) -> float:
+    """Half the squared L2 norm of the touched rows, each row counted once.
+
+    With ``cot``, ``weight`` times the loss's gradient w.r.t. the table (the
+    touched rows themselves) is added into its touched rows.
+    """
     ids = np.asarray(touched, dtype=np.int64)
     if ids.size == 0:
         return 0.0
     _check_ids("touched", ids, table.n_nodes)
-    rows = table.matrix[_distinct(ids)[0]]
+    distinct = _distinct(ids)[0]
+    rows = table.matrix[distinct]
+    if cot is not None:
+        cot[distinct] += weight * rows
     return float(0.5 * np.einsum("ij,ij->", rows, rows))
 
 
@@ -427,13 +437,12 @@ def total_loss_and_gradient(
 
         reg = 0.0
         if config.lambda3 > 0:
-            touched = _distinct(np.concatenate([
+            touched = np.concatenate([
                 np.asarray(triples.users, dtype=np.int64),
                 np.asarray(triples.pos_items, dtype=np.int64) + table.n_users,
                 np.asarray(triples.neg_items, dtype=np.int64) + table.n_users,
-            ]))[0]
-            reg = reg_loss(table, touched) / n_batch
-            cot_layers[0][touched] += (config.lambda3 / n_batch) * table.matrix[touched]
+            ])
+            reg = reg_loss(table, touched, cot_layers[0], config.lambda3 / n_batch) / n_batch
 
         grad = first_product.result()
         grad += cot_layers[n_layers - 1]

@@ -14,18 +14,18 @@ from .seeding import derive_seed, rng_stream
 
 @dataclass(frozen=True)
 class Clustering:
-    """Unit-norm centroids and hard assignments for one cluster count, with
-    the Lloyd iterations run and the inertia after each."""
+    """Unit-norm centroids (one row per cluster, so K is ``len(centroids)``),
+    each point's centroid index, the final inertia (summed squared distance
+    of the points to their centroids) and the Lloyd iterations run."""
 
     centroids: np.ndarray
     assignments: np.ndarray
-    k: int
     inertia: float
     n_iters: int = 0
-    inertia_history: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.assignments.min(initial=0) < 0 or self.assignments.max(initial=-1) >= self.k:
+        k = len(self.centroids)
+        if self.assignments.min(initial=0) < 0 or self.assignments.max(initial=-1) >= k:
             raise ValueError("assignment index out of range")
 
 
@@ -224,10 +224,8 @@ def run_kmeans(
     _check_finite(points, "points")
     distances = _Distances(points, k)
     centroids = _plusplus_seeding(distances, k, rng_stream(seed))
-    history: list[float] = []
     for n_iters in range(1, max_iters + 1):
-        assignments, dist = distances.nearest(centroids)
-        history.append(float(dist.sum()))
+        assignments, _ = distances.nearest(centroids)
         new_centroids, counts = _update_centroids(points, assignments, k)
         if np.any(counts == 0):
             _repair_empty_clusters(distances, new_centroids, assignments, counts)
@@ -255,10 +253,8 @@ def run_kmeans(
     return Clustering(
         centroids=centroids,
         assignments=assignments.astype(np.int64),
-        k=k,
         inertia=inertia,
         n_iters=n_iters,
-        inertia_history=tuple(history),
     )
 
 

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, IO
+from typing import Callable
 
 import numpy as np
 
@@ -50,9 +49,6 @@ class EpochRecord:
     seconds: float
     kmeans_inertia: tuple[float, ...] | None
     n_batches: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -109,7 +105,6 @@ def train(
     split: DatasetSplit,
     *,
     out_dir: str | Path | None = None,
-    log_stream: IO[str] | None = None,
     eval_fn: Callable[[EmbeddingTable, int], dict[str, float]] | None = None,
     progress: Callable[[EpochRecord], None] | None = None,
 ) -> TrainResult:
@@ -118,7 +113,8 @@ def train(
     Each epoch: re-cluster embeddings (skipped when the prototype weight is
     zero), resample negatives and shuffle, run mini-batch gradient steps,
     evaluate validation NDCG@10, and stop after ``patience`` epochs without
-    improvement, restoring the best epoch's parameters.
+    improvement, restoring the best epoch's parameters. ``progress`` gets
+    each epoch's record as soon as it is made.
     """
     config.validate()
     config.validate_for_split(split.n_users, split.n_items)
@@ -191,9 +187,6 @@ def train(
                 n_batches=len(parts),
             )
             history.append(record)
-            if log_stream is not None:
-                log_stream.write(json.dumps(record.as_dict(), sort_keys=True) + "\n")
-                log_stream.flush()
             if progress is not None:
                 progress(record)
 

@@ -4,9 +4,8 @@ that ``concf.prototypes`` must match bit for bit.
 It keeps the earlier form: every Lloyd assignment builds the full n x k
 distance matrix and clips it at zero, and k-means++ draws each center with
 ``Generator.choice``. Every Clustering field of ``run_kmeans`` and ``e_step``
-(centroids, assignments, inertia, n_iters, inertia_history) must equal this
-copy's, so any change that reorders arithmetic or draws shows as a byte
-difference.
+(centroids, assignments, inertia, n_iters) must equal this copy's, so any
+change that reorders arithmetic or draws shows as a byte difference.
 """
 
 from __future__ import annotations
@@ -146,10 +145,8 @@ def run_kmeans(
     return Clustering(
         centroids=centroids,
         assignments=assignments.astype(np.int64),
-        k=k,
         inertia=inertia,
         n_iters=n_iters,
-        inertia_history=tuple(history),
     )
 
 

@@ -296,17 +296,24 @@ class TestFullRankEval:
         with pytest.raises(ValueError, match="ns: every cutoff must be >= 1"):
             full_rank_eval(fp, small_split, ns=ns)
 
-    def test_masked_items_never_ranked(self, small_split, small_adj):
-        table = init_embeddings(small_split.n_users, small_split.n_items, 8, seed=4)
-        # push train items' scores up so masking is what keeps them out
-        fp = forward(small_adj, table, 2)
-        fp.readout[small_split.n_users:] += 5.0
-        for u in range(3):
-            scores = fp.item_readout @ fp.readout[u]
-            train_items = small_split.train_matrix[u].indices
-            scores[train_items] = -np.inf
-            top = np.argsort(-scores, kind="stable")[:10]
-            assert not set(top.tolist()) & set(train_items.tolist())
+    def test_masked_items_never_ranked(self):
+        # each user's train item scores 3, valid item 2, test item 1 and the
+        # rest 0, so a target ranks first only when every item above it is masked
+        from concf import DatasetSplit
+
+        split = DatasetSplit(
+            n_users=2, n_items=6, train=np.array([[0, 0], [1, 3]]),
+            valid=np.array([[0, 1], [1, 4]]), test=np.array([[0, 2], [1, 5]]),
+        )
+        scores = np.zeros((2, 6))
+        for pairs, score in ((split.train, 3.0), (split.valid, 2.0), (split.test, 1.0)):
+            scores[pairs[:, 0], pairs[:, 1]] = score
+        # item rows are one-hot, so user u's score for item i is scores[u, i]
+        fp = forward_from_readout(np.vstack([scores, np.eye(6)]), 2, 6)
+        for target in ("valid", "test"):
+            report = full_rank_eval(fp, split, target=target, ns=(1,))
+            assert report.n_evaluated_users == 2
+            assert report.metrics == {"recall@1": 1.0, "ndcg@1": 1.0}, target
 
     def test_tail_permutation_invariant(self):
         # metrics only read the top-N: shuffling scores below the cutoff

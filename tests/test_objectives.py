@@ -207,8 +207,8 @@ class TestStructureContrastiveLoss:
 
 def single_granularity_state(n_users, n_items, cu, au, ci, ai):
     return PrototypeState(
-        users=(Clustering(centroids=cu, assignments=au, k=len(cu), inertia=0.0),),
-        items=(Clustering(centroids=ci, assignments=ai, k=len(ci), inertia=0.0),),
+        users=(Clustering(centroids=cu, assignments=au, inertia=0.0),),
+        items=(Clustering(centroids=ci, assignments=ai, inertia=0.0),),
     )
 
 
@@ -251,9 +251,7 @@ class TestPrototypeContrastiveLoss:
 
     def test_assignment_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            Clustering(
-                centroids=np.eye(2), assignments=np.array([0, 2]), k=2, inertia=0.0
-            )
+            Clustering(centroids=np.eye(2), assignments=np.array([0, 2]), inertia=0.0)
 
 
 class TestDistinct:
@@ -275,14 +273,24 @@ class TestRegLoss:
     def test_single_row_three_four(self):
         table = EmbeddingTable(1, 1, np.array([[3.0, 4.0], [9.0, 9.0]]))
         assert reg_loss(table, np.array([0])) == 12.5
+        # the gradient is the row itself, scaled by the weight; the value is unchanged
+        cot = np.ones((2, 2))
+        assert reg_loss(table, np.array([0]), cot, weight=0.5) == 12.5
+        np.testing.assert_array_equal(cot, [[2.5, 3.0], [1.0, 1.0]])
 
     def test_empty_touched_set(self):
         table = EmbeddingTable(1, 1, np.ones((2, 2)))
+        cot = np.zeros((2, 2))
         assert reg_loss(table, np.array([], dtype=np.int64)) == 0.0
+        assert reg_loss(table, np.array([], dtype=np.int64), cot) == 0.0
+        assert not cot.any()
 
     def test_duplicate_ids_counted_once(self):
         table = EmbeddingTable(1, 1, np.array([[3.0, 4.0], [0.0, 0.0]]))
         assert reg_loss(table, np.array([0, 0, 0])) == 12.5
+        cot = np.zeros((2, 2))
+        assert reg_loss(table, np.array([0, 0, 0]), cot) == 12.5
+        np.testing.assert_array_equal(cot, [[3.0, 4.0], [0.0, 0.0]])
 
     @pytest.mark.parametrize("touched", [[-1], [0, 12]])
     def test_out_of_range_ids_rejected(self, touched):
@@ -704,7 +712,7 @@ class TestStepWorker:
         adj, table, triples, protos, cfg = worker_case()
         users = protos.users[0]
         short = Clustering(centroids=users.centroids, assignments=users.assignments[:-1],
-                           k=users.k, inertia=users.inertia)
+                           inertia=users.inertia)
         bad = PrototypeState(users=(short,), items=protos.items)
         errors = []
         for gate in ("closed", "open"):

@@ -1,6 +1,6 @@
 """Adam updates, the training loop, early stopping, and reproducibility."""
 
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -151,7 +151,7 @@ class TestTrain:
         b = train(cfg, split)
         assert len(a.history) == len(b.history)
         for ra, rb in zip(a.history, b.history):
-            assert ra.loss.as_dict() == rb.loss.as_dict()
+            assert asdict(ra.loss) == asdict(rb.loss)
             assert ra.valid_ndcg10 == rb.valid_ndcg10
             assert ra.kmeans_inertia == rb.kmeans_inertia
         np.testing.assert_array_equal(a.table.matrix, b.table.matrix)
@@ -160,7 +160,7 @@ class TestTrain:
         split = random_split(20, 25, 300, seed=4)
         result = train(quick_config(max_epochs=8, patience=10), split)
         for record in result.history:
-            assert all(np.isfinite(v) for v in record.loss.as_dict().values())
+            assert all(np.isfinite(v) for v in asdict(record.loss).values())
 
     def test_early_stopping_restores_best(self):
         split = random_split(20, 25, 300, seed=5)
@@ -231,16 +231,12 @@ class TestTrain:
     def test_crash_checkpoint_written_on_keyboard_interrupt(self, tmp_path):
         self.crash_at_epoch_two(tmp_path, KeyboardInterrupt())
 
-    def test_log_stream_gets_one_line_per_epoch(self, tmp_path):
-        import io
-        import json
-
+    def test_progress_gets_one_call_per_epoch(self):
         split = random_split(20, 25, 300, seed=11)
-        stream = io.StringIO()
-        result = train(quick_config(max_epochs=4, patience=10), split, log_stream=stream)
-        lines = [json.loads(l) for l in stream.getvalue().splitlines()]
-        assert len(lines) == len(result.history)
-        assert lines[0]["epoch"] == 1 and "seconds" in lines[0]
+        seen = []
+        result = train(quick_config(max_epochs=4, patience=10), split, progress=seen.append)
+        assert [record.epoch for record in seen] == [1, 2, 3, 4]
+        assert seen == result.history
 
     def test_invalid_config_rejected(self):
         split = random_split(10, 12, 80, seed=0)
@@ -299,7 +295,7 @@ class TestStepWorker:
             if gate == "open":
                 open_worker_gate(monkeypatch)
             result = train(cfg, split)
-            history = [record.as_dict() for record in result.history]
+            history = [asdict(record) for record in result.history]
             for record in history:
                 record.pop("seconds")
             runs[gate] = history, result.table.matrix.tobytes()
