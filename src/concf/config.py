@@ -36,8 +36,10 @@ class TrainConfig:
     valid_user_cap: int | None = None
     kmeans_max_iters: int = 100
     kmeans_tol: float = 1e-6
-    cluster_source: str = "base"   # "base" clusters the embedding table, "readout" the averaged layers
     dtype: str = "float32"   # "float64" for bit-exact comparisons and gradient oracles
+    # not a field (no flag, no config key): the E-step always clusters the
+    # base table. bench/run.py still reads it, until ROADMAP item 1.
+    cluster_source = "base"
 
     def validate(self) -> None:
         """Raise ValueError naming the first offending field."""
@@ -68,16 +70,15 @@ class TrainConfig:
         if self.seed < 0:
             raise ValueError("seed: must be >= 0")
         for name in ("k_users", "k_items"):
-            if not getattr(self, name) or min(getattr(self, name)) < 1:
-                raise ValueError(f"{name}: every cluster count must be >= 1")
+            ks = getattr(self, name)
+            if not (isinstance(ks, tuple) and len(ks) == 1 and ks[0] >= 1):
+                raise ValueError(f"{name}: must be one cluster count >= 1, got {ks!r}")
         if self.valid_user_cap is not None and self.valid_user_cap < 1:
             raise ValueError("valid_user_cap: must be >= 1 or unset")
         if self.kmeans_max_iters < 1:
             raise ValueError("kmeans_max_iters: must be >= 1")
         if self.kmeans_tol < 0:
             raise ValueError("kmeans_tol: must be >= 0")
-        if self.cluster_source not in ("base", "readout"):
-            raise ValueError("cluster_source: must be 'base' or 'readout'")
         if self.dtype not in ("float64", "float32"):
             raise ValueError("dtype: must be 'float64' or 'float32'")
 
@@ -90,9 +91,9 @@ class TrainConfig:
         if self.lambda2 == 0:
             return
         for name, n_nodes, kind in (("k_users", n_users, "users"), ("k_items", n_items, "items")):
-            for k in getattr(self, name):
-                if k > n_nodes:
-                    raise ValueError(f"{name}: {k} clusters but the split has {n_nodes} {kind}")
+            (k,) = getattr(self, name)
+            if k > n_nodes:
+                raise ValueError(f"{name}: {k} clusters but the split has {n_nodes} {kind}")
 
     @property
     def backbone_tag(self) -> str:

@@ -5,7 +5,7 @@ Terms:
   * structure-contrastive InfoNCE between each node's even-layer propagation
     output and its own base embedding, with in-batch negatives,
   * prototype-contrastive InfoNCE between base embeddings and their assigned
-    K-means centroid, against all centroids of the clustering,
+    K-means centroid, against all centroids of their side's one clustering,
   * L2 regularization over the rows touched by the batch.
 
 Gradients are computed analytically: the propagation operator is self-adjoint
@@ -219,14 +219,13 @@ def prototype_contrastive_loss(
     """Prototype-contrastive loss summed over the full population.
 
     Every node's normalized base embedding is contrasted with its assigned
-    centroid against all centroids of the clustering; terms are averaged
-    across granularities and the item side is weighted by ``alpha``.
-    Centroids are constants: no gradient flows into them. With
-    ``increments``, ``weight`` times the loss's gradient w.r.t. each side's
-    rows of the table is appended to it as ``(rows, gradient)``, users
-    first. ``logits``, a flat buffer of the logits' dtype with room for
-    every side's nodes times every clustering's centroids, holds the logits
-    in place of a new array per clustering.
+    centroid against all centroids of its side's clustering; the item side
+    is weighted by ``alpha``. Centroids are constants: no gradient flows
+    into them. With ``increments``, ``weight`` times the loss's gradient
+    w.r.t. each side's rows of the table is appended to it as ``(rows,
+    gradient)``, users first. ``logits``, a flat buffer of the logits'
+    dtype with room for either side's nodes times its centroids, holds the
+    logits in place of a new array per side.
     """
     if tau <= 0:
         raise ValueError("tau: must be > 0")
@@ -235,30 +234,21 @@ def prototype_contrastive_loss(
         (protos.users, slice(0, table.n_users), 1.0),
         (protos.items, slice(table.n_users, table.n_nodes), alpha),
     )
-    for clusterings, block, side_weight in sides:
-        if not clusterings:
-            raise ValueError("prototype state is missing a side")
+    for cl, block, side_weight in sides:
         points, norms = l2_normalize_rows(table.matrix[block])
         n = len(points)
-        grad_points = np.zeros_like(points) if increments is not None else None
-        side_term = 0.0
-        for cl in clusterings:
-            if len(cl.assignments) != n:
-                raise ValueError(
-                    f"clustering has {len(cl.assignments)} assignments for {n} nodes"
-                )
-            out = None
-            if logits is not None:
-                out = logits[: n * len(cl.centroids)].reshape(n, len(cl.centroids))
-            losses, dlogits = _infonce(points, cl.centroids, cl.assignments, tau, out)
-            side_term += float(losses.sum())
-            if grad_points is not None:
-                grad_points += dlogits @ cl.centroids / tau
-        side_term /= len(clusterings)
-        total += side_weight * side_term
+        if len(cl.assignments) != n:
+            raise ValueError(f"clustering has {len(cl.assignments)} assignments for {n} nodes")
+        out = None
+        if logits is not None:
+            out = logits[: n * len(cl.centroids)].reshape(n, len(cl.centroids))
+        losses, dlogits = _infonce(points, cl.centroids, cl.assignments, tau, out)
+        total += side_weight * float(losses.sum())
         if increments is not None:
-            scale = weight * side_weight / len(clusterings)
-            increments.append((block, scale * l2_normalize_backward(grad_points, points, norms)))
+            grad_points = dlogits @ cl.centroids / tau
+            increments.append(
+                (block, weight * side_weight * l2_normalize_backward(grad_points, points, norms))
+            )
     return total
 
 
@@ -370,10 +360,9 @@ def _logits_buffer(
     """
     if worker is None:
         return None
-    centroids = [cl.centroids for cl in (*protos.users, *protos.items)]
-    k = max((len(c) for c in centroids), default=0)
-    dtype = np.result_type(table.matrix, *centroids)
-    return np.empty(max(table.n_users, table.n_items) * k, dtype=dtype)
+    cu, ci = protos.users.centroids, protos.items.centroids
+    size = max(table.n_users * len(cu), table.n_items * len(ci))
+    return np.empty(size, dtype=np.result_type(table.matrix, cu, ci))
 
 
 def total_loss_and_gradient(

@@ -31,10 +31,10 @@ class Clustering:
 
 @dataclass(frozen=True)
 class PrototypeState:
-    """Per-side clusterings, one entry per configured granularity."""
+    """One clustering per side: the user block's and the item block's."""
 
-    users: tuple[Clustering, ...]
-    items: tuple[Clustering, ...]
+    users: Clustering
+    items: Clustering
 
 
 # Row tiles of an n x k distance matrix. A tile's product must run on the
@@ -258,6 +258,18 @@ def run_kmeans(
     )
 
 
+def _side_points(name: str, points: np.ndarray, ks: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """A side's unit-norm points and its one K; errors name the side."""
+    if len(ks) != 1:
+        raise ValueError(f"{name}: must be one cluster count, got {tuple(ks)}")
+    _check_finite(points, name)
+    try:
+        unit, _ = l2_normalize_rows(points)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    return unit, ks[0]
+
+
 def e_step(
     table: EmbeddingTable,
     k_users: tuple[int, ...],
@@ -268,23 +280,19 @@ def e_step(
     user_points: np.ndarray | None = None,
     item_points: np.ndarray | None = None,
 ) -> PrototypeState:
-    """Cluster the L2-normalized user and item blocks at each granularity.
+    """Cluster the L2-normalized user and item blocks, each into its one K.
 
-    ``user_points``/``item_points`` override the clustered representation
-    (e.g. readout rows instead of the base table); defaults are the raw
-    embedding blocks.
+    ``k_users``/``k_items`` are one-entry tuples, as ``TrainConfig`` holds
+    them. ``user_points``/``item_points`` replace a side's points (the
+    trainer always clusters the embedding blocks, the default). Both sides
+    are checked before either is clustered.
     """
     user_points = table.user_block if user_points is None else user_points
     item_points = table.item_block if item_points is None else item_points
-    _check_finite(user_points, "users")
-    _check_finite(item_points, "items")
-    xu, _ = l2_normalize_rows(user_points)
-    xi, _ = l2_normalize_rows(item_points)
+    xu, ku = _side_points("users", user_points, k_users)
+    xi, ki = _side_points("items", item_points, k_items)
+    return PrototypeState(
+        users=run_kmeans(xu, ku, derive_seed(seed, 0, 0), max_iters=max_iters, tol=tol),
+        items=run_kmeans(xi, ki, derive_seed(seed, 1, 0), max_iters=max_iters, tol=tol),
+    )
 
-    def _side(points: np.ndarray, ks: tuple[int, ...], tag: int) -> tuple[Clustering, ...]:
-        return tuple(
-            run_kmeans(points, k, derive_seed(seed, tag, m), max_iters=max_iters, tol=tol)
-            for m, k in enumerate(ks)
-        )
-
-    return PrototypeState(users=_side(xu, tuple(k_users), 0), items=_side(xi, tuple(k_items), 1))

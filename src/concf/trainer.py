@@ -47,7 +47,7 @@ class EpochRecord:
     valid_ndcg10: float
     valid_recall10: float
     seconds: float
-    kmeans_inertia: tuple[float, ...] | None
+    kmeans_inertia: tuple[float, float] | None  # users, items
     n_batches: int
 
 
@@ -147,12 +147,8 @@ def train(
         for epoch in range(1, config.max_epochs + 1):
             t0 = time.perf_counter()
             protos: PrototypeState | None = None
-            inertia: tuple[float, ...] | None = None
+            inertia: tuple[float, float] | None = None
             if config.lambda2 > 0:
-                points = None, None
-                if config.cluster_source == "readout":
-                    fp = forward(adj, table, config.n_layers)
-                    points = fp.user_readout, fp.item_readout
                 protos = e_step(
                     table,
                     config.k_users,
@@ -160,10 +156,8 @@ def train(
                     derive_seed(config.seed, STREAM_KMEANS, epoch),
                     max_iters=config.kmeans_max_iters,
                     tol=config.kmeans_tol,
-                    user_points=points[0],
-                    item_points=points[1],
                 )
-                inertia = tuple(c.inertia for c in protos.users + protos.items)
+                inertia = protos.users.inertia, protos.items.inertia
 
             triples = sample_negatives(split, derive_seed(config.seed, STREAM_NEGATIVES, epoch))
             order = rng_stream(config.seed, STREAM_SHUFFLE, epoch).permutation(len(triples))

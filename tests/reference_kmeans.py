@@ -160,7 +160,7 @@ def e_step(
     user_points: np.ndarray | None = None,
     item_points: np.ndarray | None = None,
 ) -> PrototypeState:
-    """Cluster the L2-normalized user and item blocks at each granularity.
+    """Cluster the L2-normalized user and item blocks, each into its one K.
 
     ``user_points``/``item_points`` override the clustered representation
     (e.g. readout rows instead of the base table); defaults are the raw
@@ -169,10 +169,8 @@ def e_step(
     xu, _ = l2_normalize_rows(user_points if user_points is not None else table.user_block)
     xi, _ = l2_normalize_rows(item_points if item_points is not None else table.item_block)
 
-    def _side(points: np.ndarray, ks: tuple[int, ...], tag: int) -> tuple[Clustering, ...]:
-        return tuple(
-            run_kmeans(points, k, derive_seed(seed, tag, m), max_iters=max_iters, tol=tol)
-            for m, k in enumerate(ks)
-        )
-
-    return PrototypeState(users=_side(xu, tuple(k_users), 0), items=_side(xi, tuple(k_items), 1))
+    (ku,), (ki,) = k_users, k_items
+    return PrototypeState(
+        users=run_kmeans(xu, ku, derive_seed(seed, 0, 0), max_iters=max_iters, tol=tol),
+        items=run_kmeans(xi, ki, derive_seed(seed, 1, 0), max_iters=max_iters, tol=tol),
+    )

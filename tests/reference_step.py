@@ -72,17 +72,15 @@ def prototype(table, protos, tau, alpha, cot0, weight):
         (protos.users, slice(0, table.n_users), 1.0),
         (protos.items, slice(table.n_users, table.n_nodes), alpha),
     )
-    for clusterings, block, side_weight in sides:
+    for cl, block, side_weight in sides:
         points, norms = l2_normalize_rows(table.matrix[block])
         grad_points = np.zeros_like(points)
         side_term = 0.0
-        for cl in clusterings:
-            losses, dlogits = infonce(points, cl.centroids, cl.assignments, tau)
-            side_term += float(losses.sum())
-            grad_points += dlogits @ cl.centroids / tau
-        side_term /= len(clusterings)
+        losses, dlogits = infonce(points, cl.centroids, cl.assignments, tau)
+        side_term += float(losses.sum())
+        grad_points += dlogits @ cl.centroids / tau
         total += side_weight * side_term
-        scale = weight * side_weight / len(clusterings)
+        scale = weight * side_weight
         cot0[block] += scale * l2_normalize_backward(grad_points, points, norms)
     return total
 

@@ -210,7 +210,7 @@ class TestTrain:
         assert "k_users: 1000" in res.stderr and "25 users" in res.stderr
         res = run_cli(
             "train", "--split-dir", str(split_dir), "--out-dir", str(out),
-            "--k-users", "25", "--k-items", "31,4",
+            "--k-users", "25", "--k-items", "31",
         )
         assert res.returncode != 0
         assert "k_items: 31" in res.stderr and "30 items" in res.stderr
@@ -270,7 +270,7 @@ class TestTrain:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(
             "d = 8\nbatch_size = 64\nmax_epochs = 2\n# comment\nseed = 9\n"
-            "k_users = 5\nk_items = 5, 6\n"
+            "k_users = 5\nk_items = 6\n"
         )
         res = run_cli(
             "train", "--split-dir", str(split_dir), "--out-dir", str(tmp_path / "o"),
@@ -279,26 +279,33 @@ class TestTrain:
         assert res.returncode == 0
         cfg = json.loads(res.stdout)["config"]
         assert cfg["d"] == 8 and cfg["batch_size"] == 32 and cfg["seed"] == 9
-        assert cfg["k_items"] == [5, 6]
+        assert cfg["k_users"] == [5] and cfg["k_items"] == [6]
 
-    def test_unparsable_config_value_named(self, split_dir, tmp_path):
-        for line, field in (("d = abc", "d"), ("k_users = 3,x", "k_users")):
+    def test_unparsable_config_value_named(self, tmp_path):
+        # the config fails before the (missing) split is read
+        for line, field in (("d = abc", "d"), ("k_users = 3,x", "k_users"),
+                            ("k_items = 5, 6", "k_items")):
             cfg_file = tmp_path / "bad.cfg"
             cfg_file.write_text(line + "\n")
             res = run_cli(
-                "train", "--split-dir", str(split_dir), "--out-dir", "/dev/null",
+                "train", "--split-dir", str(tmp_path / "no-split"), "--out-dir", "/dev/null",
                 "--config", str(cfg_file), "--dry-run",
             )
             assert res.returncode != 0
             assert f"invalid config: {field}: " in res.stderr
 
-    def test_unparsable_flag_value_named(self, split_dir):
-        res = run_cli(
-            "train", "--split-dir", str(split_dir), "--out-dir", "/dev/null",
-            "--valid-user-cap", "many", "--dry-run",
-        )
-        assert res.returncode != 0
-        assert "invalid config: valid_user_cap: " in res.stderr
+    def test_unparsable_flag_value_named(self, tmp_path):
+        # the flag fails before the (missing) split is read
+        for flag, value, message in (
+            ("--valid-user-cap", "many", "valid_user_cap: "),
+            ("--k-users", "5,6", "k_users: must be one cluster count >= 1, got (5, 6)"),
+        ):
+            res = run_cli(
+                "train", "--split-dir", str(tmp_path / "no-split"), "--out-dir", "/dev/null",
+                flag, value, "--dry-run",
+            )
+            assert res.returncode == 1
+            assert f"invalid config: {message}" in res.stderr
 
     def test_one_flag_per_config_field(self):
         import dataclasses
@@ -318,7 +325,7 @@ class TestTrain:
     def test_config_file_strings_round_trip(self):
         from concf.config import TrainConfig
 
-        cfg = TrainConfig(k_users=(7, 30), valid_user_cap=12, lambda2=3.5e-9)
+        cfg = TrainConfig(k_users=(7,), valid_user_cap=12, lambda2=3.5e-9)
         for base in (TrainConfig(), cfg):
             as_file = {
                 key: "none" if v is None else ",".join(map(str, v)) if isinstance(v, list)
@@ -328,14 +335,22 @@ class TestTrain:
             assert TrainConfig.from_dict(as_file).to_dict() == base.to_dict()
 
     def test_unknown_config_key_named(self, split_dir, tmp_path):
-        cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("nonsense = 4\n")
+        # cluster_source is not a config field: the E-step clusters the base table
+        for key in ("nonsense", "cluster_source"):
+            cfg_file = tmp_path / "bad.cfg"
+            cfg_file.write_text(f"{key} = base\n")
+            res = run_cli(
+                "train", "--split-dir", str(split_dir), "--out-dir", "/dev/null",
+                "--config", str(cfg_file), "--dry-run",
+            )
+            assert res.returncode != 0
+            assert f"invalid config: {key}: unknown config field" in res.stderr
         res = run_cli(
             "train", "--split-dir", str(split_dir), "--out-dir", "/dev/null",
-            "--config", str(cfg_file), "--dry-run",
+            "--cluster-source", "base", "--dry-run",
         )
-        assert res.returncode != 0
-        assert "nonsense" in res.stderr
+        assert res.returncode == 2
+        assert "--cluster-source" in res.stderr
 
     def test_non_utf8_split_file_named(self, split_dir, tmp_path):
         broken = shutil.copytree(split_dir, tmp_path / "split")

@@ -205,10 +205,10 @@ class TestStructureContrastiveLoss:
             assert hi >= lo - 1e-12
 
 
-def single_granularity_state(n_users, n_items, cu, au, ci, ai):
+def prototype_state(cu, au, ci, ai):
     return PrototypeState(
-        users=(Clustering(centroids=cu, assignments=au, inertia=0.0),),
-        items=(Clustering(centroids=ci, assignments=ai, inertia=0.0),),
+        users=Clustering(centroids=cu, assignments=au, inertia=0.0),
+        items=Clustering(centroids=ci, assignments=ai, inertia=0.0),
     )
 
 
@@ -223,31 +223,16 @@ class TestPrototypeContrastiveLoss:
         table = EmbeddingTable(1, 1, np.array([[2.0, 0.0], [0.0, 1.0]]))
         cu = np.array([[1.0, 0.0], [0.0, 1.0]])
         ci = np.array([[0.0, 1.0], [1.0, 0.0]])
-        protos = single_granularity_state(
-            1, 1, cu, np.array([0]), ci, np.array([0])
-        )
+        protos = prototype_state(cu, np.array([0]), ci, np.array([0]))
         loss = prototype_contrastive_loss(table, protos, tau=1.0, alpha=0.0)
         assert abs(loss - NEG_LOG_SIGMOID_1) < 1e-12
 
     def test_equidistant_centroids_give_ln2(self):
         table = EmbeddingTable(1, 1, np.array([[1.0, 1.0], [1.0, 0.0]]))
         cu = np.array([[1.0, 0.0], [0.0, 1.0]])
-        protos = single_granularity_state(
-            1, 1, cu, np.array([0]), np.array([[1.0, 0.0]]), np.array([0])
-        )
+        protos = prototype_state(cu, np.array([0]), np.array([[1.0, 0.0]]), np.array([0]))
         loss = prototype_contrastive_loss(table, protos, tau=1.0, alpha=0.0)
         assert abs(loss - LN2) < 1e-12
-
-    def test_granularities_averaged(self):
-        rng = np.random.default_rng(4)
-        table = EmbeddingTable(6, 6, rng.standard_normal((12, 4)))
-        p1 = e_step(table, (2,), (1,), seed=1)
-        p2 = e_step(table, (3,), (1,), seed=1)
-        both = PrototypeState(users=p1.users + p2.users, items=p1.items)
-        l1 = prototype_contrastive_loss(table, p1, tau=0.3, alpha=0.0)
-        l2 = prototype_contrastive_loss(table, p2, tau=0.3, alpha=0.0)
-        lb = prototype_contrastive_loss(table, both, tau=0.3, alpha=0.0)
-        assert abs(lb - (l1 + l2) / 2) < 1e-9
 
     def test_assignment_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -622,7 +607,7 @@ class TestStepMatchesReference:
         adj = build_normalized_adjacency(split, dtype=np.dtype(dtype))
         cfg = TrainConfig(
             d=6, n_layers=n_layers, k_layer=k_layer, tau=0.2, lambda1=lambda1, lambda2=0.2,
-            lambda3=0.1, k_users=(3, 4), k_items=(3,), lr=0.05, dtype=dtype,
+            lambda3=0.1, k_users=(4,), k_items=(3,), lr=0.05, dtype=dtype,
         )
         rng = np.random.default_rng(9)
         matrix = (0.3 * rng.standard_normal((27, 6))).astype(dtype)
@@ -710,10 +695,10 @@ class TestStepWorker:
 
     def test_failing_job_raises_the_serial_error(self, monkeypatch):
         adj, table, triples, protos, cfg = worker_case()
-        users = protos.users[0]
+        users = protos.users
         short = Clustering(centroids=users.centroids, assignments=users.assignments[:-1],
                            inertia=users.inertia)
-        bad = PrototypeState(users=(short,), items=protos.items)
+        bad = PrototypeState(users=short, items=protos.items)
         errors = []
         for gate in ("closed", "open"):
             if gate == "open":

@@ -243,18 +243,21 @@ class TestEStep:
         return EmbeddingTable(12, 15, rng.standard_normal((27, 6)))
 
     def test_granularity_structure(self):
-        protos = e_step(self.make_table(), (2, 4), (3,), seed=1)
-        assert [len(c.centroids) for c in protos.users] == [2, 4]
-        assert [len(c.centroids) for c in protos.items] == [3]
-        assert protos.users[0].centroids.shape == (2, 6)
-        assert len(protos.users[1].assignments) == 12
-        assert len(protos.items[0].assignments) == 15
+        protos = e_step(self.make_table(), (4,), (3,), seed=1)
+        assert protos.users.centroids.shape == (4, 6)
+        assert protos.items.centroids.shape == (3, 6)
+        assert len(protos.users.assignments) == 12
+        assert len(protos.items.assignments) == 15
+        with pytest.raises(ValueError, match=r"^users: must be one cluster count, got \(2, 4\)$"):
+            e_step(self.make_table(), (2, 4), (3,), seed=1)
+        with pytest.raises(ValueError, match=r"^items: must be one cluster count, got \(\)$"):
+            e_step(self.make_table(), (4,), (), seed=1)
 
     def test_deterministic(self):
         a = e_step(self.make_table(), (3,), (3,), seed=9)
         b = e_step(self.make_table(), (3,), (3,), seed=9)
-        np.testing.assert_array_equal(a.users[0].centroids, b.users[0].centroids)
-        np.testing.assert_array_equal(a.items[0].assignments, b.items[0].assignments)
+        np.testing.assert_array_equal(a.users.centroids, b.users.centroids)
+        np.testing.assert_array_equal(a.items.assignments, b.items.assignments)
 
     def test_clusters_normalized_blocks(self):
         table = self.make_table(seed=3)
@@ -262,7 +265,7 @@ class TestEStep:
         xu, _ = l2_normalize_rows(table.user_block)
         mean = xu.mean(axis=0)
         np.testing.assert_allclose(
-            protos.users[0].centroids[0], mean / np.linalg.norm(mean), atol=1e-12
+            protos.users.centroids[0], mean / np.linalg.norm(mean), atol=1e-12
         )
 
     def test_custom_points_override(self):
@@ -271,21 +274,24 @@ class TestEStep:
         readout_u = rng.standard_normal((12, 6))
         a = e_step(table, (2,), (2,), seed=3, user_points=readout_u)
         b = e_step(table, (2,), (2,), seed=3)
-        assert not np.array_equal(a.users[0].centroids, b.users[0].centroids)
-        np.testing.assert_array_equal(a.items[0].centroids, b.items[0].centroids)
+        assert not np.array_equal(a.users.centroids, b.users.centroids)
+        np.testing.assert_array_equal(a.items.centroids, b.items.centroids)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_centroids_keep_table_dtype(self, dtype):
         table = self.make_table(seed=2)
         table.matrix = table.matrix.astype(dtype)
-        protos = e_step(table, (2, 4), (3,), seed=1)
-        assert {c.centroids.dtype for c in protos.users + protos.items} == {np.dtype(dtype)}
+        protos = e_step(table, (4,), (3,), seed=1)
+        assert protos.users.centroids.dtype == protos.items.centroids.dtype == np.dtype(dtype)
 
     def test_zero_norm_row_rejected(self):
-        table = self.make_table(seed=6)
-        table.matrix[2] = 0.0
-        with pytest.raises(ValueError, match="degenerate"):
-            e_step(table, (2,), (2,), seed=0)
+        # an item row is named by its index in the item block
+        for side, row, side_row in (("users", 2, 2), ("items", 14, 2)):
+            table = self.make_table(seed=6)
+            table.matrix[row] = 0.0
+            with pytest.raises(ValueError, match=f"^{side}: degenerate embedding: zero-norm row "
+                                                 f"{side_row}$"):
+                e_step(table, (2,), (2,), seed=0)
 
 
 def reference_repair_empty_clusters(points, centroids, assignments, counts):
@@ -442,9 +448,8 @@ def assert_same_clustering(got, want):
 
 
 def assert_same_state(got, want):
-    assert len(got.users) == len(want.users) and len(got.items) == len(want.items)
-    for a, b in zip(got.users + got.items, want.users + want.items):
-        assert_same_clustering(a, b)
+    assert_same_clustering(got.users, want.users)
+    assert_same_clustering(got.items, want.items)
 
 
 def assert_kmeans_matches_reference(points, k, seed, **kwargs):
@@ -541,8 +546,8 @@ class TestMatchesFrozenReference:
         table = EmbeddingTable(40, 50, rng.standard_normal((90, 5)).astype(dtype))
         readout = rng.standard_normal((40, 5)).astype(dtype)
         for kwargs in ({}, {"user_points": readout}):
-            got = e_step(table, (2, 7), (1, 50), 11, **kwargs)
-            assert_same_state(got, reference_kmeans.e_step(table, (2, 7), (1, 50), 11, **kwargs))
+            got = e_step(table, (7,), (50,), 11, **kwargs)
+            assert_same_state(got, reference_kmeans.e_step(table, (7,), (50,), 11, **kwargs))
 
 
 class TestKmeansMemory:

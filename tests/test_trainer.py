@@ -1,5 +1,6 @@
 """Adam updates, the training loop, early stopping, and reproducibility."""
 
+import re
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -253,7 +254,7 @@ class TestTrain:
     def test_cluster_count_above_split_size_rejected_before_work(self, tmp_path):
         split = random_split(10, 12, 80, seed=0)
         with pytest.raises(ValueError, match="k_items: 13 clusters"):
-            train(quick_config(k_items=(4, 13)), split, out_dir=tmp_path)
+            train(quick_config(k_items=(13,)), split, out_dir=tmp_path)
         assert not (tmp_path / "crash.ckpt").exists()
 
     @pytest.mark.parametrize("empty, custom_eval", [
@@ -325,6 +326,13 @@ class TestConfigValidate:
     def test_zero_kmeans_tol_accepted(self):
         TrainConfig(kmeans_tol=0.0).validate()
 
+    @pytest.mark.parametrize("field", ["k_users", "k_items"])
+    @pytest.mark.parametrize("value", [(2, 4), (), (0,), [8], 8])
+    def test_one_cluster_count_per_side(self, field, value):
+        message = f"{field}: must be one cluster count >= 1, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(**{field: value}).validate()
+
 
 class TestFloat32:
     def test_every_array_of_a_run_stays_float32(self, monkeypatch, tmp_path):
@@ -352,7 +360,7 @@ class TestFloat32:
         spy(concf.trainer, "forward",
             lambda fp, *_: note("eval forward layers and readout", *fp.layers, fp.readout))
         spy(concf.trainer, "e_step", lambda protos, *_: note(
-            "centroids", *(c.centroids for c in protos.users + protos.items)))
+            "centroids", protos.users.centroids, protos.items.centroids))
 
         def after_adam(_, table, grads, state, cfg):
             note("gradient", grads)
