@@ -33,13 +33,14 @@ class TrainConfig:
     max_epochs: int = 200
     patience: int = 10
     seed: int = 42
-    valid_user_cap: int | None = None
-    kmeans_max_iters: int = 100
-    kmeans_tol: float = 1e-6
     dtype: str = "float32"   # "float64" for bit-exact comparisons and gradient oracles
-    # not a field (no flag, no config key): the E-step always clusters the
-    # base table. bench/run.py still reads it, until ROADMAP item 1.
+    # not fields (no flag, no config key); bench/run.py reads them until
+    # ROADMAP item 1. The E-step clusters the base table, and the other three
+    # must equal the e_step and full_rank_eval defaults that train() uses.
     cluster_source = "base"
+    kmeans_max_iters = 100
+    kmeans_tol = 1e-6
+    valid_user_cap = None
 
     def validate(self) -> None:
         """Raise ValueError naming the first offending field."""
@@ -73,12 +74,6 @@ class TrainConfig:
             ks = getattr(self, name)
             if not (isinstance(ks, tuple) and len(ks) == 1 and ks[0] >= 1):
                 raise ValueError(f"{name}: must be one cluster count >= 1, got {ks!r}")
-        if self.valid_user_cap is not None and self.valid_user_cap < 1:
-            raise ValueError("valid_user_cap: must be >= 1 or unset")
-        if self.kmeans_max_iters < 1:
-            raise ValueError("kmeans_max_iters: must be >= 1")
-        if self.kmeans_tol < 0:
-            raise ValueError("kmeans_tol: must be >= 0")
         if self.dtype not in ("float64", "float32"):
             raise ValueError("dtype: must be 'float64' or 'float32'")
 
@@ -119,16 +114,8 @@ def _int_tuple(raw: Any) -> tuple[int, ...]:
     return tuple(int(v) for v in raw)
 
 
-def _optional_int(raw: Any) -> int | None:
-    if raw is None or (isinstance(raw, str) and raw.lower() in ("none", "")):
-        return None
-    return int(raw)
-
-
 # one parser per annotation; a field of any other type fails at import
-_PARSERS = {
-    int: int, float: float, str: str, tuple[int, ...]: _int_tuple, int | None: _optional_int
-}
+_PARSERS = {int: int, float: float, str: str, tuple[int, ...]: _int_tuple}
 _FIELD_PARSERS = {name: _PARSERS[hint] for name, hint in get_type_hints(TrainConfig).items()}
 _FLOAT_FIELDS = tuple(name for name, parse in _FIELD_PARSERS.items() if parse is float)
 

@@ -133,6 +133,7 @@ class DatasetSplit:
             "n_items": self.n_items,
             "counts": {name: int(len(getattr(self, name))) for name in _SPLIT_FILES},
             "seed": self.meta.get("seed"),
+            "ratios": self.meta.get("ratios"),
             "min_count": self.meta.get("min_count"),
         }
         _write_replacing(out / "header.json", json.dumps(header, indent=2, sort_keys=True) + "\n")
@@ -153,7 +154,8 @@ class DatasetSplit:
                     f"{fname}: {len(rows)} rows but header says {header['counts'][name]}"
                 )
             parts[name] = rows
-        meta = {"seed": header.get("seed"), "min_count": header.get("min_count")}
+        # older headers have no ratios
+        meta = {key: header.get(key) for key in ("seed", "ratios", "min_count")}
         try:
             return cls(n_users=n_users, n_items=n_items, **parts, meta=meta)
         except ValueError as exc:
@@ -448,7 +450,7 @@ def build_split(
         train=pairs[part == 0],
         valid=pairs[part == 1],
         test=pairs[part == 2],
-        meta={"seed": seed, "ratios": tuple(ratios)},
+        meta={"seed": seed, "ratios": list(ratios)},  # as header.json holds them
     )
 
 

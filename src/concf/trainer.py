@@ -131,10 +131,7 @@ def train(
     if eval_fn is None:
         def eval_fn(tbl: EmbeddingTable, epoch: int) -> dict[str, float]:
             fp = forward(adj, tbl, config.n_layers)
-            report = full_rank_eval(
-                fp, split, target="valid", ns=(10,), user_cap=config.valid_user_cap
-            )
-            return report.metrics
+            return full_rank_eval(fp, split, target="valid", ns=(10,)).metrics
 
     history: list[EpochRecord] = []
     best_metric = -np.inf
@@ -149,14 +146,8 @@ def train(
             protos: PrototypeState | None = None
             inertia: tuple[float, float] | None = None
             if config.lambda2 > 0:
-                protos = e_step(
-                    table,
-                    config.k_users,
-                    config.k_items,
-                    derive_seed(config.seed, STREAM_KMEANS, epoch),
-                    max_iters=config.kmeans_max_iters,
-                    tol=config.kmeans_tol,
-                )
+                seed = derive_seed(config.seed, STREAM_KMEANS, epoch)
+                protos = e_step(table, config.k_users, config.k_items, seed)
                 inertia = protos.users.inertia, protos.items.inertia
 
             triples = sample_negatives(split, derive_seed(config.seed, STREAM_NEGATIVES, epoch))

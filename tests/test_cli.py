@@ -162,6 +162,16 @@ class TestPrepare:
         assert header["n_users"] == 2 and header["n_items"] == 3
         assert header["min_count"] == 2
 
+    def test_header_records_ratios(self, interactions_file, tmp_path):
+        from concf import DatasetSplit
+
+        out = tmp_path / "o"
+        res = run_cli("prepare", "--input", str(interactions_file), "--out", str(out),
+                      "--ratios", "0.7,0.2,0.1")
+        assert res.returncode == 0, res.stderr
+        assert json.loads((out / "header.json").read_text())["ratios"] == [0.7, 0.2, 0.1]
+        assert DatasetSplit.load(out).meta["ratios"] == [0.7, 0.2, 0.1]
+
     def test_out_file_fails_before_reading_input(self, interactions_file, tmp_path, monkeypatch, capsys):
         from concf import cli, dataset
 
@@ -297,7 +307,7 @@ class TestTrain:
     def test_unparsable_flag_value_named(self, tmp_path):
         # the flag fails before the (missing) split is read
         for flag, value, message in (
-            ("--valid-user-cap", "many", "valid_user_cap: "),
+            ("--patience", "many", "patience: "),
             ("--k-users", "5,6", "k_users: must be one cluster count >= 1, got (5, 6)"),
         ):
             res = run_cli(
@@ -325,18 +335,19 @@ class TestTrain:
     def test_config_file_strings_round_trip(self):
         from concf.config import TrainConfig
 
-        cfg = TrainConfig(k_users=(7,), valid_user_cap=12, lambda2=3.5e-9)
+        cfg = TrainConfig(k_users=(7,), lambda2=3.5e-9)
         for base in (TrainConfig(), cfg):
             as_file = {
-                key: "none" if v is None else ",".join(map(str, v)) if isinstance(v, list)
-                else str(v)
+                key: ",".join(map(str, v)) if isinstance(v, list) else str(v)
                 for key, v in base.to_dict().items()
             }
             assert TrainConfig.from_dict(as_file).to_dict() == base.to_dict()
 
     def test_unknown_config_key_named(self, split_dir, tmp_path):
-        # cluster_source is not a config field: the E-step clusters the base table
-        for key in ("nonsense", "cluster_source"):
+        # not config fields: the E-step clusters the base table with fixed
+        # K-means limits, and validation ranks every user
+        for key in ("nonsense", "cluster_source", "valid_user_cap", "kmeans_max_iters",
+                    "kmeans_tol"):
             cfg_file = tmp_path / "bad.cfg"
             cfg_file.write_text(f"{key} = base\n")
             res = run_cli(
@@ -374,11 +385,11 @@ class TestTrain:
 
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--kmeans-max-iters", "0", "kmeans_max_iters: must be >= 1"),
+        ("--max-epochs", "0", "max_epochs: must be >= 1"),
         ("--seed", "-1", "seed: must be >= 0"),
         ("--tau", "nan", "tau: must be finite"),
         ("--lambda1", "inf", "lambda1: must be finite"),
-        ("--kmeans-tol", "-1", "kmeans_tol: must be >= 0"),
+        ("--lr", "0", "lr: must be > 0"),
     ])
     def test_bad_field_rejected_before_work(self, split_dir, tmp_path, flag, value, message):
         out = tmp_path / "o"
@@ -724,10 +735,15 @@ def test_threads_flag_unknown(argv, capsys):
     ["train", "--split-dir", "s", "--out-dir", "o", "--beta1", "0.9"],
     ["train", "--split-dir", "s", "--out-dir", "o", "--beta2", "0.999"],
     ["train", "--split-dir", "s", "--out-dir", "o", "--adam-eps", "1e-8"],
+    ["train", "--split-dir", "s", "--out-dir", "o", "--valid-user-cap", "12"],
+    ["train", "--split-dir", "s", "--out-dir", "o", "--kmeans-max-iters", "50"],
+    ["train", "--split-dir", "s", "--out-dir", "o", "--kmeans-tol", "0"],
     ["evaluate", "--checkpoint", "c", "--split-dir", "s", "--no-mask-validation"],
-], ids=["beta1", "beta2", "adam-eps", "no-mask-validation"])
+], ids=["beta1", "beta2", "adam-eps", "valid-user-cap", "kmeans-max-iters", "kmeans-tol",
+        "no-mask-validation"])
 def test_fixed_choice_flag_unknown(argv, capsys):
-    # Adam's constants and test-time validation masking are not options
+    # Adam's constants, the E-step's K-means limits, validation over every
+    # user and test-time validation masking are not options
     from concf.cli import main
 
     with pytest.raises(SystemExit) as exc:
@@ -773,3 +789,19 @@ def test_readme_command_parses(argv, capsys):
     except SystemExit:
         pytest.fail(f"README command does not parse: concf {' '.join(argv)}\n"
                     + capsys.readouterr().err)
+
+
+def test_readme_flags_are_options():
+    # a backticked flag in the prose names an option of some subcommand
+    import argparse
+
+    from concf.cli import _build_parser
+
+    (subparsers,) = (a for a in _build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction))
+    options = {opt for sub in subparsers.choices.values() for opt in sub._option_string_actions}
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    flags = {flag for span in re.findall(r"`([^`\n]+)`", text)
+             for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", span)}
+    assert flags, "the README names no flag"
+    assert sorted(flags - options) == []

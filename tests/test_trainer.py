@@ -244,7 +244,7 @@ class TestTrain:
         with pytest.raises(ValueError, match="k_layer"):
             train(quick_config(k_layer=3), split)
 
-    @pytest.mark.parametrize("field, value", [("kmeans_max_iters", 0), ("seed", -1)])
+    @pytest.mark.parametrize("field, value", [("max_epochs", 0), ("seed", -1)])
     def test_bad_field_rejected_before_work(self, tmp_path, field, value):
         split = random_split(10, 12, 80, seed=0)
         with pytest.raises(ValueError, match=f"^{field}: must be >= "):
@@ -307,8 +307,7 @@ class TestStepWorker:
 
 class TestConfigValidate:
     def test_float_fields(self):
-        assert FLOAT_FIELDS == ["tau", "alpha", "lambda1", "lambda2", "lambda3",
-                                "lr", "kmeans_tol"]
+        assert FLOAT_FIELDS == ["tau", "alpha", "lambda1", "lambda2", "lambda3", "lr"]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("field", FLOAT_FIELDS)
@@ -317,14 +316,43 @@ class TestConfigValidate:
             TrainConfig(**{field: value}).validate()
 
     @pytest.mark.parametrize("field, value, message", [
-        ("kmeans_tol", -1.0, "must be >= 0"),
+        ("d", 0, "must be >= 1"),
+        ("n_layers", 0, "must be >= 1"),
+        ("k_layer", 3, "must be a positive even number"),
+        ("k_layer", 4, "must be <= n_layers"),
+        ("tau", 0.0, "must be > 0"),
+        ("alpha", -0.5, "must be >= 0"),
+        ("lambda1", -1e-7, "must be >= 0"),
+        ("lambda2", -1e-7, "must be >= 0"),
+        ("lambda3", -1e-4, "must be >= 0"),
+        ("batch_size", 0, "must be >= 1"),
+        ("lr", 0.0, "must be > 0"),
+        ("max_epochs", 0, "must be >= 1"),
+        ("patience", 0, "must be >= 1"),
+        ("seed", -1, "must be >= 0"),
+        ("dtype", "float16", "must be 'float64' or 'float32'"),
     ])
-    def test_float_bound_named(self, field, value, message):
-        with pytest.raises(ValueError, match=f"^{field}: {message}$"):
+    def test_bound_named(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{field}: {message}')}$"):
             TrainConfig(**{field: value}).validate()
 
-    def test_zero_kmeans_tol_accepted(self):
-        TrainConfig(kmeans_tol=0.0).validate()
+    def test_bench_read_attributes_are_library_defaults(self):
+        # not fields, so no flag or config key sets them; train() leaves the
+        # E-step's K-means limits and the validation user cap at these defaults
+        import inspect
+
+        from concf import e_step
+
+        names = {"cluster_source", "kmeans_max_iters", "kmeans_tol", "valid_user_cap"}
+        assert names.isdisjoint(f.name for f in fields(TrainConfig))
+        e_defaults = inspect.signature(e_step).parameters
+        eval_defaults = inspect.signature(full_rank_eval).parameters
+        assert TrainConfig.cluster_source == "base"
+        assert TrainConfig.kmeans_max_iters == e_defaults["max_iters"].default
+        assert TrainConfig.kmeans_tol == e_defaults["tol"].default
+        assert TrainConfig.valid_user_cap is eval_defaults["user_cap"].default
+        with pytest.raises(TypeError):
+            TrainConfig(valid_user_cap=12)
 
     @pytest.mark.parametrize("field", ["k_users", "k_items"])
     @pytest.mark.parametrize("value", [(2, 4), (), (0,), [8], 8])
