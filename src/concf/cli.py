@@ -119,7 +119,11 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         raw = dataset.k_core_filter(raw, args.min_count)
     split = dataset.build_split(raw, ratios=ratios, seed=args.seed)
     split.meta["min_count"] = args.min_count
-    print(json.dumps(split.save(out), sort_keys=True))
+    header = split.save(out)
+    # line n holds the key of id n - 1; the ingest splits lines, so no key has a line break
+    for name, keys in (("user_keys.txt", raw.user_keys), ("item_keys.txt", raw.item_keys)):
+        _write_replacing(out / name, "".join(f"{key}\n" for key in keys))
+    print(json.dumps(header, sort_keys=True))
     return 0
 
 
@@ -159,8 +163,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for stale in ("model.ckpt", "crash.ckpt", "manifest.json"):  # an earlier run's
+        (out_dir / stale).unlink(missing_ok=True)
     manifest = {
-        "run_id": None,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "package_version": __version__,
         "command": "train",
@@ -303,7 +308,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

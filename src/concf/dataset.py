@@ -2,7 +2,8 @@
 
 The on-disk split layout is three delimited files (train.tsv, valid.tsv,
 test.tsv; one ``user_id<TAB>item_id`` per line) plus a header.json with
-{n_users, n_items, counts, seed, min_count}.
+{n_users, n_items, counts, seed, ratios, min_count}. ``concf prepare`` also
+writes user_keys.txt and item_keys.txt, whose line n holds the key of id n - 1.
 """
 
 from __future__ import annotations

@@ -16,18 +16,15 @@ terms as per-batch means and the contrastive terms in summed form, so the
 contrastive weights stay calibrated against a fixed batch size.
 
 Each term is one public function: it returns the loss, and when given a
-gradient accumulator and a weight it also adds its weighted gradient into
-it. The prototype term's accumulator is a list that takes one weighted
-increment per side, so that the step can compute the term on another
-thread and add it in the serial order.
+gradient accumulator and a weight it also adds its weighted gradient into it.
 
 On a large enough graph and with two usable CPUs, ``total_loss_and_gradient``
 runs two jobs on one worker thread while the calling thread does the rest of
 the step: the prototype term beside the forward propagation, and the first
 backward product beside the structure term. Each job is the same
-computation on the same full-size operands as the serial step, and every
-sum into a cotangent happens on the calling thread in the serial order, so
-the step's losses and gradient do not depend on whether the worker ran.
+computation on the same full-size operands as the serial step, and the
+calling thread adds each job's result into the cotangents in the serial order,
+so the step's losses and gradient do not depend on whether the worker ran.
 """
 
 from __future__ import annotations
@@ -212,7 +209,7 @@ def prototype_contrastive_loss(
     protos: PrototypeState,
     tau: float,
     alpha: float = 1.0,
-    increments: list[tuple[slice, np.ndarray]] | None = None,
+    cot: np.ndarray | None = None,
     weight: float = 1.0,
     logits: np.ndarray | None = None,
 ) -> float:
@@ -221,11 +218,10 @@ def prototype_contrastive_loss(
     Every node's normalized base embedding is contrasted with its assigned
     centroid against all centroids of its side's clustering; the item side
     is weighted by ``alpha``. Centroids are constants: no gradient flows
-    into them. With ``increments``, ``weight`` times the loss's gradient
-    w.r.t. each side's rows of the table is appended to it as ``(rows,
-    gradient)``, users first. ``logits``, a flat buffer of the logits'
-    dtype with room for either side's nodes times its centroids, holds the
-    logits in place of a new array per side.
+    into them. With ``cot``, ``weight`` times the loss's gradient w.r.t. the
+    table is added into it. ``logits``, a flat buffer of the logits' dtype
+    with room for either side's nodes times its centroids, holds the logits
+    in place of a new array per side.
     """
     if tau <= 0:
         raise ValueError("tau: must be > 0")
@@ -244,11 +240,9 @@ def prototype_contrastive_loss(
             out = logits[: n * len(cl.centroids)].reshape(n, len(cl.centroids))
         losses, dlogits = _infonce(points, cl.centroids, cl.assignments, tau, out)
         total += side_weight * float(losses.sum())
-        if increments is not None:
+        if cot is not None:
             grad_points = dlogits @ cl.centroids / tau
-            increments.append(
-                (block, weight * side_weight * l2_normalize_backward(grad_points, points, norms))
-            )
+            cot[block] += weight * side_weight * l2_normalize_backward(grad_points, points, norms)
     return total
 
 
@@ -350,16 +344,10 @@ def _start(worker: ThreadPoolExecutor | None, fn, *args):
     return worker.submit(_kept_to, cpus, fn, *args)
 
 
-def _logits_buffer(
-    table: EmbeddingTable, protos: PrototypeState, worker: ThreadPoolExecutor | None
-) -> np.ndarray | None:
-    """The prototype term's logits buffer for a job on ``worker``, or None inline.
-
-    It is allocated on the calling thread: glibc gives the worker its own
-    malloc arena, and logits allocated there raised the ML-1M peak RSS by 12%.
-    """
-    if worker is None:
-        return None
+def _logits_buffer(table: EmbeddingTable, protos: PrototypeState) -> np.ndarray:
+    """The prototype term's logits buffer, allocated on the calling thread: glibc
+    gives the worker its own malloc arena, and logits allocated there raised
+    the ML-1M peak RSS by 12%."""
     cu, ci = protos.users.centroids, protos.items.centroids
     size = max(table.n_users * len(cu), table.n_items * len(ci))
     return np.empty(size, dtype=np.result_type(table.matrix, cu, ci))
@@ -389,11 +377,11 @@ def total_loss_and_gradient(
     worker = _step_worker(adj, table.matrix.shape[1])
     proto_job = first_product = None
     try:
-        increments: list[tuple[slice, np.ndarray]] = []
         if config.lambda2 > 0:
+            proto_cot = np.zeros_like(table.matrix)
             proto_job = _start(
                 worker, prototype_contrastive_loss, table, protos, config.tau, config.alpha,
-                increments, config.lambda2, _logits_buffer(table, protos, worker),
+                proto_cot, config.lambda2, _logits_buffer(table, protos),
             )
         fp = forward(adj, table, n_layers)
 
@@ -421,8 +409,7 @@ def total_loss_and_gradient(
         prototype = 0.0
         if proto_job is not None:
             prototype = proto_job.result()
-            for block, increment in increments:
-                cot_layers[0][block] += increment
+            cot_layers[0] += proto_cot
 
         reg = 0.0
         if config.lambda3 > 0:

@@ -62,12 +62,10 @@ class TrainResult:
 
 def adam_step(
     table: EmbeddingTable, grads: np.ndarray, state: AdamState, config: TrainConfig
-) -> tuple[EmbeddingTable, AdamState]:
-    """Bias-corrected Adam on every row, as ``torch.optim.Adam``: a row with a
-    zero gradient still decays its moments and moves by their corrected ratio.
-
-    Mutates ``table`` and ``state`` in place and returns them.
-    """
+) -> None:
+    """Bias-corrected Adam on every row, in place on ``table`` and ``state``, as
+    ``torch.optim.Adam``: a row with a zero gradient still decays its moments
+    and moves by their corrected ratio."""
     if grads.shape != table.matrix.shape:
         raise ValueError(f"gradient shape {grads.shape} != table shape {table.matrix.shape}")
     bad = ~np.isfinite(grads)
@@ -82,7 +80,6 @@ def adam_step(
     m_hat = state.m / (1 - BETA1 ** state.step)
     v_hat = state.v / (1 - BETA2 ** state.step)
     table.matrix -= config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return table, state
 
 
 def iter_batches(triples: TripleBatch, order: np.ndarray, batch_size: int):
@@ -121,6 +118,10 @@ def train(
     split.require("train")
     if eval_fn is None:
         split.require("valid")  # the default evaluation ranks it
+        def eval_fn(tbl: EmbeddingTable, epoch: int) -> dict[str, float]:
+            fp = forward(adj, tbl, config.n_layers)
+            return full_rank_eval(fp, split, target="valid", ns=(10,)).metrics
+
     dtype = np.dtype(config.dtype)
     adj = build_normalized_adjacency(split, dtype=dtype)
     table = init_embeddings(
@@ -128,17 +129,10 @@ def train(
     )
     adam = AdamState.zeros_like(table)
 
-    if eval_fn is None:
-        def eval_fn(tbl: EmbeddingTable, epoch: int) -> dict[str, float]:
-            fp = forward(adj, tbl, config.n_layers)
-            return full_rank_eval(fp, split, target="valid", ns=(10,)).metrics
-
     history: list[EpochRecord] = []
     best_metric = -np.inf
     best_epoch = 0
     best_table = table.copy()
-    bad_streak = 0
-    stopped_early = False
 
     try:
         for epoch in range(1, config.max_epochs + 1):
@@ -179,12 +173,8 @@ def train(
                 best_metric = ndcg10
                 best_epoch = epoch
                 best_table = table.copy()
-                bad_streak = 0
-            else:
-                bad_streak += 1
-                if bad_streak >= config.patience:
-                    stopped_early = True
-                    break
+            elif epoch - best_epoch >= config.patience:
+                break
     except (Exception, KeyboardInterrupt):
         if out_dir is not None:
             path = Path(out_dir)
@@ -199,5 +189,5 @@ def train(
         history=history,
         best_epoch=best_epoch,
         best_metric=best_metric,
-        stopped_early=stopped_early,
+        stopped_early=len(history) - best_epoch >= config.patience,
     )

@@ -382,11 +382,18 @@ def train_and_evaluate(split_dir, out_dir, threads: int, *extra: str, worker: bo
     return records, (out_dir / "model.ckpt").read_bytes(), evaluated.stdout
 
 
+@pytest.fixture(scope="module")
+def serial_runs(planted_split_dir, tmp_path_factory):
+    """The float32 criterion-9 job's outputs at 1 and at 4 BLAS threads."""
+    root = tmp_path_factory.mktemp("criterion9_serial")
+    return [train_and_evaluate(planted_split_dir, root / f"run_t{threads}", threads)
+            for threads in (1, 4)]
+
+
 class TestCriterion9ThreadCountDeterminism:
-    def test_history_identical_across_blas_thread_counts(self, planted_split_dir, tmp_path):
+    def test_history_identical_across_blas_thread_counts(self, serial_runs):
         with criterion(9, "identical training history across thread counts"):
-            runs = [train_and_evaluate(planted_split_dir, tmp_path / f"run_t{threads}", threads)
-                    for threads in (1, 4)]
+            runs = serial_runs
             assert runs[0] == runs[1]
 
     def test_history_identical_across_blas_thread_counts_float64(self, planted_split_dir, tmp_path):
@@ -396,10 +403,9 @@ class TestCriterion9ThreadCountDeterminism:
                     for threads in (1, 4)]
             assert runs[0] == runs[1]
 
-    def test_worker_step_matches_serial_runs(self, planted_split_dir, tmp_path):
+    def test_worker_step_matches_serial_runs(self, planted_split_dir, serial_runs, tmp_path):
         with criterion(9, "identical training history with the step's worker thread"):
-            serial = [train_and_evaluate(planted_split_dir, tmp_path / f"run_t{threads}", threads)
-                      for threads in (1, 4)]
+            serial = serial_runs
             on_worker = train_and_evaluate(planted_split_dir, tmp_path / "run_worker", 4,
                                            worker=True)
             assert on_worker == serial[0] == serial[1]

@@ -1,13 +1,18 @@
 """End-to-end command-line pipeline: prepare, train, evaluate, export."""
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import re
 import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,18 +20,34 @@ import pytest
 from conftest import fail_mid_write, key_pairs, make_raw
 
 
-def run_cli(*args, env=None):
-    import os
+def run_cli(*args, env=None, process=False):
+    """``concf *args`` with ``env`` added to the environment: its exit code,
+    stdout and stderr.
 
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run(
-        [sys.executable, "-m", "concf", *args],
-        capture_output=True,
-        text=True,
-        env=full_env,
-    )
+    It runs through ``cli.main`` in this process, or with ``process`` through
+    ``python -m concf``. In process, both streams are captured, argparse's
+    exit becomes the exit code, each call shows its warnings on stderr as a
+    new process would, and any other exception fails the test.
+    """
+    if process:
+        return subprocess.run([sys.executable, "-m", "concf", *args], capture_output=True,
+                              text=True, env={**os.environ, **(env or {})})
+    from concf import cli
+
+    out, err = io.StringIO(), io.StringIO()
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        err.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    with mock.patch.dict(os.environ, env or {}), warnings.catch_warnings(), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("default")
+        warnings.showwarning = show
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def checksum(path: Path) -> str:
@@ -55,7 +76,8 @@ def interactions_file(tmp_path_factory):
 def split_dir(interactions_file, tmp_path_factory):
     out = tmp_path_factory.mktemp("split") / "s"
     res = run_cli(
-        "prepare", "--input", str(interactions_file), "--out", str(out), "--seed", "5"
+        "prepare", "--input", str(interactions_file), "--out", str(out), "--seed", "5",
+        process=True,
     )
     assert res.returncode == 0, res.stderr
     return out
@@ -68,7 +90,7 @@ def run_dir(split_dir, tmp_path_factory):
         "train", "--split-dir", str(split_dir), "--out-dir", str(out),
         "--d", "8", "--batch-size", "128", "--lr", "0.05",
         "--k-users", "3", "--k-items", "3",
-        "--max-epochs", "5", "--patience", "10", "--seed", "1",
+        "--max-epochs", "5", "--patience", "10", "--seed", "1", process=True,
     )
     assert res.returncode == 0, res.stderr
     return out
@@ -162,6 +184,34 @@ class TestPrepare:
         assert header["n_users"] == 2 and header["n_items"] == 3
         assert header["min_count"] == 2
 
+    def test_key_files_map_ids_to_input_keys(self, tmp_path):
+        from concf import DatasetSplit
+
+        path = tmp_path / "keys.tsv"
+        # ids follow sorted key order, not input order; bob and c peel away at --min-count 2
+        path.write_text("zed\tb\nzed\t\u00e4\namy\tb\namy\t\u00e4\nbob\tc\n"
+                        "\u00fcmit\tb\n\u00fcmit\t\u00e4\n", encoding="utf-8")
+        out = tmp_path / "o"
+        res = run_cli("prepare", "--input", str(path), "--out", str(out), "--min-count", "2")
+        assert res.returncode == 0, res.stderr
+        user_keys = (out / "user_keys.txt").read_text(encoding="utf-8").split("\n")
+        item_keys = (out / "item_keys.txt").read_text(encoding="utf-8").split("\n")
+        assert user_keys == ["amy", "zed", "\u00fcmit", ""]
+        assert item_keys == ["b", "\u00e4", ""]
+        split = DatasetSplit.load(out)
+        pairs = np.concatenate([split.train, split.valid, split.test])
+        assert sorted((user_keys[u], item_keys[i]) for u, i in pairs) == sorted(
+            (u, i) for u in ("amy", "zed", "\u00fcmit") for i in ("b", "\u00e4"))
+
+    def test_key_files_keep_tabs_of_csv_keys(self, tmp_path):
+        path = tmp_path / "keys.csv"
+        path.write_text("c,x\na\tb,y\nc,y\na\tb,x\n")
+        out = tmp_path / "o"
+        res = run_cli("prepare", "--input", str(path), "--out", str(out), "--format", "csv")
+        assert res.returncode == 0, res.stderr
+        assert (out / "user_keys.txt").read_text() == "a\tb\nc\n"
+        assert (out / "item_keys.txt").read_text() == "x\ny\n"
+
     def test_header_records_ratios(self, interactions_file, tmp_path):
         from concf import DatasetSplit
 
@@ -188,7 +238,7 @@ class TestPrepare:
     def test_data_root_env_resolution(self, interactions_file, tmp_path):
         res = run_cli(
             "prepare", "--input", interactions_file.name, "--out", str(tmp_path / "o"),
-            env={"CONCF_DATA_ROOT": str(interactions_file.parent)},
+            env={"CONCF_DATA_ROOT": str(interactions_file.parent)}, process=True,
         )
         assert res.returncode == 0
 
@@ -258,23 +308,58 @@ class TestTrain:
         history = [json.loads(l) for l in (run_dir / "history.jsonl").read_text().splitlines()]
         assert [h["epoch"] for h in history] == list(range(1, len(history) + 1))
 
-    def test_failed_manifest_write_keeps_previous_run(self, run_dir, split_dir, tmp_path,
+    def test_failed_manifest_write_leaves_no_manifest(self, run_dir, split_dir, tmp_path,
                                                       monkeypatch):
         from concf import cli
 
-        out = tmp_path / "r"
+        def argv(out):
+            return ["train", "--split-dir", str(split_dir), "--out-dir", str(out),
+                    "--d", "8", "--batch-size", "128", "--lr", "0.05", "--k-users", "3",
+                    "--k-items", "3", "--max-epochs", "2", "--patience", "10", "--seed", "1"]
+
+        def history(out):
+            records = [json.loads(l) for l in (out / "history.jsonl").read_text().splitlines()]
+            return [{k: v for k, v in r.items() if k != "seconds"} for r in records]
+
+        ref, out = tmp_path / "ref", tmp_path / "r"
+        assert cli.main(argv(ref)) == 0
         shutil.copytree(run_dir, out)
-        before = {p.name: p.read_bytes() for p in out.iterdir()}
         fail_mid_write(monkeypatch, "manifest.json")
-        rc = cli.main([
-            "train", "--split-dir", str(split_dir), "--out-dir", str(out),
-            "--d", "8", "--batch-size", "128", "--lr", "0.05", "--k-users", "3", "--k-items", "3",
-            "--max-epochs", "2", "--patience", "10", "--seed", "1",
-        ])
-        assert rc == 1
-        assert sorted(p.name for p in out.iterdir()) == sorted(before)
-        assert (out / "manifest.json").read_bytes() == before["manifest.json"]
-        assert len((out / "history.jsonl").read_text().splitlines()) == 2  # the new run's
+        assert cli.main(argv(out)) == 1
+        # the earlier run's manifest is gone with its checkpoint, and no temporary file is left
+        assert sorted(p.name for p in out.iterdir()) == ["history.jsonl", "model.ckpt"]
+        assert len(history(out)) == 2 and history(out) == history(ref)
+        assert (out / "model.ckpt").read_bytes() == (ref / "model.ckpt").read_bytes()
+
+    def test_reused_out_dir_holds_one_run(self, split_dir, tmp_path):
+        out = tmp_path / "r"
+        args = ("train", "--split-dir", str(split_dir), "--out-dir", str(out), "--d", "8",
+                "--batch-size", "128", "--k-users", "3", "--k-items", "3", "--max-epochs", "3")
+
+        def files():
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        res = run_cli(*args, "--lr", "0.05", "--seed", "1")
+        assert res.returncode == 0, res.stderr
+        first = files()
+        assert sorted(first) == ["history.jsonl", "manifest.json", "model.ckpt"]
+        # a rejected config and a dry run leave the earlier run as it was
+        assert run_cli(*args, "--lr", "0").returncode == 1
+        assert run_cli(*args, "--dry-run").returncode == 0
+        assert files() == first
+
+        res = run_cli(*args, "--lr", "1e30", "--seed", "2")
+        assert res.returncode == 1
+        # NumPy's overflow warnings come first
+        assert res.stderr.endswith("\nerror: non-finite loss at epoch 1\n")
+        assert sorted(files()) == ["crash.ckpt", "history.jsonl"]
+        assert (out / "history.jsonl").read_text() == ""
+
+        res = run_cli(*args, "--lr", "0.05", "--seed", "3")
+        assert res.returncode == 0, res.stderr
+        assert sorted(files()) == ["history.jsonl", "manifest.json", "model.ckpt"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == 3 and manifest["epochs_run"] == 3
 
     def test_config_file_with_flag_override(self, split_dir, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -457,7 +542,7 @@ class TestEvaluate:
     def test_report_keys(self, run_dir, split_dir):
         res = run_cli(
             "evaluate", "--checkpoint", str(run_dir / "model.ckpt"),
-            "--split-dir", str(split_dir), "--ns", "10,20,50",
+            "--split-dir", str(split_dir), "--ns", "10,20,50", process=True,
         )
         assert res.returncode == 0, res.stderr
         report = json.loads(res.stdout)
@@ -671,7 +756,7 @@ class TestExport:
         out = tmp_path / "emb"
         res = run_cli(
             "export", "--checkpoint", str(run_dir / "model.ckpt"),
-            "--split-dir", str(split_dir), "--format", "text", "--out", str(out),
+            "--split-dir", str(split_dir), "--format", "text", "--out", str(out), process=True,
         )
         assert res.returncode == 0, res.stderr
         users = (tmp_path / "emb.users.tsv").read_text().splitlines()
