@@ -44,7 +44,10 @@ class PrototypeState:
 # 2 rows and MIN_TILE_WORK multiply-adds, and the rows that do not fill a
 # tile are shared out among the full ones. Above that floor a tile holds
 # about TILE_ENTRIES distances, so that its two buffers stay in a 2 MB L2
-# cache.
+# cache. float64 is never tiled: the AVX-512 dgemm of OpenBLAS 0.3.31 rounds
+# the last k mod 8 columns differently by a row's place in the product, so no
+# tiling keeps the untiled bits. float64 is the dtype of bit-exact
+# comparisons, and its runs are small.
 MIN_TILE_WORK = 2**21
 TILE_ENTRIES = 2**17
 
@@ -60,7 +63,7 @@ class _Distances:
 
     The points' squared norms and ``2.0 * points`` are computed once. Each
     row tile is ``(|x|^2 + |c|^2) - (2x) @ c.T``, formed in two reused tile
-    x k buffers, so no n x k array is ever allocated.
+    x k buffers, so no float32 n x k array is ever allocated.
     """
 
     def __init__(self, points: np.ndarray, k: int) -> None:
@@ -68,7 +71,7 @@ class _Distances:
         self.points = points
         self.sq_norms = np.einsum("ij,ij->i", points, points)
         self.twice_points = 2.0 * points
-        count = max(n // _tile_rows(k, d), 1)
+        count = 1 if points.dtype == np.float64 else max(n // _tile_rows(k, d), 1)
         bounds = [i * n // count for i in range(count + 1)]
         self.tiles = list(zip(bounds[:-1], bounds[1:]))
         longest = -(-n // count)

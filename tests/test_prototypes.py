@@ -488,6 +488,12 @@ class TestMatchesFrozenReference:
         points, k, seed = case
         assert_kmeans_matches_reference(points, k, seed)
 
+    def test_float64_with_k_not_a_multiple_of_8(self):
+        # two row tiles of this product would round the distance of a point
+        # to its own centroid in the last 2 columns to 4.4e-16 instead of 0
+        points = unit_rows(np.random.default_rng(1).standard_normal((514, 24)))
+        assert_kmeans_matches_reference(points, 514, seed=1)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n_distinct, k", [(1, 1), (1, 4), (3, 5), (3, 30), (40, 60)])
     def test_duplicate_points(self, dtype, n_distinct, k):
