@@ -120,7 +120,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     split = dataset.build_split(raw, ratios=ratios, seed=args.seed)
     split.meta["min_count"] = args.min_count
     header = split.save(out)
-    # line n holds the key of id n - 1; the ingest splits lines, so no key has a line break
+    # line n holds the key of id n - 1, ended by "\n"; a key may hold "\u2028" and the like
     for name, keys in (("user_keys.txt", raw.user_keys), ("item_keys.txt", raw.item_keys)):
         _write_replacing(out / name, "".join(f"{key}\n" for key in keys))
     print(json.dumps(header, sort_keys=True))

@@ -4,6 +4,7 @@ The on-disk split layout is three delimited files (train.tsv, valid.tsv,
 test.tsv; one ``user_id<TAB>item_id`` per line) plus a header.json with
 {n_users, n_items, counts, seed, ratios, min_count}. ``concf prepare`` also
 writes user_keys.txt and item_keys.txt, whose line n holds the key of id n - 1.
+Split them on line feeds only: a key may hold U+2028, which ``splitlines`` breaks on.
 """
 
 from __future__ import annotations

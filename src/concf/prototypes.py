@@ -37,24 +37,23 @@ class PrototypeState:
     items: Clustering
 
 
-# Row tiles of an n x k distance matrix. A tile's product must run on the
-# BLAS kernel the untiled product runs on: OpenBLAS sends a 1-row product to
-# gemv, and OpenBLAS 0.3.31 still sent a product of 69,632 multiply-adds to
-# its small-matrix kernel; either changes last bits. So a tile has at least
-# 2 rows and MIN_TILE_WORK multiply-adds, and the rows that do not fill a
-# tile are shared out among the full ones. Above that floor a tile holds
-# about TILE_ENTRIES distances, so that its two buffers stay in a 2 MB L2
-# cache. float64 is never tiled: the AVX-512 dgemm of OpenBLAS 0.3.31 rounds
-# the last k mod 8 columns differently by a row's place in the product, so no
-# tiling keeps the untiled bits. float64 is the dtype of bit-exact
-# comparisons, and its runs are small.
+# Row tiles of an n x k distance matrix. Each tile's product must run on the
+# BLAS kernel and row blocks the untiled product runs on: OpenBLAS sends a
+# 1-row product to gemv and one of 69,632 multiply-adds to its small-matrix
+# kernel, and 0.3.31's SkylakeX dgemm rounds the last k mod 8 columns by the
+# width of their 12-row block. So a tile has MIN_TILE_WORK multiply-adds or
+# more, starts on a multiple of ROW_BLOCK rows and, but for the last, holds
+# one; at one BLAS thread (concf's) the tiles then give the untiled bytes.
+# Above that, a tile holds about TILE_ENTRIES distances (2 buffers in 2 MB L2).
 MIN_TILE_WORK = 2**21
 TILE_ENTRIES = 2**17
+ROW_BLOCK = 12
 
 
 def _tile_rows(k: int, d: int) -> int:
     """Rows of a full tile of an n x d by d x k product, by the rule above."""
-    return max(2, -(-MIN_TILE_WORK // max(k * d, 1)), -(-TILE_ENTRIES // k))
+    rows = max(-(-MIN_TILE_WORK // max(k * d, 1)), -(-TILE_ENTRIES // k))
+    return -(-rows // ROW_BLOCK) * ROW_BLOCK
 
 
 class _Distances:
@@ -63,7 +62,7 @@ class _Distances:
 
     The points' squared norms and ``2.0 * points`` are computed once. Each
     row tile is ``(|x|^2 + |c|^2) - (2x) @ c.T``, formed in two reused tile
-    x k buffers, so no float32 n x k array is ever allocated.
+    x k buffers, so no n x k array is ever allocated.
     """
 
     def __init__(self, points: np.ndarray, k: int) -> None:
@@ -71,10 +70,10 @@ class _Distances:
         self.points = points
         self.sq_norms = np.einsum("ij,ij->i", points, points)
         self.twice_points = 2.0 * points
-        count = 1 if points.dtype == np.float64 else max(n // _tile_rows(k, d), 1)
-        bounds = [i * n // count for i in range(count + 1)]
+        count = max(n // _tile_rows(k, d), 1)
+        bounds = [ROW_BLOCK * (i * (n // ROW_BLOCK) // count) for i in range(count)] + [n]
         self.tiles = list(zip(bounds[:-1], bounds[1:]))
-        longest = -(-n // count)
+        longest = max(stop - start for start, stop in self.tiles)
         self.sums = np.empty((longest, k), dtype=self.sq_norms.dtype)
         self.products = np.empty_like(self.sums)
         self.rows = np.arange(longest)

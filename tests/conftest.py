@@ -3,10 +3,13 @@
 import os
 from pathlib import Path
 
+# concf pins BLAS to one thread when it is imported before NumPy, as every
+# concf command imports it; the tests' own products then run as the
+# commands' do (a float64 product's last bits depend on the thread count)
+from concf import RawInteractions, build_normalized_adjacency, build_split
+
 import numpy as np
 import pytest
-
-from concf import RawInteractions, build_normalized_adjacency, build_split
 
 # pyproject's pytest `pythonpath` reaches only this process; the tests that run
 # `python -m concf` in a child process find the package through PYTHONPATH

@@ -188,20 +188,23 @@ class TestPrepare:
         from concf import DatasetSplit
 
         path = tmp_path / "keys.tsv"
-        # ids follow sorted key order, not input order; bob and c peel away at --min-count 2
+        # ids follow sorted key order, not input order; bob and c peel away at
+        # --min-count 2; a key may hold U+2028, which str.splitlines breaks on
         path.write_text("zed\tb\nzed\t\u00e4\namy\tb\namy\t\u00e4\nbob\tc\n"
-                        "\u00fcmit\tb\n\u00fcmit\t\u00e4\n", encoding="utf-8")
+                        "\u00fcmit\tb\n\u00fcmit\t\u00e4\nli\u2028ne\tb\nli\u2028ne\t\u00e4\n",
+                        encoding="utf-8")
         out = tmp_path / "o"
         res = run_cli("prepare", "--input", str(path), "--out", str(out), "--min-count", "2")
         assert res.returncode == 0, res.stderr
         user_keys = (out / "user_keys.txt").read_text(encoding="utf-8").split("\n")
         item_keys = (out / "item_keys.txt").read_text(encoding="utf-8").split("\n")
-        assert user_keys == ["amy", "zed", "\u00fcmit", ""]
+        users = ["amy", "li\u2028ne", "zed", "\u00fcmit"]
+        assert user_keys == [*users, ""]
         assert item_keys == ["b", "\u00e4", ""]
         split = DatasetSplit.load(out)
         pairs = np.concatenate([split.train, split.valid, split.test])
         assert sorted((user_keys[u], item_keys[i]) for u, i in pairs) == sorted(
-            (u, i) for u in ("amy", "zed", "\u00fcmit") for i in ("b", "\u00e4"))
+            (u, i) for u in users for i in ("b", "\u00e4"))
 
     def test_key_files_keep_tabs_of_csv_keys(self, tmp_path):
         path = tmp_path / "keys.csv"

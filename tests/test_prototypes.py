@@ -14,6 +14,7 @@ from concf import EmbeddingTable, e_step, prototypes, run_kmeans
 from concf.model import init_embeddings
 from concf.numerics import l2_normalize_rows
 from concf.prototypes import (
+    ROW_BLOCK,
     _Distances,
     _plusplus_seeding,
     _repair_empty_clusters,
@@ -206,6 +207,29 @@ class TestPairwiseSqdist:
         got = np.maximum(np.concatenate(tiles), 0.0)
         assert got.dtype == dtype
         assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n, d, k", [(2000, 8, 300), (1100, 24, 514), (700, 16, 700)])
+    def test_float64_tiles_keep_untiled_bytes(self, n, d, k):
+        # several tiles and k mod 8 != 0: a tile that starts off a 12-row
+        # block rounds the last k mod 8 columns of its product differently
+        rng = np.random.default_rng(n)
+        points = unit_rows(rng.standard_normal((n, d)))
+        centers = unit_rows(rng.standard_normal((k, d)))
+        distances = _Distances(points, k)
+        assert len(distances.tiles) > 1
+        expected = distances.sq_norms[:, None] + np.einsum("ij,ij->i", centers, centers)
+        expected -= distances.twice_points @ centers.T
+        tiles = [d2.copy() for _, _, d2 in distances._unclipped(centers)]
+        assert np.concatenate(tiles).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n, d, k", [(1, 4, 1), (11, 2, 3), (600, 24, 514), (6040, 64, 1000)])
+    def test_tiles_start_on_row_blocks(self, n, d, k):
+        tiles = _Distances(np.ones((n, d)), k).tiles
+        starts, stops = zip(*tiles)
+        assert starts[0] == 0 and stops[-1] == n and starts[1:] == stops[:-1]
+        assert all(start % ROW_BLOCK == 0 for start in starts)
+        if len(tiles) > 1:
+            assert min(stop - start for start, stop in tiles) >= _tile_rows(k, d)
 
 
 class TestPlusPlusSeeding:
@@ -489,10 +513,11 @@ class TestMatchesFrozenReference:
         assert_kmeans_matches_reference(points, k, seed)
 
     def test_float64_with_k_not_a_multiple_of_8(self):
-        # two row tiles of this product would round the distance of a point
-        # to its own centroid in the last 2 columns to 4.4e-16 instead of 0
-        points = unit_rows(np.random.default_rng(1).standard_normal((514, 24)))
-        assert_kmeans_matches_reference(points, 514, seed=1)
+        # 7 row tiles; had they started off a 12-row block, the last 5
+        # columns of a tile's product would round differently
+        points = unit_rows(np.random.default_rng(0).standard_normal((997, 32)))
+        assert len(_Distances(points, 997).tiles) == 7
+        assert_kmeans_matches_reference(points, 997, seed=0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n_distinct, k", [(1, 1), (1, 4), (3, 5), (3, 30), (40, 60)])
