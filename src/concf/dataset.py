@@ -222,24 +222,18 @@ def _load_pairs(path: Path, n_users: int, n_items: int) -> np.ndarray:
         try:
             rows = np.loadtxt(path, dtype=np.int64, delimiter="\t", ndmin=2)
         except ValueError as exc:
-            raise ValueError(f"{path}: {_first_unparsable_line(path) or exc}") from None
+            raise ValueError(f"{path}: {_first_bad_line(path, n_users, n_items) or exc}") from None
     if rows.size == 0:
         return np.empty((0, 2), dtype=np.int64)
-    if rows.shape[1] != 2:
-        raise ValueError(f"{path}: expected 2 fields per line, got {rows.shape[1]}")
-    bad = np.flatnonzero(((rows < 0) | (rows >= (n_users, n_items))).any(axis=1))
-    if bad.size:
-        u, i = rows[bad[0]]
-        raise ValueError(
-            f"{path}: line {bad[0] + 1}: pair ({u}, {i}) out of range for "
-            f"{n_users} users and {n_items} items"
-        )
+    if rows.shape[1] != 2 or ((rows < 0) | (rows >= (n_users, n_items))).any():
+        raise ValueError(f"{path}: {_first_bad_line(path, n_users, n_items)}")
     return rows
 
 
-def _first_unparsable_line(path: Path) -> str | None:
-    """``line <n>: ...`` (1-based) for the first line that is not two integer
-    fields; blank and ``#`` comment lines are skipped, as ``np.loadtxt`` does."""
+def _first_bad_line(path: Path, n_users: int, n_items: int) -> str | None:
+    """``line <n>: ...`` (1-based, physical) for the first line that is not two
+    integer fields or whose pair is out of range; a line that is empty up to
+    a ``#`` comment is skipped, as ``np.loadtxt`` does."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -247,7 +241,7 @@ def _first_unparsable_line(path: Path) -> str | None:
         return f"not valid UTF-8 ({exc.reason})"
     for ln, line in enumerate(lines, start=1):
         fields = line.split("#", 1)[0].rstrip("\r\n")
-        if not fields.strip():
+        if not fields:
             continue
         fields = fields.split("\t")
         if len(fields) != 2:
@@ -257,6 +251,9 @@ def _first_unparsable_line(path: Path) -> str | None:
                 int(field)
             except ValueError:
                 return f"line {ln}: field {col}: {field!r} is not an integer"
+        u, i = map(int, fields)
+        if not (0 <= u < n_users and 0 <= i < n_items):
+            return f"line {ln}: pair ({u}, {i}) out of range for {n_users} users and {n_items} items"
     return None
 
 

@@ -68,14 +68,6 @@ def _check_ids(name: str, ids: np.ndarray, bound: int) -> None:
         raise ValueError(f"{name}: ids must lie in [0, {bound})")
 
 
-def _distinct(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(ids, return_counts=True)`` for nonnegative int64 ids, by one
-    ``bincount``, where NumPy's unique hashes or sorts."""
-    counts = np.bincount(ids)
-    distinct = np.flatnonzero(counts)
-    return distinct, counts[distinct]
-
-
 def bpr_loss(
     fp: ForwardPass,
     triples: TripleBatch,
@@ -186,7 +178,7 @@ def structure_contrastive_loss(
     total = 0.0
     sides = ((users, 1.0), (items + fp.n_users, alpha))
     for rows, side_weight in sides:
-        distinct, counts = _distinct(rows)
+        distinct, counts = np.unique(rows, return_counts=True)
         anchors, anchor_norms = l2_normalize_rows(fp.layers[k_layer][distinct])
         bases, base_norms = l2_normalize_rows(fp.layers[0][distinct])
         counts = counts.astype(anchors.dtype)
@@ -261,7 +253,7 @@ def reg_loss(
     if ids.size == 0:
         return 0.0
     _check_ids("touched", ids, table.n_nodes)
-    distinct = _distinct(ids)[0]
+    distinct = np.unique(ids)
     rows = table.matrix[distinct]
     if cot is not None:
         cot[distinct] += weight * rows
@@ -323,12 +315,14 @@ def _this_cpu() -> int | None:
         return None
 
 
-def _kept_to(cpus: set[int], fn, *args):
-    """``fn(*args)`` on a thread allowed only ``cpus``, when that set is not empty."""
+def _kept_to(cpus: set[int], err: dict[str, str], fn, *args):
+    """``fn(*args)`` under NumPy error handling ``err``, on a thread allowed
+    only ``cpus`` when that set is not empty."""
     if cpus:
         with contextlib.suppress(OSError):  # the process's CPUs changed meanwhile
             os.sched_setaffinity(0, cpus)
-    return fn(*args)
+    with np.errstate(**err):
+        return fn(*args)
 
 
 def _start(worker: ThreadPoolExecutor | None, fn, *args):
@@ -336,12 +330,13 @@ def _start(worker: ThreadPoolExecutor | None, fn, *args):
 
     The worker is kept off the calling thread's CPU: Linux would at times
     wake it there and leave both threads sharing one CPU for a whole job
-    while another stood idle.
+    while another stood idle. It runs the job under the calling thread's
+    NumPy error handling, which is per thread.
     """
     if worker is None:
         return _Deferred(fn, *args)
     cpus = os.sched_getaffinity(0) - {_this_cpu()} if hasattr(os, "sched_setaffinity") else set()
-    return worker.submit(_kept_to, cpus, fn, *args)
+    return worker.submit(_kept_to, cpus, np.geterr(), fn, *args)
 
 
 def _logits_buffer(table: EmbeddingTable, protos: PrototypeState) -> np.ndarray:

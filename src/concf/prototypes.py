@@ -111,53 +111,6 @@ class _Distances:
         return np.maximum(dist, 0.0, out=dist)
 
 
-def _weighted_draw(weights: np.ndarray, total: np.floating, rng: np.random.Generator) -> int:
-    """``rng.choice(len(weights), p=weights / total)`` without its checks.
-
-    ``choice`` casts p to float64, takes its cumulative sum, divides it by
-    the last entry, draws one ``rng.random()`` and returns the first index
-    whose entry exceeds the draw; this is that computation, so the index and
-    the stream's next value are the same. It skips ``choice``'s validation
-    of p, so the caller keeps ``weights`` finite, non-negative and not all zero.
-    """
-    cdf = np.cumsum(weights / total, dtype=np.float64)
-    draw = rng.random()
-    cdf /= cdf[-1]
-    return int(np.searchsorted(cdf, draw, side="right"))
-
-
-def _plusplus_seeding(distances: _Distances, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ start: spread initial centers proportionally to squared distance."""
-    points = distances.points
-    n = len(points)
-    # each point's distance to its nearest chosen center, and the buffers
-    # each update writes into
-    d2, new, product = (np.empty_like(distances.sq_norms) for _ in range(3))
-
-    def distances_to(i: int, out: np.ndarray) -> np.ndarray:
-        center = points[i][None, :]
-        np.add(distances.sq_norms, np.einsum("ij,ij->i", center, center), out=out)
-        out -= np.matmul(distances.twice_points, points[i], out=product)
-        return np.maximum(out, 0.0, out=out)
-
-    chosen = [int(rng.integers(n))]
-    distances_to(chosen[-1], d2)
-    for _ in range(k - 1):
-        total = d2.sum()
-        if total <= 0.0:
-            # remaining mass is all duplicates of chosen points; fall back to
-            # uniform choice among indices not picked yet
-            candidates = np.setdiff1d(np.arange(n), np.array(chosen))
-            pick = int(candidates[rng.integers(len(candidates))])
-        elif not np.isfinite(total):
-            raise ValueError("points: squared distances overflow")
-        else:
-            pick = _weighted_draw(d2, total, rng)
-        chosen.append(pick)
-        np.minimum(d2, distances_to(pick, new), out=d2)
-    return points[np.array(chosen)].copy()
-
-
 def _check_finite(points: np.ndarray, name: str) -> None:
     """Raise ValueError naming the first row of ``points`` with a NaN or inf."""
     finite = np.isfinite(points).all(axis=1)
@@ -210,7 +163,7 @@ def run_kmeans(
     max_iters: int = 100,
     tol: float = 1e-6,
 ) -> Clustering:
-    """Lloyd's algorithm with k-means++ seeding on unit-norm points.
+    """Lloyd's algorithm on unit-norm points, started from k distinct random points.
 
     Stops when the max-norm centroid shift falls below tol or after
     max_iters. Converged centroids are re-normalized to unit length and
@@ -225,7 +178,10 @@ def run_kmeans(
         raise ValueError("max_iters must be >= 1")
     _check_finite(points, "points")
     distances = _Distances(points, k)
-    centroids = _plusplus_seeding(distances, k, rng_stream(seed))
+    # centers are points, their means or unit vectors: no distance exceeds 4 max(|x|^2, 1)
+    if not distances.sq_norms.max() <= np.finfo(distances.sq_norms.dtype).max / 4:
+        raise ValueError("points: squared distances overflow")
+    centroids = points[rng_stream(seed).choice(n, k, replace=False)].copy()
     for n_iters in range(1, max_iters + 1):
         assignments, _ = distances.nearest(centroids)
         new_centroids, counts = _update_centroids(points, assignments, k)

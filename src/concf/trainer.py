@@ -97,6 +97,8 @@ def _mean_breakdown(parts: list[LossBreakdown]) -> LossBreakdown:
     return LossBreakdown(**{k: sum(getattr(p, k) for p in parts) / len(parts) for k in names})
 
 
+# an overflow that matters surfaces as the non-finite loss or gradient error
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     config: TrainConfig,
     split: DatasetSplit,

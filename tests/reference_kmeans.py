@@ -2,10 +2,10 @@
 that ``concf.prototypes`` must match bit for bit.
 
 It keeps the earlier form: every Lloyd assignment builds the full n x k
-distance matrix and clips it at zero, and k-means++ draws each center with
-``Generator.choice``. Every Clustering field of ``run_kmeans`` and ``e_step``
-(centroids, assignments, inertia, n_iters) must equal this copy's, so any
-change that reorders arithmetic or draws shows as a byte difference.
+distance matrix and clips it at zero. Lloyd starts from k distinct points
+drawn by ``Generator.choice``. Every Clustering field of ``run_kmeans`` and
+``e_step`` (centroids, assignments, inertia, n_iters) must equal this copy's,
+so any change that reorders arithmetic or draws shows as a byte difference.
 """
 
 from __future__ import annotations
@@ -28,28 +28,6 @@ def _sqdist(sq_norms: np.ndarray, twice_points: np.ndarray, centers: np.ndarray)
     d2 = np.add(sq_norms[:, None], np.einsum("ij,ij->i", centers, centers)[None, :])
     d2 -= twice_points @ centers.T
     return np.maximum(d2, 0.0, out=d2)
-
-
-def _plusplus_seeding(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ start: spread initial centers proportionally to squared distance."""
-    n = len(points)
-    # the point-side parts of every distance update, computed once
-    sq_norms = np.einsum("ij,ij->i", points, points)
-    twice_points = 2.0 * points
-    chosen = [int(rng.integers(n))]
-    d2 = _sqdist(sq_norms, twice_points, points[chosen[-1]][None, :])[:, 0]
-    for _ in range(k - 1):
-        total = d2.sum()
-        if total <= 0.0:
-            # remaining mass is all duplicates of chosen points; fall back to
-            # uniform choice among indices not picked yet
-            candidates = np.setdiff1d(np.arange(n), np.array(chosen))
-            pick = int(candidates[rng.integers(len(candidates))])
-        else:
-            pick = int(rng.choice(n, p=d2 / total))
-        chosen.append(pick)
-        d2 = np.minimum(d2, _sqdist(sq_norms, twice_points, points[pick][None, :])[:, 0])
-    return points[np.array(chosen)].copy()
 
 
 def _repair_empty_clusters(
@@ -96,7 +74,7 @@ def run_kmeans(
     max_iters: int = 100,
     tol: float = 1e-6,
 ) -> Clustering:
-    """Lloyd's algorithm with k-means++ seeding on unit-norm points.
+    """Lloyd's algorithm on unit-norm points, started from k random points.
 
     Stops when the max-norm centroid shift falls below tol or after
     max_iters. Converged centroids are re-normalized to unit length and
@@ -109,8 +87,7 @@ def run_kmeans(
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    rng = rng_stream(seed)
-    centroids = _plusplus_seeding(points, k, rng)
+    centroids = points[rng_stream(seed).choice(n, k, replace=False)].copy()
     history: list[float] = []
     n_iters = 0
     for n_iters in range(1, max_iters + 1):

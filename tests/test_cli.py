@@ -17,7 +17,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import fail_mid_write, key_pairs, make_raw
+from conftest import fail_mid_write, key_pairs, make_raw, open_worker_gate, worker_started
 
 
 def run_cli(*args, env=None, process=False):
@@ -334,6 +334,18 @@ class TestTrain:
         assert len(history(out)) == 2 and history(out) == history(ref)
         assert (out / "model.ckpt").read_bytes() == (ref / "model.ckpt").read_bytes()
 
+    def test_diverging_worker_run_prints_only_the_error(self, split_dir, tmp_path, monkeypatch):
+        # the prototype term overflows on the worker thread here;
+        # test_reused_out_dir_holds_one_run checks the same stderr with the gate closed
+        open_worker_gate(monkeypatch)
+        res = run_cli("train", "--split-dir", str(split_dir), "--out-dir", str(tmp_path / "r"),
+                      "--d", "8", "--batch-size", "128", "--k-users", "3", "--k-items", "3",
+                      "--lr", "1e30", "--seed", "2")
+        assert (res.returncode, res.stdout, res.stderr) == (
+            1, "", "error: non-finite loss at epoch 1\n"
+        )
+        assert worker_started()
+
     def test_reused_out_dir_holds_one_run(self, split_dir, tmp_path):
         out = tmp_path / "r"
         args = ("train", "--split-dir", str(split_dir), "--out-dir", str(out), "--d", "8",
@@ -353,8 +365,7 @@ class TestTrain:
 
         res = run_cli(*args, "--lr", "1e30", "--seed", "2")
         assert res.returncode == 1
-        # NumPy's overflow warnings come first
-        assert res.stderr.endswith("\nerror: non-finite loss at epoch 1\n")
+        assert res.stderr == "error: non-finite loss at epoch 1\n"
         assert sorted(files()) == ["crash.ckpt", "history.jsonl"]
         assert (out / "history.jsonl").read_text() == ""
 

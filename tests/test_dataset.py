@@ -581,10 +581,20 @@ class TestLoadSplit:
             with pytest.raises(ValueError, match=rf"train\.tsv: line {line}: pair \({u}, {i}\)"):
                 DatasetSplit.load(out)
 
+    def test_out_of_range_line_counts_comment_and_blank_lines(self, tmp_path, small_split):
+        u = small_split.n_users
+        out = self.saved_with_extra_train_row(tmp_path, small_split, (u, 0))
+        path = out / "train.tsv"
+        path.write_text("# user\titem\n\n" + path.read_text())
+        line = len(small_split.train) + 3
+        with pytest.raises(ValueError, match=rf"train\.tsv: line {line}: pair \({u}, 0\)"):
+            DatasetSplit.load(out)
+
     @pytest.mark.parametrize("row, problem", [
         (("3", "x"), "field 2: 'x' is not an integer"),
         (("1.5", "3"), "field 1: '1.5' is not an integer"),
         (("3", "4\t5"), "expected 2 fields, got 3"),
+        (("", ""), "field 1: '' is not an integer"),
     ])
     def test_unparsable_line_names_file_and_line(self, tmp_path, small_split, row, problem):
         out = self.saved_with_extra_train_row(tmp_path, small_split, row)

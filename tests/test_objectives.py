@@ -34,7 +34,7 @@ from concf.numerics import (
     scatter_add_rows,
 )
 from concf import objectives
-from concf.objectives import _distinct, _infonce
+from concf.objectives import _infonce
 from concf.prototypes import Clustering, PrototypeState
 from concf.trainer import AdamState, adam_step
 
@@ -237,17 +237,6 @@ class TestPrototypeContrastiveLoss:
     def test_assignment_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             Clustering(centroids=np.eye(2), assignments=np.array([0, 2]), inertia=0.0)
-
-
-class TestDistinct:
-    @settings(max_examples=100, deadline=None)
-    @given(hnp.arrays(np.int64, st.integers(0, 200), elements=st.integers(0, 500)))
-    def test_equals_unique_with_counts(self, ids):
-        distinct, counts = _distinct(ids)
-        expected, expected_counts = np.unique(ids, return_counts=True)
-        assert distinct.dtype == expected.dtype and counts.dtype == expected_counts.dtype
-        assert distinct.tobytes() == expected.tobytes()
-        assert counts.tobytes() == expected_counts.tobytes()
 
 
 class TestRegLoss:

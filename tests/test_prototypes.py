@@ -1,4 +1,4 @@
-"""Lloyd's k-means with k-means++ seeding, and the per-side clustering step."""
+"""Lloyd's k-means from k random points, and the per-side clustering step."""
 
 import itertools
 import re
@@ -16,12 +16,10 @@ from concf.numerics import l2_normalize_rows
 from concf.prototypes import (
     ROW_BLOCK,
     _Distances,
-    _plusplus_seeding,
     _repair_empty_clusters,
     _tile_rows,
-    _weighted_draw,
 )
-from concf.seeding import derive_seed, rng_stream
+from concf.seeding import derive_seed
 from concf.trainer import STREAM_INIT, STREAM_KMEANS
 from reference_kmeans import _pairwise_sqdist
 
@@ -46,6 +44,16 @@ class TestRunKmeans:
         res = run_kmeans(points, k=8, seed=1)
         assert res.inertia < 1e-20
         assert sorted(res.assignments.tolist()) == list(range(8))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [50, 300, 997])
+    def test_start_never_repeats_a_point(self, dtype, n):
+        # k = n distinct points: only a start without repeats has every point
+        # alone in its cluster before any repair, so Lloyd stops at once
+        points = unit_rows(np.random.default_rng(n).standard_normal((n, 8))).astype(dtype)
+        res = run_kmeans(points, k=n, seed=n)
+        assert (np.bincount(res.assignments, minlength=n) == 1).all()
+        assert res.n_iters == 1
 
     def test_k_one_gives_normalized_mean(self):
         rng = np.random.default_rng(1)
@@ -155,32 +163,6 @@ class TestRunKmeans:
             assert run_kmeans(points.astype(dtype), k=3, seed=0).centroids.dtype == dtype
 
 
-def reference_plusplus_seeding(points, k, rng):
-    """Reference k-means++ seeding: every distance update computed from scratch."""
-
-    def sqdist(points, centers):
-        d2 = (
-            np.einsum("ij,ij->i", points, points)[:, None]
-            + np.einsum("ij,ij->i", centers, centers)[None, :]
-            - 2.0 * points @ centers.T
-        )
-        return np.maximum(d2, 0.0)
-
-    n = len(points)
-    chosen = [int(rng.integers(n))]
-    d2 = sqdist(points, points[chosen[-1]][None, :])[:, 0]
-    for _ in range(k - 1):
-        total = d2.sum()
-        if total <= 0.0:
-            candidates = np.setdiff1d(np.arange(n), np.array(chosen))
-            pick = int(candidates[rng.integers(len(candidates))])
-        else:
-            pick = int(rng.choice(n, p=d2 / total))
-        chosen.append(pick)
-        d2 = np.minimum(d2, sqdist(points, points[pick][None, :])[:, 0])
-    return points[np.array(chosen)].copy()
-
-
 class TestPairwiseSqdist:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -230,35 +212,6 @@ class TestPairwiseSqdist:
         assert all(start % ROW_BLOCK == 0 for start in starts)
         if len(tiles) > 1:
             assert min(stop - start for start, stop in tiles) >= _tile_rows(k, d)
-
-
-class TestPlusPlusSeeding:
-    @staticmethod
-    def assert_matches_reference(k, dtype):
-        points = unit_rows(np.random.default_rng(k).standard_normal((120, 8))).astype(dtype)
-        rng, ref_rng = rng_stream(k), rng_stream(k)
-        got = _plusplus_seeding(_Distances(points, k), k, rng)
-        assert got.dtype == dtype
-        assert got.tobytes() == reference_plusplus_seeding(points, k, ref_rng).tobytes()
-        # both consumed the same draws from the stream
-        assert rng.integers(2**62) == ref_rng.integers(2**62)
-
-    @pytest.mark.parametrize("k", [1, 2, 17, 120])
-    def test_matches_reference_bitwise(self, k):
-        self.assert_matches_reference(k, np.float64)
-
-    @pytest.mark.parametrize("k", [1, 2, 17, 120])
-    def test_float32_matches_reference_bitwise(self, k):
-        self.assert_matches_reference(k, np.float32)
-
-    @pytest.mark.parametrize("n_distinct, k", [(1, 4), (3, 5), (3, 30)])
-    def test_duplicate_points_fallback_matches_reference(self, n_distinct, k):
-        base = unit_rows(np.random.default_rng(n_distinct).standard_normal((n_distinct, 4)))
-        points = np.repeat(base, 10, axis=0)
-        rng, ref_rng = rng_stream(7), rng_stream(7)
-        got = _plusplus_seeding(_Distances(points, k), k, rng)
-        assert got.tobytes() == reference_plusplus_seeding(points, k, ref_rng).tobytes()
-        assert rng.integers(2**62) == ref_rng.integers(2**62)
 
 
 class TestEStep:
@@ -426,42 +379,6 @@ class TestNonFinitePoints:
             e_step(table, (2,), (2,), seed=0)
 
 
-@st.composite
-def draw_weights(draw):
-    """Non-negative weights with a positive sum: zeros, subnormals, a single
-    nonzero entry and single-entry vectors among them."""
-    dtype = draw(st.sampled_from([np.float32, np.float64]))
-    info = np.finfo(dtype)
-    n = draw(st.integers(1, 300))
-    positive = st.one_of(
-        st.floats(float(info.smallest_subnormal), float(info.smallest_normal), width=info.bits),
-        st.floats(float(info.smallest_normal), 4.0, width=info.bits),
-        st.just(1.0),
-    )
-    weights = draw(hnp.arrays(dtype, n, elements=st.one_of(st.just(0.0), positive)))
-    if weights.sum() <= 0.0:
-        weights[draw(st.integers(0, n - 1))] = draw(positive)
-    return weights
-
-
-class TestWeightedDraw:
-    @settings(max_examples=400, deadline=None)
-    @given(draw_weights(), st.integers(0, 2**32 - 1))
-    def test_equals_generator_choice(self, weights, seed):
-        total = weights.sum()
-        rng, ref_rng = rng_stream(seed), rng_stream(seed)
-        got = _weighted_draw(weights, total, rng)
-        assert got == int(ref_rng.choice(len(weights), p=weights / total))
-        # both used the same draws from the stream
-        assert rng.random() == ref_rng.random()
-
-    def test_single_nonzero_entry_is_drawn(self):
-        weights = np.zeros(9, dtype=np.float32)
-        weights[6] = np.finfo(np.float32).smallest_subnormal
-        for seed in range(20):
-            assert _weighted_draw(weights, weights.sum(), rng_stream(seed)) == 6
-
-
 def assert_same_clustering(got, want):
     for field in ("centroids", "assignments"):
         a, b = getattr(got, field), getattr(want, field)
@@ -522,14 +439,14 @@ class TestMatchesFrozenReference:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n_distinct, k", [(1, 1), (1, 4), (3, 5), (3, 30), (40, 60)])
     def test_duplicate_points(self, dtype, n_distinct, k):
-        # fewer distinct points than clusters: the seeding's uniform fallback
-        # and the empty-cluster repair both run
+        # fewer distinct points than clusters: the start repeats a point, and
+        # the empty-cluster repair runs
         base = unit_rows(np.random.default_rng(n_distinct).standard_normal((n_distinct, 4)))
         assert_kmeans_matches_reference(np.repeat(base, 10, axis=0).astype(dtype), k, seed=7)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_antipodal_cluster_repair(self, dtype, monkeypatch):
-        # a blob and its mirror image, far from a third: every seeding puts
+        # a blob and its mirror image, far from a third: every start puts
         # the two into one cluster, whose mean is zero (exactly: the values
         # are dyadic), so the final repair replaces it by a far point
         blob = np.array([[1.0, 0.5], [1.0, -0.5], [1.0, 0.25]])
