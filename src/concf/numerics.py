@@ -56,15 +56,9 @@ def scatter_add_rows(
     # the same stable order, sorted as the narrowest unsigned type that holds
     # every row id: NumPy radix-sorts 8- and 16-bit keys, about 12x faster
     order = np.argsort(index.astype(np.min_scalar_type(max(n_rows - 1, 0))), kind="stable")
-    # SciPy checks int64 indices for a narrower fit on every construction;
-    # int32 ones, where they fit, skip that and run the same kernel
-    fits = max(len(index), len(values), n_rows) <= np.iinfo(np.int32).max
-    id_type = np.int32 if fits else np.int64
-    indptr = np.zeros(n_rows + 1, dtype=id_type)
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(index, minlength=n_rows), out=indptr[1:])
     data = np.ones(len(index), dtype=values.dtype) if weights is None else weights[order]
     columns = order if sources is None else np.asarray(sources, dtype=np.int64)[order]
-    select = sp.csr_matrix(
-        (data, columns.astype(id_type, copy=False), indptr), shape=(n_rows, len(values))
-    )
+    select = sp.csr_matrix((data, columns, indptr), shape=(n_rows, len(values)))
     return select @ values

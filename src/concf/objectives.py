@@ -22,9 +22,10 @@ On a large enough graph and with two usable CPUs, ``total_loss_and_gradient``
 runs two jobs on one worker thread while the calling thread does the rest of
 the step: the prototype term beside the forward propagation, and the first
 backward product beside the structure term. Each job is the same
-computation on the same full-size operands as the serial step, and the
-calling thread adds each job's result into the cotangents in the serial order,
-so the step's losses and gradient do not depend on whether the worker ran.
+computation on the same full-size operands as the serial step, in arrays
+allocated on the thread that runs it, and the calling thread adds each job's
+result into the cotangents in the serial order, so the step's losses and
+gradient do not depend on whether the worker ran.
 """
 
 from __future__ import annotations
@@ -120,17 +121,15 @@ def _infonce(
     candidates: np.ndarray,
     targets: np.ndarray,
     tau: float,
-    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """InfoNCE of each anchor row against every candidate, its positive being
     ``candidates[targets[i]]``.
 
     Returns the per-row losses and their gradient w.r.t. the logits
-    ``anchors @ candidates.T / tau`` (softmax minus one-hot). The gradient is
-    computed in ``out`` when given, a C-contiguous (anchors, candidates)
-    array of the product's dtype, and in a new array otherwise.
+    ``anchors @ candidates.T / tau`` (softmax minus one-hot), computed in
+    place in the logits' own array.
     """
-    logits = np.matmul(anchors, candidates.T, out=out)
+    logits = anchors @ candidates.T
     logits /= tau
     rows = np.arange(len(anchors))
     positive = logits[rows, targets]
@@ -203,7 +202,6 @@ def prototype_contrastive_loss(
     alpha: float = 1.0,
     cot: np.ndarray | None = None,
     weight: float = 1.0,
-    logits: np.ndarray | None = None,
 ) -> float:
     """Prototype-contrastive loss summed over the full population.
 
@@ -211,9 +209,8 @@ def prototype_contrastive_loss(
     centroid against all centroids of its side's clustering; the item side
     is weighted by ``alpha``. Centroids are constants: no gradient flows
     into them. With ``cot``, ``weight`` times the loss's gradient w.r.t. the
-    table is added into it. ``logits``, a flat buffer of the logits' dtype
-    with room for either side's nodes times its centroids, holds the logits
-    in place of a new array per side.
+    table is added into it. Each side's logits are freed before the next
+    side's are made, so one side's are alive at a time.
     """
     if tau <= 0:
         raise ValueError("tau: must be > 0")
@@ -227,14 +224,12 @@ def prototype_contrastive_loss(
         n = len(points)
         if len(cl.assignments) != n:
             raise ValueError(f"clustering has {len(cl.assignments)} assignments for {n} nodes")
-        out = None
-        if logits is not None:
-            out = logits[: n * len(cl.centroids)].reshape(n, len(cl.centroids))
-        losses, dlogits = _infonce(points, cl.centroids, cl.assignments, tau, out)
+        losses, dlogits = _infonce(points, cl.centroids, cl.assignments, tau)
         total += side_weight * float(losses.sum())
         if cot is not None:
             grad_points = dlogits @ cl.centroids / tau
             cot[block] += weight * side_weight * l2_normalize_backward(grad_points, points, norms)
+        del dlogits
     return total
 
 
@@ -339,15 +334,6 @@ def _start(worker: ThreadPoolExecutor | None, fn, *args):
     return worker.submit(_kept_to, cpus, np.geterr(), fn, *args)
 
 
-def _logits_buffer(table: EmbeddingTable, protos: PrototypeState) -> np.ndarray:
-    """The prototype term's logits buffer, allocated on the calling thread: glibc
-    gives the worker its own malloc arena, and logits allocated there raised
-    the ML-1M peak RSS by 12%."""
-    cu, ci = protos.users.centroids, protos.items.centroids
-    size = max(table.n_users * len(cu), table.n_items * len(ci))
-    return np.empty(size, dtype=np.result_type(table.matrix, cu, ci))
-
-
 def total_loss_and_gradient(
     adj: NormalizedAdjacency,
     table: EmbeddingTable,
@@ -376,7 +362,7 @@ def total_loss_and_gradient(
             proto_cot = np.zeros_like(table.matrix)
             proto_job = _start(
                 worker, prototype_contrastive_loss, table, protos, config.tau, config.alpha,
-                proto_cot, config.lambda2, _logits_buffer(table, protos),
+                proto_cot, config.lambda2,
             )
         fp = forward(adj, table, n_layers)
 

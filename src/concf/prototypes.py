@@ -93,14 +93,9 @@ class _Distances:
         assignments = np.empty(n, dtype=np.intp)
         dist = np.empty(n, dtype=self.sq_norms.dtype)
         for start, stop, d2 in self._unclipped(centers):
-            rows = self.rows[: stop - start]
+            np.maximum(d2, 0.0, out=d2)
             nearest = np.argmin(d2, axis=1, out=assignments[start:stop])
-            dist[start:stop] = d2[rows, nearest]
-            # the clip at zero can change only a row whose minimum is <= 0
-            if (dist[start:stop] <= 0.0).any():
-                np.maximum(d2, 0.0, out=d2)
-                np.argmin(d2, axis=1, out=nearest)
-                dist[start:stop] = d2[rows, nearest]
+            dist[start:stop] = d2[self.rows[: stop - start], nearest]
         return assignments, dist
 
     def assigned(self, centers: np.ndarray, assignments: np.ndarray) -> np.ndarray:

@@ -140,11 +140,9 @@ def train(
         for epoch in range(1, config.max_epochs + 1):
             t0 = time.perf_counter()
             protos: PrototypeState | None = None
-            inertia: tuple[float, float] | None = None
             if config.lambda2 > 0:
                 seed = derive_seed(config.seed, STREAM_KMEANS, epoch)
                 protos = e_step(table, config.k_users, config.k_items, seed)
-                inertia = protos.users.inertia, protos.items.inertia
 
             triples = sample_negatives(split, derive_seed(config.seed, STREAM_NEGATIVES, epoch))
             order = rng_stream(config.seed, STREAM_SHUFFLE, epoch).permutation(len(triples))
@@ -164,7 +162,7 @@ def train(
                 valid_ndcg10=ndcg10,
                 valid_recall10=metrics.get("recall@10", 0.0),
                 seconds=time.perf_counter() - t0,
-                kmeans_inertia=inertia,
+                kmeans_inertia=None if protos is None else (protos.users.inertia, protos.items.inertia),
                 n_batches=len(parts),
             )
             history.append(record)

@@ -328,23 +328,6 @@ class TestRowLogsumexpSoftmax:
             assert dlogits.tobytes() == expected.tobytes()
 
 
-class TestInfonceOut:
-    @pytest.mark.parametrize("shape", [(1, 1), (7, 13), (300, 1000), (6040, 31), (64, 5)])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_prefix_of_a_flat_buffer_gives_the_same_bytes(self, shape, dtype):
-        rng = np.random.default_rng(shape[0])
-        targets = rng.integers(shape[1], size=shape[0])
-        a = rng.standard_normal((shape[0], 64)).astype(dtype)
-        b = rng.standard_normal((shape[1], 64)).astype(dtype)
-        buffer = np.full(shape[0] * shape[1] + 17, np.nan, dtype=dtype)
-        out = buffer[: shape[0] * shape[1]].reshape(shape)
-        losses, dlogits = _infonce(a, b, targets, 0.2, out)
-        expected_losses, expected = _infonce(a, b, targets, 0.2)
-        assert np.shares_memory(dlogits, buffer)
-        assert losses.tobytes() == expected_losses.tobytes()
-        assert dlogits.tobytes() == expected.tobytes()
-
-
 class TestScatterAddRows:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -425,6 +408,38 @@ class TestBprMemory:
             tracemalloc.stop()
         assert np.any(grad != 0.0)
         assert peak < self.PEAK_PER_BATCH_BYTE * n * d * fp.readout.itemsize
+
+
+class TestStepMemory:
+    # tracemalloc peak of one worker step over the user side's prototype
+    # logits bytes, with the prototype term beside forward and BPR on a
+    # 600 x 400 graph, d=8 and K=400 per side: 1.38 with each side's logits
+    # freed before the other side's are made, 2.02 with both sides' alive
+    PEAK_PER_USER_LOGITS_BYTE = 1.7
+
+    def test_one_sides_prototype_logits_at_a_time(self, open_gate):
+        split = random_split(600, 400, 12000, seed=3)
+        cfg = TrainConfig(d=8, lambda1=0.0, k_users=(400,), k_items=(400,))
+        adj = build_normalized_adjacency(split, dtype=np.dtype(cfg.dtype))
+        rng = np.random.default_rng(3)
+        table = EmbeddingTable(
+            split.n_users, split.n_items,
+            rng.standard_normal((split.n_users + split.n_items, cfg.d), dtype=np.float32),
+        )
+        protos = e_step(table, cfg.k_users, cfg.k_items, seed=1)
+        n = 256
+        triples = triple(rng.integers(0, split.n_users, n), rng.integers(0, split.n_items, n),
+                         rng.integers(0, split.n_items, n))
+        total_loss_and_gradient(adj, table, triples, protos, cfg)  # starts the worker
+        tracemalloc.start()
+        try:
+            total_loss_and_gradient(adj, table, triples, protos, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert worker_started()
+        user_logits = split.n_users * cfg.k_users[0] * table.matrix.itemsize
+        assert peak < self.PEAK_PER_USER_LOGITS_BYTE * user_logits
 
 
 def gradient_check_setup(seed=0, n_users=5, n_items=7, d=8):

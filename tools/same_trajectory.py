@@ -1,0 +1,106 @@
+"""Check that the working tree trains the same bytes as a git revision.
+
+Usage: python tools/same_trajectory.py REV
+
+Exports REV's tree with ``git archive`` into a temporary directory and runs
+acceptance criterion 7's CLI job from REV's ``src/`` and from the working
+tree's, in float32 and in float64, on one planted seed-0 input file:
+
+    concf prepare --min-count 0 --seed 0
+    concf train --lambda1 1e-6 --lambda2 1e-6 --tau 0.05 --k-users 8 --k-items 8 --seed 0
+    concf evaluate --groups 5
+
+It compares ``history.jsonl`` without ``seconds``, ``model.ckpt``, the
+evaluate output and ``manifest.json`` without ``created_utc`` and
+``split_dir``, prints one verdict per file and dtype, and exits 1 on any
+difference. It needs git and no network.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
+
+from bench.workloads import planted_communities  # noqa: E402
+
+TRAIN_FLAGS = ["--lambda1", "1e-6", "--lambda2", "1e-6", "--tau", "0.05",
+               "--k-users", "8", "--k-items", "8", "--seed", "0"]
+
+
+def export(rev: str, dest: Path) -> None:
+    """Write the tree of ``rev`` into ``dest``."""
+    res = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True)
+    if res.returncode != 0:
+        raise SystemExit(f"git archive {rev}: {res.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(res.stdout)) as archive:
+        archive.extractall(dest, filter="data")
+
+
+def concf(src: Path, *args: str) -> str:
+    """Run ``python -m concf ARGS`` on the package under ``src`` and return its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    res = subprocess.run([sys.executable, "-m", "concf", *args], capture_output=True,
+                         text=True, env=env, cwd=src)
+    if res.returncode != 0:
+        raise SystemExit(f"concf {args[0]} failed under {src}:\n{res.stderr}")
+    return res.stdout
+
+
+def outputs(src: Path, data: Path, work: Path, dtype: str) -> dict[str, object]:
+    """The four compared outputs of the job run from ``src``."""
+    split_dir, out_dir = work / "split", work / "run"
+    concf(src, "prepare", "--input", str(data), "--out", str(split_dir),
+          "--min-count", "0", "--seed", "0")
+    concf(src, "train", "--split-dir", str(split_dir), "--out-dir", str(out_dir),
+          *TRAIN_FLAGS, "--dtype", dtype)
+    history = [json.loads(line) for line in (out_dir / "history.jsonl").read_text().splitlines()]
+    for record in history:
+        record.pop("seconds")
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    for key in ("created_utc", "split_dir"):
+        manifest.pop(key)
+    evaluated = concf(src, "evaluate", "--checkpoint", str(out_dir / "model.ckpt"),
+                      "--split-dir", str(split_dir), "--groups", "5")
+    return {
+        "history.jsonl": history,
+        "model.ckpt": (out_dir / "model.ckpt").read_bytes(),
+        "evaluate": evaluated,
+        "manifest.json": manifest,
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="git revision to compare the working tree against")
+    rev = parser.parse_args(argv).rev
+    with tempfile.TemporaryDirectory(prefix="same-trajectory-") as tmp:
+        tmp = Path(tmp)
+        export(rev, tmp / "rev")
+        data = tmp / "interactions.tsv"
+        planted_communities(data, seed=0)
+        differ = False
+        for dtype in ("float32", "float64"):
+            theirs = outputs(tmp / "rev" / "src", data, tmp / f"rev-{dtype}", dtype)
+            ours = outputs(ROOT / "src", data, tmp / f"tree-{dtype}", dtype)
+            for name, value in ours.items():
+                same = value == theirs[name]
+                differ |= not same
+                print(f"{dtype} {name}: {'identical' if same else 'DIFFERENT'}")
+            manifest = ours["manifest.json"]
+            print(f"{dtype} run {manifest['run_id']}: {manifest['epochs_run']} epochs, "
+                  f"best epoch {manifest['best_epoch']}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
