@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import contextlib
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .dataset import DatasetSplit
 
@@ -16,13 +18,29 @@ class NormalizedAdjacency:
 
     Node ordering is users [0, n_users) followed by items
     [n_users, n_users + n_items). Column indices are ascending within each
-    row, which fixes the per-row summation order. ``matrix`` holds the only
-    copy of the arrays; ``indptr``, ``indices`` and ``weights`` are its own.
+    row, which fixes the per-row summation order. ``indptr``, ``indices``
+    and ``weights`` are ``matrix``'s own arrays. ``user_rows`` and
+    ``item_rows`` are the matrix's user and item rows as CSR matrices whose
+    entries are views of ``matrix``'s; the graph is bipartite, so each holds
+    one entry per train pair, and only the item half's shifted ``indptr``
+    is new.
     """
 
     n_users: int
     n_items: int
     matrix: sp.csr_matrix
+    user_rows: sp.csr_matrix = field(init=False, repr=False)
+    item_rows: sp.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        m, n = self.matrix, self.n_users
+        cut = int(m.indptr[n])
+        self.user_rows = sp.csr_matrix(
+            (m.data[:cut], m.indices[:cut], m.indptr[: n + 1]), shape=(n, self.n_nodes)
+        )
+        self.item_rows = sp.csr_matrix(
+            (m.data[cut:], m.indices[cut:], m.indptr[n:] - cut), shape=(self.n_items, self.n_nodes)
+        )
 
     @property
     def n_nodes(self) -> int:
@@ -67,12 +85,29 @@ def build_normalized_adjacency(
     return NormalizedAdjacency(n_users=n_users, n_items=n_items, matrix=matrix)
 
 
-def propagate(adj: NormalizedAdjacency, z_prev: np.ndarray) -> np.ndarray:
+def _add_product(rows: sp.csr_matrix, z: np.ndarray, out: np.ndarray) -> None:
+    """Add ``rows @ z`` into the C-contiguous ``out`` with the CSR kernel
+    ``matrix @ z`` runs, which releases the GIL and sums each row on its own."""
+    _sparsetools.csr_matvecs(
+        rows.shape[0], rows.shape[1], z.shape[1], rows.indptr, rows.indices, rows.data,
+        z.ravel(), out.ravel(),
+    )
+
+
+def propagate(adj: NormalizedAdjacency, z_prev: np.ndarray, start=None) -> np.ndarray:
     """One propagation step: z_next[v] = sum over neighbors w of weight(v,w) * z_prev[w].
 
     No self-loop contribution; rows of zero-degree nodes come out zero. The
     input must have the weights' dtype: a mixed product would silently come
     out in the wider one.
+
+    With ``start``, the product runs in two halves that write into one
+    output: ``start(fn, *args)`` runs the item rows' ``fn(*args)`` elsewhere
+    and returns an object whose ``result()`` waits for it, while the calling
+    thread computes the user rows. Each output row is summed as the serial
+    product sums it, so the bytes are the same. Whichever half fails, the
+    other has ended before the error is raised; when both fail, the calling
+    thread's error is raised.
     """
     z_prev = np.asarray(z_prev)
     if z_prev.shape[0] != adj.n_nodes:
@@ -83,4 +118,16 @@ def propagate(adj: NormalizedAdjacency, z_prev: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"dtype mismatch: adjacency weights are {adj.weights.dtype}, input is {z_prev.dtype}"
         )
-    return adj.matrix @ z_prev
+    if start is None:
+        return adj.matrix @ z_prev
+    z = np.ascontiguousarray(z_prev)
+    out = np.zeros_like(z)
+    items = start(_add_product, adj.item_rows, z, out[adj.n_users:])
+    try:
+        _add_product(adj.user_rows, z, out[: adj.n_users])
+    except BaseException:
+        with contextlib.suppress(Exception):
+            items.result()
+        raise
+    items.result()
+    return out

@@ -83,8 +83,14 @@ def init_embeddings(
     return EmbeddingTable(n_users=n_users, n_items=n_items, matrix=matrix)
 
 
-def forward(adj: NormalizedAdjacency, table: EmbeddingTable, n_layers: int) -> ForwardPass:
-    """Run n_layers propagation steps and average all layer outputs."""
+def forward(
+    adj: NormalizedAdjacency, table: EmbeddingTable, n_layers: int, start=None
+) -> ForwardPass:
+    """Run n_layers propagation steps and average all layer outputs.
+
+    ``start`` is handed to each ``propagate`` call, to run its item rows
+    elsewhere.
+    """
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
     if table.n_nodes != adj.n_nodes:
@@ -93,7 +99,7 @@ def forward(adj: NormalizedAdjacency, table: EmbeddingTable, n_layers: int) -> F
         )
     layers = [table.matrix]
     for _ in range(n_layers):
-        layers.append(propagate(adj, layers[-1]))
+        layers.append(propagate(adj, layers[-1], start))
     readout = layers[0] + layers[1]
     for layer in layers[2:]:
         readout += layer

@@ -19,13 +19,16 @@ Each term is one public function: it returns the loss, and when given a
 gradient accumulator and a weight it also adds its weighted gradient into it.
 
 On a large enough graph and with two usable CPUs, ``total_loss_and_gradient``
-runs two jobs on one worker thread while the calling thread does the rest of
-the step: the prototype term beside the forward propagation, and the first
-backward product beside the structure term. Each job is the same
-computation on the same full-size operands as the serial step, in arrays
-allocated on the thread that runs it, and the calling thread adds each job's
-result into the cotangents in the serial order, so the step's losses and
-gradient do not depend on whether the worker ran.
+shares the step with one worker thread. Each propagation product the calling
+thread runs, the forward ones and the last backward ones, is split at the
+user/item row boundary, and the worker computes the item rows. Between them
+the worker runs two jobs, in order, beside BPR, the structure term and the
+regularizer: the prototype term, then the first backward product. Each half
+sums its rows as the serial product does, each job is the serial step's
+computation on the same full-size operands, in arrays allocated on the
+thread that runs it, and the calling thread adds each job's result into the
+cotangents in the serial order, so the step's losses and gradient do not
+depend on whether the worker ran.
 """
 
 from __future__ import annotations
@@ -255,8 +258,8 @@ def reg_loss(
     return float(0.5 * np.einsum("ij,ij->", rows, rows))
 
 
-# A step hands two jobs to its worker only when propagation is at least this
-# many multiply-adds (adj.nnz * d). On scaled ML-1M-shaped graphs the worker
+# A step hands work to its worker only when propagation is at least this many
+# multiply-adds (adj.nnz * d). On scaled ML-1M-shaped graphs the worker
 # first paid off between 3.1M (no gain) and 8.3M (1.2x) on two free cores,
 # and cost 1-9% at every size when the second core was busy; the planted
 # criterion-7 job is 0.63M and ML-1M 82M.
@@ -346,8 +349,9 @@ def total_loss_and_gradient(
     The ranking and regularization terms are divided by the batch size;
     contrastive terms keep their summed form. Inactive terms (zero weight)
     are skipped entirely and reported as 0. When ``adj.nnz * d`` reaches
-    ``OVERLAP_MIN_WORK`` and two CPUs are usable, the prototype term and the
-    first backward product run on the worker thread, with the same bytes.
+    ``OVERLAP_MIN_WORK`` and two CPUs are usable, the worker thread computes
+    the item rows of the forward and last backward products, the prototype
+    term and the first backward product, with the same bytes.
     """
     if len(triples) == 0:
         raise ValueError("empty triple batch")
@@ -356,15 +360,18 @@ def total_loss_and_gradient(
     n_batch = len(triples)
     n_layers = config.n_layers
     worker = _step_worker(adj, table.matrix.shape[1])
+    # hands a product's item rows to the worker; only the calling thread may,
+    # as a job that waited on its own worker would never end
+    split = None if worker is None else functools.partial(_start, worker)
     proto_job = first_product = None
     try:
+        fp = forward(adj, table, n_layers, split)
         if config.lambda2 > 0:
             proto_cot = np.zeros_like(table.matrix)
             proto_job = _start(
                 worker, prototype_contrastive_loss, table, protos, config.tau, config.alpha,
                 proto_cot, config.lambda2,
             )
-        fp = forward(adj, table, n_layers)
 
         grad_readout = np.zeros_like(table.matrix)
         bpr = bpr_loss(fp, triples, grad_readout, weight=1.0 / n_batch) / n_batch
@@ -374,11 +381,10 @@ def total_loss_and_gradient(
         cot_layers = [grad_readout] * (n_layers + 1)
         cot_layers[0] = grad_readout.copy()
         cot_layers[config.k_layer] = grad_readout.copy()
-        # the top layer's cotangent is final now unless the structure term adds to it
-        first_product = _start(
-            worker if config.k_layer != n_layers else None,
-            propagate, adj, cot_layers[n_layers],
-        )
+        # the top layer's cotangent is final now unless the structure term adds
+        # to it; the job queues behind the prototype term
+        if config.k_layer != n_layers:
+            first_product = _start(worker, propagate, adj, cot_layers[n_layers])
 
         structure = 0.0
         if config.lambda1 > 0:
@@ -401,10 +407,15 @@ def total_loss_and_gradient(
             ])
             reg = reg_loss(table, touched, cot_layers[0], config.lambda3 / n_batch) / n_batch
 
-        grad = first_product.result()
+        # the worker has no job left once the first product is in, so the
+        # products after it split, and the first one too when it waited here
+        if first_product is None:
+            grad = propagate(adj, cot_layers[n_layers], split)
+        else:
+            grad = first_product.result()
         grad += cot_layers[n_layers - 1]
         for l in range(n_layers - 2, -1, -1):
-            grad = propagate(adj, grad)
+            grad = propagate(adj, grad, split)
             grad += cot_layers[l]
     finally:
         # a failed step leaves nothing queued or running: drop what has not

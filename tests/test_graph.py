@@ -1,5 +1,9 @@
 """Normalized adjacency construction and the sparse propagation kernel."""
 
+import threading
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,10 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concf import (
+    DatasetSplit,
     build_normalized_adjacency,
     build_split,
+    graph,
     propagate,
 )
+from concf.objectives import _Deferred
 
 from conftest import from_keys, planted_communities, random_split
 
@@ -215,3 +222,101 @@ class TestPropagate:
         two_hop_zeroed = propagate(small_adj, propagate(small_adj, z_zeroed))
         nu = small_adj.n_users
         np.testing.assert_allclose(two_hop[:nu], two_hop_zeroed[:nu], atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def empty_ends_split():
+    """Users 0 and 11 and items 0 and 15 have no train pair: the last user
+    row, just before the user/item cut, and the first item row are empty."""
+    rng = np.random.default_rng(11)
+    pairs = {(int(rng.integers(1, 11)), int(rng.integers(1, 15))) for _ in range(60)}
+    train = np.array(sorted(pairs), dtype=np.int64)
+    empty = np.zeros((0, 2), dtype=np.int64)
+    return DatasetSplit(n_users=12, n_items=16, train=train, valid=empty, test=empty)
+
+
+def ran_here(fn, *args):
+    """A ``start`` that runs the half at once on the calling thread."""
+    done = Future()
+    try:
+        done.set_result(fn(*args))
+    except Exception as err:
+        done.set_exception(err)
+    return done
+
+
+class TestRowHalves:
+    @pytest.mark.parametrize("which", ["small_split", "empty_ends_split"])
+    def test_halves_are_views_of_one_entry_per_train_pair(self, request, which):
+        split = request.getfixturevalue(which)
+        adj = build_normalized_adjacency(split)
+        m = adj.matrix
+        for half, n_rows in ((adj.user_rows, adj.n_users), (adj.item_rows, adj.n_items)):
+            assert np.shares_memory(half.data, m.data)
+            assert np.shares_memory(half.indices, m.indices)
+            assert half.nnz == len(split.train)
+            assert half.shape == (n_rows, adj.n_nodes)
+        assert np.array_equal(sp.vstack([adj.user_rows, adj.item_rows]).toarray(), m.toarray())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [1, 8])
+    @pytest.mark.parametrize("how", ["here", "deferred", "thread"])
+    def test_split_product_is_the_serial_bytes(self, empty_ends_split, dtype, d, how):
+        adj = build_normalized_adjacency(empty_ends_split, dtype=dtype)
+        assert (np.diff(adj.indptr)[[0, 11, 12, 27]] == 0).all()
+        rng = np.random.default_rng(d)
+        z = rng.standard_normal((adj.n_nodes, d)).astype(dtype)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            # the half runs before, after or beside the calling thread's half
+            start = {"here": ran_here, "deferred": _Deferred, "thread": pool.submit}[how]
+            for operand in (z, np.asfortranarray(z)):
+                got = propagate(adj, operand, start)
+                want = propagate(adj, operand)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_submitted_half_error_is_raised_after_the_callers_half(
+        self, empty_ends_split, monkeypatch
+    ):
+        adj = build_normalized_adjacency(empty_ends_split)
+        real, events = graph._add_product, []
+
+        def noted(rows, z, out):
+            real(rows, z, out)
+            events.append("user rows done")
+
+        def failing(fn, *args):
+            done = Future()
+            done.set_exception(RuntimeError("item rows failed"))
+            return done
+
+        monkeypatch.setattr(graph, "_add_product", noted)
+        with pytest.raises(RuntimeError, match="item rows failed"):
+            propagate(adj, np.ones((adj.n_nodes, 3)), failing)
+        assert events == ["user rows done"]
+
+    @pytest.mark.parametrize("item_rows_fail", [False, True])
+    def test_callers_half_error_joins_the_submitted_half(
+        self, empty_ends_split, monkeypatch, item_rows_fail
+    ):
+        adj = build_normalized_adjacency(empty_ends_split)
+        real, events = graph._add_product, []
+        caller_failed = threading.Event()
+
+        def kernel(rows, z, out):
+            if rows is adj.user_rows:
+                caller_failed.set()
+                raise RuntimeError("user rows failed")
+            # still writing into the output after the calling thread's half failed
+            assert caller_failed.wait(timeout=30)
+            time.sleep(0.1)
+            real(rows, z, out)
+            events.append("item rows done")
+            if item_rows_fail:
+                raise RuntimeError("item rows failed")
+
+        monkeypatch.setattr(graph, "_add_product", kernel)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(RuntimeError, match="user rows failed"):
+                propagate(adj, np.ones((adj.n_nodes, 3)), pool.submit)
+            assert events == ["item rows done"]

@@ -24,6 +24,7 @@ from concf.model import (
     write_matrix_text,
     xavier_bound,
 )
+from concf.objectives import _Deferred
 
 from conftest import fail_mid_write, from_keys, random_split
 
@@ -118,6 +119,20 @@ class TestForward:
         fp1 = forward(small_adj, table, 3)
         fp2 = forward(small_adj, scaled, 3)
         np.testing.assert_allclose(fp2.readout, 2.5 * fp1.readout, rtol=1e-13)
+
+    def test_start_splits_every_layer_with_the_same_bytes(self, small_split, small_adj):
+        table = init_embeddings(small_split.n_users, small_split.n_items, 6, seed=5)
+        started = []
+
+        def start(fn, *args):
+            started.append(fn)
+            return _Deferred(fn, *args)
+
+        fp = forward(small_adj, table, 3, start)
+        serial = forward(small_adj, table, 3)
+        assert len(started) == 3
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(fp.layers, serial.layers))
+        assert fp.readout.tobytes() == serial.readout.tobytes()
 
     def test_rejects_zero_layers(self, small_split, small_adj):
         table = init_embeddings(small_split.n_users, small_split.n_items, 4, seed=0)

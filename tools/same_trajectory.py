@@ -10,10 +10,13 @@ tree's, in float32 and in float64, on one planted seed-0 input file:
     concf train --lambda1 1e-6 --lambda2 1e-6 --tau 0.05 --k-users 8 --k-items 8 --seed 0
     concf evaluate --groups 5
 
-It compares ``history.jsonl`` without ``seconds``, ``model.ckpt``, the
+Each dtype's job runs twice: as is, where the job's small graph keeps the
+training step's worker gate closed, and with the gate forced open by
+acceptance criterion 9's child recipe, so the worker's path runs too. It
+compares ``history.jsonl`` without ``seconds``, ``model.ckpt``, the
 evaluate output and ``manifest.json`` without ``created_utc`` and
-``split_dir``, prints one verdict per file and dtype, and exits 1 on any
-difference. It needs git and no network.
+``split_dir``, prints one verdict per file, dtype and gate, and exits 1 on
+any difference. It needs git and no network.
 """
 
 from __future__ import annotations
@@ -33,6 +36,16 @@ sys.path.insert(0, str(ROOT))
 
 from bench.workloads import planted_communities  # noqa: E402
 
+# acceptance criterion 9's child: ``concf`` with the step's worker gate forced open
+WORKER_CHILD = """
+import os, sys
+from concf import cli, objectives
+objectives.OVERLAP_MIN_WORK = 0
+objectives._usable_cpus = lambda: 2
+code = cli.main(sys.argv[1:])
+sys.exit(code or (0 if os.getpid() in objectives._WORKERS else 'the worker never started'))
+"""
+
 TRAIN_FLAGS = ["--lambda1", "1e-6", "--lambda2", "1e-6", "--tau", "0.05",
                "--k-users", "8", "--k-items", "8", "--seed", "0"]
 
@@ -46,23 +59,26 @@ def export(rev: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
-def concf(src: Path, *args: str) -> str:
-    """Run ``python -m concf ARGS`` on the package under ``src`` and return its stdout."""
+def concf(src: Path, *args: str, gate: str = "closed") -> str:
+    """Run ``python -m concf ARGS`` on the package under ``src``, through
+    ``WORKER_CHILD`` when ``gate`` is "open", and return its stdout."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    res = subprocess.run([sys.executable, "-m", "concf", *args], capture_output=True,
+    launch = ["-c", WORKER_CHILD] if gate == "open" else ["-m", "concf"]
+    res = subprocess.run([sys.executable, *launch, *args], capture_output=True,
                          text=True, env=env, cwd=src)
     if res.returncode != 0:
         raise SystemExit(f"concf {args[0]} failed under {src}:\n{res.stderr}")
     return res.stdout
 
 
-def outputs(src: Path, data: Path, work: Path, dtype: str) -> dict[str, object]:
-    """The four compared outputs of the job run from ``src``."""
+def outputs(src: Path, data: Path, work: Path, dtype: str, gate: str) -> dict[str, object]:
+    """The four compared outputs of the job run from ``src``, trained with the
+    worker ``gate`` "closed" or "open"."""
     split_dir, out_dir = work / "split", work / "run"
     concf(src, "prepare", "--input", str(data), "--out", str(split_dir),
           "--min-count", "0", "--seed", "0")
     concf(src, "train", "--split-dir", str(split_dir), "--out-dir", str(out_dir),
-          *TRAIN_FLAGS, "--dtype", dtype)
+          *TRAIN_FLAGS, "--dtype", dtype, gate=gate)
     history = [json.loads(line) for line in (out_dir / "history.jsonl").read_text().splitlines()]
     for record in history:
         record.pop("seconds")
@@ -90,15 +106,17 @@ def main(argv: list[str] | None = None) -> int:
         planted_communities(data, seed=0)
         differ = False
         for dtype in ("float32", "float64"):
-            theirs = outputs(tmp / "rev" / "src", data, tmp / f"rev-{dtype}", dtype)
-            ours = outputs(ROOT / "src", data, tmp / f"tree-{dtype}", dtype)
-            for name, value in ours.items():
-                same = value == theirs[name]
-                differ |= not same
-                print(f"{dtype} {name}: {'identical' if same else 'DIFFERENT'}")
-            manifest = ours["manifest.json"]
-            print(f"{dtype} run {manifest['run_id']}: {manifest['epochs_run']} epochs, "
-                  f"best epoch {manifest['best_epoch']}")
+            for gate in ("closed", "open"):
+                job = f"{dtype}-{gate}"
+                theirs = outputs(tmp / "rev" / "src", data, tmp / f"rev-{job}", dtype, gate)
+                ours = outputs(ROOT / "src", data, tmp / f"tree-{job}", dtype, gate)
+                for name, value in ours.items():
+                    same = value == theirs[name]
+                    differ |= not same
+                    print(f"{dtype} gate {gate} {name}: {'identical' if same else 'DIFFERENT'}")
+                manifest = ours["manifest.json"]
+                print(f"{dtype} gate {gate} run {manifest['run_id']}: "
+                      f"{manifest['epochs_run']} epochs, best epoch {manifest['best_epoch']}")
     return 1 if differ else 0
 
 
