@@ -24,6 +24,7 @@ from .dataset import DatasetSplit, _write_replacing
 from .evaluator import full_rank_eval, sparsity_group_report
 from .graph import build_normalized_adjacency
 from .model import forward, load_checkpoint, save_checkpoint, write_matrix_binary, write_matrix_text
+from .objectives import propagation_start
 from .trainer import train
 
 DATA_ROOT_ENV = "CONCF_DATA_ROOT"
@@ -221,7 +222,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _load_model(args: argparse.Namespace, split: DatasetSplit):
     """The checkpoint ``args.checkpoint``, checked against ``split``'s shape,
-    and its forward pass on ``split``'s graph."""
+    and its forward pass on ``split``'s graph, split as a training step's is."""
     ckpt = load_checkpoint(_resolve_path(args.checkpoint))
     if (ckpt.table.n_users, ckpt.table.n_items) != (split.n_users, split.n_items):
         raise ValueError(
@@ -229,7 +230,7 @@ def _load_model(args: argparse.Namespace, split: DatasetSplit):
             f"{ckpt.table.n_items} items, split has {split.n_users} / {split.n_items}"
         )
     adj = build_normalized_adjacency(split, dtype=ckpt.table.matrix.dtype)
-    return ckpt, forward(adj, ckpt.table, ckpt.n_layers)
+    return ckpt, forward(adj, ckpt.table, ckpt.n_layers, propagation_start(adj, ckpt.table.d))
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

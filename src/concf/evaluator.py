@@ -1,16 +1,32 @@
-"""Full-ranking top-N evaluation (Recall@N, NDCG@N) and sparsity-group reports."""
+"""Full-ranking top-N evaluation (Recall@N, NDCG@N) and sparsity-group reports.
+
+Users are ranked in chunks of ``_CHUNK``, each scored against every item.
+When there are at least two chunks, the ranking is at least
+``objectives.OVERLAP_MIN_WORK`` multiply-adds (users * items * d) and two
+CPUs are usable, the training step's worker thread ranks the second half of
+the chunks while the calling thread ranks the first: two chunks' scores are
+then alive at once. Every chunk writes its own users' rows of one array, so
+the reports are the same bytes either way.
+"""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
+from . import objectives
 from .dataset import DatasetSplit, pair_matrix
+from .graph import in_halves
 from .model import ForwardPass
 
-_CHUNK = 512
+# users ranked per chunk. When the ranking is split, two chunks' scores are
+# alive at once; at 256 they take what one chunk of 512 took, and on the
+# ML-1M shape the split ranking was as fast as with chunks of 512.
+_CHUNK = 256
 
 
 @dataclass
@@ -120,6 +136,30 @@ def _chunk_entries(matrix, rows: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(rows)) * matrix.shape[1], counts) + matrix.indices[pos]
 
 
+def _rank(
+    fp: ForwardPass,
+    masked: list[csr_matrix],
+    target_keys: np.ndarray,
+    n_items: int,
+    users: np.ndarray,
+    hits: np.ndarray,
+    begin: int,
+    end: int,
+) -> None:
+    """Fill ``hits[begin:end]``: whether each of the top ``hits.shape[1]``
+    items of ``users[begin:end]``, ``masked`` ones aside, is among the
+    ``target_keys`` (user * n_items + item), ranking ``_CHUNK`` users at a time."""
+    for start in range(begin, end, _CHUNK):
+        rows = users[start:min(start + _CHUNK, end)]
+        scores = fp.readout[rows] @ fp.item_readout.T
+        for matrix in masked:
+            np.put(scores, _chunk_entries(matrix, rows), -np.inf)
+        keys = _top_n(scores, hits.shape[1])
+        del scores  # before the next chunk's scores are made
+        keys += (rows * n_items)[:, None]
+        hits[start:start + len(rows)] = target_keys[np.searchsorted(target_keys, keys)] == keys
+
+
 def _user_metrics(
     fp: ForwardPass,
     split: DatasetSplit,
@@ -155,14 +195,15 @@ def _user_metrics(
     gains = 1.0 / np.log2(np.arange(2, max_n + 2))
     idcg_prefix = np.concatenate([[0.0], np.cumsum(gains)])
     hits = np.empty((len(users), max_n), dtype=bool)
-    for start in range(0, len(users), _CHUNK):
-        rows = users[start:start + _CHUNK]
-        scores = fp.readout[rows] @ fp.item_readout.T
-        for matrix in masked:
-            np.put(scores, _chunk_entries(matrix, rows), -np.inf)
-        keys = _top_n(scores, max_n)
-        keys += (rows * split.n_items)[:, None]
-        hits[start:start + _CHUNK] = target_keys[np.searchsorted(target_keys, keys)] == keys
+    ranked = (fp, masked, target_keys, split.n_items, users, hits)
+    # the calling thread's half: the first half of the chunks, rounded down
+    mid = -(-len(users) // _CHUNK) // 2 * _CHUNK
+    worker = objectives._worker(len(users) * split.n_items * fp.readout.shape[1]) if mid else None
+    if worker is None:
+        _rank(*ranked, 0, len(users))
+    else:
+        start = functools.partial(objectives._start, worker)
+        in_halves(start, _rank, (*ranked, 0, mid), (*ranked, mid, len(users)))
     values = {}
     for n in ns:
         top = hits[:, :n]
@@ -197,7 +238,9 @@ def full_rank_eval(
     by ascending item id, and NaN ranks last. Ranking selects each user's top
     ``max(ns)`` items by a score threshold (``_top_n``) and orders only
     those, with the same result as a stable sort of all items. Users with no
-    target interactions are excluded from the means.
+    target interactions are excluded from the means. A large enough ranking
+    runs half on the training step's worker thread (see the module
+    docstring), with the same report.
     """
     users, values, metadata = _user_metrics(fp, split, target, ns, user_cap)
     return _report(values, np.ones(len(users), dtype=bool), metadata)

@@ -94,6 +94,24 @@ def _add_product(rows: sp.csr_matrix, z: np.ndarray, out: np.ndarray) -> None:
     )
 
 
+def in_halves(start, fn, here: tuple, there: tuple) -> None:
+    """Run ``fn(*here)`` on the calling thread while ``start(fn, *there)``
+    runs ``fn(*there)`` elsewhere, and return once both have ended.
+
+    ``start`` returns an object whose ``result()`` waits for its half.
+    Whichever half fails, the other has ended before the error is raised;
+    when both fail, the calling thread's error is raised.
+    """
+    job = start(fn, *there)
+    try:
+        fn(*here)
+    except BaseException:
+        with contextlib.suppress(Exception):
+            job.result()
+        raise
+    job.result()
+
+
 def propagate(adj: NormalizedAdjacency, z_prev: np.ndarray, start=None) -> np.ndarray:
     """One propagation step: z_next[v] = sum over neighbors w of weight(v,w) * z_prev[w].
 
@@ -102,12 +120,9 @@ def propagate(adj: NormalizedAdjacency, z_prev: np.ndarray, start=None) -> np.nd
     out in the wider one.
 
     With ``start``, the product runs in two halves that write into one
-    output: ``start(fn, *args)`` runs the item rows' ``fn(*args)`` elsewhere
-    and returns an object whose ``result()`` waits for it, while the calling
-    thread computes the user rows. Each output row is summed as the serial
-    product sums it, so the bytes are the same. Whichever half fails, the
-    other has ended before the error is raised; when both fail, the calling
-    thread's error is raised.
+    output (``in_halves``): the item rows elsewhere, the user rows on the
+    calling thread. Each output row is summed as the serial product sums it,
+    so the bytes are the same.
     """
     z_prev = np.asarray(z_prev)
     if z_prev.shape[0] != adj.n_nodes:
@@ -122,12 +137,6 @@ def propagate(adj: NormalizedAdjacency, z_prev: np.ndarray, start=None) -> np.nd
         return adj.matrix @ z_prev
     z = np.ascontiguousarray(z_prev)
     out = np.zeros_like(z)
-    items = start(_add_product, adj.item_rows, z, out[adj.n_users:])
-    try:
-        _add_product(adj.user_rows, z, out[: adj.n_users])
-    except BaseException:
-        with contextlib.suppress(Exception):
-            items.result()
-        raise
-    items.result()
+    n = adj.n_users
+    in_halves(start, _add_product, (adj.user_rows, z, out[:n]), (adj.item_rows, z, out[n:]))
     return out

@@ -28,7 +28,9 @@ sums its rows as the serial product does, each job is the serial step's
 computation on the same full-size operands, in arrays allocated on the
 thread that runs it, and the calling thread adds each job's result into the
 cotangents in the serial order, so the step's losses and gradient do not
-depend on whether the worker ran.
+depend on whether the worker ran. Evaluation's forward pass splits its
+products the same way (``propagation_start``), and its ranking hands the
+worker half of its chunks (see ``evaluator``).
 """
 
 from __future__ import annotations
@@ -258,11 +260,13 @@ def reg_loss(
     return float(0.5 * np.einsum("ij,ij->", rows, rows))
 
 
-# A step hands work to its worker only when propagation is at least this many
-# multiply-adds (adj.nnz * d). On scaled ML-1M-shaped graphs the worker
+# Work hands a half to the worker only when it is at least this many
+# multiply-adds: adj.nnz * d for a propagation product, and users * items * d
+# for an evaluation's ranking. On scaled ML-1M-shaped graphs the step's worker
 # first paid off between 3.1M (no gain) and 8.3M (1.2x) on two free cores,
-# and cost 1-9% at every size when the second core was busy; the planted
-# criterion-7 job is 0.63M and ML-1M 82M.
+# and cost 1-9% at every size when the second core was busy. The planted
+# criterion-7 job's propagation is 0.63M and its valid ranking 3.8M; ML-1M's
+# are 82M and 1.4G.
 OVERLAP_MIN_WORK = 1 << 24
 
 # one single-thread pool per process: a forked child cannot use its parent's
@@ -276,9 +280,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _step_worker(adj: NormalizedAdjacency, d: int) -> ThreadPoolExecutor | None:
-    """The worker a step on ``adj`` with width ``d`` hands its jobs to, or None to run them inline."""
-    if adj.nnz * d < OVERLAP_MIN_WORK or _usable_cpus() < 2:
+def _worker(work: int) -> ThreadPoolExecutor | None:
+    """The worker that ``work`` multiply-adds hand jobs to, or None to run them inline."""
+    if work < OVERLAP_MIN_WORK or _usable_cpus() < 2:
         return None
     pid = os.getpid()
     worker = _WORKERS.get(pid)
@@ -323,18 +327,27 @@ def _kept_to(cpus: set[int], err: dict[str, str], fn, *args):
         return fn(*args)
 
 
-def _start(worker: ThreadPoolExecutor | None, fn, *args):
-    """``fn(*args)`` as a future on ``worker``, or deferred to its ``result()`` without one.
+def _start(worker: ThreadPoolExecutor, fn, *args):
+    """``fn(*args)`` as a future on ``worker``.
 
     The worker is kept off the calling thread's CPU: Linux would at times
     wake it there and leave both threads sharing one CPU for a whole job
     while another stood idle. It runs the job under the calling thread's
     NumPy error handling, which is per thread.
     """
-    if worker is None:
-        return _Deferred(fn, *args)
     cpus = os.sched_getaffinity(0) - {_this_cpu()} if hasattr(os, "sched_setaffinity") else set()
     return worker.submit(_kept_to, cpus, np.geterr(), fn, *args)
+
+
+def propagation_start(adj: NormalizedAdjacency, d: int):
+    """The ``start`` that hands the item rows of a width-``d`` propagation on
+    ``adj`` to the worker, or None to run each product whole.
+
+    No job on the worker may propagate with it: a job that waited on its own
+    worker would never end.
+    """
+    worker = _worker(adj.nnz * d)
+    return None if worker is None else functools.partial(_start, worker)
 
 
 def total_loss_and_gradient(
@@ -359,17 +372,15 @@ def total_loss_and_gradient(
         raise ValueError("lambda2 > 0 requires a prototype state")
     n_batch = len(triples)
     n_layers = config.n_layers
-    worker = _step_worker(adj, table.matrix.shape[1])
-    # hands a product's item rows to the worker; only the calling thread may,
-    # as a job that waited on its own worker would never end
-    split = None if worker is None else functools.partial(_start, worker)
+    split = propagation_start(adj, table.d)
+    start = split or _Deferred  # a job for the worker, or one that runs at its result()
     proto_job = first_product = None
     try:
         fp = forward(adj, table, n_layers, split)
         if config.lambda2 > 0:
             proto_cot = np.zeros_like(table.matrix)
-            proto_job = _start(
-                worker, prototype_contrastive_loss, table, protos, config.tau, config.alpha,
+            proto_job = start(
+                prototype_contrastive_loss, table, protos, config.tau, config.alpha,
                 proto_cot, config.lambda2,
             )
 
@@ -384,7 +395,7 @@ def total_loss_and_gradient(
         # the top layer's cotangent is final now unless the structure term adds
         # to it; the job queues behind the prototype term
         if config.k_layer != n_layers:
-            first_product = _start(worker, propagate, adj, cot_layers[n_layers])
+            first_product = start(propagate, adj, cot_layers[n_layers])
 
         structure = 0.0
         if config.lambda1 > 0:

@@ -585,6 +585,16 @@ class TestEvaluate:
         assert sum(masses) > 0
         assert "recall@10" in report["groups"][0]
 
+    def test_open_gate_writes_the_same_report(self, run_dir, split_dir, monkeypatch):
+        args = ("evaluate", "--checkpoint", str(run_dir / "model.ckpt"),
+                "--split-dir", str(split_dir), "--groups", "5", "--ns", "10,20,50")
+        closed = run_cli(*args)
+        open_worker_gate(monkeypatch)
+        res = run_cli(*args)
+        assert worker_started()
+        assert res.returncode == closed.returncode == 0, res.stderr
+        assert res.stdout == closed.stdout
+
     def test_groups_rank_each_user_once(self, run_dir, split_dir, tmp_path, monkeypatch):
         from concf import cli, evaluator
 

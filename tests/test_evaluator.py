@@ -1,5 +1,7 @@
 """Metric primitives against brute-force references; full-ranking protocol."""
 
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,11 +19,12 @@ from concf import (
     recall_at_n,
     sparsity_group_report,
 )
-from concf.dataset import group_by_user
-from concf.evaluator import _select_cap, _top_n, partition_users_by_mass
+from concf import evaluator
+from concf.dataset import DatasetSplit, group_by_user
+from concf.evaluator import _CHUNK, _select_cap, _top_n, partition_users_by_mass
 from concf.model import ForwardPass
 
-from conftest import random_split
+from conftest import open_worker_gate, random_split, worker_started
 
 
 def brute_force_recall(ranked, relevant, n):
@@ -403,6 +406,114 @@ class TestEvalMemory:
             tracemalloc.stop()
         assert report.n_evaluated_users == n_users
         assert peak < self.PEAK_PER_CHUNK_BYTE * n_users * n_items * readout.itemsize
+
+
+def one_valid_item_per_user(n_users: int, n_items: int, d: int = 64, seed: int = 0):
+    """A split in which each user has one valid item and about 40 train items,
+    and a random float32 readout over it."""
+    rng = np.random.default_rng(seed)
+    valid = np.stack([np.arange(n_users), rng.integers(0, n_items, n_users)], axis=1)
+    keys = np.setdiff1d(rng.integers(0, n_users * n_items, 40 * n_users),
+                        valid[:, 0] * n_items + valid[:, 1])
+    train = np.stack(np.divmod(keys, n_items), axis=1)
+    split = DatasetSplit(n_users=n_users, n_items=n_items, train=train, valid=valid,
+                         test=valid[:0])
+    readout = rng.standard_normal((n_users + n_items, d)).astype(np.float32)
+    return split, forward_from_readout(readout, n_users, n_items)
+
+
+class TestSplitEvalMemory:
+    def test_peak_within_two_chunks(self, open_gate):
+        # two chunks in flight, one on each thread
+        n_users, n_items = 2 * _CHUNK, 3000
+        split, fp = one_valid_item_per_user(n_users, n_items)
+        tracemalloc.start()
+        try:
+            report = full_rank_eval(fp, split, target="valid", ns=(10,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert worker_started()
+        assert report.n_evaluated_users == n_users
+        chunk_bytes = _CHUNK * n_items * fp.readout.itemsize
+        assert peak < TestEvalMemory.PEAK_PER_CHUNK_BYTE * 2 * chunk_bytes
+
+
+def reports(fp, split) -> list[dict]:
+    """Every report the tests compare across the worker gate: full and grouped,
+    valid and test, with and without a user cap."""
+    return [
+        full_rank_eval(fp, split, target="valid", ns=(10,)).as_dict(),
+        full_rank_eval(fp, split, target="valid", ns=(10,), user_cap=700).as_dict(),
+        full_rank_eval(fp, split, target="test", ns=(1, 10, 20, 50)).as_dict(),
+        sparsity_group_report(fp, split, n_groups=3, ns=(5, 20)).as_dict(),
+    ]
+
+
+class TestRankingHalves:
+    """With the worker gate open, the worker ranks the second half of the chunks."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_open_gate_reports_equal_closed_gate(self, tied_forward_three_chunks, dtype,
+                                                 monkeypatch):
+        split, fp = tied_forward_three_chunks
+        fp = forward_from_readout(fp.readout.astype(dtype), split.n_users, split.n_items)
+        closed = reports(fp, split)
+        open_worker_gate(monkeypatch)
+        assert reports(fp, split) == closed
+        assert worker_started()
+
+    @pytest.mark.parametrize("n_users, split_up", [
+        (_CHUNK, False), (_CHUNK + 1, True), (2 * _CHUNK, True),
+    ])
+    def test_one_and_two_chunks(self, n_users, split_up, monkeypatch):
+        split, fp = one_valid_item_per_user(n_users, 50, d=4)
+        closed = full_rank_eval(fp, split, ns=(1, 10)).as_dict()
+        open_worker_gate(monkeypatch)
+        assert full_rank_eval(fp, split, ns=(1, 10)).as_dict() == closed
+        assert closed["n_evaluated_users"] == n_users
+        # one chunk is ranked whole on the calling thread
+        assert worker_started() == split_up
+
+    def test_workers_error_raised_after_the_callers_half(self, open_gate, monkeypatch):
+        split, fp = one_valid_item_per_user(2 * _CHUNK, 50, d=4)
+        rank, events = evaluator._rank, []
+
+        def noted(*args):
+            if args[-2] > 0:
+                raise RuntimeError("worker's half failed")
+            time.sleep(0.1)
+            rank(*args)
+            events.append("caller's half done")
+
+        monkeypatch.setattr(evaluator, "_rank", noted)
+        with pytest.raises(RuntimeError, match="worker's half failed"):
+            full_rank_eval(fp, split)
+        assert events == ["caller's half done"]
+
+    @pytest.mark.parametrize("workers_half_fails", [False, True])
+    def test_callers_error_joins_the_workers_half(self, open_gate, monkeypatch,
+                                                  workers_half_fails):
+        split, fp = one_valid_item_per_user(2 * _CHUNK, 50, d=4)
+        rank, events = evaluator._rank, []
+        caller_failed = threading.Event()
+
+        def noted(*args):
+            if args[-2] == 0:
+                caller_failed.set()
+                raise RuntimeError("caller's half failed")
+            # still ranking after the calling thread's half failed
+            assert caller_failed.wait(timeout=30)
+            time.sleep(0.1)
+            rank(*args)
+            events.append(f"worker's half done on {threading.current_thread().name}")
+            if workers_half_fails:
+                raise RuntimeError("worker's half failed")
+
+        monkeypatch.setattr(evaluator, "_rank", noted)
+        with pytest.raises(RuntimeError, match="caller's half failed"):
+            full_rank_eval(fp, split)
+        assert len(events) == 1 and events[0].startswith("worker's half done on concf-step")
 
 
 @st.composite

@@ -22,12 +22,15 @@ from concf import (
     build_normalized_adjacency,
     e_step,
     forward,
+    full_rank_eval,
+    init_embeddings,
     prototype_contrastive_loss,
     reg_loss,
     structure_contrastive_loss,
     total_loss_and_gradient,
 )
 from concf.dataset import TripleBatch
+from concf.evaluator import _CHUNK
 from concf.numerics import (
     l2_normalize_backward,
     l2_normalize_rows,
@@ -767,13 +770,49 @@ class TestStepWorker:
         assert not any(t.is_alive() for t in threads)
         assert results == [True] * 12
 
+    def test_evaluation_beside_steps_shares_the_worker(self, open_gate):
+        adj, table, triples, protos, cfg = worker_case()
+        expected_loss, expected_grad = reference_step.loss_and_gradient(
+            adj, table, triples, protos, cfg)
+        # enough valid users for the ranking to be split
+        split = random_split(700, 80, 14000, seed=5)
+        fp = forward(build_normalized_adjacency(split),
+                     init_embeddings(split.n_users, split.n_items, 8, seed=6), 2)
+        expected_report = full_rank_eval(fp, split).as_dict()
+        assert expected_report["n_evaluated_users"] > _CHUNK
+        results = {"steps": [], "evaluations": []}
+
+        def steps():
+            for _ in range(4):
+                b, grad = total_loss_and_gradient(adj, table, triples, protos, cfg)
+                results["steps"].append(
+                    b == expected_loss and grad.tobytes() == expected_grad.tobytes())
+
+        def evaluations():
+            for _ in range(4):
+                results["evaluations"].append(full_rank_eval(fp, split).as_dict())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=steps), threading.Thread(target=evaluations)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results["steps"] == [True] * 4
+        assert results["evaluations"] == [expected_report] * 4
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                         reason="needs per-thread CPU affinity and two usable CPUs")
     def test_worker_is_kept_off_the_callers_cpu(self, open_gate, monkeypatch):
         allowed = os.sched_getaffinity(0)
         assert objectives._this_cpu() in allowed
         adj, table, triples, protos, cfg = worker_case()
-        worker = objectives._step_worker(adj, cfg.d)
+        worker = objectives._worker(adj.nnz * cfg.d)
         for cpu in sorted(allowed)[:2]:
             monkeypatch.setattr(objectives, "_this_cpu", lambda: cpu)
             job = objectives._start(worker, os.sched_getaffinity, 0)

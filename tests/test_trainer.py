@@ -304,6 +304,19 @@ class TestStepWorker:
         assert len(runs["open"][0]) == 3
         assert runs["open"] == runs["closed"]
 
+    def test_open_gate_splits_the_evaluation_forward(self, open_gate, monkeypatch):
+        from concf import trainer
+
+        starts = []
+
+        def noted(adj, table, n_layers, start=None):
+            starts.append(start)
+            return forward(adj, table, n_layers, start)
+
+        monkeypatch.setattr(trainer, "forward", noted)
+        train(quick_config(max_epochs=2), random_split(30, 40, 600, seed=2))
+        assert len(starts) == 2 and all(start is not None for start in starts)
+
 
 class TestConfigValidate:
     def test_float_fields(self):

@@ -11,8 +11,9 @@ tree's, in float32 and in float64, on one planted seed-0 input file:
     concf evaluate --groups 5
 
 Each dtype's job runs twice: as is, where the job's small graph keeps the
-training step's worker gate closed, and with the gate forced open by
-acceptance criterion 9's child recipe, so the worker's path runs too. It
+worker gate closed, and with the gate forced open by acceptance criterion
+9's child recipe, so the worker's path runs too: in training, and in
+evaluation wherever a revision uses the worker there. It
 compares ``history.jsonl`` without ``seconds``, ``model.ckpt``, the
 evaluate output and ``manifest.json`` without ``created_utc`` and
 ``split_dir``, prints one verdict per file, dtype and gate, and exits 1 on
@@ -36,14 +37,16 @@ sys.path.insert(0, str(ROOT))
 
 from bench.workloads import planted_communities  # noqa: E402
 
-# acceptance criterion 9's child: ``concf`` with the step's worker gate forced open
+# acceptance criterion 9's child: ``concf`` with the worker gate forced open;
+# only ``train`` must start the worker, as a revision's evaluation may not use it
 WORKER_CHILD = """
 import os, sys
 from concf import cli, objectives
 objectives.OVERLAP_MIN_WORK = 0
 objectives._usable_cpus = lambda: 2
 code = cli.main(sys.argv[1:])
-sys.exit(code or (0 if os.getpid() in objectives._WORKERS else 'the worker never started'))
+started = sys.argv[1] != 'train' or os.getpid() in objectives._WORKERS
+sys.exit(code or (0 if started else 'the worker never started'))
 """
 
 TRAIN_FLAGS = ["--lambda1", "1e-6", "--lambda2", "1e-6", "--tau", "0.05",
@@ -72,8 +75,8 @@ def concf(src: Path, *args: str, gate: str = "closed") -> str:
 
 
 def outputs(src: Path, data: Path, work: Path, dtype: str, gate: str) -> dict[str, object]:
-    """The four compared outputs of the job run from ``src``, trained with the
-    worker ``gate`` "closed" or "open"."""
+    """The four compared outputs of the job run from ``src``, trained and
+    evaluated with the worker ``gate`` "closed" or "open"."""
     split_dir, out_dir = work / "split", work / "run"
     concf(src, "prepare", "--input", str(data), "--out", str(split_dir),
           "--min-count", "0", "--seed", "0")
@@ -86,7 +89,7 @@ def outputs(src: Path, data: Path, work: Path, dtype: str, gate: str) -> dict[st
     for key in ("created_utc", "split_dir"):
         manifest.pop(key)
     evaluated = concf(src, "evaluate", "--checkpoint", str(out_dir / "model.ckpt"),
-                      "--split-dir", str(split_dir), "--groups", "5")
+                      "--split-dir", str(split_dir), "--groups", "5", gate=gate)
     return {
         "history.jsonl": history,
         "model.ckpt": (out_dir / "model.ckpt").read_bytes(),
