@@ -220,17 +220,25 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_model(args: argparse.Namespace, split: DatasetSplit):
-    """The checkpoint ``args.checkpoint``, checked against ``split``'s shape,
-    and its forward pass on ``split``'s graph, split as a training step's is."""
+def _load_model(args: argparse.Namespace, header: dict):
+    """The split ``args.split_dir``, whose header.json holds ``header``, the
+    checkpoint ``args.checkpoint``, checked against that shape, and its
+    forward pass on the split's graph, split as a training step's is.
+
+    The checkpoint is read before the split's pair files, so a missing or
+    malformed checkpoint fails before they are parsed, and its error wins
+    when both are bad.
+    """
     ckpt = load_checkpoint(_resolve_path(args.checkpoint))
-    if (ckpt.table.n_users, ckpt.table.n_items) != (split.n_users, split.n_items):
+    if (ckpt.table.n_users, ckpt.table.n_items) != (header["n_users"], header["n_items"]):
         raise ValueError(
             f"shape mismatch: checkpoint has {ckpt.table.n_users} users / "
-            f"{ckpt.table.n_items} items, split has {split.n_users} / {split.n_items}"
+            f"{ckpt.table.n_items} items, split has {header['n_users']} / {header['n_items']}"
         )
+    split = DatasetSplit.load(_resolve_path(args.split_dir))
     adj = build_normalized_adjacency(split, dtype=ckpt.table.matrix.dtype)
-    return ckpt, forward(adj, ckpt.table, ckpt.n_layers, propagation_start(adj, ckpt.table.d))
+    fp = forward(adj, ckpt.table, ckpt.n_layers, propagation_start(adj, ckpt.table.d))
+    return split, ckpt, fp
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -242,10 +250,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         out = Path(args.out)
         if out.is_dir():
             raise ValueError(f"--out: {args.out} is a directory")
-    split = DatasetSplit.load(_resolve_path(args.split_dir))
-    if args.groups and args.groups > split.n_users:
-        raise ValueError(f"--groups: must be <= {split.n_users}, the split's user count")
-    _, fp = _load_model(args, split)
+    header = DatasetSplit.read_header(_resolve_path(args.split_dir))
+    if args.groups and args.groups > header["n_users"]:
+        raise ValueError(f"--groups: must be <= {header['n_users']}, the split's user count")
+    split, _, fp = _load_model(args, header)
     if args.groups:
         report = sparsity_group_report(fp, split, n_groups=args.groups, ns=ns, target=args.target)
     else:
@@ -278,8 +286,7 @@ def _print_table(report, ns: tuple[int, ...]) -> None:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    split = DatasetSplit.load(_resolve_path(args.split_dir))
-    ckpt, fp = _load_model(args, split)
+    split, ckpt, fp = _load_model(args, DatasetSplit.read_header(_resolve_path(args.split_dir)))
     if args.representation == "readout":
         user_m, item_m = fp.user_readout, fp.item_readout
     else:

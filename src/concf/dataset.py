@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .seeding import rng_stream
 
@@ -54,8 +55,19 @@ class RawInteractions:
         cls, user_keys: np.ndarray, item_keys: np.ndarray, users: np.ndarray, items: np.ndarray
     ) -> "RawInteractions":
         """The records of int64 code columns, with each repeated (user, item)
-        pair dropped after its first occurrence."""
-        first = np.sort(np.unique(users * len(item_keys) + items, return_index=True)[1])
+        pair dropped after its first occurrence.
+
+        The pair keys are sorted unstably in the narrowest unsigned dtype that
+        holds them; a run of equal keys keeps its least record index.
+        """
+        narrow = np.min_scalar_type(len(user_keys) * len(item_keys))
+        keys = (users * len(item_keys) + items).astype(narrow)
+        order = np.argsort(keys)
+        keys = keys[order]
+        heads = np.ones(len(keys), dtype=bool)
+        heads[1:] = keys[1:] != keys[:-1]
+        first = np.zeros(len(keys), dtype=bool)
+        first[np.minimum.reduceat(order, np.flatnonzero(heads))] = True
         return cls(user_keys, item_keys, users[first], items[first])
 
 
@@ -141,12 +153,18 @@ class DatasetSplit:
         _write_replacing(out / "header.json", json.dumps(header, indent=2, sort_keys=True) + "\n")
         return header
 
+    @staticmethod
+    def read_header(split_dir: str | Path) -> dict:
+        """The header.json of ``split_dir``, with its counts checked as ``load``
+        checks them."""
+        path = Path(split_dir) / "header.json"
+        keys = ("n_users", "n_items", *(f"counts.{name}" for name in _SPLIT_FILES))
+        return parse_header(path, path.read_bytes(), keys)
+
     @classmethod
     def load(cls, split_dir: str | Path) -> "DatasetSplit":
         src = Path(split_dir)
-        path = src / "header.json"
-        keys = ("n_users", "n_items", *(f"counts.{name}" for name in _SPLIT_FILES))
-        header = parse_header(path, path.read_bytes(), keys)
+        header = cls.read_header(src)
         n_users, n_items = header["n_users"], header["n_items"]
         parts = {}
         for name, fname in _SPLIT_FILES.items():
@@ -182,17 +200,35 @@ def _write_replacing(path: str | Path, data: str | bytes) -> None:
 
 def pair_matrix(pairs: np.ndarray, n_users: int, n_items: int) -> sp.csr_matrix:
     """Boolean n_users x n_items CSR with True at each (user, item) pair;
-    duplicate pairs collapse, and column ids ascend within each row."""
-    m = sp.csr_matrix((np.ones(len(pairs), dtype=bool), tuple(pairs.T)), shape=(n_users, n_items))
+    duplicate pairs collapse, and column ids ascend within each row.
+
+    Two stable counting sorts build it, with no per-row sort: the pairs by
+    item, then that matrix's transpose by user, which visits the items in
+    ascending order. The arrays, their dtypes and the canonical flag are
+    those of ``csr_matrix((data, (rows, cols)))`` with ``sum_duplicates()``.
+    """
+    nnz, users, items = len(pairs), pairs[:, 0], pairs[:, 1]
+    if not _in_range(pairs, n_users, n_items):  # the counting sort writes where the ids point
+        raise ValueError(f"pair ids out of range for {n_users} users and {n_items} items")
+    idx = np.int32 if max(n_users, n_items, nnz) < 2**31 else np.int64  # scipy's choice
+    indptr, indices, data = np.empty(n_items + 1, idx), np.empty(nnz, idx), np.empty(nnz, bool)
+    _sparsetools.coo_tocsr(
+        n_items, n_users, nnz, items.astype(idx), users.astype(idx), np.ones(nnz, bool),
+        indptr, indices, data,
+    )
+    by_item = sp.csr_matrix((data, indices, indptr), shape=(n_items, n_users))
+    m = by_item.T.tocsr()
     m.sum_duplicates()
     return m
 
 
 def group_by_user(users: np.ndarray, items: np.ndarray, n_users: int) -> list[np.ndarray]:
-    """Items of each user id 0..n_users-1, in input order (stable sort by user)."""
+    """Items of each user id 0..n_users-1, in input order: slices of the
+    items stably sorted by user."""
     order = np.argsort(users, kind="stable")
-    ends = np.cumsum(np.bincount(users, minlength=n_users))
-    return np.split(np.asarray(items, dtype=np.int64)[order], ends[:-1])
+    ends = np.cumsum(np.bincount(users, minlength=n_users)).tolist()
+    ordered = np.asarray(items, dtype=np.int64)[order]
+    return [ordered[a:b] for a, b in zip([0, *ends[:-1]], ends)]
 
 
 def parse_header(path: str | Path, text: str | bytes, keys: tuple[str, ...]) -> dict:
@@ -225,9 +261,18 @@ def _load_pairs(path: Path, n_users: int, n_items: int) -> np.ndarray:
             raise ValueError(f"{path}: {_first_bad_line(path, n_users, n_items) or exc}") from None
     if rows.size == 0:
         return np.empty((0, 2), dtype=np.int64)
-    if rows.shape[1] != 2 or ((rows < 0) | (rows >= (n_users, n_items))).any():
+    if rows.shape[1] != 2 or not _in_range(rows, n_users, n_items):
         raise ValueError(f"{path}: {_first_bad_line(path, n_users, n_items)}")
     return rows
+
+
+def _in_range(pairs: np.ndarray, n_users: int, n_items: int) -> bool:
+    """Whether every (user, item) row of the (m, 2) ``pairs`` lies in
+    [0, n_users) x [0, n_items); reduced column by column, several times
+    faster than a reduction over axis 0 of the row-major pairs."""
+    return not len(pairs) or bool(
+        pairs.min() >= 0 and pairs[:, 0].max() < n_users and pairs[:, 1].max() < n_items
+    )
 
 
 def _first_bad_line(path: Path, n_users: int, n_items: int) -> str | None:
@@ -374,11 +419,9 @@ def _distinct_keys(
         group[tied] += offset
         more = (sizes > 1) & ~np.logical_and.reduceat(done, heads)
         tied = tied[np.repeat(more, sizes)]
-    present = np.zeros(n, dtype=bool)
-    present[group] = True
-    codes = (np.cumsum(present) - 1)[group]
-    one = np.empty(np.count_nonzero(present), dtype=np.int64)
-    del present, group
+    distinct, codes = _recode(group)
+    one = np.empty(len(distinct), dtype=np.int64)
+    del distinct, group
     one[codes] = np.arange(n)
     keys = [data[s:s + k].decode("utf-8") for s, k in zip(starts[one].tolist(), lens[one].tolist())]
     return np.array(keys, dtype=object), codes
@@ -387,7 +430,8 @@ def _distinct_keys(
 def k_core_filter(raw: RawInteractions, min_count: int) -> RawInteractions:
     """Iteratively remove users and items with degree < min_count until fixpoint.
 
-    min_count of 0 or 1 is a no-op (every present node has degree >= 1).
+    min_count of 0 or 1 is a no-op (every present node has degree >= 1). The
+    kept users and items are re-coded by counting, in their key order.
     """
     if min_count < 0:
         raise ValueError("min_count must be >= 0")
@@ -402,9 +446,17 @@ def k_core_filter(raw: RawInteractions, min_count: int) -> RawInteractions:
     if not len(u):
         raise ValueError("k-core eliminated all data")
     # drop the keys that no longer occur; codes keep their sorted key order
-    kept_users, u = np.unique(u, return_inverse=True)
-    kept_items, i = np.unique(i, return_inverse=True)
+    kept_users, u = _recode(u)
+    kept_items, i = _recode(i)
     return RawInteractions(raw.user_keys[kept_users], raw.item_keys[kept_items], u, i)
+
+
+def _recode(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct non-negative ``codes``, ascending, and each code's index
+    into them, as ``np.unique(codes, return_inverse=True)`` gives them, by
+    counting."""
+    present = np.bincount(codes) > 0
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[codes]
 
 
 def check_ratios(ratios: tuple[float, ...], name: str = "ratios") -> None:

@@ -70,6 +70,11 @@ def build_normalized_adjacency(
 
     Degrees come exclusively from train edges so that evaluation data cannot
     leak into propagation. Zero-degree nodes get empty rows.
+
+    The user rows are the train matrix's rows with shifted column ids; the
+    item rows are its transpose, which a stable counting sort builds with
+    user ids ascending. The index dtype is scipy's choice for the whole
+    matrix (int32 unless a count or id exceeds it).
     """
     if split.train_matrix.nnz == 0:
         raise ValueError("cannot build adjacency from an empty train set")
@@ -80,8 +85,19 @@ def build_normalized_adjacency(
     u = np.repeat(np.arange(n_users), deg_u)
     w = (1.0 / np.sqrt(deg_u[u].astype(np.float64) * deg_i[pairs.indices])).astype(dtype)
     upper = sp.csr_matrix((w, pairs.indices, pairs.indptr), shape=(n_users, n_items))
-    # the user rows, then the item rows of the transpose: column ids ascend per row
-    matrix = sp.bmat([[None, upper], [upper.T, None]], format="csr")
+    lower = upper.T.tocsr()
+    n, nnz = n_users + n_items, upper.nnz
+    idx = np.int32 if max(n, 2 * nnz) < 2**31 else np.int64  # scipy's choice
+    # the user rows, then the item rows: column ids ascend per row; the
+    # shifted indptr is int64 so that it cannot wrap
+    matrix = sp.csr_matrix(
+        (
+            np.concatenate([w, lower.data]),
+            np.concatenate([np.add(upper.indices, n_users, dtype=idx), lower.indices]),
+            np.concatenate([upper.indptr, lower.indptr[1:] + np.int64(nnz)]).astype(idx),
+        ),
+        shape=(n, n),
+    )
     return NormalizedAdjacency(n_users=n_users, n_items=n_items, matrix=matrix)
 
 

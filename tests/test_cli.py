@@ -825,6 +825,28 @@ class TestExport:
         assert (np.abs(users) <= bound).all() and (np.abs(items) <= bound).all()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "export"])
+@pytest.mark.parametrize("damage", ["missing", "truncated"])
+def test_checkpoint_read_before_pair_files(run_dir, split_dir, tmp_path, command, damage):
+    # a bad checkpoint fails before the split's pair files are parsed, so
+    # when both inputs are bad, the checkpoint's error wins
+    broken = tmp_path / "split"
+    shutil.copytree(split_dir, broken)
+    (broken / "train.tsv").write_text("not\ta pair\n")
+    ckpt = tmp_path / "model.ckpt"
+    if damage == "truncated":
+        ckpt.write_bytes((run_dir / "model.ckpt").read_bytes()[:-1])
+    extra = ("--out", str(tmp_path / "emb")) if command == "export" else ()
+    res = run_cli(command, "--checkpoint", str(ckpt), "--split-dir", str(broken), *extra)
+    assert_error_names(res, ckpt)
+    assert "train.tsv" not in res.stderr
+    # with a good checkpoint, the pair file's error shows
+    res = run_cli(command, "--checkpoint", str(run_dir / "model.ckpt"),
+                  "--split-dir", str(broken), *extra)
+    assert_error_names(res, broken / "train.tsv")
+    assert list(tmp_path.glob("emb*")) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["prepare", "--input", "i", "--out", "o"],
     ["train", "--split-dir", "s", "--out-dir", "o"],

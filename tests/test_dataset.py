@@ -10,6 +10,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,8 @@ from concf import (
     load_interactions,
     sample_negatives,
 )
-from concf.dataset import DatasetSplit, ParseError, group_by_user, pair_matrix
+from concf import dataset
+from concf.dataset import DatasetSplit, ParseError, RawInteractions, group_by_user, pair_matrix
 from concf.seeding import rng_stream
 
 from conftest import fail_mid_write, from_keys, key_pairs, make_raw, random_split
@@ -649,6 +651,79 @@ class TestGroupByUser:
         # a pair may repeat across parts; only the train rows must be distinct
         split = DatasetSplit(n_users=2, n_items=4, train=train[:4], valid=train[4:], test=empty)
         assert split.train_matrix.nnz == 4
+
+
+@st.composite
+def coded_pairs(draw, max_users=8, max_items=8, max_pairs=40):
+    """(n_users, n_items, (m, 2) int64 pairs): random ids below the counts,
+    repeats allowed, m possibly zero."""
+    n_users, n_items = draw(st.integers(1, max_users)), draw(st.integers(1, max_items))
+    pair = st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1))
+    pairs = draw(st.lists(pair, max_size=max_pairs))
+    return n_users, n_items, np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+class TestCountingSortsMatchComparisonSorts:
+    """The counting sorts give the bytes of the comparison sorts they replace."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(coded_pairs())
+    def test_pair_matrix_is_the_summed_coo_build(self, case):
+        n_users, n_items, pairs = case
+        ref = sp.csr_matrix((np.ones(len(pairs), dtype=bool), tuple(pairs.T)),
+                            shape=(n_users, n_items))
+        ref.sum_duplicates()
+        got = pair_matrix(pairs, n_users, n_items)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.has_canonical_format and ref.has_canonical_format
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (3, 0), (0, 4)])
+    def test_pair_matrix_rejects_ids_out_of_range(self, pair):
+        pairs = np.array([[0, 0], pair], dtype=np.int64)
+        with pytest.raises(ValueError, match="^pair ids out of range for 3 users and 4 items$"):
+            pair_matrix(pairs, 3, 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 50), min_size=1, max_size=60))
+    def test_recode_is_unique_inverse(self, values):
+        codes = np.array(values, dtype=np.int64)
+        kept, recoded = dataset._recode(codes)
+        ref_kept, ref_codes = np.unique(codes, return_inverse=True)
+        assert kept.dtype == ref_kept.dtype and np.array_equal(kept, ref_kept)
+        assert recoded.dtype == ref_codes.dtype and np.array_equal(recoded, ref_codes)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 4))
+    def test_k_core_codes_are_unique_inverse(self, seed, k):
+        raw = shuffled_raw(12, 10, 60, seed)
+        try:
+            out = k_core_filter(raw, k)
+        except ValueError:
+            return
+        # the kept records, re-coded as np.unique re-codes them
+        pairs = set(key_pairs(out))
+        keep = np.array([pair in pairs for pair in key_pairs(raw)])
+        kept_users, users = np.unique(raw.users[keep], return_inverse=True)
+        kept_items, items = np.unique(raw.items[keep], return_inverse=True)
+        for got, ref in ((out.users, users), (out.items, items),
+                         (out.user_keys, raw.user_keys[kept_users]),
+                         (out.item_keys, raw.item_keys[kept_items])):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(coded_pairs(max_users=300, max_items=300, max_pairs=80))
+    def test_dedupe_keeps_the_unique_first_indices(self, case):
+        n_users, n_items, pairs = case
+        users, items = pairs[:, 0].copy(), pairs[:, 1].copy()
+        user_keys = np.array([f"u{u}" for u in range(n_users)], dtype=object)
+        item_keys = np.array([f"i{i}" for i in range(n_items)], dtype=object)
+        raw = RawInteractions._first_occurrences(user_keys, item_keys, users, items)
+        first = np.sort(np.unique(users * n_items + items, return_index=True)[1])
+        for got, ref in ((raw.users, users[first]), (raw.items, items[first])):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 class TestSampleNegatives:

@@ -78,6 +78,23 @@ class TestBuildNormalizedAdjacency:
         # scipy's own index dtype, int32 at these sizes
         assert adj.weights.dtype == dtype and adj.indptr.dtype == adj.indices.dtype == np.int32
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.data())
+    def test_bitwise_equal_to_coo_reference_with_isolated_nodes(self, n_users, n_items, data):
+        # train pairs on a random subset of the ids, so that users and items
+        # may have no train edge and get empty rows
+        keys = data.draw(st.sets(st.integers(0, n_users * n_items - 1), min_size=1))
+        train = np.array(sorted(divmod(k, n_items) for k in keys), dtype=np.int64)
+        train = train[np.random.default_rng(len(keys)).permutation(len(train))]
+        empty = np.empty((0, 2), dtype=np.int64)
+        split = DatasetSplit(n_users=n_users, n_items=n_items, train=train, valid=empty, test=empty)
+        for dtype in (np.float32, np.float64):
+            adj = build_normalized_adjacency(split, dtype=dtype)
+            ref = reference_adjacency_arrays(split, dtype, np.int32)
+            for name, a, b in zip(("indptr", "indices", "weights"),
+                                  (adj.indptr, adj.indices, adj.weights), ref):
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
     def test_arrays_are_the_matrix_arrays(self, small_adj):
         # one copy: the CSR arrays are the matrix's, not copies of them
         m = small_adj.matrix

@@ -16,8 +16,15 @@ worker gate closed, and with the gate forced open by acceptance criterion
 evaluation wherever a revision uses the worker there. It
 compares ``history.jsonl`` without ``seconds``, ``model.ckpt``, the
 evaluate output and ``manifest.json`` without ``created_utc`` and
-``split_dir``, prints one verdict per file, dtype and gate, and exits 1 on
-any difference. It needs git and no network.
+``split_dir``.
+
+It also compares the prepared split directories (the three pair files,
+``header.json`` and both key files): the job's, and one of a second
+``prepare`` whose input repeats every seventh record of the planted file
+and whose ``--min-count 15`` drops items, so that the pair dedupe and the
+k-core's re-coding run too. It prints one verdict per file (per dtype and
+gate for the job's outputs) and exits 1 on any difference. It needs git
+and no network.
 """
 
 from __future__ import annotations
@@ -49,6 +56,10 @@ started = sys.argv[1] != 'train' or os.getpid() in objectives._WORKERS
 sys.exit(code or (0 if started else 'the worker never started'))
 """
 
+SPLIT_FILES = ("train.tsv", "valid.tsv", "test.tsv", "header.json", "user_keys.txt", "item_keys.txt")
+# (name, min_count) of each compared prepare; the second one's input repeats records
+PREPARES = (("planted", "0"), ("repeats", "15"))
+
 TRAIN_FLAGS = ["--lambda1", "1e-6", "--lambda2", "1e-6", "--tau", "0.05",
                "--k-users", "8", "--k-items", "8", "--seed", "0"]
 
@@ -74,12 +85,19 @@ def concf(src: Path, *args: str, gate: str = "closed") -> str:
     return res.stdout
 
 
-def outputs(src: Path, data: Path, work: Path, dtype: str, gate: str) -> dict[str, object]:
-    """The four compared outputs of the job run from ``src``, trained and
-    evaluated with the worker ``gate`` "closed" or "open"."""
-    split_dir, out_dir = work / "split", work / "run"
+def prepared(src: Path, data: Path, split_dir: Path, min_count: str) -> dict[str, bytes]:
+    """The files of the split that ``concf prepare`` run from ``src`` writes
+    to ``split_dir`` from ``data``."""
     concf(src, "prepare", "--input", str(data), "--out", str(split_dir),
-          "--min-count", "0", "--seed", "0")
+          "--min-count", min_count, "--seed", "0")
+    return {name: (split_dir / name).read_bytes() for name in SPLIT_FILES}
+
+
+def outputs(src: Path, split_dir: Path, work: Path, dtype: str, gate: str) -> dict[str, object]:
+    """The four compared outputs of the job run from ``src`` on the split in
+    ``split_dir``, trained and evaluated with the worker ``gate`` "closed"
+    or "open"."""
+    out_dir = work / "run"
     concf(src, "train", "--split-dir", str(split_dir), "--out-dir", str(out_dir),
           *TRAIN_FLAGS, "--dtype", dtype, gate=gate)
     history = [json.loads(line) for line in (out_dir / "history.jsonl").read_text().splitlines()]
@@ -105,14 +123,26 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="same-trajectory-") as tmp:
         tmp = Path(tmp)
         export(rev, tmp / "rev")
-        data = tmp / "interactions.tsv"
-        planted_communities(data, seed=0)
+        trees = {"rev": tmp / "rev" / "src", "tree": ROOT / "src"}
+        data = {"planted": tmp / "interactions.tsv", "repeats": tmp / "repeats.tsv"}
+        planted_communities(data["planted"], seed=0)
+        lines = data["planted"].read_text().splitlines(keepends=True)
+        data["repeats"].write_text("".join(lines + lines[::7]))
         differ = False
+        for name, min_count in PREPARES:
+            splits = {tree: prepared(src, data[name], tmp / f"{tree}-{name}", min_count)
+                      for tree, src in trees.items()}
+            for file, value in splits["tree"].items():
+                same = value == splits["rev"][file]
+                differ |= not same
+                print(f"prepare {name} {file}: {'identical' if same else 'DIFFERENT'}")
         for dtype in ("float32", "float64"):
             for gate in ("closed", "open"):
                 job = f"{dtype}-{gate}"
-                theirs = outputs(tmp / "rev" / "src", data, tmp / f"rev-{job}", dtype, gate)
-                ours = outputs(ROOT / "src", data, tmp / f"tree-{job}", dtype, gate)
+                theirs, ours = (
+                    outputs(src, tmp / f"{tree}-planted", tmp / f"{tree}-{job}", dtype, gate)
+                    for tree, src in trees.items()
+                )
                 for name, value in ours.items():
                     same = value == theirs[name]
                     differ |= not same
