@@ -19,13 +19,7 @@ from .dataset import (
     load_interactions,
     sample_negatives,
 )
-from .evaluator import (
-    EvalReport,
-    full_rank_eval,
-    ndcg_at_n,
-    recall_at_n,
-    sparsity_group_report,
-)
+from .evaluator import EvalReport, full_rank_eval, sparsity_group_report
 from .graph import NormalizedAdjacency, build_normalized_adjacency, propagate
 from .model import (
     EmbeddingTable,
@@ -74,10 +68,8 @@ __all__ = [
     "k_core_filter",
     "load_checkpoint",
     "load_interactions",
-    "ndcg_at_n",
     "propagate",
     "prototype_contrastive_loss",
-    "recall_at_n",
     "reg_loss",
     "run_kmeans",
     "sample_negatives",

@@ -24,7 +24,6 @@ from .dataset import DatasetSplit, _write_replacing
 from .evaluator import full_rank_eval, sparsity_group_report
 from .graph import build_normalized_adjacency
 from .model import forward, load_checkpoint, save_checkpoint, write_matrix_binary, write_matrix_text
-from .objectives import propagation_start
 from .trainer import train
 
 DATA_ROOT_ENV = "CONCF_DATA_ROOT"
@@ -237,7 +236,7 @@ def _load_model(args: argparse.Namespace, header: dict):
         )
     split = DatasetSplit.load(_resolve_path(args.split_dir))
     adj = build_normalized_adjacency(split, dtype=ckpt.table.matrix.dtype)
-    fp = forward(adj, ckpt.table, ckpt.n_layers, propagation_start(adj, ckpt.table.d))
+    fp = forward(adj, ckpt.table, ckpt.n_layers)
     return split, ckpt, fp
 
 

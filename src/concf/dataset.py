@@ -20,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
+from .numerics import stable_id_order
 from .seeding import rng_stream
 
 _SPLIT_FILES = {"train": "train.tsv", "valid": "valid.tsv", "test": "test.tsv"}
@@ -225,7 +226,7 @@ def pair_matrix(pairs: np.ndarray, n_users: int, n_items: int) -> sp.csr_matrix:
 def group_by_user(users: np.ndarray, items: np.ndarray, n_users: int) -> list[np.ndarray]:
     """Items of each user id 0..n_users-1, in input order: slices of the
     items stably sorted by user."""
-    order = np.argsort(users, kind="stable")
+    order = stable_id_order(users, n_users)
     ends = np.cumsum(np.bincount(users, minlength=n_users)).tolist()
     ordered = np.asarray(items, dtype=np.int64)[order]
     return [ordered[a:b] for a, b in zip([0, *ends[:-1]], ends)]

@@ -1,26 +1,23 @@
 """Full-ranking top-N evaluation (Recall@N, NDCG@N) and sparsity-group reports.
 
 Users are ranked in chunks of ``_CHUNK``, each scored against every item.
-When there are at least two chunks, the ranking is at least
-``objectives.OVERLAP_MIN_WORK`` multiply-adds (users * items * d) and two
-CPUs are usable, the training step's worker thread ranks the second half of
-the chunks while the calling thread ranks the first: two chunks' scores are
-then alive at once. Every chunk writes its own users' rows of one array, so
-the reports are the same bytes either way.
+When there are at least two chunks and the ranking's users * items * d
+multiply-adds open ``overlap``'s gate, the worker thread that ``overlap``
+owns ranks the second half of the chunks while the calling thread ranks the
+first: two chunks' scores are then alive at once. Every chunk writes its own
+users' rows of one array, so the reports are the same bytes either way.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from . import objectives
+from . import overlap
 from .dataset import DatasetSplit, pair_matrix
-from .graph import in_halves
 from .model import ForwardPass
 
 # users ranked per chunk. When the ranking is split, two chunks' scores are
@@ -45,27 +42,6 @@ class EvalReport:
         if self.groups is not None:
             out["groups"] = [g.as_dict() for g in self.groups]
         return out
-
-
-def recall_at_n(ranked: list[int], relevant: set[int], n: int) -> float:
-    """|top-n of ranked that are relevant| / |relevant|."""
-    if not relevant:
-        raise ValueError("relevant set must be nonempty")
-    hits = sum(1 for item in ranked[:n] if item in relevant)
-    return hits / len(relevant)
-
-
-def ndcg_at_n(ranked: list[int], relevant: set[int], n: int) -> float:
-    """Binary-relevance NDCG with 1/log2(position + 1) gains, positions 1-based."""
-    if not relevant:
-        raise ValueError("relevant set must be nonempty")
-    dcg = 0.0
-    for pos, item in enumerate(ranked[:n], start=1):
-        if item in relevant:
-            dcg += 1.0 / np.log2(pos + 1)
-    ideal_hits = min(n, len(relevant))
-    idcg = sum(1.0 / np.log2(p + 1) for p in range(1, ideal_hits + 1))
-    return dcg / idcg
 
 
 def _select_cap(users: np.ndarray, cap: int | None) -> np.ndarray:
@@ -198,12 +174,11 @@ def _user_metrics(
     ranked = (fp, masked, target_keys, split.n_items, users, hits)
     # the calling thread's half: the first half of the chunks, rounded down
     mid = -(-len(users) // _CHUNK) // 2 * _CHUNK
-    worker = objectives._worker(len(users) * split.n_items * fp.readout.shape[1]) if mid else None
-    if worker is None:
+    start = overlap.start_for(len(users) * split.n_items * fp.readout.shape[1]) if mid else None
+    if start is None:
         _rank(*ranked, 0, len(users))
     else:
-        start = functools.partial(objectives._start, worker)
-        in_halves(start, _rank, (*ranked, 0, mid), (*ranked, mid, len(users)))
+        overlap.in_halves(start(_rank, *ranked, mid, len(users)), _rank, (*ranked, 0, mid))
     values = {}
     for n in ns:
         top = hits[:, :n]
@@ -239,8 +214,8 @@ def full_rank_eval(
     ``max(ns)`` items by a score threshold (``_top_n``) and orders only
     those, with the same result as a stable sort of all items. Users with no
     target interactions are excluded from the means. A large enough ranking
-    runs half on the training step's worker thread (see the module
-    docstring), with the same report.
+    runs half on the worker thread (see the module docstring), with the same
+    report.
     """
     users, values, metadata = _user_metrics(fp, split, target, ns, user_cap)
     return _report(values, np.ones(len(users), dtype=bool), metadata)

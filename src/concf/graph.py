@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
+from . import overlap
 from .dataset import DatasetSplit
 
 
@@ -110,35 +110,17 @@ def _add_product(rows: sp.csr_matrix, z: np.ndarray, out: np.ndarray) -> None:
     )
 
 
-def in_halves(start, fn, here: tuple, there: tuple) -> None:
-    """Run ``fn(*here)`` on the calling thread while ``start(fn, *there)``
-    runs ``fn(*there)`` elsewhere, and return once both have ended.
-
-    ``start`` returns an object whose ``result()`` waits for its half.
-    Whichever half fails, the other has ended before the error is raised;
-    when both fail, the calling thread's error is raised.
-    """
-    job = start(fn, *there)
-    try:
-        fn(*here)
-    except BaseException:
-        with contextlib.suppress(Exception):
-            job.result()
-        raise
-    job.result()
-
-
-def propagate(adj: NormalizedAdjacency, z_prev: np.ndarray, start=None) -> np.ndarray:
+def propagate(adj: NormalizedAdjacency, z_prev: np.ndarray) -> np.ndarray:
     """One propagation step: z_next[v] = sum over neighbors w of weight(v,w) * z_prev[w].
 
     No self-loop contribution; rows of zero-degree nodes come out zero. The
     input must have the weights' dtype: a mixed product would silently come
     out in the wider one.
 
-    With ``start``, the product runs in two halves that write into one
-    output (``in_halves``): the item rows elsewhere, the user rows on the
-    calling thread. Each output row is summed as the serial product sums it,
-    so the bytes are the same.
+    When its ``adj.nnz * d`` multiply-adds open ``overlap``'s gate, the
+    product runs in two halves that write into one output: the item rows on
+    the worker, the user rows on the calling thread. Each output row is
+    summed as the whole product sums it, so the bytes are the same.
     """
     z_prev = np.asarray(z_prev)
     if z_prev.shape[0] != adj.n_nodes:
@@ -149,10 +131,12 @@ def propagate(adj: NormalizedAdjacency, z_prev: np.ndarray, start=None) -> np.nd
         raise ValueError(
             f"dtype mismatch: adjacency weights are {adj.weights.dtype}, input is {z_prev.dtype}"
         )
+    start = overlap.start_for(adj.nnz * z_prev.shape[1]) if z_prev.ndim == 2 else None
     if start is None:
         return adj.matrix @ z_prev
     z = np.ascontiguousarray(z_prev)
     out = np.zeros_like(z)
     n = adj.n_users
-    in_halves(start, _add_product, (adj.user_rows, z, out[:n]), (adj.item_rows, z, out[n:]))
+    job = start(_add_product, adj.item_rows, z, out[n:])
+    overlap.in_halves(job, _add_product, (adj.user_rows, z, out[:n]))
     return out

@@ -83,14 +83,8 @@ def init_embeddings(
     return EmbeddingTable(n_users=n_users, n_items=n_items, matrix=matrix)
 
 
-def forward(
-    adj: NormalizedAdjacency, table: EmbeddingTable, n_layers: int, start=None
-) -> ForwardPass:
-    """Run n_layers propagation steps and average all layer outputs.
-
-    ``start`` is handed to each ``propagate`` call, to run its item rows
-    elsewhere.
-    """
+def forward(adj: NormalizedAdjacency, table: EmbeddingTable, n_layers: int) -> ForwardPass:
+    """Run n_layers propagation steps and average all layer outputs."""
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
     if table.n_nodes != adj.n_nodes:
@@ -99,7 +93,7 @@ def forward(
         )
     layers = [table.matrix]
     for _ in range(n_layers):
-        layers.append(propagate(adj, layers[-1], start))
+        layers.append(propagate(adj, layers[-1]))
     readout = layers[0] + layers[1]
     for layer in layers[2:]:
         readout += layer

@@ -19,31 +19,28 @@ Each term is one public function: it returns the loss, and when given a
 gradient accumulator and a weight it also adds its weighted gradient into it.
 
 On a large enough graph and with two usable CPUs, ``total_loss_and_gradient``
-shares the step with one worker thread. Each propagation product the calling
-thread runs, the forward ones and the last backward ones, is split at the
-user/item row boundary, and the worker computes the item rows. Between them
-the worker runs two jobs, in order, beside BPR, the structure term and the
-regularizer: the prototype term, then the first backward product. Each half
-sums its rows as the serial product does, each job is the serial step's
-computation on the same full-size operands, in arrays allocated on the
-thread that runs it, and the calling thread adds each job's result into the
-cotangents in the serial order, so the step's losses and gradient do not
-depend on whether the worker ran. Evaluation's forward pass splits its
-products the same way (``propagation_start``), and its ranking hands the
-worker half of its chunks (see ``evaluator``).
+shares the step with the worker thread that ``overlap`` owns. Each
+propagation product the calling thread runs, the forward ones and the last
+backward ones, splits its item rows off to the worker (``propagate``
+decides). Between them the worker runs two jobs, in order, beside BPR, the
+structure term and the regularizer: the prototype term, then the first
+backward product, which runs whole there. Each half sums its rows as the
+serial product does, each job is the serial step's computation on the same
+full-size operands, in arrays allocated on the thread that runs it, and the
+calling thread adds each job's result into the cotangents in the serial
+order, so the step's losses and gradient do not depend on whether the
+worker ran.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import wait
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
+from . import overlap
 from .config import TrainConfig
 from .dataset import TripleBatch
 from .graph import NormalizedAdjacency, propagate
@@ -260,96 +257,6 @@ def reg_loss(
     return float(0.5 * np.einsum("ij,ij->", rows, rows))
 
 
-# Work hands a half to the worker only when it is at least this many
-# multiply-adds: adj.nnz * d for a propagation product, and users * items * d
-# for an evaluation's ranking. On scaled ML-1M-shaped graphs the step's worker
-# first paid off between 3.1M (no gain) and 8.3M (1.2x) on two free cores,
-# and cost 1-9% at every size when the second core was busy. The planted
-# criterion-7 job's propagation is 0.63M and its valid ranking 3.8M; ML-1M's
-# are 82M and 1.4G.
-OVERLAP_MIN_WORK = 1 << 24
-
-# one single-thread pool per process: a forked child cannot use its parent's
-_WORKERS: dict[int, ThreadPoolExecutor] = {}
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
-def _worker(work: int) -> ThreadPoolExecutor | None:
-    """The worker that ``work`` multiply-adds hand jobs to, or None to run them inline."""
-    if work < OVERLAP_MIN_WORK or _usable_cpus() < 2:
-        return None
-    pid = os.getpid()
-    worker = _WORKERS.get(pid)
-    if worker is None:
-        # a pool starts its thread at the first submit, so losing this race starts none
-        worker = _WORKERS.setdefault(
-            pid, ThreadPoolExecutor(max_workers=1, thread_name_prefix="concf-step")
-        )
-    return worker
-
-
-class _Deferred:
-    """A job that runs on the calling thread when its result is asked for."""
-
-    def __init__(self, fn, *args) -> None:
-        self._call = functools.partial(fn, *args)
-
-    def result(self):
-        return self._call()
-
-    def cancel(self) -> bool:
-        return True
-
-
-def _this_cpu() -> int | None:
-    """The CPU the calling thread is running on, where Linux's procfs says."""
-    try:
-        with open("/proc/thread-self/stat", "rb") as fh:
-            # field 39, counted after the parenthesized command name
-            return int(fh.read().rsplit(b")", 1)[1].split()[36])
-    except (OSError, IndexError, ValueError):
-        return None
-
-
-def _kept_to(cpus: set[int], err: dict[str, str], fn, *args):
-    """``fn(*args)`` under NumPy error handling ``err``, on a thread allowed
-    only ``cpus`` when that set is not empty."""
-    if cpus:
-        with contextlib.suppress(OSError):  # the process's CPUs changed meanwhile
-            os.sched_setaffinity(0, cpus)
-    with np.errstate(**err):
-        return fn(*args)
-
-
-def _start(worker: ThreadPoolExecutor, fn, *args):
-    """``fn(*args)`` as a future on ``worker``.
-
-    The worker is kept off the calling thread's CPU: Linux would at times
-    wake it there and leave both threads sharing one CPU for a whole job
-    while another stood idle. It runs the job under the calling thread's
-    NumPy error handling, which is per thread.
-    """
-    cpus = os.sched_getaffinity(0) - {_this_cpu()} if hasattr(os, "sched_setaffinity") else set()
-    return worker.submit(_kept_to, cpus, np.geterr(), fn, *args)
-
-
-def propagation_start(adj: NormalizedAdjacency, d: int):
-    """The ``start`` that hands the item rows of a width-``d`` propagation on
-    ``adj`` to the worker, or None to run each product whole.
-
-    No job on the worker may propagate with it: a job that waited on its own
-    worker would never end.
-    """
-    worker = _worker(adj.nnz * d)
-    return None if worker is None else functools.partial(_start, worker)
-
-
 def total_loss_and_gradient(
     adj: NormalizedAdjacency,
     table: EmbeddingTable,
@@ -362,7 +269,7 @@ def total_loss_and_gradient(
     The ranking and regularization terms are divided by the batch size;
     contrastive terms keep their summed form. Inactive terms (zero weight)
     are skipped entirely and reported as 0. When ``adj.nnz * d`` reaches
-    ``OVERLAP_MIN_WORK`` and two CPUs are usable, the worker thread computes
+    ``overlap.OVERLAP_MIN_WORK`` and two CPUs are usable, the worker computes
     the item rows of the forward and last backward products, the prototype
     term and the first backward product, with the same bytes.
     """
@@ -372,11 +279,11 @@ def total_loss_and_gradient(
         raise ValueError("lambda2 > 0 requires a prototype state")
     n_batch = len(triples)
     n_layers = config.n_layers
-    split = propagation_start(adj, table.d)
-    start = split or _Deferred  # a job for the worker, or one that runs at its result()
+    # a job for the worker, or one that runs at its result()
+    start = overlap.start_for(adj.nnz * table.d) or overlap.Deferred
     proto_job = first_product = None
     try:
-        fp = forward(adj, table, n_layers, split)
+        fp = forward(adj, table, n_layers)
         if config.lambda2 > 0:
             proto_cot = np.zeros_like(table.matrix)
             proto_job = start(
@@ -421,12 +328,12 @@ def total_loss_and_gradient(
         # the worker has no job left once the first product is in, so the
         # products after it split, and the first one too when it waited here
         if first_product is None:
-            grad = propagate(adj, cot_layers[n_layers], split)
+            grad = propagate(adj, cot_layers[n_layers])
         else:
             grad = first_product.result()
         grad += cot_layers[n_layers - 1]
         for l in range(n_layers - 2, -1, -1):
-            grad = propagate(adj, grad, split)
+            grad = propagate(adj, grad)
             grad += cot_layers[l]
     finally:
         # a failed step leaves nothing queued or running: drop what has not

@@ -14,7 +14,7 @@ from .dataset import DatasetSplit, TripleBatch, sample_negatives
 from .evaluator import full_rank_eval
 from .graph import build_normalized_adjacency
 from .model import EmbeddingTable, forward, init_embeddings, save_checkpoint
-from .objectives import LossBreakdown, propagation_start, total_loss_and_gradient
+from .objectives import LossBreakdown, total_loss_and_gradient
 from .prototypes import PrototypeState, e_step
 from .seeding import derive_seed, rng_stream
 
@@ -121,7 +121,7 @@ def train(
     if eval_fn is None:
         split.require("valid")  # the default evaluation ranks it
         def eval_fn(tbl: EmbeddingTable, epoch: int) -> dict[str, float]:
-            fp = forward(adj, tbl, config.n_layers, propagation_start(adj, tbl.d))
+            fp = forward(adj, tbl, config.n_layers)
             return full_rank_eval(fp, split, target="valid", ns=(10,)).metrics
 
     dtype = np.dtype(config.dtype)

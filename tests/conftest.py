@@ -67,13 +67,14 @@ def fail_mid_write(monkeypatch, name: str) -> None:
 
 
 def open_worker_gate(monkeypatch) -> None:
-    """Let every training step hand its jobs to a worker thread, whatever the
-    graph's size and the number of usable CPUs; the test starts a new one."""
-    from concf import objectives
+    """Let every step, propagation product and ranking hand work to the worker
+    thread, whatever its size and the number of usable CPUs; the test starts
+    a new worker."""
+    from concf import overlap
 
-    monkeypatch.setattr(objectives, "OVERLAP_MIN_WORK", 0)
-    monkeypatch.setattr(objectives, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(objectives, "_WORKERS", {})
+    monkeypatch.setattr(overlap, "OVERLAP_MIN_WORK", 0)
+    monkeypatch.setattr(overlap, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(overlap, "_WORKERS", {})
 
 
 @pytest.fixture
@@ -83,9 +84,9 @@ def open_gate(monkeypatch):
 
 def worker_started() -> bool:
     """Whether a step of this process has started its worker since the gate opened."""
-    from concf import objectives
+    from concf import overlap
 
-    return os.getpid() in objectives._WORKERS
+    return os.getpid() in overlap._WORKERS
 
 
 @pytest.fixture(scope="session")

@@ -26,9 +26,7 @@ from concf import (
     forward,
     full_rank_eval,
     init_embeddings,
-    ndcg_at_n,
     propagate,
-    recall_at_n,
     sample_negatives,
     sparsity_group_report,
     structure_contrastive_loss,
@@ -49,6 +47,7 @@ from concf.trainer import (
 from concf.seeding import derive_seed, rng_stream
 
 from conftest import key_pairs, planted_communities, random_split
+from reference_metrics import ndcg_at_n, recall_at_n
 
 
 @contextmanager
@@ -329,11 +328,11 @@ class TestCriterion8SparsityGroupConsistency:
 # a child that runs the concf CLI with every training step's jobs on the worker thread
 WORKER_CHILD = """
 import os, sys
-from concf import cli, objectives
-objectives.OVERLAP_MIN_WORK = 0
-objectives._usable_cpus = lambda: 2
+from concf import cli, overlap
+overlap.OVERLAP_MIN_WORK = 0
+overlap._usable_cpus = lambda: 2
 code = cli.main(sys.argv[1:])
-sys.exit(code or (0 if os.getpid() in objectives._WORKERS else 'the worker never started'))
+sys.exit(code or (0 if os.getpid() in overlap._WORKERS else 'the worker never started'))
 """
 
 

@@ -24,6 +24,7 @@ from concf import (
 )
 from concf import dataset
 from concf.dataset import DatasetSplit, ParseError, RawInteractions, group_by_user, pair_matrix
+from concf.numerics import stable_id_order
 from concf.seeding import rng_stream
 
 from conftest import fail_mid_write, from_keys, key_pairs, make_raw, random_split
@@ -628,6 +629,26 @@ class TestGroupByUser:
         items = np.array([9, 4, 1, 7, 5])
         groups = group_by_user(users, items, 4)
         assert [g.tolist() for g in groups] == [[4, 7], [], [9, 1, 5], []]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 255, 256, 257, 6040, 65536, 65537, 70000]),
+        st.integers(0, 400),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_shuffled_records_group_as_the_stable_argsort(self, n_users, n_records, seed):
+        # ids near the narrow type's top, and runs of one user, shuffled apart
+        rng = np.random.default_rng(seed)
+        users = np.concatenate([
+            rng.integers(0, n_users, n_records),
+            np.full(n_records // 4, n_users - 1),
+        ])[rng.permutation(n_records + n_records // 4)]
+        items = rng.integers(0, 50, len(users))
+        order = np.argsort(users, kind="stable")
+        np.testing.assert_array_equal(stable_id_order(users, n_users), order)
+        groups = group_by_user(users, items, n_users)
+        np.testing.assert_array_equal([len(g) for g in groups], np.bincount(users, minlength=n_users))
+        np.testing.assert_array_equal(np.concatenate(groups), items[order])
 
     def test_train_matrix_rows_sorted(self, small_split):
         train = small_split.train

@@ -15,8 +15,6 @@ from concf import (
     forward,
     full_rank_eval,
     init_embeddings,
-    ndcg_at_n,
-    recall_at_n,
     sparsity_group_report,
 )
 from concf import evaluator
@@ -25,6 +23,7 @@ from concf.evaluator import _CHUNK, _select_cap, _top_n, partition_users_by_mass
 from concf.model import ForwardPass
 
 from conftest import open_worker_gate, random_split, worker_started
+from reference_metrics import ndcg_at_n, recall_at_n
 
 
 def brute_force_recall(ranked, relevant, n):

@@ -1,8 +1,8 @@
 """Normalized adjacency construction and the sparse propagation kernel."""
 
+import os
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,11 +15,11 @@ from concf import (
     build_normalized_adjacency,
     build_split,
     graph,
+    overlap,
     propagate,
 )
-from concf.objectives import _Deferred
 
-from conftest import from_keys, planted_communities, random_split
+from conftest import from_keys, open_worker_gate, planted_communities, random_split
 
 
 def split_from_pairs(pairs, ratios=(1.0, 0.0, 0.0)):
@@ -252,14 +252,15 @@ def empty_ends_split():
     return DatasetSplit(n_users=12, n_items=16, train=train, valid=empty, test=empty)
 
 
-def ran_here(fn, *args):
-    """A ``start`` that runs the half at once on the calling thread."""
-    done = Future()
+def on_the_worker(fn, *args):
+    """``fn(*args)``, run as a job on the open gate's worker, which is then
+    shut down and dropped: a job that waited on its own worker would
+    otherwise hold it, and the test run, forever."""
+    job = overlap.start_for(0)(fn, *args)
     try:
-        done.set_result(fn(*args))
-    except Exception as err:
-        done.set_exception(err)
-    return done
+        return job.result(timeout=30)
+    finally:
+        overlap._WORKERS.pop(os.getpid()).shutdown(cancel_futures=True)
 
 
 class TestRowHalves:
@@ -278,43 +279,56 @@ class TestRowHalves:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("d", [1, 8])
     @pytest.mark.parametrize("how", ["here", "deferred", "thread"])
-    def test_split_product_is_the_serial_bytes(self, empty_ends_split, dtype, d, how):
+    def test_split_product_is_the_serial_bytes(self, empty_ends_split, dtype, d, how, monkeypatch):
+        # "here": the gate is closed, so the product runs whole on the calling
+        # thread; "thread": it is open, so the item rows run on the worker;
+        # "deferred": it is open, but the call is a job on the worker, which
+        # runs it whole there
         adj = build_normalized_adjacency(empty_ends_split, dtype=dtype)
         assert (np.diff(adj.indptr)[[0, 11, 12, 27]] == 0).all()
         rng = np.random.default_rng(d)
         z = rng.standard_normal((adj.n_nodes, d)).astype(dtype)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            # the half runs before, after or beside the calling thread's half
-            start = {"here": ran_here, "deferred": _Deferred, "thread": pool.submit}[how]
-            for operand in (z, np.asfortranarray(z)):
-                got = propagate(adj, operand, start)
-                want = propagate(adj, operand)
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+        if how != "here":
+            open_worker_gate(monkeypatch)
+        kernel, item_rows_on = graph._add_product, []
+
+        def noted(rows, z, out):
+            if rows is adj.item_rows:
+                item_rows_on.append(threading.current_thread().name)
+            kernel(rows, z, out)
+
+        monkeypatch.setattr(graph, "_add_product", noted)
+        for operand in (z, np.asfortranarray(z)):
+            if how == "deferred":
+                got = on_the_worker(propagate, adj, operand)
+            else:
+                got = propagate(adj, operand)
+            want = adj.matrix @ operand
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        on_worker = [name.startswith("concf-step") for name in item_rows_on]
+        assert on_worker == ([True, True] if how == "thread" else [])
 
     def test_submitted_half_error_is_raised_after_the_callers_half(
-        self, empty_ends_split, monkeypatch
+        self, empty_ends_split, open_gate, monkeypatch
     ):
         adj = build_normalized_adjacency(empty_ends_split)
         real, events = graph._add_product, []
 
-        def noted(rows, z, out):
+        def kernel(rows, z, out):
+            if rows is adj.item_rows:
+                raise RuntimeError("item rows failed")
             real(rows, z, out)
             events.append("user rows done")
 
-        def failing(fn, *args):
-            done = Future()
-            done.set_exception(RuntimeError("item rows failed"))
-            return done
-
-        monkeypatch.setattr(graph, "_add_product", noted)
+        monkeypatch.setattr(graph, "_add_product", kernel)
         with pytest.raises(RuntimeError, match="item rows failed"):
-            propagate(adj, np.ones((adj.n_nodes, 3)), failing)
+            propagate(adj, np.ones((adj.n_nodes, 3)))
         assert events == ["user rows done"]
 
     @pytest.mark.parametrize("item_rows_fail", [False, True])
     def test_callers_half_error_joins_the_submitted_half(
-        self, empty_ends_split, monkeypatch, item_rows_fail
+        self, empty_ends_split, open_gate, monkeypatch, item_rows_fail
     ):
         adj = build_normalized_adjacency(empty_ends_split)
         real, events = graph._add_product, []
@@ -328,12 +342,26 @@ class TestRowHalves:
             assert caller_failed.wait(timeout=30)
             time.sleep(0.1)
             real(rows, z, out)
-            events.append("item rows done")
+            events.append(f"item rows done on {threading.current_thread().name}")
             if item_rows_fail:
                 raise RuntimeError("item rows failed")
 
         monkeypatch.setattr(graph, "_add_product", kernel)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            with pytest.raises(RuntimeError, match="user rows failed"):
-                propagate(adj, np.ones((adj.n_nodes, 3)), pool.submit)
-            assert events == ["item rows done"]
+        with pytest.raises(RuntimeError, match="user rows failed"):
+            propagate(adj, np.ones((adj.n_nodes, 3)))
+        assert len(events) == 1 and events[0].startswith("item rows done on concf-step")
+
+    @pytest.mark.parametrize("gate", ["closed", "open"])
+    def test_vector_is_one_column(self, small_adj, gate, monkeypatch):
+        if gate == "open":
+            open_worker_gate(monkeypatch)
+        v = np.random.default_rng(1).standard_normal(small_adj.n_nodes)
+        got = propagate(small_adj, v)
+        assert got.shape == v.shape and got.tobytes() == (small_adj.matrix @ v).tobytes()
+
+    def test_a_job_on_the_worker_propagates_whole(self, small_split, open_gate):
+        # a job that split its product would wait on its own thread forever
+        adj = build_normalized_adjacency(small_split)
+        z = np.random.default_rng(0).standard_normal((adj.n_nodes, 8))
+        assert overlap.start_for(adj.nnz * 8) is not None
+        assert on_the_worker(propagate, adj, z).tobytes() == (adj.matrix @ z).tobytes()

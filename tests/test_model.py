@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -24,9 +25,9 @@ from concf.model import (
     write_matrix_text,
     xavier_bound,
 )
-from concf.objectives import _Deferred
+from concf import graph
 
-from conftest import fail_mid_write, from_keys, random_split
+from conftest import fail_mid_write, from_keys, open_worker_gate, random_split
 
 XAVIER_BOUND_64 = 0.21650635094610965  # sqrt(6 / (64 + 64))
 MISSING = object()
@@ -120,17 +121,24 @@ class TestForward:
         fp2 = forward(small_adj, scaled, 3)
         np.testing.assert_allclose(fp2.readout, 2.5 * fp1.readout, rtol=1e-13)
 
-    def test_start_splits_every_layer_with_the_same_bytes(self, small_split, small_adj):
+    def test_open_gate_splits_every_layer_with_the_same_bytes(
+        self, small_split, small_adj, monkeypatch
+    ):
         table = init_embeddings(small_split.n_users, small_split.n_items, 6, seed=5)
-        started = []
+        kernel, ran_on = graph._add_product, []
 
-        def start(fn, *args):
-            started.append(fn)
-            return _Deferred(fn, *args)
+        def noted(rows, z, out):
+            ran_on.append(threading.current_thread().name)
+            kernel(rows, z, out)
 
-        fp = forward(small_adj, table, 3, start)
+        monkeypatch.setattr(graph, "_add_product", noted)
         serial = forward(small_adj, table, 3)
-        assert len(started) == 3
+        assert ran_on == []
+        open_worker_gate(monkeypatch)
+        fp = forward(small_adj, table, 3)
+        caller = threading.current_thread().name
+        assert ran_on.count(caller) == 3 and len(ran_on) == 6
+        assert all(name == caller or name.startswith("concf-step") for name in ran_on)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(fp.layers, serial.layers))
         assert fp.readout.tobytes() == serial.readout.tobytes()
 

@@ -36,7 +36,7 @@ from concf.numerics import (
     l2_normalize_rows,
     scatter_add_rows,
 )
-from concf import objectives
+from concf import objectives, overlap
 from concf.objectives import _infonce
 from concf.prototypes import Clustering, PrototypeState
 from concf.trainer import AdamState, adam_step
@@ -686,17 +686,17 @@ class TestStepWorker:
     """The step's worker thread: when it starts, and how a failure leaves it."""
 
     def test_closed_gate_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(objectives, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(objectives, "_WORKERS", {})
+        monkeypatch.setattr(overlap, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(overlap, "_WORKERS", {})
         adj, table, triples, protos, cfg = worker_case()
-        assert adj.nnz * cfg.d < objectives.OVERLAP_MIN_WORK
+        assert adj.nnz * cfg.d < overlap.OVERLAP_MIN_WORK
         before = threading.active_count()
         total_loss_and_gradient(adj, table, triples, protos, cfg)
         assert not worker_started()
         assert threading.active_count() == before
 
     def test_one_usable_cpu_starts_no_thread(self, open_gate, monkeypatch):
-        monkeypatch.setattr(objectives, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(overlap, "_usable_cpus", lambda: 1)
         total_loss_and_gradient(*worker_case())
         assert not worker_started()
 
@@ -720,9 +720,10 @@ class TestStepWorker:
         adj, table, triples, protos, cfg = worker_case()
         real_prototype, real_propagate = (
             objectives.prototype_contrastive_loss, objectives.propagate)
-        events = []
+        events, prototype_started = [], threading.Event()
 
         def slow_prototype(*args):
+            prototype_started.set()
             time.sleep(0.2)
             loss = real_prototype(*args)
             events.append("prototype finished")
@@ -733,6 +734,9 @@ class TestStepWorker:
             return real_propagate(adj, z)
 
         def failing_structure(*args, **kwargs):
+            # fail once the prototype job runs: a job that has not started
+            # yet would be dropped instead of waited for
+            assert prototype_started.wait(timeout=30)
             raise ValueError("structure term failed")
 
         monkeypatch.setattr(objectives, "prototype_contrastive_loss", slow_prototype)
@@ -743,7 +747,7 @@ class TestStepWorker:
         # the prototype job ran to its end before the error left the step, and
         # the queued first backward product never started
         assert events == ["prototype finished"]
-        assert objectives._WORKERS[os.getpid()].submit(lambda: "idle").result(timeout=5) == "idle"
+        assert overlap._WORKERS[os.getpid()].submit(lambda: "idle").result(timeout=5) == "idle"
         assert events == ["prototype finished"]
 
     def test_concurrent_steps_share_the_worker(self, open_gate):
@@ -810,12 +814,12 @@ class TestStepWorker:
                         reason="needs per-thread CPU affinity and two usable CPUs")
     def test_worker_is_kept_off_the_callers_cpu(self, open_gate, monkeypatch):
         allowed = os.sched_getaffinity(0)
-        assert objectives._this_cpu() in allowed
+        assert overlap._this_cpu() in allowed
         adj, table, triples, protos, cfg = worker_case()
-        worker = objectives._worker(adj.nnz * cfg.d)
+        start = overlap.start_for(adj.nnz * cfg.d)
         for cpu in sorted(allowed)[:2]:
-            monkeypatch.setattr(objectives, "_this_cpu", lambda: cpu)
-            job = objectives._start(worker, os.sched_getaffinity, 0)
+            monkeypatch.setattr(overlap, "_this_cpu", lambda: cpu)
+            job = start(os.sched_getaffinity, 0)
             assert job.result(timeout=30) == allowed - {cpu}
         assert os.sched_getaffinity(0) == allowed
 

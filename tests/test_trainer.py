@@ -1,6 +1,7 @@
 """Adam updates, the training loop, early stopping, and reproducibility."""
 
 import re
+import threading
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -305,17 +306,32 @@ class TestStepWorker:
         assert runs["open"] == runs["closed"]
 
     def test_open_gate_splits_the_evaluation_forward(self, open_gate, monkeypatch):
-        from concf import trainer
+        from concf import graph, trainer
 
-        starts = []
+        kernel, in_forward, halves = graph._add_product, [False], []
 
-        def noted(adj, table, n_layers, start=None):
-            starts.append(start)
-            return forward(adj, table, n_layers, start)
+        def noted_product(rows, z, out):
+            if in_forward[0]:
+                halves.append(threading.current_thread().name)
+            kernel(rows, z, out)
 
-        monkeypatch.setattr(trainer, "forward", noted)
-        train(quick_config(max_epochs=2), random_split(30, 40, 600, seed=2))
-        assert len(starts) == 2 and all(start is not None for start in starts)
+        def noted_forward(adj, table, n_layers):
+            in_forward[0] = True
+            try:
+                return forward(adj, table, n_layers)
+            finally:
+                in_forward[0] = False
+
+        monkeypatch.setattr(graph, "_add_product", noted_product)
+        monkeypatch.setattr(trainer, "forward", noted_forward)
+        cfg = quick_config(max_epochs=2)
+        train(cfg, random_split(30, 40, 600, seed=2))
+        # each epoch's evaluation forward: every product a user-row half on
+        # the calling thread and an item-row half on the worker
+        caller = threading.current_thread().name
+        assert len(halves) == 2 * 2 * cfg.n_layers
+        assert halves.count(caller) == 2 * cfg.n_layers
+        assert all(name == caller or name.startswith("concf-step") for name in halves)
 
 
 class TestConfigValidate:

@@ -45,14 +45,19 @@ sys.path.insert(0, str(ROOT))
 from bench.workloads import planted_communities  # noqa: E402
 
 # acceptance criterion 9's child: ``concf`` with the worker gate forced open;
-# only ``train`` must start the worker, as a revision's evaluation may not use it
+# only ``train`` must start the worker, as a revision's evaluation may not use it.
+# A revision from before ``concf.overlap`` kept the gate in ``concf.objectives``.
 WORKER_CHILD = """
 import os, sys
-from concf import cli, objectives
-objectives.OVERLAP_MIN_WORK = 0
-objectives._usable_cpus = lambda: 2
+from concf import cli
+try:
+    from concf import overlap
+except ImportError:
+    from concf import objectives as overlap
+overlap.OVERLAP_MIN_WORK = 0
+overlap._usable_cpus = lambda: 2
 code = cli.main(sys.argv[1:])
-started = sys.argv[1] != 'train' or os.getpid() in objectives._WORKERS
+started = sys.argv[1] != 'train' or os.getpid() in overlap._WORKERS
 sys.exit(code or (0 if started else 'the worker never started'))
 """
 
