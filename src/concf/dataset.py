@@ -18,9 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
-from .numerics import stable_id_order
+from .numerics import grouped_rows
 from .seeding import rng_stream
 
 _SPLIT_FILES = {"train": "train.tsv", "valid": "valid.tsv", "test": "test.tsv"}
@@ -204,32 +203,26 @@ def pair_matrix(pairs: np.ndarray, n_users: int, n_items: int) -> sp.csr_matrix:
     duplicate pairs collapse, and column ids ascend within each row.
 
     Two stable counting sorts build it, with no per-row sort: the pairs by
-    item, then that matrix's transpose by user, which visits the items in
-    ascending order. The arrays, their dtypes and the canonical flag are
-    those of ``csr_matrix((data, (rows, cols)))`` with ``sum_duplicates()``.
+    item (``grouped_rows``), then that matrix's transpose by user, which
+    visits the items in ascending order. The arrays, their dtypes and the
+    canonical flag are those of ``csr_matrix((data, (rows, cols)))`` with
+    ``sum_duplicates()``.
     """
-    nnz, users, items = len(pairs), pairs[:, 0], pairs[:, 1]
-    if not _in_range(pairs, n_users, n_items):  # the counting sort writes where the ids point
+    if not _in_range(pairs, n_users, n_items):  # the counting sorts write where the ids point
         raise ValueError(f"pair ids out of range for {n_users} users and {n_items} items")
-    idx = np.int32 if max(n_users, n_items, nnz) < 2**31 else np.int64  # scipy's choice
-    indptr, indices, data = np.empty(n_items + 1, idx), np.empty(nnz, idx), np.empty(nnz, bool)
-    _sparsetools.coo_tocsr(
-        n_items, n_users, nnz, items.astype(idx), users.astype(idx), np.ones(nnz, bool),
-        indptr, indices, data,
-    )
-    by_item = sp.csr_matrix((data, indices, indptr), shape=(n_items, n_users))
+    by_item = grouped_rows(pairs[:, 1], pairs[:, 0], np.ones(len(pairs), bool), (n_items, n_users))
     m = by_item.T.tocsr()
     m.sum_duplicates()
     return m
 
 
 def group_by_user(users: np.ndarray, items: np.ndarray, n_users: int) -> list[np.ndarray]:
-    """Items of each user id 0..n_users-1, in input order: slices of the
-    items stably sorted by user."""
-    order = stable_id_order(users, n_users)
-    ends = np.cumsum(np.bincount(users, minlength=n_users)).tolist()
-    ordered = np.asarray(items, dtype=np.int64)[order]
-    return [ordered[a:b] for a, b in zip([0, *ends[:-1]], ends)]
+    """Items of each user id 0..n_users-1, in input order: the rows of the
+    items grouped by user (``grouped_rows``, one column)."""
+    items = np.asarray(items, dtype=np.int64)
+    grouped = grouped_rows(users, np.zeros(len(items), np.int32), items, (n_users, 1))
+    ends = grouped.indptr.tolist()
+    return [grouped.data[a:b] for a, b in zip(ends[:-1], ends[1:])]
 
 
 def parse_header(path: str | Path, text: str | bytes, keys: tuple[str, ...]) -> dict:

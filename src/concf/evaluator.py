@@ -172,13 +172,12 @@ def _user_metrics(
     idcg_prefix = np.concatenate([[0.0], np.cumsum(gains)])
     hits = np.empty((len(users), max_n), dtype=bool)
     ranked = (fp, masked, target_keys, split.n_items, users, hits)
-    # the calling thread's half: the first half of the chunks, rounded down
+    # the calling thread's half: the first half of the chunks, rounded down;
+    # the other half runs on the worker, or after it here, in the same chunks
     mid = -(-len(users) // _CHUNK) // 2 * _CHUNK
-    start = overlap.start_for(len(users) * split.n_items * fp.readout.shape[1]) if mid else None
-    if start is None:
-        _rank(*ranked, 0, len(users))
-    else:
-        overlap.in_halves(start(_rank, *ranked, mid, len(users)), _rank, (*ranked, 0, mid))
+    work = len(users) * split.n_items * fp.readout.shape[1]
+    start = (overlap.start_for(work) if mid else None) or overlap.Deferred
+    overlap.in_halves(start(_rank, *ranked, mid, len(users)), _rank, (*ranked, 0, mid))
     values = {}
     for n in ns:
         top = hits[:, :n]

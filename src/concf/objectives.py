@@ -118,31 +118,42 @@ def bpr_loss(
     return float(softplus(-gaps).sum())
 
 
-def _infonce(
-    anchors: np.ndarray,
-    candidates: np.ndarray,
-    targets: np.ndarray,
-    tau: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """InfoNCE of each anchor row against every candidate, its positive being
-    ``candidates[targets[i]]``.
+def _cosine_infonce(
+    rows: np.ndarray, candidates: np.ndarray, targets: np.ndarray, tau: float,
+    counts: np.ndarray | None = None, grads: int = 0,
+) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """InfoNCE of each L2-normalized row against every (unit) candidate, its
+    positive being ``candidates[targets[i]]``, with logits ``cos / tau``.
 
-    Returns the per-row losses and their gradient w.r.t. the logits
-    ``anchors @ candidates.T / tau`` (softmax minus one-hot), computed in
-    place in the logits' own array.
+    Returns the loss summed over rows, each weighted by ``counts[i]`` when
+    given, and ``grads`` of its gradients, None for the others: with 1 the
+    one w.r.t. the raw ``rows``, with 2 also the one w.r.t. the
+    ``candidates`` as given (pull it back through their normalization).
+    The logsumexp and the softmax are computed in place on the logits.
     """
+    anchors, norms = l2_normalize_rows(rows)
     logits = anchors @ candidates.T
     logits /= tau
-    rows = np.arange(len(anchors))
-    positive = logits[rows, targets]
+    at = np.arange(len(anchors))
+    positive = logits[at, targets]
     # shift-stabilized logsumexp and softmax, in place on the logits
     m = logits.max(axis=1)
     logits -= m[:, None]
     np.exp(logits, out=logits)
     total = logits.sum(axis=1)
+    losses = m + np.log(total) - positive
+    if counts is not None:
+        counts = counts.astype(losses.dtype)
+    loss = float(losses.sum() if counts is None else counts @ losses)
+    if grads == 0:
+        return loss, None, None
+    # the logits' gradient, softmax minus one-hot, weighted by the counts
     logits /= total[:, None]
-    logits[rows, targets] -= 1.0
-    return m + np.log(total) - positive, logits
+    logits[at, targets] -= 1.0
+    if counts is not None:
+        logits *= counts[:, None]
+    d_rows = l2_normalize_backward(logits @ candidates / tau, anchors, norms)
+    return loss, d_rows, logits.T @ anchors / tau if grads == 2 else None
 
 
 def structure_contrastive_loss(
@@ -180,20 +191,16 @@ def structure_contrastive_loss(
     sides = ((users, 1.0), (items + fp.n_users, alpha))
     for rows, side_weight in sides:
         distinct, counts = np.unique(rows, return_counts=True)
-        anchors, anchor_norms = l2_normalize_rows(fp.layers[k_layer][distinct])
         bases, base_norms = l2_normalize_rows(fp.layers[0][distinct])
-        counts = counts.astype(anchors.dtype)
-        losses, dlogits = _infonce(anchors, bases, np.arange(len(distinct)), tau)
-        total += side_weight * float(counts @ losses)
+        loss, d_anchors, d_bases = _cosine_infonce(
+            fp.layers[k_layer][distinct], bases, np.arange(len(distinct)), tau, counts,
+            grads=0 if cot_layers is None else 2,
+        )
+        total += side_weight * loss
         if cot_layers is not None:
             scale = weight * side_weight
-            dlogits *= counts[:, None]
-            cot_layers[k_layer][distinct] += scale * l2_normalize_backward(
-                dlogits @ bases / tau, anchors, anchor_norms
-            )
-            cot_layers[0][distinct] += scale * l2_normalize_backward(
-                dlogits.T @ anchors / tau, bases, base_norms
-            )
+            cot_layers[k_layer][distinct] += scale * d_anchors
+            cot_layers[0][distinct] += scale * l2_normalize_backward(d_bases, bases, base_norms)
     return total
 
 
@@ -222,16 +229,16 @@ def prototype_contrastive_loss(
         (protos.items, slice(table.n_users, table.n_nodes), alpha),
     )
     for cl, block, side_weight in sides:
-        points, norms = l2_normalize_rows(table.matrix[block])
+        points = table.matrix[block]
         n = len(points)
         if len(cl.assignments) != n:
             raise ValueError(f"clustering has {len(cl.assignments)} assignments for {n} nodes")
-        losses, dlogits = _infonce(points, cl.centroids, cl.assignments, tau)
-        total += side_weight * float(losses.sum())
+        loss, d_points, _ = _cosine_infonce(
+            points, cl.centroids, cl.assignments, tau, grads=0 if cot is None else 1
+        )
+        total += side_weight * loss
         if cot is not None:
-            grad_points = dlogits @ cl.centroids / tau
-            cot[block] += weight * side_weight * l2_normalize_backward(grad_points, points, norms)
-        del dlogits
+            cot[block] += weight * side_weight * d_points
     return total
 
 

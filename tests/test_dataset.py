@@ -24,7 +24,7 @@ from concf import (
 )
 from concf import dataset
 from concf.dataset import DatasetSplit, ParseError, RawInteractions, group_by_user, pair_matrix
-from concf.numerics import stable_id_order
+from concf.numerics import grouped_rows
 from concf.seeding import rng_stream
 
 from conftest import fail_mid_write, from_keys, key_pairs, make_raw, random_split
@@ -645,7 +645,10 @@ class TestGroupByUser:
         ])[rng.permutation(n_records + n_records // 4)]
         items = rng.integers(0, 50, len(users))
         order = np.argsort(users, kind="stable")
-        np.testing.assert_array_equal(stable_id_order(users, n_users), order)
+        # with the input positions as columns, the grouping's columns are the stable argsort
+        grouped = grouped_rows(users, np.arange(len(users)), items, (n_users, len(users)))
+        np.testing.assert_array_equal(grouped.indices, order)
+        np.testing.assert_array_equal(grouped.data, items[order])
         groups = group_by_user(users, items, n_users)
         np.testing.assert_array_equal([len(g) for g in groups], np.bincount(users, minlength=n_users))
         np.testing.assert_array_equal(np.concatenate(groups), items[order])

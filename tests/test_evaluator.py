@@ -150,15 +150,24 @@ def reference_full_rank_eval(
     return metrics, n_eval
 
 
+def tied_readout(fp) -> np.ndarray:
+    """``fp``'s readout on a dyadic grid: item rows rounded to multiples of
+    1/32, user rows to multiples of 1/32 plus 1/64 (so no user row is
+    zero). Every product and sum of a score is then exact in float32 and
+    float64, so a score's bytes do not depend on which rows share its BLAS
+    product, while rows still tie."""
+    readout = np.round(fp.readout * 32) / 32
+    readout[: fp.n_users] = np.abs(readout[: fp.n_users]) + 1 / 64
+    return readout
+
+
 @pytest.fixture(scope="module")
 def tied_forward():
-    """A split and readout whose scores tie (rounded values, duplicated item
-    rows) and are -inf for three items, beside the masked -inf entries."""
+    """A split and readout whose scores tie (``tied_readout``, duplicated
+    item rows) and are -inf for three items, beside the masked -inf entries."""
     split = random_split(120, 60, 2400, seed=11)
     table = init_embeddings(split.n_users, split.n_items, 8, seed=12)
-    fp = forward(build_normalized_adjacency(split), table, 2)
-    readout = np.round(fp.readout, 1)
-    readout[: split.n_users] = np.abs(readout[: split.n_users]) + 0.05
+    readout = tied_readout(forward(build_normalized_adjacency(split), table, 2))
     items = readout[split.n_users:]
     items[5:15] = items[4]
     items[[20, 33, 47]] = -np.inf
@@ -167,14 +176,13 @@ def tied_forward():
 
 @pytest.fixture(scope="module")
 def tied_forward_three_chunks():
-    """``tied_forward``'s kind of readout over 1200 users (three evaluation
-    chunks), with one user's readout row NaN, so that its scores are NaN
-    besides its masked -inf entries."""
+    """``tied_forward``'s kind of readout over 1200 users, enough for more
+    than two evaluation chunks of ``_CHUNK`` users (and three reference
+    chunks of 512), with one user's readout row NaN, so that its scores are
+    NaN besides its masked -inf entries."""
     split = random_split(1200, 80, 30000, seed=21)
     table = init_embeddings(split.n_users, split.n_items, 8, seed=22)
-    fp = forward(build_normalized_adjacency(split), table, 2)
-    readout = np.round(fp.readout, 1)
-    readout[: split.n_users] = np.abs(readout[: split.n_users]) + 0.05
+    readout = tied_readout(forward(build_normalized_adjacency(split), table, 2))
     readout[700] = np.nan
     items = readout[split.n_users:]
     items[5:15] = items[4]
@@ -274,7 +282,7 @@ class TestFullRankEval:
     def test_three_chunks_equal_per_user_loop_exactly(self, tied_forward_three_chunks, kwargs):
         split, fp = tied_forward_three_chunks
         metrics, n_eval = reference_full_rank_eval(fp, split, **kwargs)
-        assert n_eval > 2 * 512
+        assert n_eval > 2 * _CHUNK
         report = full_rank_eval(fp, split, **kwargs)
         assert report.n_evaluated_users == n_eval
         assert report.metrics == metrics

@@ -31,13 +31,14 @@ from concf import (
 )
 from concf.dataset import TripleBatch
 from concf.evaluator import _CHUNK
+from concf import numerics, objectives, overlap
 from concf.numerics import (
+    grouped_rows,
     l2_normalize_backward,
     l2_normalize_rows,
     scatter_add_rows,
 )
-from concf import objectives, overlap
-from concf.objectives import _infonce
+from concf.objectives import _cosine_infonce
 from concf.prototypes import Clustering, PrototypeState
 from concf.trainer import AdamState, adam_step
 
@@ -308,27 +309,71 @@ class TestNormalizationBackward:
 
 
 class TestRowLogsumexpSoftmax:
-    """``_infonce`` computes the row logsumexp and softmax in place on the logits."""
+    """``_cosine_infonce`` computes the row logsumexp and softmax in place on the logits."""
 
+    # scale is the largest logit, 1 / tau: exp overflows past 88 in float32
+    # and past 709 in float64 without the shift
     @pytest.mark.parametrize("shape, scale", [((1, 1), 1.0), ((7, 13), 1.0), ((300, 1000), 20.0),
                                               ((64, 5), 700.0)])
     def test_bitwise_equal_to_separate_passes(self, shape, scale):
         rng = np.random.default_rng(shape[1])
         targets = rng.integers(shape[1], size=shape[0])
+        tau = 1.0 / scale
+        rows = np.arange(shape[0])
         for dtype in (np.float64, np.float32):
-            a = (scale * rng.standard_normal((shape[0], 16))).astype(dtype)
-            b = rng.standard_normal((shape[1], 16)).astype(dtype)
-            losses, dlogits = _infonce(a, b, targets, 4.0)
-            # reference: the shift-stabilized logsumexp and softmax, computed on their own
-            logits = a @ b.T / 4.0
-            m = logits.max(axis=1, keepdims=True)
-            e = np.exp(logits - m)
-            expected_lse = m[:, 0] + np.log(e.sum(axis=1))
-            expected = e / e.sum(axis=1, keepdims=True)
-            rows = np.arange(shape[0])
-            expected[rows, targets] -= 1.0
-            assert losses.tobytes() == (expected_lse - logits[rows, targets]).tobytes()
-            assert dlogits.tobytes() == expected.tobytes()
+            a = rng.standard_normal((shape[0], 16)).astype(dtype)
+            b, _ = l2_normalize_rows(rng.standard_normal((shape[1], 16)).astype(dtype))
+            for counts in (None, rng.integers(1, 5, shape[0])):
+                loss, d_rows, d_candidates = _cosine_infonce(a, b, targets, tau, counts, grads=2)
+                # reference: the shift-stabilized logsumexp and softmax, computed on their own
+                unit, norms = l2_normalize_rows(a)
+                logits = unit @ b.T / tau
+                m = logits.max(axis=1, keepdims=True)
+                e = np.exp(logits - m)
+                losses = m[:, 0] + np.log(e.sum(axis=1)) - logits[rows, targets]
+                expected = e / e.sum(axis=1, keepdims=True)
+                expected[rows, targets] -= 1.0
+                if counts is None:
+                    expected_loss = float(losses.sum())
+                else:
+                    weights = counts.astype(dtype)
+                    expected_loss = float(weights @ losses)
+                    expected *= weights[:, None]
+                assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
+                assert d_rows.tobytes() == l2_normalize_backward(
+                    expected @ b / tau, unit, norms
+                ).tobytes()
+                assert d_candidates.tobytes() == (expected.T @ unit / tau).tobytes()
+
+
+class TestCosineInfonceGradients:
+    def test_loss_and_both_gradients_match_central_differences(self):
+        # float64, counts other than 1 and targets off the diagonal
+        rng = np.random.default_rng(31)
+        rows, candidates = rng.standard_normal((5, 4)), rng.standard_normal((7, 4))
+        targets, counts, tau = np.array([3, 0, 6, 6, 1]), np.array([2, 1, 3, 1, 5]), 0.3
+
+        def f(r, c):
+            return _cosine_infonce(r, c, targets, tau, counts)[0]
+
+        logits = (rows / np.linalg.norm(rows, axis=1, keepdims=True)) @ candidates.T / tau
+        row_losses = np.log(np.exp(logits).sum(axis=1)) - logits[np.arange(5), targets]
+        assert f(rows, candidates) == pytest.approx(float(counts @ row_losses), rel=1e-12)
+        loss, d_rows, d_candidates = _cosine_infonce(rows, candidates, targets, tau, counts, grads=2)
+        assert loss == f(rows, candidates)
+        h = 1e-6
+        for x, grad, g in ((rows, d_rows, lambda r: f(r, candidates)),
+                           (candidates, d_candidates, lambda c: f(rows, c))):
+            assert grad.shape == x.shape
+            for idx in np.ndindex(x.shape):
+                xp, xm = x.copy(), x.copy()
+                xp[idx] += h
+                xm[idx] -= h
+                assert abs((g(xp) - g(xm)) / (2 * h) - grad[idx]) < 1e-7
+        # one gradient asked: the rows', with the same bytes
+        one = _cosine_infonce(rows, candidates, targets, tau, counts, grads=1)
+        assert one[0] == loss and one[2] is None and one[1].tobytes() == d_rows.tobytes()
+        assert _cosine_infonce(rows, candidates, targets, tau, counts)[1:] == (None, None)
 
 
 class TestScatterAddRows:
@@ -387,6 +432,17 @@ class TestScatterAddRows:
         np.add.at(expected, index, weights[:, None] * values[sources])
         got = scatter_add_rows(index, values, n_rows, weights=weights, sources=sources)
         assert got.tobytes() == expected.tobytes()
+
+
+class TestGroupedRows:
+    @pytest.mark.parametrize("bad", [-1, 4, 2**40])
+    def test_row_out_of_range_raises_before_the_sort(self, bad, monkeypatch):
+        calls = []
+        monkeypatch.setattr(numerics._sparsetools, "coo_tocsr", lambda *a: calls.append(a))
+        rows = np.array([0, 3, bad, 1])
+        with pytest.raises(ValueError, match=r"^row ids must lie in \[0, 4\)$"):
+            grouped_rows(rows, np.arange(4), np.ones(4), (4, 4))
+        assert calls == []
 
 
 class TestBprMemory:
