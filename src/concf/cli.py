@@ -225,7 +225,7 @@ def _load_model(args: argparse.Namespace, header: dict):
     forward pass on the split's graph, split as a training step's is.
 
     The checkpoint is read before the split's pair files, so a missing or
-    malformed checkpoint fails before they are parsed, and its error wins
+    malformed checkpoint fails before they are read, and its error wins
     when both are bad.
     """
     ckpt = load_checkpoint(_resolve_path(args.checkpoint))

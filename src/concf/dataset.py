@@ -1,10 +1,15 @@
 """Interaction-log ingestion, k-core filtering, splitting, and negative sampling.
 
-The on-disk split layout is three delimited files (train.tsv, valid.tsv,
-test.tsv; one ``user_id<TAB>item_id`` per line) plus a header.json with
-{n_users, n_items, counts, seed, ratios, min_count}. ``concf prepare`` also
-writes user_keys.txt and item_keys.txt, whose line n holds the key of id n - 1.
-Split them on line feeds only: a key may hold U+2028, which ``splitlines`` breaks on.
+The on-disk split layout is three framed pair files (train.bin, valid.bin,
+test.bin; each one JSON header line ``{"dtype": "int64", "kind":
+"split_pairs", "rows": m}``, then the (m, 2) ``user_id, item_id`` rows as
+little-endian int64) plus a header.json with {n_users, n_items, counts, seed,
+ratios, min_count}. ``concf prepare`` also writes user_keys.txt and
+item_keys.txt, whose line n holds the key of id n - 1. Split them on line
+feeds only: a key may hold U+2028, which ``splitlines`` breaks on.
+
+The framed codec (``_write_framed``/``_read_framed``) is shared with the
+checkpoints and binary exports of ``model``.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +26,7 @@ import scipy.sparse as sp
 from .numerics import grouped_rows
 from .seeding import rng_stream
 
-_SPLIT_FILES = {"train": "train.tsv", "valid": "valid.tsv", "test": "test.tsv"}
+_SPLIT_FILES = {"train": "train.bin", "valid": "valid.bin", "test": "test.bin"}
 _MAX_REJECTION_ROUNDS = 100_000
 _MAX_ROUND_WORDS = 256  # key words one sorting round compares
 # _LEADING_BYTES[k] keeps the k leading bytes of a big-endian word
@@ -135,13 +139,10 @@ class DatasetSplit:
         in ``out_dir`` that replaces it, and return the header."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        # each id's text is formatted once; a file is its rows' cells joined
-        user_cells = np.array([f"{u}\t" for u in range(self.n_users)], dtype=object)
-        item_cells = np.array([f"{i}\n" for i in range(self.n_items)], dtype=object)
         for name, fname in _SPLIT_FILES.items():
-            arr = getattr(self, name)
-            cells = np.stack([user_cells[arr[:, 0]], item_cells[arr[:, 1]]], axis=1)
-            _write_replacing(out / fname, "".join(cells.ravel().tolist()))
+            rows = np.asarray(getattr(self, name), dtype=np.int64)
+            head = {"kind": "split_pairs", "rows": len(rows), "dtype": "int64"}
+            _write_framed(out / fname, head, rows, dtypes=("int64",))
         header = {
             "n_users": self.n_users,
             "n_items": self.n_items,
@@ -166,15 +167,10 @@ class DatasetSplit:
         src = Path(split_dir)
         header = cls.read_header(src)
         n_users, n_items = header["n_users"], header["n_items"]
-        parts = {}
-        for name, fname in _SPLIT_FILES.items():
-            rows = _load_pairs(src / fname, n_users, n_items)
-            if len(rows) != header["counts"][name]:
-                raise ValueError(
-                    f"{fname}: {len(rows)} rows but header says {header['counts'][name]}"
-                )
-            parts[name] = rows
-        # older headers have no ratios
+        parts = {
+            name: _load_pairs(src / fname, header["counts"][name], n_users, n_items)
+            for name, fname in _SPLIT_FILES.items()
+        }
         meta = {key: header.get(key) for key in ("seed", "ratios", "min_count")}
         try:
             return cls(n_users=n_users, n_items=n_items, **parts, meta=meta)
@@ -196,6 +192,56 @@ def _write_replacing(path: str | Path, data: str | bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+# --- framed binary files: split pairs, checkpoints and binary exports --------
+#
+# Layout: one sorted-key JSON header line, whose ``dtype`` names the payload's
+# element type, then row-major little-endian arrays, and nothing after them.
+
+_FLOATS = ("float32", "float64")
+
+
+def _payload_dtype(path: str | Path, name: object, dtypes: tuple[str, ...] = _FLOATS) -> np.dtype:
+    """The little-endian payload dtype for a header's ``dtype`` ``name``, one of ``dtypes``."""
+    if name not in dtypes:
+        allowed = " or ".join(map(repr, dtypes))
+        raise ValueError(f"{path}: field 'dtype' must be {allowed}, got {name!r}")
+    return np.dtype(name).newbyteorder("<")
+
+
+def _check_length(path: str | Path, payload: bytes, nbytes: int) -> None:
+    """Reject a payload that is not exactly ``nbytes`` long, naming ``path``."""
+    if len(payload) < nbytes:
+        raise ValueError(f"{path}: truncated payload ({len(payload)} of {nbytes} bytes)")
+    if len(payload) > nbytes:
+        raise ValueError(f"{path}: {len(payload) - nbytes} trailing bytes after the payload")
+
+
+def _write_framed(
+    path: str | Path, header: dict, *arrays: np.ndarray, dtypes: tuple[str, ...] = _FLOATS
+) -> None:
+    """Write ``header`` as one sorted-key JSON line, then each array's bytes in
+    its own dtype, little-endian; a header ``dtype`` not in ``dtypes`` writes
+    nothing."""
+    _payload_dtype(path, header["dtype"], dtypes)
+    _write_replacing(path, b"".join([
+        json.dumps(header, sort_keys=True).encode("utf-8"),
+        b"\n",
+        *(np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")).tobytes() for a in arrays),
+    ]))
+
+
+def _read_framed(
+    path: str | Path, keys: tuple[str, ...], dtypes: tuple[str, ...] = _FLOATS
+) -> tuple[dict, np.dtype, bytes]:
+    """The header of the framed file ``path``, with each of ``keys`` a
+    non-negative integer, the little-endian dtype it names (one of
+    ``dtypes``), and the payload."""
+    with open(path, "rb") as fh:
+        header = parse_header(path, fh.readline(), keys)
+        payload = fh.read()
+    return header, _payload_dtype(path, header.get("dtype"), dtypes), payload
 
 
 def pair_matrix(pairs: np.ndarray, n_users: int, n_items: int) -> sp.csr_matrix:
@@ -244,19 +290,23 @@ def parse_header(path: str | Path, text: str | bytes, keys: tuple[str, ...]) -> 
     return header
 
 
-def _load_pairs(path: Path, n_users: int, n_items: int) -> np.ndarray:
-    """(m, 2) id pairs of one split file, one ``user<TAB>item`` pair per line."""
-    with warnings.catch_warnings():
-        # an empty split is legal
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            rows = np.loadtxt(path, dtype=np.int64, delimiter="\t", ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {_first_bad_line(path, n_users, n_items) or exc}") from None
-    if rows.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if rows.shape[1] != 2 or not _in_range(rows, n_users, n_items):
-        raise ValueError(f"{path}: {_first_bad_line(path, n_users, n_items)}")
+def _load_pairs(path: Path, count: int, n_users: int, n_items: int) -> np.ndarray:
+    """The (count, 2) id pairs of one framed split file, each id checked to lie
+    in range; every error is a ValueError naming ``path``."""
+    header, dtype, payload = _read_framed(path, ("rows",), dtypes=("int64",))
+    if header.get("kind") != "split_pairs":
+        raise ValueError(f"{path}: not a split pair file")
+    if header["rows"] != count:
+        raise ValueError(f"{path}: {header['rows']} rows but header.json says {count}")
+    _check_length(path, payload, count * 2 * dtype.itemsize)
+    rows = np.frombuffer(payload, dtype=dtype).reshape(count, 2).astype(np.int64)
+    if not _in_range(rows, n_users, n_items):
+        bad = (rows < 0).any(axis=1) | (rows[:, 0] >= n_users) | (rows[:, 1] >= n_items)
+        k = int(np.argmax(bad))
+        u, i = rows[k]
+        raise ValueError(
+            f"{path}: row {k}: pair ({u}, {i}) out of range for {n_users} users and {n_items} items"
+        )
     return rows
 
 
@@ -267,33 +317,6 @@ def _in_range(pairs: np.ndarray, n_users: int, n_items: int) -> bool:
     return not len(pairs) or bool(
         pairs.min() >= 0 and pairs[:, 0].max() < n_users and pairs[:, 1].max() < n_items
     )
-
-
-def _first_bad_line(path: Path, n_users: int, n_items: int) -> str | None:
-    """``line <n>: ...`` (1-based, physical) for the first line that is not two
-    integer fields or whose pair is out of range; a line that is empty up to
-    a ``#`` comment is skipped, as ``np.loadtxt`` does."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        return f"not valid UTF-8 ({exc.reason})"
-    for ln, line in enumerate(lines, start=1):
-        fields = line.split("#", 1)[0].rstrip("\r\n")
-        if not fields:
-            continue
-        fields = fields.split("\t")
-        if len(fields) != 2:
-            return f"line {ln}: expected 2 fields, got {len(fields)}"
-        for col, field in enumerate(fields, start=1):
-            try:
-                int(field)
-            except ValueError:
-                return f"line {ln}: field {col}: {field!r} is not an integer"
-        u, i = map(int, fields)
-        if not (0 <= u < n_users and 0 <= i < n_items):
-            return f"line {ln}: pair ({u}, {i}) out of range for {n_users} users and {n_items} items"
-    return None
 
 
 def load_interactions(path: str | Path, fmt: str = "tsv") -> RawInteractions:
@@ -488,13 +511,17 @@ def build_split(
     # each user's shuffled items go to train (0), then valid (1), then test (2)
     sizes = np.column_stack([counts - n_valid - n_test, n_valid, n_test]).ravel()
     part = np.repeat(np.tile(np.arange(3, dtype=np.int8), n_users), sizes)
-    pairs = np.column_stack([np.repeat(np.arange(n_users, dtype=np.int64), counts), shuffled])
+    # one stable grouping by part, so each part keeps its rows in user order
+    order = np.argsort(part, kind="stable")
+    users = np.repeat(np.arange(n_users, dtype=np.int64), counts)
+    pairs = np.column_stack([users[order], shuffled[order]])
+    train, valid, test = np.split(pairs, np.cumsum(sizes.reshape(n_users, 3).sum(axis=0))[:2])
     return DatasetSplit(
         n_users=n_users,
         n_items=n_items,
-        train=pairs[part == 0],
-        valid=pairs[part == 1],
-        test=pairs[part == 2],
+        train=train,
+        valid=valid,
+        test=test,
         meta={"seed": seed, "ratios": list(ratios)},  # as header.json holds them
     )
 

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import _write_replacing, parse_header
+from .dataset import _check_length, _read_framed, _write_framed, _write_replacing
 from .graph import NormalizedAdjacency, propagate
 from .seeding import rng_stream
 
@@ -101,47 +100,6 @@ def forward(adj: NormalizedAdjacency, table: EmbeddingTable, n_layers: int) -> F
     return ForwardPass(
         n_users=table.n_users, n_items=table.n_items, layers=layers, readout=readout
     )
-
-
-# --- framed binary files: checkpoints and binary exports ---------------------
-#
-# Layout: one JSON header line, whose ``dtype`` names the floats (float32 or
-# float64), then row-major little-endian arrays, and nothing after them.
-
-
-def _payload_dtype(path: str | Path, name: object) -> np.dtype:
-    """The little-endian payload dtype for a header's ``dtype`` ``name``."""
-    if name not in ("float32", "float64"):
-        raise ValueError(f"{path}: field 'dtype' must be 'float32' or 'float64', got {name!r}")
-    return np.dtype(name).newbyteorder("<")
-
-
-def _check_length(path: str | Path, payload: bytes, nbytes: int) -> None:
-    """Reject a payload that is not exactly ``nbytes`` long, naming ``path``."""
-    if len(payload) < nbytes:
-        raise ValueError(f"{path}: truncated payload ({len(payload)} of {nbytes} bytes)")
-    if len(payload) > nbytes:
-        raise ValueError(f"{path}: {len(payload) - nbytes} trailing bytes after the payload")
-
-
-def _write_framed(path: str | Path, header: dict, *arrays: np.ndarray) -> None:
-    """Write ``header`` as one sorted-key JSON line, then each array's bytes in
-    its own dtype, little-endian; an unsupported header ``dtype`` writes nothing."""
-    _payload_dtype(path, header["dtype"])
-    _write_replacing(path, b"".join([
-        json.dumps(header, sort_keys=True).encode("utf-8"),
-        b"\n",
-        *(np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")).tobytes() for a in arrays),
-    ]))
-
-
-def _read_framed(path: str | Path, keys: tuple[str, ...]) -> tuple[dict, np.dtype, bytes]:
-    """The header of the framed file ``path``, with each of ``keys`` a
-    non-negative integer, the little-endian dtype it names, and the payload."""
-    with open(path, "rb") as fh:
-        header = parse_header(path, fh.readline(), keys)
-        payload = fh.read()
-    return header, _payload_dtype(path, header.get("dtype")), payload
 
 
 @dataclass

@@ -190,7 +190,9 @@ def structure_contrastive_loss(
     total = 0.0
     sides = ((users, 1.0), (items + fp.n_users, alpha))
     for rows, side_weight in sides:
-        distinct, counts = np.unique(rows, return_counts=True)
+        counts = np.bincount(rows)
+        distinct = np.flatnonzero(counts)
+        counts = counts[distinct]
         bases, base_norms = l2_normalize_rows(fp.layers[0][distinct])
         loss, d_anchors, d_bases = _cosine_infonce(
             fp.layers[k_layer][distinct], bases, np.arange(len(distinct)), tau, counts,
@@ -257,7 +259,7 @@ def reg_loss(
     if ids.size == 0:
         return 0.0
     _check_ids("touched", ids, table.n_nodes)
-    distinct = np.unique(ids)
+    distinct = np.flatnonzero(np.bincount(ids))
     rows = table.matrix[distinct]
     if cot is not None:
         cot[distinct] += weight * rows

@@ -113,7 +113,7 @@ class TestPrepare:
             "--out", str(tmp_path / "ref"), "--seed", "5",
         )
         assert ref.returncode == 0
-        for name in ("train.tsv", "valid.tsv", "test.tsv", "header.json"):
+        for name in ("train.bin", "valid.bin", "test.bin", "header.json"):
             assert checksum(out2 / name) == checksum(tmp_path / "ref" / name)
 
     def test_unparsable_ratios_name_the_flag(self, interactions_file, tmp_path):
@@ -463,14 +463,27 @@ class TestTrain:
         assert "--cluster-source" in res.stderr
 
     def test_non_utf8_split_file_named(self, split_dir, tmp_path):
+        # a pair file's header line that is not UTF-8 is not JSON
         broken = shutil.copytree(split_dir, tmp_path / "split")
-        with open(broken / "valid.tsv", "ab") as fh:
-            fh.write(b"\xff\t1\n")
+        path = broken / "valid.bin"
+        path.write_bytes(b"\xff\t1" + path.read_bytes())
         res = run_cli(
             "train", "--split-dir", str(broken), "--out-dir", str(tmp_path / "run"), "--dry-run"
         )
-        assert_error_names(res, broken / "valid.tsv")
-        assert "not valid UTF-8" in res.stderr
+        assert_error_names(res, path)
+        assert "not valid JSON: 'utf-8' codec can't decode byte 0xff" in res.stderr
+
+    def test_text_pair_files_name_the_missing_file(self, split_dir, tmp_path):
+        # a split directory of an earlier version holds train.tsv and the
+        # like; it must be prepared again
+        broken = shutil.copytree(split_dir, tmp_path / "split")
+        for part in ("train", "valid", "test"):
+            (broken / f"{part}.bin").rename(broken / f"{part}.tsv")
+        res = run_cli(
+            "train", "--split-dir", str(broken), "--out-dir", str(tmp_path / "run"), "--dry-run"
+        )
+        assert_error_names(res, broken / "train.bin")
+        assert "No such file or directory" in res.stderr
 
     def test_non_utf8_config_file_named(self, split_dir, tmp_path):
         cfg_file = tmp_path / "latin1.cfg"
@@ -720,7 +733,7 @@ class TestEvaluate:
     def test_header_without_counts_named(self, run_dir, split_dir, tmp_path, command):
         broken = tmp_path / "split"
         broken.mkdir()
-        for name in ("train.tsv", "valid.tsv", "test.tsv"):
+        for name in ("train.bin", "valid.bin", "test.bin"):
             (broken / name).write_bytes((split_dir / name).read_bytes())
         header = json.loads((split_dir / "header.json").read_text())
         del header["counts"]
@@ -737,7 +750,7 @@ class TestEvaluate:
     def test_header_not_json_named(self, run_dir, split_dir, tmp_path):
         broken = tmp_path / "split"
         broken.mkdir()
-        for name in ("train.tsv", "valid.tsv", "test.tsv"):
+        for name in ("train.bin", "valid.bin", "test.bin"):
             (broken / name).write_bytes((split_dir / name).read_bytes())
         (broken / "header.json").write_text("{\n")
         res = run_cli(
@@ -832,18 +845,18 @@ def test_checkpoint_read_before_pair_files(run_dir, split_dir, tmp_path, command
     # when both inputs are bad, the checkpoint's error wins
     broken = tmp_path / "split"
     shutil.copytree(split_dir, broken)
-    (broken / "train.tsv").write_text("not\ta pair\n")
+    (broken / "train.bin").write_text("not\ta pair\n")
     ckpt = tmp_path / "model.ckpt"
     if damage == "truncated":
         ckpt.write_bytes((run_dir / "model.ckpt").read_bytes()[:-1])
     extra = ("--out", str(tmp_path / "emb")) if command == "export" else ()
     res = run_cli(command, "--checkpoint", str(ckpt), "--split-dir", str(broken), *extra)
     assert_error_names(res, ckpt)
-    assert "train.tsv" not in res.stderr
+    assert "train.bin" not in res.stderr
     # with a good checkpoint, the pair file's error shows
     res = run_cli(command, "--checkpoint", str(run_dir / "model.ckpt"),
                   "--split-dir", str(broken), *extra)
-    assert_error_names(res, broken / "train.tsv")
+    assert_error_names(res, broken / "train.bin")
     assert list(tmp_path.glob("emb*")) == []
 
 

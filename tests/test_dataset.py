@@ -477,23 +477,24 @@ class TestBuildSplit:
         for part in ("train", "valid", "test"):
             np.testing.assert_array_equal(getattr(loaded, part), getattr(small_split, part))
 
-    def test_save_writes_one_pair_per_line_in_row_order(self, tmp_path, small_split):
+    def test_save_writes_framed_pairs_in_row_order(self, tmp_path, small_split):
         small_split.save(tmp_path / "split")
         for part in ("train", "valid", "test"):
             rows = getattr(small_split, part)
-            want = "".join(f"{u}\t{i}\n" for u, i in rows.tolist())
-            assert (tmp_path / "split" / f"{part}.tsv").read_text() == want
+            head = f'{{"dtype": "int64", "kind": "split_pairs", "rows": {len(rows)}}}\n'
+            want = head.encode() + rows.astype("<i8").tobytes()
+            assert (tmp_path / "split" / f"{part}.bin").read_bytes() == want
 
 
 class TestSaveReplacesFiles:
-    FILES = ["header.json", "test.tsv", "train.tsv", "valid.tsv"]
+    FILES = ["header.json", "test.bin", "train.bin", "valid.bin"]
 
     def test_returns_the_written_header(self, tmp_path, small_split):
         header = small_split.save(tmp_path)
         assert header == json.loads((tmp_path / "header.json").read_text())
         assert sorted(os.listdir(tmp_path)) == self.FILES
 
-    @pytest.mark.parametrize("failing", ["train.tsv", "header.json"])
+    @pytest.mark.parametrize("failing", ["train.bin", "header.json"])
     def test_failed_write_keeps_previous_file(self, tmp_path, small_split, monkeypatch, failing):
         random_split(12, 15, 60, seed=3).save(tmp_path)
         before = {name: (tmp_path / name).read_bytes() for name in self.FILES}
@@ -505,10 +506,16 @@ class TestSaveReplacesFiles:
         assert (tmp_path / failing).read_bytes() == before[failing]
         # the files written before the failure are the new split's
         small_split.save(tmp_path / "ref")
-        for name in ["train.tsv", "valid.tsv", "test.tsv", "header.json"]:
+        for name in ["train.bin", "valid.bin", "test.bin", "header.json"]:
             if name == failing:
                 break
             assert (tmp_path / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
+def framed_pairs(rows, **fields) -> bytes:
+    """A split pair file holding ``rows``; ``fields`` override its header's."""
+    header = {"kind": "split_pairs", "rows": len(rows), "dtype": "int64", **fields}
+    return json.dumps(header, sort_keys=True).encode() + b"\n" + np.asarray(rows, "<i8").tobytes()
 
 
 class TestLoadSplit:
@@ -516,8 +523,7 @@ class TestLoadSplit:
     def saved_with_extra_train_row(tmp_path, split, row):
         out = tmp_path / "split"
         split.save(out)
-        with open(out / "train.tsv", "a") as fh:
-            fh.write(f"{row[0]}\t{row[1]}\n")
+        (out / "train.bin").write_bytes(framed_pairs(np.vstack([split.train, [row]])))
         header = json.loads((out / "header.json").read_text())
         header["counts"]["train"] += 1
         (out / "header.json").write_text(json.dumps(header))
@@ -573,43 +579,74 @@ class TestLoadSplit:
     def test_duplicate_train_pair_names_file_and_pair(self, tmp_path, small_split):
         u, i = small_split.train[5]
         out = self.saved_with_extra_train_row(tmp_path, small_split, (u, i))
-        with pytest.raises(ValueError, match=rf"train\.tsv: duplicate train pair \({u}, {i}\)"):
+        with pytest.raises(ValueError, match=rf"train\.bin: duplicate train pair \({u}, {i}\)"):
             DatasetSplit.load(out)
 
     def test_out_of_range_id_names_file_and_line(self, tmp_path, small_split):
+        # the pair file's rows are its lines; the first bad row (0-based) is named
         n_users, n_items = small_split.n_users, small_split.n_items
-        line = len(small_split.train) + 1
-        for k, (u, i) in enumerate([(0, n_items + 2), (n_users, 0), (-1, 0)]):
+        row = len(small_split.train)
+        for k, (u, i) in enumerate([(0, n_items + 2), (n_users, 0), (-1, 0), (0, -2**63)]):
             out = self.saved_with_extra_train_row(tmp_path / str(k), small_split, (u, i))
-            with pytest.raises(ValueError, match=rf"train\.tsv: line {line}: pair \({u}, {i}\)"):
+            with pytest.raises(ValueError, match=rf"train\.bin: row {row}: pair \({u}, {i}\) "
+                               rf"out of range for {n_users} users and {n_items} items$"):
                 DatasetSplit.load(out)
 
-    def test_out_of_range_line_counts_comment_and_blank_lines(self, tmp_path, small_split):
-        u = small_split.n_users
-        out = self.saved_with_extra_train_row(tmp_path, small_split, (u, 0))
-        path = out / "train.tsv"
-        path.write_text("# user\titem\n\n" + path.read_text())
-        line = len(small_split.train) + 3
-        with pytest.raises(ValueError, match=rf"train\.tsv: line {line}: pair \({u}, 0\)"):
+    def test_first_out_of_range_row_named(self, tmp_path, small_split):
+        out = tmp_path / "split"
+        small_split.save(out)
+        rows = small_split.valid.copy()
+        rows[3] = (small_split.n_users, 1)
+        rows[7] = (-1, -1)
+        (out / "valid.bin").write_bytes(framed_pairs(rows))
+        with pytest.raises(ValueError, match=rf"valid\.bin: row 3: pair \({small_split.n_users}, 1\)"):
             DatasetSplit.load(out)
 
-    @pytest.mark.parametrize("row, problem", [
-        (("3", "x"), "field 2: 'x' is not an integer"),
-        (("1.5", "3"), "field 1: '1.5' is not an integer"),
-        (("3", "4\t5"), "expected 2 fields, got 3"),
-        (("", ""), "field 1: '' is not an integer"),
+    @pytest.mark.parametrize("damage, problem", [
+        (lambda b: b[:-1], "truncated payload"),
+        (lambda b: b[:-16], "truncated payload"),
+        (lambda b: b + b"\0", "1 trailing bytes after the payload"),
+        (lambda b: b + bytes(16), "16 trailing bytes after the payload"),
+        (lambda b: b.split(b"\n", 1)[1], "not valid JSON"),
+        (lambda b: b"train\n" + b.split(b"\n", 1)[1], "not valid JSON"),
+        (lambda b: b"\xff" + b, "not valid JSON"),
+        (lambda b: b"", "not valid JSON"),
+        (lambda b: b.replace(b'"rows": ', b'"n": '), "missing field 'rows'"),
+        (lambda b: b.replace(b'"rows": ', b'"rows": -'), "field 'rows' must be a non-negative integer"),
+        (lambda b: b.replace(b"split_pairs", b"embedding_export"), "not a split pair file"),
+        (lambda b: b.replace(b'"kind": "split_pairs", ', b""), "not a split pair file"),
+        (lambda b: b.replace(b"int64", b"int32"), "field 'dtype' must be 'int64', got 'int32'"),
+        (lambda b: b.replace(b"int64", b"float64"), "field 'dtype' must be 'int64', got 'float64'"),
+        (lambda b: b.replace(b'"dtype": "int64", ', b""), "field 'dtype' must be 'int64', got None"),
     ])
-    def test_unparsable_line_names_file_and_line(self, tmp_path, small_split, row, problem):
-        out = self.saved_with_extra_train_row(tmp_path, small_split, row)
-        line = len(small_split.train) + 1
-        with pytest.raises(ValueError, match=rf"train\.tsv: line {line}: {re.escape(problem)}$"):
+    def test_malformed_pair_file_named(self, tmp_path, small_split, damage, problem):
+        out = tmp_path / "split"
+        small_split.save(out)
+        path = out / "train.bin"
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {re.escape(problem)}"):
+            DatasetSplit.load(out)
+
+    @pytest.mark.parametrize("part", ["train", "valid", "test"])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_rows_disagreeing_with_header_named(self, tmp_path, small_split, part, delta):
+        out = tmp_path / "split"
+        small_split.save(out)
+        header = json.loads((out / "header.json").read_text())
+        count = header["counts"][part]
+        header["counts"][part] = count + delta
+        (out / "header.json").write_text(json.dumps(header))
+        with pytest.raises(ValueError, match=rf"{part}\.bin: {count} rows but header\.json says "
+                           rf"{count + delta}$"):
             DatasetSplit.load(out)
 
     def test_bad_field_count_names_file(self, tmp_path, small_split):
+        # three ids per row, under a header that counts two per row
         out = tmp_path / "split"
         small_split.save(out)
-        (out / "test.tsv").write_text("1\t2\t3\n" * len(small_split.test))
-        with pytest.raises(ValueError, match="test.tsv"):
+        rows = np.column_stack([small_split.test, small_split.test[:, :1]])
+        (out / "test.bin").write_bytes(framed_pairs(rows))
+        with pytest.raises(ValueError, match=r"test\.bin: \d+ trailing bytes"):
             DatasetSplit.load(out)
 
     def test_empty_split_files_load_without_warning(self, tmp_path):

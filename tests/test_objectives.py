@@ -422,7 +422,8 @@ class TestScatterAddRows:
 
     @pytest.mark.parametrize("n_rows", [1, 256, 257, 65536, 65537])
     def test_every_sort_key_width(self, n_rows):
-        # row ids are sorted as uint8, uint16 or uint32, by the largest id that fits
+        # row counts at and past 2**8 and 2**16 (the key widths of a sort this
+        # scatter no longer uses), ids up to the last row, against np.add.at
         rng = np.random.default_rng(n_rows)
         index = rng.integers(max(0, n_rows - 300), n_rows, 2000)
         index[:2] = n_rows - 1, 0

@@ -193,7 +193,9 @@ class TestPairwiseSqdist:
     @pytest.mark.parametrize("n, d, k", [(2000, 8, 300), (1100, 24, 514), (700, 16, 700)])
     def test_float64_tiles_keep_untiled_bytes(self, n, d, k):
         # several tiles and k mod 8 != 0: a tile that starts off a 12-row
-        # block rounds the last k mod 8 columns of its product differently
+        # block rounds the last k mod 8 columns of its product differently.
+        # This holds per BLAS kernel, not by construction: the 12-row blocks
+        # and the k mod 8 columns are OpenBLAS's SkylakeX dgemm blocking
         rng = np.random.default_rng(n)
         points = unit_rows(rng.standard_normal((n, d)))
         centers = unit_rows(rng.standard_normal((k, d)))
@@ -206,6 +208,8 @@ class TestPairwiseSqdist:
 
     @pytest.mark.parametrize("n, d, k", [(1, 4, 1), (11, 2, 3), (600, 24, 514), (6040, 64, 1000)])
     def test_tiles_start_on_row_blocks(self, n, d, k):
+        # ROW_BLOCK follows SkylakeX's dgemm row blocking; other kernels block
+        # rows otherwise, so the bytes this alignment keeps hold per kernel
         tiles = _Distances(np.ones((n, d)), k).tiles
         starts, stops = zip(*tiles)
         assert starts[0] == 0 and stops[-1] == n and starts[1:] == stops[:-1]
@@ -470,7 +474,9 @@ class TestMatchesFrozenReference:
     @pytest.mark.parametrize("k, d", [(1, 16), (8, 64), (64, 64), (1000, 64)])
     def test_tile_boundaries(self, k, d):
         # one row short of a whole number of tiles, exactly on it, one row
-        # into the next tile (which joins the last), and twice as many plus one
+        # into the next tile (which joins the last), and twice as many plus one.
+        # The tiled bytes equal the reference's per BLAS kernel (the tiles
+        # follow SkylakeX's row blocking), not by construction
         rows = _tile_rows(k, d)
         tiles = -(-k // rows)
         rng = np.random.default_rng(k)

@@ -18,13 +18,17 @@ compares ``history.jsonl`` without ``seconds``, ``model.ckpt``, the
 evaluate output and ``manifest.json`` without ``created_utc`` and
 ``split_dir``.
 
-It also compares the prepared split directories (the three pair files,
-``header.json`` and both key files): the job's, and one of a second
-``prepare`` whose input repeats every seventh record of the planted file
-and whose ``--min-count 15`` drops items, so that the pair dedupe and the
-k-core's re-coding run too. It prints one verdict per file (per dtype and
-gate for the job's outputs) and exits 1 on any difference. It needs git
-and no network.
+It also compares the prepared split directories: the job's, and one of a
+second ``prepare`` whose input repeats every seventh record of the planted
+file and whose ``--min-count 15`` drops items, so that the pair dedupe and
+the k-core's re-coding run too. Every file that ``prepare`` writes is
+compared byte for byte; a file only one tree writes reads ``DIFFERENT (only
+in rev)`` or ``DIFFERENT (only in tree)``. A content row per prepare
+compares the train/valid/test arrays (dtype, shape and bytes), each loaded
+by its own tree's ``DatasetSplit.load`` in a child process, so a change of
+file format shows whether the split itself stayed the same. It prints one
+verdict per file (per dtype and gate for the job's outputs) and exits 1 on
+any difference. It needs git and no network.
 """
 
 from __future__ import annotations
@@ -61,7 +65,16 @@ started = sys.argv[1] != 'train' or os.getpid() in overlap._WORKERS
 sys.exit(code or (0 if started else 'the worker never started'))
 """
 
-SPLIT_FILES = ("train.tsv", "valid.tsv", "test.tsv", "header.json", "user_keys.txt", "item_keys.txt")
+# prints the digest of each part of the split in argv[1], as loaded by the tree's package
+LOAD_CHILD = """
+import hashlib, json, sys
+from concf.dataset import DatasetSplit
+split = DatasetSplit.load(sys.argv[1])
+print(json.dumps({
+    name: [str(rows.dtype), list(rows.shape), hashlib.sha256(rows.tobytes()).hexdigest()]
+    for name in ("train", "valid", "test") for rows in [getattr(split, name)]
+}, sort_keys=True))
+"""
 # (name, min_count) of each compared prepare; the second one's input repeats records
 PREPARES = (("planted", "0"), ("repeats", "15"))
 
@@ -78,24 +91,45 @@ def export(rev: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
-def concf(src: Path, *args: str, gate: str = "closed") -> str:
-    """Run ``python -m concf ARGS`` on the package under ``src``, through
-    ``WORKER_CHILD`` when ``gate`` is "open", and return its stdout."""
+def python(src: Path, launch: list[str], what: str, *args: str) -> str:
+    """Run ``python LAUNCH ARGS`` on the package under ``src`` and return its
+    stdout; a failure exits, naming ``what``."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    launch = ["-c", WORKER_CHILD] if gate == "open" else ["-m", "concf"]
     res = subprocess.run([sys.executable, *launch, *args], capture_output=True,
                          text=True, env=env, cwd=src)
     if res.returncode != 0:
-        raise SystemExit(f"concf {args[0]} failed under {src}:\n{res.stderr}")
+        raise SystemExit(f"{what} failed under {src}:\n{res.stderr}")
     return res.stdout
 
 
+def concf(src: Path, *args: str, gate: str = "closed") -> str:
+    """Run ``python -m concf ARGS`` on the package under ``src``, through
+    ``WORKER_CHILD`` when ``gate`` is "open", and return its stdout."""
+    launch = ["-c", WORKER_CHILD] if gate == "open" else ["-m", "concf"]
+    return python(src, launch, f"concf {args[0]}", *args)
+
+
 def prepared(src: Path, data: Path, split_dir: Path, min_count: str) -> dict[str, bytes]:
-    """The files of the split that ``concf prepare`` run from ``src`` writes
-    to ``split_dir`` from ``data``."""
+    """Every file that ``concf prepare`` run from ``src`` writes to
+    ``split_dir`` from ``data``, by name."""
     concf(src, "prepare", "--input", str(data), "--out", str(split_dir),
           "--min-count", min_count, "--seed", "0")
-    return {name: (split_dir / name).read_bytes() for name in SPLIT_FILES}
+    return {path.name: path.read_bytes() for path in sorted(split_dir.iterdir())}
+
+
+def split_content(src: Path, split_dir: Path) -> dict:
+    """The digest of each part of the split in ``split_dir``, as the package
+    under ``src`` loads it."""
+    return json.loads(python(src, ["-c", LOAD_CHILD], "DatasetSplit.load", str(split_dir)))
+
+
+def verdict(ours: dict, theirs: dict, name: str) -> str:
+    """``identical``, ``DIFFERENT``, or which one tree alone has ``name``."""
+    if name not in theirs:
+        return "DIFFERENT (only in tree)"
+    if name not in ours:
+        return "DIFFERENT (only in rev)"
+    return "identical" if ours[name] == theirs[name] else "DIFFERENT"
 
 
 def outputs(src: Path, split_dir: Path, work: Path, dtype: str, gate: str) -> dict[str, object]:
@@ -137,10 +171,16 @@ def main(argv: list[str] | None = None) -> int:
         for name, min_count in PREPARES:
             splits = {tree: prepared(src, data[name], tmp / f"{tree}-{name}", min_count)
                       for tree, src in trees.items()}
-            for file, value in splits["tree"].items():
-                same = value == splits["rev"][file]
-                differ |= not same
-                print(f"prepare {name} {file}: {'identical' if same else 'DIFFERENT'}")
+            for file in sorted(splits["tree"].keys() | splits["rev"].keys()):
+                said = verdict(splits["tree"], splits["rev"], file)
+                differ |= said != "identical"
+                print(f"prepare {name} {file}: {said}")
+            # each tree's split, loaded by that tree
+            content = {tree: split_content(src, tmp / f"{tree}-{name}")
+                       for tree, src in trees.items()}
+            same = content["tree"] == content["rev"]
+            differ |= not same
+            print(f"prepare {name} train/valid/test content: {'identical' if same else 'DIFFERENT'}")
         for dtype in ("float32", "float64"):
             for gate in ("closed", "open"):
                 job = f"{dtype}-{gate}"
@@ -148,10 +188,10 @@ def main(argv: list[str] | None = None) -> int:
                     outputs(src, tmp / f"{tree}-planted", tmp / f"{tree}-{job}", dtype, gate)
                     for tree, src in trees.items()
                 )
-                for name, value in ours.items():
-                    same = value == theirs[name]
-                    differ |= not same
-                    print(f"{dtype} gate {gate} {name}: {'identical' if same else 'DIFFERENT'}")
+                for name in ours:
+                    said = verdict(ours, theirs, name)
+                    differ |= said != "identical"
+                    print(f"{dtype} gate {gate} {name}: {said}")
                 manifest = ours["manifest.json"]
                 print(f"{dtype} gate {gate} run {manifest['run_id']}: "
                       f"{manifest['epochs_run']} epochs, best epoch {manifest['best_epoch']}")
