@@ -165,15 +165,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for stale in ("model.ckpt", "crash.ckpt", "manifest.json"):  # an earlier run's
         (out_dir / stale).unlink(missing_ok=True)
+    split_file = split_dir / dataset.SPLIT_FILE
     manifest = {
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "package_version": __version__,
         "command": "train",
         "split_dir": str(split_dir),
-        "split_checksums": {
-            name: hashlib.sha256((split_dir / name).read_bytes()).hexdigest()
-            for name in (*dataset._SPLIT_FILES.values(), "header.json")
-        },
+        "split_checksums": {split_file.name: hashlib.sha256(split_file.read_bytes()).hexdigest()},
         "config": config.to_dict(),
         "backbone": config.backbone_tag,
         "loss_scaling": {"bpr": "batch_mean", "contrastive": "batch_sum", "reg": "batch_mean"},
@@ -220,11 +218,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_model(args: argparse.Namespace, header: dict):
-    """The split ``args.split_dir``, whose header.json holds ``header``, the
+    """The split ``args.split_dir``, whose split.bin header is ``header``, the
     checkpoint ``args.checkpoint``, checked against that shape, and its
     forward pass on the split's graph, split as a training step's is.
 
-    The checkpoint is read before the split's pair files, so a missing or
+    The checkpoint is read before the split's pairs, so a missing or
     malformed checkpoint fails before they are read, and its error wins
     when both are bad.
     """

@@ -1,12 +1,12 @@
 """Interaction-log ingestion, k-core filtering, splitting, and negative sampling.
 
-The on-disk split layout is three framed pair files (train.bin, valid.bin,
-test.bin; each one JSON header line ``{"dtype": "int64", "kind":
-"split_pairs", "rows": m}``, then the (m, 2) ``user_id, item_id`` rows as
-little-endian int64) plus a header.json with {n_users, n_items, counts, seed,
-ratios, min_count}. ``concf prepare`` also writes user_keys.txt and
-item_keys.txt, whose line n holds the key of id n - 1. Split them on line
-feeds only: a key may hold U+2028, which ``splitlines`` breaks on.
+A split is one framed file, split.bin: one JSON header line ``{"counts":
+{"test", "train", "valid"}, "dtype": "int64", "kind": "split", "min_count",
+"n_items", "n_users", "ratios", "seed"}``, then the train, valid and test
+``user_id, item_id`` rows as little-endian int64, and nothing after them.
+``concf prepare`` also writes user_keys.txt and item_keys.txt, whose line n
+holds the key of id n - 1. Split them on line feeds only: a key may hold
+U+2028, which ``splitlines`` breaks on.
 
 The framed codec (``_write_framed``/``_read_framed``) is shared with the
 checkpoints and binary exports of ``model``.
@@ -26,7 +26,11 @@ import scipy.sparse as sp
 from .numerics import grouped_rows
 from .seeding import rng_stream
 
-_SPLIT_FILES = {"train": "train.bin", "valid": "valid.bin", "test": "test.bin"}
+SPLIT_FILE = "split.bin"
+_PARTS = ("train", "valid", "test")
+# a split header's non-negative integers, and the facts it passes on as the split's meta
+_HEADER_KEYS = ("n_users", "n_items", *(f"counts.{name}" for name in _PARTS))
+_META_KEYS = ("seed", "ratios", "min_count")
 _MAX_REJECTION_ROUNDS = 100_000
 _MAX_ROUND_WORDS = 256  # key words one sorting round compares
 # _LEADING_BYTES[k] keeps the k leading bytes of a big-endian word
@@ -135,47 +139,63 @@ class DatasetSplit:
         return np.asarray(self.train_matrix[users, items]).ravel()
 
     def save(self, out_dir: str | Path) -> dict:
-        """Write the split files and header.json, each through a temporary file
-        in ``out_dir`` that replaces it, and return the header."""
+        """Write the split to split.bin in ``out_dir`` through a temporary file
+        that replaces it, so a failed save leaves the previous split whole, and
+        return the header."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for name, fname in _SPLIT_FILES.items():
-            rows = np.asarray(getattr(self, name), dtype=np.int64)
-            head = {"kind": "split_pairs", "rows": len(rows), "dtype": "int64"}
-            _write_framed(out / fname, head, rows, dtypes=("int64",))
         header = {
-            "n_users": self.n_users,
-            "n_items": self.n_items,
-            "counts": {name: int(len(getattr(self, name))) for name in _SPLIT_FILES},
-            "seed": self.meta.get("seed"),
-            "ratios": self.meta.get("ratios"),
-            "min_count": self.meta.get("min_count"),
+            "kind": "split", "dtype": "int64", "n_users": self.n_users, "n_items": self.n_items,
+            "counts": {name: len(getattr(self, name)) for name in _PARTS},
+            **{key: self.meta.get(key) for key in _META_KEYS},
         }
-        _write_replacing(out / "header.json", json.dumps(header, indent=2, sort_keys=True) + "\n")
+        parts = (np.asarray(getattr(self, name), dtype=np.int64) for name in _PARTS)
+        _write_framed(out / SPLIT_FILE, header, *parts, dtypes=("int64",))
         return header
 
     @staticmethod
     def read_header(split_dir: str | Path) -> dict:
-        """The header.json of ``split_dir``, with its counts checked as ``load``
-        checks them."""
-        path = Path(split_dir) / "header.json"
-        keys = ("n_users", "n_items", *(f"counts.{name}" for name in _SPLIT_FILES))
-        return parse_header(path, path.read_bytes(), keys)
+        """The header line of split.bin in ``split_dir``, checked as ``load``
+        checks it; the pairs after it are not read."""
+        path = Path(split_dir) / SPLIT_FILE
+        with open(path, "rb") as fh:
+            return _split_header(path, fh.readline())
 
     @classmethod
     def load(cls, split_dir: str | Path) -> "DatasetSplit":
-        src = Path(split_dir)
-        header = cls.read_header(src)
+        """The split in ``split_dir``, with its header, its payload's length
+        and every id checked; every error is a ValueError naming split.bin."""
+        path = Path(split_dir) / SPLIT_FILE
+        with open(path, "rb") as fh:
+            header = _split_header(path, fh.readline())
+            payload = fh.read()
         n_users, n_items = header["n_users"], header["n_items"]
-        parts = {
-            name: _load_pairs(src / fname, header["counts"][name], n_users, n_items)
-            for name, fname in _SPLIT_FILES.items()
-        }
-        meta = {key: header.get(key) for key in ("seed", "ratios", "min_count")}
+        counts = [header["counts"][name] for name in _PARTS]
+        _check_length(path, payload, sum(counts) * 16)
+        pairs = np.frombuffer(payload, dtype="<i8").reshape(-1, 2).astype(np.int64)
+        parts = dict(zip(_PARTS, np.split(pairs, np.cumsum(counts)[:2])))
+        for name, rows in parts.items():
+            if not _in_range(rows, n_users, n_items):
+                bad = (rows < 0).any(axis=1) | (rows[:, 0] >= n_users) | (rows[:, 1] >= n_items)
+                k = int(np.argmax(bad))
+                u, i = rows[k]
+                raise ValueError(f"{path}: {name} row {k}: pair ({u}, {i}) out of range "
+                                 f"for {n_users} users and {n_items} items")
+        meta = {key: header.get(key) for key in _META_KEYS}
         try:
             return cls(n_users=n_users, n_items=n_items, **parts, meta=meta)
         except ValueError as exc:
-            raise ValueError(f"{src / _SPLIT_FILES['train']}: {exc}") from None
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _split_header(path: Path, line: bytes) -> dict:
+    """The split header ``line`` read from ``path``, with its ids' counts,
+    ``kind`` and ``dtype`` checked."""
+    header = parse_header(path, line, _HEADER_KEYS)
+    if header.get("kind") != "split":
+        raise ValueError(f"{path}: not a split file")
+    _payload_dtype(path, header.get("dtype"), ("int64",))
+    return header
 
 
 def _write_replacing(path: str | Path, data: str | bytes) -> None:
@@ -194,7 +214,7 @@ def _write_replacing(path: str | Path, data: str | bytes) -> None:
         raise
 
 
-# --- framed binary files: split pairs, checkpoints and binary exports --------
+# --- framed binary files: splits, checkpoints and binary exports -------------
 #
 # Layout: one sorted-key JSON header line, whose ``dtype`` names the payload's
 # element type, then row-major little-endian arrays, and nothing after them.
@@ -288,26 +308,6 @@ def parse_header(path: str | Path, text: str | bytes, keys: tuple[str, ...]) -> 
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise ValueError(f"{path}: field {key!r} must be a non-negative integer, got {value!r}")
     return header
-
-
-def _load_pairs(path: Path, count: int, n_users: int, n_items: int) -> np.ndarray:
-    """The (count, 2) id pairs of one framed split file, each id checked to lie
-    in range; every error is a ValueError naming ``path``."""
-    header, dtype, payload = _read_framed(path, ("rows",), dtypes=("int64",))
-    if header.get("kind") != "split_pairs":
-        raise ValueError(f"{path}: not a split pair file")
-    if header["rows"] != count:
-        raise ValueError(f"{path}: {header['rows']} rows but header.json says {count}")
-    _check_length(path, payload, count * 2 * dtype.itemsize)
-    rows = np.frombuffer(payload, dtype=dtype).reshape(count, 2).astype(np.int64)
-    if not _in_range(rows, n_users, n_items):
-        bad = (rows < 0).any(axis=1) | (rows[:, 0] >= n_users) | (rows[:, 1] >= n_items)
-        k = int(np.argmax(bad))
-        u, i = rows[k]
-        raise ValueError(
-            f"{path}: row {k}: pair ({u}, {i}) out of range for {n_users} users and {n_items} items"
-        )
-    return rows
 
 
 def _in_range(pairs: np.ndarray, n_users: int, n_items: int) -> bool:
@@ -522,7 +522,7 @@ def build_split(
         train=train,
         valid=valid,
         test=test,
-        meta={"seed": seed, "ratios": list(ratios)},  # as header.json holds them
+        meta={"seed": seed, "ratios": list(ratios)},  # as split.bin's header holds them
     )
 
 

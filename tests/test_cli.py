@@ -98,9 +98,12 @@ def run_dir(split_dir, tmp_path_factory):
 
 class TestPrepare:
     def test_emits_header(self, split_dir):
-        header = json.loads((split_dir / "header.json").read_text())
+        from concf import DatasetSplit
+
+        header = DatasetSplit.read_header(split_dir)
         assert header["n_users"] == 25 and header["n_items"] == 30
         assert sum(header["counts"].values()) == 500
+        assert sorted(os.listdir(split_dir)) == ["item_keys.txt", "split.bin", "user_keys.txt"]
 
     def test_rerun_identical_checksums(self, interactions_file, tmp_path):
         out2 = tmp_path / "again"
@@ -113,7 +116,7 @@ class TestPrepare:
             "--out", str(tmp_path / "ref"), "--seed", "5",
         )
         assert ref.returncode == 0
-        for name in ("train.bin", "valid.bin", "test.bin", "header.json"):
+        for name in ("split.bin", "user_keys.txt", "item_keys.txt"):
             assert checksum(out2 / name) == checksum(tmp_path / "ref" / name)
 
     def test_unparsable_ratios_name_the_flag(self, interactions_file, tmp_path):
@@ -171,6 +174,8 @@ class TestPrepare:
         assert_error_names(res, tmp_path)
 
     def test_min_count_filters(self, tmp_path):
+        from concf import DatasetSplit
+
         path = tmp_path / "tiny.tsv"
         path.write_text("u\ti0\nu\ti1\nu\ti2\nv\ti0\nv\ti1\nv\ti2\nw\ti9\n")
         res = run_cli(
@@ -178,8 +183,9 @@ class TestPrepare:
             "--min-count", "2",
         )
         assert res.returncode == 0
-        header = json.loads((tmp_path / "o" / "header.json").read_text())
+        header = DatasetSplit.read_header(tmp_path / "o")
         assert json.loads(res.stdout) == header
+        assert (header["kind"], header["dtype"]) == ("split", "int64")
         # w/i9 peel away (degree 1); u, v and i0..i2 survive
         assert header["n_users"] == 2 and header["n_items"] == 3
         assert header["min_count"] == 2
@@ -222,7 +228,7 @@ class TestPrepare:
         res = run_cli("prepare", "--input", str(interactions_file), "--out", str(out),
                       "--ratios", "0.7,0.2,0.1")
         assert res.returncode == 0, res.stderr
-        assert json.loads((out / "header.json").read_text())["ratios"] == [0.7, 0.2, 0.1]
+        assert DatasetSplit.read_header(out)["ratios"] == [0.7, 0.2, 0.1]
         assert DatasetSplit.load(out).meta["ratios"] == [0.7, 0.2, 0.1]
 
     def test_out_file_fails_before_reading_input(self, interactions_file, tmp_path, monkeypatch, capsys):
@@ -302,11 +308,12 @@ class TestTrain:
         assert res.returncode == 0
         assert json.loads(res.stdout)["backbone"] == "lightgcn-bpr"
 
-    def test_artifacts_written(self, run_dir):
+    def test_artifacts_written(self, run_dir, split_dir):
         for name in ("model.ckpt", "history.jsonl", "manifest.json"):
             assert (run_dir / name).exists()
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["backbone"] == "contrastive"
+        assert manifest["split_checksums"] == {"split.bin": checksum(split_dir / "split.bin")}
         assert len(manifest["run_id"]) == 12
         history = [json.loads(l) for l in (run_dir / "history.jsonl").read_text().splitlines()]
         assert [h["epoch"] for h in history] == list(range(1, len(history) + 1))
@@ -463,9 +470,9 @@ class TestTrain:
         assert "--cluster-source" in res.stderr
 
     def test_non_utf8_split_file_named(self, split_dir, tmp_path):
-        # a pair file's header line that is not UTF-8 is not JSON
+        # a split file's header line that is not UTF-8 is not JSON
         broken = shutil.copytree(split_dir, tmp_path / "split")
-        path = broken / "valid.bin"
+        path = broken / "split.bin"
         path.write_bytes(b"\xff\t1" + path.read_bytes())
         res = run_cli(
             "train", "--split-dir", str(broken), "--out-dir", str(tmp_path / "run"), "--dry-run"
@@ -473,16 +480,32 @@ class TestTrain:
         assert_error_names(res, path)
         assert "not valid JSON: 'utf-8' codec can't decode byte 0xff" in res.stderr
 
-    def test_text_pair_files_name_the_missing_file(self, split_dir, tmp_path):
-        # a split directory of an earlier version holds train.tsv and the
-        # like; it must be prepared again
-        broken = shutil.copytree(split_dir, tmp_path / "split")
-        for part in ("train", "valid", "test"):
-            (broken / f"{part}.bin").rename(broken / f"{part}.tsv")
+    @staticmethod
+    def old_layout(tmp_path, suffix):
+        """A split directory in an earlier version's layout, header.json and
+        one pair file per part (train.tsv or train.bin and the like), with no
+        split.bin; only the names matter, as such a directory must be
+        prepared again."""
+        old = tmp_path / "split"
+        old.mkdir()
+        for name in ("header.json", *(f"{part}.{suffix}" for part in ("train", "valid", "test"))):
+            (old / name).write_bytes(b"")
+        return old
+
+    def test_text_pair_files_name_the_missing_file(self, tmp_path):
+        old = self.old_layout(tmp_path, "tsv")
         res = run_cli(
-            "train", "--split-dir", str(broken), "--out-dir", str(tmp_path / "run"), "--dry-run"
+            "train", "--split-dir", str(old), "--out-dir", str(tmp_path / "run"), "--dry-run"
         )
-        assert_error_names(res, broken / "train.bin")
+        assert_error_names(res, old / "split.bin")
+        assert "No such file or directory" in res.stderr
+
+    def test_framed_pair_files_name_the_missing_file(self, tmp_path):
+        old = self.old_layout(tmp_path, "bin")
+        res = run_cli(
+            "train", "--split-dir", str(old), "--out-dir", str(tmp_path / "run"), "--dry-run"
+        )
+        assert_error_names(res, old / "split.bin")
         assert "No such file or directory" in res.stderr
 
     def test_non_utf8_config_file_named(self, split_dir, tmp_path):
@@ -683,8 +706,10 @@ class TestEvaluate:
         assert list(tmp_path.iterdir()) == []
 
     def test_groups_above_user_count_fails_before_checkpoint(self, split_dir, tmp_path):
+        from concf import DatasetSplit
+
         # the checkpoint does not exist: only the split has been read
-        n_users = json.loads((split_dir / "header.json").read_text())["n_users"]
+        n_users = DatasetSplit.read_header(split_dir)["n_users"]
         res = run_cli(
             "evaluate", "--checkpoint", str(tmp_path / "missing.ckpt"),
             "--split-dir", str(split_dir), "--groups", str(n_users + 1),
@@ -733,31 +758,29 @@ class TestEvaluate:
     def test_header_without_counts_named(self, run_dir, split_dir, tmp_path, command):
         broken = tmp_path / "split"
         broken.mkdir()
-        for name in ("train.bin", "valid.bin", "test.bin"):
-            (broken / name).write_bytes((split_dir / name).read_bytes())
-        header = json.loads((split_dir / "header.json").read_text())
+        head, payload = (split_dir / "split.bin").read_bytes().split(b"\n", 1)
+        header = json.loads(head)
         del header["counts"]
-        (broken / "header.json").write_text(json.dumps(header))
+        (broken / "split.bin").write_bytes(json.dumps(header).encode() + b"\n" + payload)
         args = {
             "evaluate": ("--checkpoint", str(run_dir / "model.ckpt")),
             "train": ("--out-dir", str(tmp_path / "run"), "--dry-run"),
         }[command]
         res = run_cli(command, "--split-dir", str(broken), *args)
         assert res.returncode == 1
-        assert "header.json: missing field 'counts.train'" in res.stderr
+        assert "split.bin: missing field 'counts.train'" in res.stderr
         assert "Traceback" not in res.stderr
 
     def test_header_not_json_named(self, run_dir, split_dir, tmp_path):
         broken = tmp_path / "split"
         broken.mkdir()
-        for name in ("train.bin", "valid.bin", "test.bin"):
-            (broken / name).write_bytes((split_dir / name).read_bytes())
-        (broken / "header.json").write_text("{\n")
+        payload = (split_dir / "split.bin").read_bytes().split(b"\n", 1)[1]
+        (broken / "split.bin").write_bytes(b"{\n" + payload)
         res = run_cli(
             "evaluate", "--checkpoint", str(run_dir / "model.ckpt"), "--split-dir", str(broken)
         )
         assert res.returncode == 1
-        assert f"error: {broken / 'header.json'}: not valid JSON" in res.stderr
+        assert f"error: {broken / 'split.bin'}: not valid JSON" in res.stderr
         assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("damage, problem", [
@@ -841,22 +864,30 @@ class TestExport:
 @pytest.mark.parametrize("command", ["evaluate", "export"])
 @pytest.mark.parametrize("damage", ["missing", "truncated"])
 def test_checkpoint_read_before_pair_files(run_dir, split_dir, tmp_path, command, damage):
-    # a bad checkpoint fails before the split's pair files are parsed, so
-    # when both inputs are bad, the checkpoint's error wins
+    # split.bin's header line is read first, then the checkpoint, then the
+    # split's pairs: with a bad checkpoint and a truncated payload, the
+    # checkpoint's error wins
     broken = tmp_path / "split"
     shutil.copytree(split_dir, broken)
-    (broken / "train.bin").write_text("not\ta pair\n")
+    path = broken / "split.bin"
+    path.write_bytes(path.read_bytes()[:-1])
     ckpt = tmp_path / "model.ckpt"
     if damage == "truncated":
         ckpt.write_bytes((run_dir / "model.ckpt").read_bytes()[:-1])
     extra = ("--out", str(tmp_path / "emb")) if command == "export" else ()
     res = run_cli(command, "--checkpoint", str(ckpt), "--split-dir", str(broken), *extra)
     assert_error_names(res, ckpt)
-    assert "train.bin" not in res.stderr
-    # with a good checkpoint, the pair file's error shows
+    assert "split.bin" not in res.stderr
+    # with a good checkpoint, the payload's error shows
     res = run_cli(command, "--checkpoint", str(run_dir / "model.ckpt"),
                   "--split-dir", str(broken), *extra)
-    assert_error_names(res, broken / "train.bin")
+    assert_error_names(res, path)
+    assert "truncated payload" in res.stderr
+    # a malformed header line fails before the bad checkpoint is read
+    path.write_bytes(b"{\n" + path.read_bytes().split(b"\n", 1)[1])
+    res = run_cli(command, "--checkpoint", str(ckpt), "--split-dir", str(broken), *extra)
+    assert_error_names(res, path)
+    assert "not valid JSON" in res.stderr and str(ckpt) not in res.stderr
     assert list(tmp_path.glob("emb*")) == []
 
 

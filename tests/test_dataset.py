@@ -29,6 +29,8 @@ from concf.seeding import rng_stream
 
 from conftest import fail_mid_write, from_keys, key_pairs, make_raw, random_split
 
+PARTS = ("train", "valid", "test")
+
 
 def shuffled_rows(n_users, n_items, n_pairs, seed, n_rows=None):
     """``n_rows`` (user, item) key rows drawn from make_raw's pairs, in random
@@ -479,54 +481,70 @@ class TestBuildSplit:
 
     def test_save_writes_framed_pairs_in_row_order(self, tmp_path, small_split):
         small_split.save(tmp_path / "split")
-        for part in ("train", "valid", "test"):
-            rows = getattr(small_split, part)
-            head = f'{{"dtype": "int64", "kind": "split_pairs", "rows": {len(rows)}}}\n'
-            want = head.encode() + rows.astype("<i8").tobytes()
-            assert (tmp_path / "split" / f"{part}.bin").read_bytes() == want
+        counts = {part: len(getattr(small_split, part)) for part in PARTS}
+        head = ('{"counts": {"test": %(test)d, "train": %(train)d, "valid": %(valid)d}, '
+                '"dtype": "int64", "kind": "split", "min_count": null, "n_items": 40, '
+                '"n_users": 30, "ratios": [0.8, 0.1, 0.1], "seed": 7}\n' % counts)
+        pairs = np.concatenate([getattr(small_split, part) for part in PARTS])
+        want = head.encode() + pairs.astype("<i8").tobytes()
+        assert (tmp_path / "split" / "split.bin").read_bytes() == want
 
 
 class TestSaveReplacesFiles:
-    FILES = ["header.json", "test.bin", "train.bin", "valid.bin"]
+    FILES = ["split.bin"]
 
     def test_returns_the_written_header(self, tmp_path, small_split):
         header = small_split.save(tmp_path)
-        assert header == json.loads((tmp_path / "header.json").read_text())
+        assert header == DatasetSplit.read_header(tmp_path)
         assert sorted(os.listdir(tmp_path)) == self.FILES
 
-    @pytest.mark.parametrize("failing", ["train.bin", "header.json"])
-    def test_failed_write_keeps_previous_file(self, tmp_path, small_split, monkeypatch, failing):
-        random_split(12, 15, 60, seed=3).save(tmp_path)
-        before = {name: (tmp_path / name).read_bytes() for name in self.FILES}
-        fail_mid_write(monkeypatch, failing)
+    def test_failed_save_keeps_previous_split(self, tmp_path, monkeypatch):
+        # b splits a's records with another seed, so every part has a's row count
+        raw = make_raw(30, 40, 900, seed=7)
+        a, b = build_split(raw, seed=1), build_split(raw, seed=2)
+        assert [len(getattr(a, part)) for part in PARTS] == [len(getattr(b, part)) for part in PARTS]
+        assert not np.array_equal(a.valid, b.valid)
+        a.save(tmp_path)
+        fail_mid_write(monkeypatch, "split.bin")
         with pytest.raises(OSError, match="No space left"):
-            small_split.save(tmp_path)
+            b.save(tmp_path)
         monkeypatch.undo()
         assert sorted(os.listdir(tmp_path)) == self.FILES
-        assert (tmp_path / failing).read_bytes() == before[failing]
-        # the files written before the failure are the new split's
-        small_split.save(tmp_path / "ref")
-        for name in ["train.bin", "valid.bin", "test.bin", "header.json"]:
-            if name == failing:
-                break
-            assert (tmp_path / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+        loaded = DatasetSplit.load(tmp_path)
+        assert loaded.meta["seed"] == 1
+        for part in PARTS:
+            got, want = getattr(loaded, part), getattr(a, part)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
-def framed_pairs(rows, **fields) -> bytes:
-    """A split pair file holding ``rows``; ``fields`` override its header's."""
-    header = {"kind": "split_pairs", "rows": len(rows), "dtype": "int64", **fields}
-    return json.dumps(header, sort_keys=True).encode() + b"\n" + np.asarray(rows, "<i8").tobytes()
+def framed_split(split, **parts) -> bytes:
+    """The split.bin bytes of ``split`` with ``parts`` (name=rows) in place of
+    its own; the header counts the rows given."""
+    rows = {name: parts.get(name, getattr(split, name)) for name in PARTS}
+    header = {"kind": "split", "dtype": "int64", "n_users": split.n_users,
+              "n_items": split.n_items, "counts": {name: len(r) for name, r in rows.items()}}
+    payload = b"".join(np.asarray(r, "<i8").tobytes() for r in rows.values())
+    return json.dumps(header, sort_keys=True).encode() + b"\n" + payload
 
 
 class TestLoadSplit:
     @staticmethod
-    def saved_with_extra_train_row(tmp_path, split, row):
+    def saved_with(tmp_path, split, **parts):
+        """``split`` saved to a directory, then split.bin rewritten with ``parts``."""
         out = tmp_path / "split"
         split.save(out)
-        (out / "train.bin").write_bytes(framed_pairs(np.vstack([split.train, [row]])))
-        header = json.loads((out / "header.json").read_text())
-        header["counts"]["train"] += 1
-        (out / "header.json").write_text(json.dumps(header))
+        (out / "split.bin").write_bytes(framed_split(split, **parts))
+        return out
+
+    @staticmethod
+    def saved_with_header(tmp_path, split, edit):
+        """``split`` saved to a directory, then its header line passed through ``edit``."""
+        out = tmp_path / "split"
+        split.save(out)
+        head, payload = (out / "split.bin").read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        edit(header)
+        (out / "split.bin").write_bytes(json.dumps(header).encode() + b"\n" + payload)
         return out
 
     @pytest.mark.parametrize("edit, field", [
@@ -538,12 +556,8 @@ class TestLoadSplit:
         (lambda h: h["counts"].pop("test"), "counts.test"),
     ])
     def test_missing_header_field_named(self, tmp_path, small_split, edit, field):
-        out = tmp_path / "split"
-        small_split.save(out)
-        header = json.loads((out / "header.json").read_text())
-        edit(header)
-        (out / "header.json").write_text(json.dumps(header))
-        with pytest.raises(ValueError, match=rf"header\.json: missing field '{field}'"):
+        out = self.saved_with_header(tmp_path, small_split, edit)
+        with pytest.raises(ValueError, match=rf"split\.bin: missing field '{field}'"):
             DatasetSplit.load(out)
 
     @pytest.mark.parametrize("field, value", [
@@ -551,18 +565,16 @@ class TestLoadSplit:
         ("counts.test", None), ("counts.valid", -5),
     ])
     def test_bad_header_value_named(self, tmp_path, small_split, field, value):
-        out = tmp_path / "split"
-        small_split.save(out)
-        header = json.loads((out / "header.json").read_text())
-        *parents, key = field.split(".")
-        node = header
-        for part in parents:
-            node = node[part]
-        node[key] = value
-        (out / "header.json").write_text(json.dumps(header))
+        def edit(header):
+            *parents, key = field.split(".")
+            for part in parents:
+                header = header[part]
+            header[key] = value
+
+        out = self.saved_with_header(tmp_path, small_split, edit)
         with pytest.raises(
             ValueError,
-            match=rf"header\.json: field '{field}' must be a non-negative integer, "
+            match=rf"split\.bin: field '{field}' must be a non-negative integer, "
             rf"got {re.escape(repr(value))}",
         ):
             DatasetSplit.load(out)
@@ -571,35 +583,39 @@ class TestLoadSplit:
     def test_header_not_json_named(self, tmp_path, small_split, text):
         out = tmp_path / "split"
         small_split.save(out)
-        path = out / "header.json"
-        path.write_bytes(text if isinstance(text, bytes) else text.encode())
-        with pytest.raises(ValueError, match=rf"header\.json: not valid JSON: "):
+        path = out / "split.bin"
+        payload = path.read_bytes().split(b"\n", 1)[1]
+        path.write_bytes((text if isinstance(text, bytes) else text.encode()) + b"\n" + payload)
+        with pytest.raises(ValueError, match=rf"split\.bin: not valid JSON: "):
             DatasetSplit.load(out)
 
     def test_duplicate_train_pair_names_file_and_pair(self, tmp_path, small_split):
         u, i = small_split.train[5]
-        out = self.saved_with_extra_train_row(tmp_path, small_split, (u, i))
-        with pytest.raises(ValueError, match=rf"train\.bin: duplicate train pair \({u}, {i}\)"):
+        out = self.saved_with(tmp_path, small_split, train=np.vstack([small_split.train, [(u, i)]]))
+        with pytest.raises(ValueError, match=rf"split\.bin: duplicate train pair \({u}, {i}\)"):
             DatasetSplit.load(out)
 
     def test_out_of_range_id_names_file_and_line(self, tmp_path, small_split):
-        # the pair file's rows are its lines; the first bad row (0-based) is named
+        # the part and its first bad row (0-based) are named
         n_users, n_items = small_split.n_users, small_split.n_items
         row = len(small_split.train)
         for k, (u, i) in enumerate([(0, n_items + 2), (n_users, 0), (-1, 0), (0, -2**63)]):
-            out = self.saved_with_extra_train_row(tmp_path / str(k), small_split, (u, i))
-            with pytest.raises(ValueError, match=rf"train\.bin: row {row}: pair \({u}, {i}\) "
+            train = np.vstack([small_split.train, [(u, i)]])
+            out = self.saved_with(tmp_path / str(k), small_split, train=train)
+            with pytest.raises(ValueError, match=rf"split\.bin: train row {row}: pair \({u}, {i}\) "
                                rf"out of range for {n_users} users and {n_items} items$"):
                 DatasetSplit.load(out)
 
     def test_first_out_of_range_row_named(self, tmp_path, small_split):
-        out = tmp_path / "split"
-        small_split.save(out)
         rows = small_split.valid.copy()
         rows[3] = (small_split.n_users, 1)
         rows[7] = (-1, -1)
-        (out / "valid.bin").write_bytes(framed_pairs(rows))
-        with pytest.raises(ValueError, match=rf"valid\.bin: row 3: pair \({small_split.n_users}, 1\)"):
+        test = small_split.test.copy()
+        test[0] = (-1, -1)
+        out = self.saved_with(tmp_path, small_split, valid=rows, test=test)
+        with pytest.raises(
+            ValueError, match=rf"split\.bin: valid row 3: pair \({small_split.n_users}, 1\) "
+        ):
             DatasetSplit.load(out)
 
     @pytest.mark.parametrize("damage, problem", [
@@ -608,13 +624,14 @@ class TestLoadSplit:
         (lambda b: b + b"\0", "1 trailing bytes after the payload"),
         (lambda b: b + bytes(16), "16 trailing bytes after the payload"),
         (lambda b: b.split(b"\n", 1)[1], "not valid JSON"),
-        (lambda b: b"train\n" + b.split(b"\n", 1)[1], "not valid JSON"),
+        (lambda b: b"split\n" + b.split(b"\n", 1)[1], "not valid JSON"),
         (lambda b: b"\xff" + b, "not valid JSON"),
         (lambda b: b"", "not valid JSON"),
-        (lambda b: b.replace(b'"rows": ', b'"n": '), "missing field 'rows'"),
-        (lambda b: b.replace(b'"rows": ', b'"rows": -'), "field 'rows' must be a non-negative integer"),
-        (lambda b: b.replace(b"split_pairs", b"embedding_export"), "not a split pair file"),
-        (lambda b: b.replace(b'"kind": "split_pairs", ', b""), "not a split pair file"),
+        (lambda b: b.replace(b'"train": ', b'"n": '), "missing field 'counts.train'"),
+        (lambda b: b.replace(b'"train": ', b'"train": -'),
+         "field 'counts.train' must be a non-negative integer"),
+        (lambda b: b.replace(b'"kind": "split"', b'"kind": "embedding_export"'), "not a split file"),
+        (lambda b: b.replace(b'"kind": "split", ', b""), "not a split file"),
         (lambda b: b.replace(b"int64", b"int32"), "field 'dtype' must be 'int64', got 'int32'"),
         (lambda b: b.replace(b"int64", b"float64"), "field 'dtype' must be 'int64', got 'float64'"),
         (lambda b: b.replace(b'"dtype": "int64", ', b""), "field 'dtype' must be 'int64', got None"),
@@ -622,31 +639,16 @@ class TestLoadSplit:
     def test_malformed_pair_file_named(self, tmp_path, small_split, damage, problem):
         out = tmp_path / "split"
         small_split.save(out)
-        path = out / "train.bin"
+        path = out / "split.bin"
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {re.escape(problem)}"):
             DatasetSplit.load(out)
 
-    @pytest.mark.parametrize("part", ["train", "valid", "test"])
-    @pytest.mark.parametrize("delta", [-1, 1])
-    def test_rows_disagreeing_with_header_named(self, tmp_path, small_split, part, delta):
-        out = tmp_path / "split"
-        small_split.save(out)
-        header = json.loads((out / "header.json").read_text())
-        count = header["counts"][part]
-        header["counts"][part] = count + delta
-        (out / "header.json").write_text(json.dumps(header))
-        with pytest.raises(ValueError, match=rf"{part}\.bin: {count} rows but header\.json says "
-                           rf"{count + delta}$"):
-            DatasetSplit.load(out)
-
     def test_bad_field_count_names_file(self, tmp_path, small_split):
         # three ids per row, under a header that counts two per row
-        out = tmp_path / "split"
-        small_split.save(out)
         rows = np.column_stack([small_split.test, small_split.test[:, :1]])
-        (out / "test.bin").write_bytes(framed_pairs(rows))
-        with pytest.raises(ValueError, match=r"test\.bin: \d+ trailing bytes"):
+        out = self.saved_with(tmp_path, small_split, test=rows)
+        with pytest.raises(ValueError, match=r"split\.bin: \d+ trailing bytes"):
             DatasetSplit.load(out)
 
     def test_empty_split_files_load_without_warning(self, tmp_path):

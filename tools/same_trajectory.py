@@ -16,7 +16,7 @@ worker gate closed, and with the gate forced open by acceptance criterion
 evaluation wherever a revision uses the worker there. It
 compares ``history.jsonl`` without ``seconds``, ``model.ckpt``, the
 evaluate output and ``manifest.json`` without ``created_utc`` and
-``split_dir``.
+``split_dir``; a manifest that differs names the fields that do.
 
 It also compares the prepared split directories: the job's, and one of a
 second ``prepare`` whose input repeats every seventh record of the planted
@@ -24,11 +24,12 @@ file and whose ``--min-count 15`` drops items, so that the pair dedupe and
 the k-core's re-coding run too. Every file that ``prepare`` writes is
 compared byte for byte; a file only one tree writes reads ``DIFFERENT (only
 in rev)`` or ``DIFFERENT (only in tree)``. A content row per prepare
-compares the train/valid/test arrays (dtype, shape and bytes), each loaded
-by its own tree's ``DatasetSplit.load`` in a child process, so a change of
-file format shows whether the split itself stayed the same. It prints one
-verdict per file (per dtype and gate for the job's outputs) and exits 1 on
-any difference. It needs git and no network.
+compares the train/valid/test arrays (dtype, shape and bytes), ``n_users``,
+``n_items`` and ``meta`` (seed, ratios, min_count), each loaded by its own
+tree's ``DatasetSplit.load`` in a child process, so a change of file format
+shows whether the split and the facts its header holds stayed the same. It
+prints one verdict per file (per dtype and gate for the job's outputs) and
+exits 1 on any difference. It needs git and no network.
 """
 
 from __future__ import annotations
@@ -65,14 +66,16 @@ started = sys.argv[1] != 'train' or os.getpid() in overlap._WORKERS
 sys.exit(code or (0 if started else 'the worker never started'))
 """
 
-# prints the digest of each part of the split in argv[1], as loaded by the tree's package
+# prints the digest of each part of the split in argv[1], its user and item
+# counts and its meta, as loaded by the tree's package
 LOAD_CHILD = """
 import hashlib, json, sys
 from concf.dataset import DatasetSplit
 split = DatasetSplit.load(sys.argv[1])
 print(json.dumps({
-    name: [str(rows.dtype), list(rows.shape), hashlib.sha256(rows.tobytes()).hexdigest()]
-    for name in ("train", "valid", "test") for rows in [getattr(split, name)]
+    **{name: [str(rows.dtype), list(rows.shape), hashlib.sha256(rows.tobytes()).hexdigest()]
+       for name in ("train", "valid", "test") for rows in [getattr(split, name)]},
+    "n_users": split.n_users, "n_items": split.n_items, "meta": split.meta,
 }, sort_keys=True))
 """
 # (name, min_count) of each compared prepare; the second one's input repeats records
@@ -118,18 +121,25 @@ def prepared(src: Path, data: Path, split_dir: Path, min_count: str) -> dict[str
 
 
 def split_content(src: Path, split_dir: Path) -> dict:
-    """The digest of each part of the split in ``split_dir``, as the package
-    under ``src`` loads it."""
+    """The digest of each part of the split in ``split_dir``, its user and
+    item counts and its meta, as the package under ``src`` loads it."""
     return json.loads(python(src, ["-c", LOAD_CHILD], "DatasetSplit.load", str(split_dir)))
 
 
 def verdict(ours: dict, theirs: dict, name: str) -> str:
-    """``identical``, ``DIFFERENT``, or which one tree alone has ``name``."""
+    """``identical``, ``DIFFERENT`` (naming the differing fields of two
+    dicts), or which one tree alone has ``name``."""
     if name not in theirs:
         return "DIFFERENT (only in tree)"
     if name not in ours:
         return "DIFFERENT (only in rev)"
-    return "identical" if ours[name] == theirs[name] else "DIFFERENT"
+    a, b = ours[name], theirs[name]
+    if a == b:
+        return "identical"
+    if isinstance(a, dict) and isinstance(b, dict):
+        fields = sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
+        return f"DIFFERENT ({', '.join(fields)})"
+    return "DIFFERENT"
 
 
 def outputs(src: Path, split_dir: Path, work: Path, dtype: str, gate: str) -> dict[str, object]:
@@ -180,7 +190,8 @@ def main(argv: list[str] | None = None) -> int:
                        for tree, src in trees.items()}
             same = content["tree"] == content["rev"]
             differ |= not same
-            print(f"prepare {name} train/valid/test content: {'identical' if same else 'DIFFERENT'}")
+            print(f"prepare {name} parts, n_users, n_items, meta: "
+                  f"{'identical' if same else 'DIFFERENT'}")
         for dtype in ("float32", "float64"):
             for gate in ("closed", "open"):
                 job = f"{dtype}-{gate}"
