@@ -46,9 +46,10 @@ def random_split(n_users: int, n_items: int, n_pairs: int, seed: int = 0):
     return build_split(make_raw(n_users, n_items, n_pairs, seed), seed=seed)
 
 
-def fail_mid_write(monkeypatch, name: str) -> None:
-    """Make ``dataset._write_replacing`` fail halfway through writing ``name``:
-    the temporary file gets the first half of the data, then the write raises."""
+def fail_mid_write(monkeypatch, name: str, keep: int | None = None) -> None:
+    """Make ``dataset._write_replacing`` fail partway through writing ``name``:
+    the temporary file gets the first ``keep`` bytes of the data (default
+    half), then the write raises."""
     from concf import dataset
 
     def half_then_fail(path, *args, **kwargs):
@@ -57,7 +58,7 @@ def fail_mid_write(monkeypatch, name: str) -> None:
             write = fh.write
 
             def failing(data):
-                write(data[: len(data) // 2])
+                write(data[: len(data) // 2 if keep is None else keep])
                 raise OSError("No space left on device")
 
             fh.write = failing

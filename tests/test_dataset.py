@@ -498,6 +498,25 @@ class TestSaveReplacesFiles:
         assert header == DatasetSplit.read_header(tmp_path)
         assert sorted(os.listdir(tmp_path)) == self.FILES
 
+    @pytest.mark.parametrize("failing", ["train.bin", "header.json"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, small_split, monkeypatch, failing):
+        # the write stops inside what each file held before a split was one
+        # file: header.json is now split.bin's header line, train.bin its train pairs
+        ref = tmp_path / "ref"
+        small_split.save(ref)
+        head = (ref / "split.bin").read_bytes().split(b"\n", 1)[0]
+        keep = {"header.json": len(head) // 2,
+                "train.bin": len(head) + 1 + small_split.train.nbytes // 2}[failing]
+        out = tmp_path / "split"
+        random_split(12, 15, 60, seed=3).save(out)
+        before = (out / "split.bin").read_bytes()
+        fail_mid_write(monkeypatch, "split.bin", keep)
+        with pytest.raises(OSError, match="No space left"):
+            small_split.save(out)
+        monkeypatch.undo()
+        assert sorted(os.listdir(out)) == self.FILES
+        assert (out / "split.bin").read_bytes() == before
+
     def test_failed_save_keeps_previous_split(self, tmp_path, monkeypatch):
         # b splits a's records with another seed, so every part has a's row count
         raw = make_raw(30, 40, 900, seed=7)
