@@ -8,6 +8,7 @@ against $CONCF_DATA_ROOT.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -57,6 +58,7 @@ def _check_at_least(args: argparse.Namespace, **bounds: int) -> None:
             raise ValueError(f"--{name.replace('_', '-')}: must be >= {low}")
 
 
+@functools.cache  # built once per process: parsing does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="concf",

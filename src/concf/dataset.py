@@ -97,7 +97,8 @@ class DatasetSplit:
 
     ``train``/``valid``/``test`` are (m, 2) int64 arrays of (user_id, item_id).
     ``train_matrix`` holds the train pairs as a boolean user x item CSR (see
-    ``pair_matrix``); a train pair may occur only once.
+    ``pair_matrix``); a train pair may occur only once. ``eval_plans`` is the
+    evaluator's cache of what ranking each target needs (see ``evaluator``).
     """
 
     n_users: int
@@ -107,6 +108,7 @@ class DatasetSplit:
     test: np.ndarray
     meta: dict = field(default_factory=dict)
     train_matrix: sp.csr_matrix = field(init=False, repr=False)
+    eval_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.train_matrix = pair_matrix(self.train, self.n_users, self.n_items)

@@ -34,12 +34,13 @@ def l2_normalize_backward(grad_y: np.ndarray, y: np.ndarray, norms: np.ndarray) 
     return (grad_y - inner[:, None] * y) / norms[:, None]
 
 
-def grouped_rows(
+def coo_tocsr(
     rows: np.ndarray, columns: np.ndarray, data: np.ndarray, shape: tuple[int, int]
-) -> sp.csr_matrix:
-    """The ``shape`` CSR matrix whose row r holds the entries e with
-    ``rows[e] == r`` in input order, each as column ``columns[e]`` with value
-    ``data[e]``; duplicates are kept and columns are not sorted.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(data, indices, indptr)`` of the ``shape`` CSR matrix whose row r
+    holds the entries e with ``rows[e] == r`` in input order, each as column
+    ``columns[e]`` with value ``data[e]``; duplicates are kept and columns are
+    not sorted.
 
     One stable counting sort, SciPy's ``coo_tocsr``, builds it with no
     comparison of ids. The sort writes where the row ids point, so they are
@@ -56,7 +57,14 @@ def grouped_rows(
     _sparsetools.coo_tocsr(
         n_rows, shape[1], nnz, rows.astype(idx, copy=False), columns, data, indptr, indices, values
     )
-    return sp.csr_matrix((values, indices, indptr), shape=shape)
+    return values, indices, indptr
+
+
+def grouped_rows(
+    rows: np.ndarray, columns: np.ndarray, data: np.ndarray, shape: tuple[int, int]
+) -> sp.csr_matrix:
+    """``coo_tocsr``'s matrix as a ``csr_matrix``."""
+    return sp.csr_matrix(coo_tocsr(rows, columns, data, shape), shape=shape)
 
 
 def scatter_add_rows(
@@ -72,12 +80,17 @@ def scatter_add_rows(
     Entry e adds ``weights[e] * values[sources[e]]`` to row ``index[e]``;
     ``weights`` defaults to ones and ``sources`` to ``arange(len(index))``.
     Row r is the sum, from zero and in the order of ``index``, of its
-    entries' products: ``grouped_rows`` keeps each row's entries in that
-    order, and the CSR kernel forms each product and adds it in that order.
-    This holds only while the kernel rounds the product before the addition;
-    a SciPy build that fuses ``a*x + y`` into one FMA would differ in the
-    last bit wherever a weight is not 1.
+    entries' products: ``coo_tocsr`` keeps each row's entries in that
+    order, and SciPy's CSR kernel, called as ``csr_matrix @ values`` calls
+    it (same arguments, same result dtype), forms each product and adds it
+    in that order. This holds only while the kernel rounds the product
+    before the addition; a SciPy build that fuses ``a*x + y`` into one FMA
+    would differ in the last bit wherever a weight is not 1.
     """
     data = np.ones(len(index), dtype=values.dtype) if weights is None else weights
     columns = np.arange(len(index)) if sources is None else sources
-    return grouped_rows(index, columns, data, (n_rows, len(values))) @ values
+    data, indices, indptr = coo_tocsr(index, columns, data, (n_rows, len(values)))
+    out = np.zeros((n_rows, values.shape[1]), dtype=np.result_type(data, values))
+    _sparsetools.csr_matvecs(n_rows, len(values), values.shape[1], indptr, indices, data,
+                             values.ravel(), out.ravel())
+    return out

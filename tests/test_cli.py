@@ -927,6 +927,22 @@ def test_fixed_choice_flag_unknown(argv, capsys):
     assert f"unrecognized arguments: {' '.join(argv[5:])}" in capsys.readouterr().err
 
 
+def test_usage_error_then_valid_call_as_two_runs(run_dir, split_dir):
+    # one parser serves every main() of a process; an argparse exit leaves
+    # nothing behind for the next call
+    from concf import cli
+
+    args = ("evaluate", "--checkpoint", str(run_dir / "model.ckpt"), "--split-dir", str(split_dir))
+    bad = (*args, "--target", "train")
+    in_process = [run_cli(*bad), run_cli(*args)]
+    apart = [run_cli(*bad, process=True), run_cli(*args, process=True)]
+    assert [(r.returncode, r.stdout, r.stderr) for r in in_process] == \
+        [(r.returncode, r.stdout, r.stderr) for r in apart]
+    assert in_process[0].returncode == 2 and in_process[0].stderr.startswith("usage: concf")
+    assert in_process[1].returncode == 0
+    assert cli._build_parser() is cli._build_parser()
+
+
 @pytest.mark.parametrize("field", ["beta1", "beta2", "adam_eps"])
 def test_adam_constant_in_config_file_unknown(tmp_path, capsys, field):
     from concf.cli import main

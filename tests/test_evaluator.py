@@ -523,6 +523,75 @@ class TestRankingHalves:
         assert len(events) == 1 and events[0].startswith("worker's half done on concf-step")
 
 
+def fresh(split: DatasetSplit, **parts) -> DatasetSplit:
+    """A new split of ``split``'s arrays, ``parts`` replaced, with no evaluation plan."""
+    arrays = {name: getattr(split, name) for name in ("train", "valid", "test")}
+    return DatasetSplit(n_users=split.n_users, n_items=split.n_items, **{**arrays, **parts})
+
+
+def plan_reports(fp, split) -> list[dict]:
+    """The valid report and the grouped test report."""
+    return [
+        full_rank_eval(fp, split, target="valid", ns=(1, 10)).as_dict(),
+        sparsity_group_report(fp, split, n_groups=3, ns=(5, 20)).as_dict(),
+    ]
+
+
+class TestEvalPlan:
+    """Each split keeps what ranking a target needs and rebuilds it when an
+    array it was derived from is replaced."""
+
+    @pytest.mark.parametrize("gate_open", [False, True])
+    def test_repeated_evaluations_equal_the_first_and_a_fresh_split(
+            self, tied_forward_three_chunks, gate_open, monkeypatch):
+        split, fp = tied_forward_three_chunks
+        expected = plan_reports(fp, fresh(split))
+        if gate_open:
+            open_worker_gate(monkeypatch)
+        split = fresh(split)
+        first = plan_reports(fp, split)
+        assert plan_reports(fp, split) == plan_reports(fp, split) == first == expected
+        assert worker_started() or not gate_open
+
+    def test_plan_built_on_one_side_of_the_gate_serves_the_other(
+            self, tied_forward_three_chunks, monkeypatch):
+        split, fp = tied_forward_three_chunks
+        split = fresh(split)
+        closed = plan_reports(fp, split)
+        open_worker_gate(monkeypatch)
+        assert plan_reports(fp, split) == closed
+        assert worker_started()
+
+    @pytest.mark.parametrize("part", ["valid", "test"])
+    def test_replaced_pairs_give_the_new_report(self, tied_forward_three_chunks, part):
+        split, fp = tied_forward_three_chunks
+        split = fresh(split)
+        before = plan_reports(fp, split)
+        # the other target's pairs: still disjoint from train
+        other = split.test if part == "valid" else split.valid
+        setattr(split, part, other)
+        after = plan_reports(fp, split)
+        assert after == plan_reports(fp, fresh(split, **{part: other}))
+        assert after != before
+
+    def test_one_pair_matrix_build_per_target(self, small_split, small_adj, monkeypatch):
+        split = fresh(small_split)
+        built, build = [], evaluator.pair_matrix
+
+        def counted(pairs, *args):
+            built.append(pairs)
+            return build(pairs, *args)
+
+        monkeypatch.setattr(evaluator, "pair_matrix", counted)
+        fp = forward(small_adj, init_embeddings(split.n_users, split.n_items, 4, seed=0), 2)
+        for _ in range(3):
+            full_rank_eval(fp, split, target="valid")
+            full_rank_eval(fp, split, target="test")
+            sparsity_group_report(fp, split, n_groups=2)
+        # the valid target's pairs; the test target's, and the valid mask at test
+        assert [id(pairs) for pairs in built] == [id(split.valid), id(split.test), id(split.valid)]
+
+
 @st.composite
 def scores_and_n(draw):
     """float32 or float64 scores from a few values (many ties, NaN, +-inf,

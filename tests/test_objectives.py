@@ -434,6 +434,24 @@ class TestScatterAddRows:
         got = scatter_add_rows(index, values, n_rows, weights=weights, sources=sources)
         assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("weights_dtype, values_dtype", [
+        (np.float64, np.float32), (np.float32, np.float64), (np.int64, np.float32),
+    ])
+    def test_mixed_dtypes_promote_as_scipy(self, weights_dtype, values_dtype):
+        # the result dtype and bytes of SciPy's csr_matrix @ values, which
+        # equal np.add.at over both operands cast to that dtype
+        rng = np.random.default_rng(3)
+        index, sources = rng.integers(0, 7, 40), rng.integers(0, 9, 40)
+        weights = (rng.standard_normal(40) * 4).astype(weights_dtype)
+        values = rng.standard_normal((9, 3)).astype(values_dtype)
+        product = grouped_rows(index, sources, weights, (7, 9)) @ values
+        expected = np.zeros((7, 3), dtype=product.dtype)
+        np.add.at(expected, index, weights.astype(product.dtype)[:, None]
+                  * values.astype(product.dtype)[sources])
+        got = scatter_add_rows(index, values, 7, weights=weights, sources=sources)
+        assert got.dtype == product.dtype == np.float64
+        assert got.tobytes() == product.tobytes() == expected.tobytes()
+
 
 class TestGroupedRows:
     @pytest.mark.parametrize("bad", [-1, 4, 2**40])
