@@ -1,10 +1,24 @@
 """Contrastive graph collaborative filtering: training and evaluation engine."""
 
 import os
+import sys
+import warnings
 
 # BLAS reads its thread count once, when NumPy first loads, and a float64
 # product's bytes depend on it; one thread makes every run independent of the
-# machine's cores. A caller that loaded NumPy before concf keeps its setting.
+# machine's cores. A caller that loaded NumPy before concf keeps its setting,
+# and is warned unless that is one thread: OpenBLAS reads
+# OPENBLAS_NUM_THREADS, or OMP_NUM_THREADS when the first is not set.
+_var = next((var for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if os.environ.get(var)),
+            "OPENBLAS_NUM_THREADS")
+if "numpy" in sys.modules and os.environ.get(_var) != "1":
+    warnings.warn(
+        f"NumPy was imported before concf with {_var}={os.environ.get(_var) or '(unset)'}: "
+        "BLAS may run on several threads, and results then depend on the thread count. "
+        f"Set {_var}=1 before NumPy is imported, or import concf first",
+        RuntimeWarning,
+        stacklevel=2,
+    )
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 del _var

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import overlap
 from .model import EmbeddingTable
 from .numerics import l2_normalize_rows, scatter_add_rows
 from .seeding import derive_seed, rng_stream
@@ -62,7 +63,11 @@ class _Distances:
 
     The points' squared norms and ``2.0 * points`` are computed once. Each
     row tile is ``(|x|^2 + |c|^2) - (2x) @ c.T``, formed in two reused tile
-    x k buffers, so no n x k array is ever allocated.
+    x k buffers, so no n x k array is ever allocated. When the ``n * k * d``
+    multiply-adds of a pass open ``overlap``'s gate and there are two tiles
+    or more, the worker runs the second half of the tiles in its own pair of
+    buffers beside the first half here: the same tiles and products, so the
+    same bytes.
     """
 
     def __init__(self, points: np.ndarray, k: int) -> None:
@@ -73,37 +78,61 @@ class _Distances:
         count = max(n // _tile_rows(k, d), 1)
         bounds = [ROW_BLOCK * (i * (n // ROW_BLOCK) // count) for i in range(count)] + [n]
         self.tiles = list(zip(bounds[:-1], bounds[1:]))
+        self.start = overlap.start_for(n * k * d) if count > 1 else None
         longest = max(stop - start for start, stop in self.tiles)
-        self.sums = np.empty((longest, k), dtype=self.sq_norms.dtype)
-        self.products = np.empty_like(self.sums)
+        # (sums, products) for the calling thread, then for the worker
+        self.buffers = [
+            (np.empty((longest, k), dtype=self.sq_norms.dtype),
+             np.empty((longest, k), dtype=self.sq_norms.dtype))
+            for _ in range(1 if self.start is None else 2)
+        ]
         self.rows = np.arange(longest)
 
-    def _unclipped(self, centers: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Yield each tile's ``(start, stop, d2)`` before the clip at zero."""
+    def _unclipped(
+        self, centers: np.ndarray, tiles: list | None = None, buffers: tuple | None = None
+    ) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Yield each of ``tiles``' (default all) ``(start, stop, d2)`` before
+        the clip at zero, formed in ``buffers`` (default the calling thread's)."""
+        sums, products = buffers or self.buffers[0]
         center_sq = np.einsum("ij,ij->i", centers, centers)
-        for start, stop in self.tiles:
+        for start, stop in self.tiles if tiles is None else tiles:
             m = stop - start
-            d2 = np.add(self.sq_norms[start:stop, None], center_sq, out=self.sums[:m])
-            d2 -= np.matmul(self.twice_points[start:stop], centers.T, out=self.products[:m])
+            d2 = np.add(self.sq_norms[start:stop, None], center_sq, out=sums[:m])
+            d2 -= np.matmul(self.twice_points[start:stop], centers.T, out=products[:m])
             yield start, stop, d2
+
+    def _over_tiles(self, fn, *args) -> None:
+        """``fn(tiles, buffers, *args)`` over every tile: in halves when the gate opened."""
+        if self.start is None:
+            fn(self.tiles, self.buffers[0], *args)
+            return
+        mid = len(self.tiles) // 2
+        job = self.start(fn, self.tiles[mid:], self.buffers[1], *args)
+        overlap.in_halves(job, fn, (self.tiles[:mid], self.buffers[0], *args))
 
     def nearest(self, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each point's nearest center (the first on a tie) and its distance."""
         n = len(self.sq_norms)
         assignments = np.empty(n, dtype=np.intp)
         dist = np.empty(n, dtype=self.sq_norms.dtype)
-        for start, stop, d2 in self._unclipped(centers):
+        self._over_tiles(self._nearest, centers, assignments, dist)
+        return assignments, dist
+
+    def _nearest(self, tiles, buffers, centers, assignments, dist) -> None:
+        for start, stop, d2 in self._unclipped(centers, tiles, buffers):
             np.maximum(d2, 0.0, out=d2)
             nearest = np.argmin(d2, axis=1, out=assignments[start:stop])
             dist[start:stop] = d2[self.rows[: stop - start], nearest]
-        return assignments, dist
 
     def assigned(self, centers: np.ndarray, assignments: np.ndarray) -> np.ndarray:
         """Each point's distance to the center it is assigned to."""
         dist = np.empty(len(self.sq_norms), dtype=self.sq_norms.dtype)
-        for start, stop, d2 in self._unclipped(centers):
-            dist[start:stop] = d2[self.rows[: stop - start], assignments[start:stop]]
+        self._over_tiles(self._assigned, centers, assignments, dist)
         return np.maximum(dist, 0.0, out=dist)
+
+    def _assigned(self, tiles, buffers, centers, assignments, dist) -> None:
+        for start, stop, d2 in self._unclipped(centers, tiles, buffers):
+            dist[start:stop] = d2[self.rows[: stop - start], assignments[start:stop]]
 
 
 def _check_finite(points: np.ndarray, name: str) -> None:

@@ -419,3 +419,48 @@ class TestCriterion9ThreadCountDeterminism:
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == ["1", "1", "1"]
+
+
+# imports NumPy and concf in the order argv[1] names, and prints the warnings seen
+IMPORT_ORDER_CHILD = """
+import json, sys, warnings
+warnings.simplefilter("always")
+with warnings.catch_warnings(record=True) as caught:
+    for name in sys.argv[1].split(","):
+        __import__(name)
+print(json.dumps([[w.category.__name__, str(w.message)] for w in caught]))
+"""
+
+
+class TestImportWarnsOfBlasThreads:
+    """concf pins BLAS to one thread only when NumPy is not yet loaded; a
+    caller that loaded it first without one thread is warned."""
+
+    def warnings_seen(self, order: str, **env: str) -> list[list[str]]:
+        base = {k: v for k, v in os.environ.items()
+                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        res = subprocess.run([sys.executable, "-c", IMPORT_ORDER_CHILD, order],
+                             capture_output=True, text=True, env={**base, **env})
+        assert res.returncode == 0, res.stderr
+        return json.loads(res.stdout)
+
+    @pytest.mark.parametrize("env, named", [
+        ({}, "OPENBLAS_NUM_THREADS=(unset)"),
+        ({"OPENBLAS_NUM_THREADS": "4"}, "OPENBLAS_NUM_THREADS=4"),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, "OPENBLAS_NUM_THREADS=2"),
+        ({"OMP_NUM_THREADS": "2"}, "OMP_NUM_THREADS=2"),
+    ])
+    def test_numpy_first_without_one_thread_warns(self, env, named):
+        seen = self.warnings_seen("numpy,concf", **env)
+        assert len(seen) == 1
+        category, message = seen[0]
+        assert category == "RuntimeWarning"
+        assert named in message and "depend on the thread count" in message
+
+    @pytest.mark.parametrize("order, env", [
+        ("concf,numpy", {}),
+        ("numpy,concf", {"OPENBLAS_NUM_THREADS": "1"}),
+        ("numpy,concf", {"OMP_NUM_THREADS": "1"}),
+    ])
+    def test_concf_first_or_one_thread_is_silent(self, order, env):
+        assert self.warnings_seen(order, **env) == []

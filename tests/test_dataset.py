@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import threading
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -22,12 +24,21 @@ from concf import (
     load_interactions,
     sample_negatives,
 )
-from concf import dataset
+from concf import dataset, overlap
 from concf.dataset import DatasetSplit, ParseError, RawInteractions, group_by_user, pair_matrix
 from concf.numerics import grouped_rows
 from concf.seeding import rng_stream
 
-from conftest import fail_mid_write, from_keys, key_pairs, make_raw, random_split
+from conftest import (
+    fail_mid_write,
+    from_keys,
+    key_pairs,
+    make_raw,
+    open_worker_gate,
+    planted_communities,
+    random_split,
+    worker_started,
+)
 
 PARTS = ("train", "valid", "test")
 
@@ -879,3 +890,108 @@ class TestSampleNegatives:
         from scipy.stats import chi2 as chi2_dist
 
         assert chi2 < chi2_dist.ppf(0.999, df=len(candidates) - 1)
+
+
+class TestSamplerWorkerHalves:
+    """With the worker gate open, the worker looks up the second half of the
+    first round's pairs: the same negatives as one thread."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_split(30, 40, 900, seed=7),
+        lambda: build_split(planted_communities(seed=1), seed=0),
+    ])
+    def test_equal_across_the_gate(self, make, monkeypatch):
+        split = make()
+        monkeypatch.setattr(overlap, "_usable_cpus", lambda: 1)
+        closed = [sample_negatives(split, seed) for seed in range(6)]
+        open_worker_gate(monkeypatch)
+        for seed, want in enumerate(closed):
+            got = sample_negatives(split, seed)
+            for name in ("users", "pos_items", "neg_items"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert worker_started()
+
+    def test_planted_size_runs_whole(self, monkeypatch):
+        # 4,934 lookups stay below the gate at every usable CPU count
+        monkeypatch.setattr(overlap, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(overlap, "_WORKERS", {})
+        split = build_split(planted_communities(seed=0), ratios=(0.8, 0.1, 0.1), seed=0)
+        assert len(split.train) * dataset._LOOKUP_WORK < overlap.OVERLAP_MIN_WORK
+        sample_negatives(split, 0)
+        assert not worker_started()
+
+    def test_workers_error_raised_after_the_callers_half(self, open_gate, monkeypatch,
+                                                         small_split):
+        look_up, events = dataset._look_up, []
+
+        def noted(*args):
+            if threading.current_thread().name.startswith("concf-step"):
+                raise RuntimeError("worker's half failed")
+            time.sleep(0.1)
+            look_up(*args)
+            events.append("caller's half done")
+
+        monkeypatch.setattr(dataset, "_look_up", noted)
+        with pytest.raises(RuntimeError, match="worker's half failed"):
+            sample_negatives(small_split, 0)
+        assert events == ["caller's half done"]
+
+
+class TestIsTrainPair:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_a_set_of_the_train_pairs(self, seed):
+        split = random_split(50, 60, 700, seed=seed)
+        rng = np.random.default_rng(seed)
+        # random pairs, then every train pair, shuffled
+        pairs = np.concatenate([
+            np.column_stack([rng.integers(0, 50, 2000), rng.integers(0, 60, 2000)]),
+            split.train,
+        ])[rng.permutation(2000 + len(split.train))]
+        train = {(int(u), int(i)) for u, i in split.train}
+        got = split.is_train_pair(pairs[:, 0], pairs[:, 1])
+        assert got.dtype == bool and got.shape == (len(pairs),)
+        assert got.tolist() == [(int(u), int(i)) in train for u, i in pairs]
+        # a few queries, answered by the kernel's per-row scan
+        assert split.is_train_pair(pairs[:3, 0], pairs[:3, 1]).tolist() == got[:3].tolist()
+
+    def test_empty_query(self, small_split):
+        for dtype in (np.int64, np.int32):
+            got = small_split.is_train_pair(np.zeros(0, dtype), np.zeros(0, dtype))
+            assert got.dtype == bool and got.shape == (0,)
+
+    @pytest.mark.parametrize("user, item", [
+        (-1, 0), (30, 0), (0, -1), (0, 40), (2**32, 0), (0, 2**32 + 5),
+    ])
+    def test_out_of_range_id_named_before_any_lookup(self, small_split, monkeypatch, user, item):
+        # 2**32 + 5 is item 5 once cast to the matrix's int32 indices
+        calls = []
+        monkeypatch.setattr(dataset, "_look_up", lambda *args: calls.append(args))
+        users = np.array([1, 2, user, 3], dtype=np.int64)
+        items = np.array([4, 5, item, -1], dtype=np.int64)
+        with pytest.raises(ValueError, match=re.escape(
+                f"pair ({user}, {item}) out of range for 30 users and 40 items")):
+            small_split.is_train_pair(users, items)
+        assert not calls
+
+    def test_mismatched_shapes_named(self, small_split):
+        with pytest.raises(ValueError, match=r"1-D of one length, got \(2,\) and \(3,\)"):
+            small_split.is_train_pair(np.zeros(2, np.int64), np.zeros(3, np.int64))
+
+
+class TestTrainDegrees:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_bincount_of_train_users(self, seed):
+        split = random_split(40, 30, 500, seed=seed)
+        got = split.train_degrees()
+        assert got.dtype == np.int64
+        assert got.tolist() == np.bincount(split.train[:, 0], minlength=40).tolist()
+
+    def test_user_without_train_rows(self):
+        none = np.zeros((0, 2), dtype=np.int64)
+        split = DatasetSplit(n_users=4, n_items=3, train=np.array([[0, 1], [0, 2], [2, 0]]),
+                             valid=np.array([[1, 0]]), test=none)
+        got = split.train_degrees()
+        assert got.dtype == np.int64 and got.tolist() == [2, 0, 1, 0]
+        empty = DatasetSplit(n_users=2, n_items=3, train=none, valid=none, test=none)
+        assert empty.train_degrees().tolist() == [0, 0]

@@ -2,6 +2,8 @@
 
 import itertools
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import reference_kmeans
-from concf import EmbeddingTable, e_step, prototypes, run_kmeans
+from concf import EmbeddingTable, e_step, overlap, prototypes, run_kmeans
 from concf.model import init_embeddings
 from concf.numerics import l2_normalize_rows
 from concf.prototypes import (
@@ -21,6 +23,7 @@ from concf.prototypes import (
 )
 from concf.seeding import derive_seed
 from concf.trainer import STREAM_INIT, STREAM_KMEANS
+from conftest import open_worker_gate, worker_started
 from reference_kmeans import _pairwise_sqdist
 
 
@@ -528,3 +531,92 @@ class TestKmeansMemory:
         finally:
             tracemalloc.stop()
         assert peak < budget
+
+
+def noting_threads(monkeypatch, name: str) -> list[tuple[str, int]]:
+    """Record the thread and first tile row of each call of ``_Distances.<name>``."""
+    calls, method = [], getattr(_Distances, name)
+
+    def noted(self, tiles, *args):
+        calls.append((threading.current_thread().name, tiles[0][0]))
+        return method(self, tiles, *args)
+
+    monkeypatch.setattr(_Distances, name, noted)
+    return calls
+
+
+class TestWorkerHalves:
+    """With the worker gate open, the worker forms the second half of each
+    pass's distance tiles in its own buffers: the same bytes as one thread."""
+
+    def closed_then_open(self, monkeypatch, fn):
+        monkeypatch.setattr(overlap, "_usable_cpus", lambda: 1)
+        closed = fn()
+        open_worker_gate(monkeypatch)
+        threads = {name: noting_threads(monkeypatch, name) for name in ("_nearest", "_assigned")}
+        opened = fn()
+        assert worker_started()
+        return closed, opened, threads
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_odd_tile_count_equals_closed_gate(self, dtype, monkeypatch):
+        points = unit_rows(np.random.default_rng(1).standard_normal((1700, 32))).astype(dtype)
+        tiles = _Distances(points, 400).tiles
+        assert len(tiles) == 5
+        closed, opened, threads = self.closed_then_open(
+            monkeypatch, lambda: run_kmeans(points, 400, seed=3, max_iters=6))
+        assert_same_clustering(opened, closed)
+        # each pass: tiles 0-1 here, tiles 2-4 on the worker
+        calls = threads["_nearest"]
+        assert len(calls) == 2 * (closed.n_iters + 1)
+        assert {(name[:10], row) for name, row in calls} == {
+            ("MainThread", 0), ("concf-step", tiles[2][0])}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_empty_cluster_repair_equals_closed_gate(self, dtype, monkeypatch):
+        # 40 distinct points in 300 clusters: every pass repairs, so the
+        # distances to the assigned centers split too
+        base = unit_rows(np.random.default_rng(2).standard_normal((40, 16)))
+        points = base[np.arange(1200) % 40].astype(dtype)
+        assert len(_Distances(points, 300).tiles) == 2
+        closed, opened, threads = self.closed_then_open(
+            monkeypatch, lambda: run_kmeans(points, 300, seed=4, max_iters=4))
+        assert_same_clustering(opened, closed)
+        for name in ("_nearest", "_assigned"):
+            assert {thread[:10] for thread, _ in threads[name]} == {"MainThread", "concf-step"}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_e_step_equals_closed_gate(self, dtype, monkeypatch):
+        table = init_embeddings(1500, 900, 32, 5, dtype=dtype)
+        closed, opened, _ = self.closed_then_open(
+            monkeypatch, lambda: e_step(table, (300,), (200,), seed=6, max_iters=5))
+        assert_same_state(opened, closed)
+
+    def test_small_sides_stay_on_the_calling_thread(self, monkeypatch):
+        # one tile (here) or below the gate (the planted job's 200 x 8 x 64):
+        # the pass runs whole, and no worker starts
+        monkeypatch.setattr(overlap, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(overlap, "_WORKERS", {})
+        threads = noting_threads(monkeypatch, "_nearest")
+        rng = np.random.default_rng(0)
+        run_kmeans(unit_rows(rng.standard_normal((200, 64))), 8, seed=0)
+        open_worker_gate(monkeypatch)
+        run_kmeans(unit_rows(rng.standard_normal((300, 8))), 8, seed=0)
+        assert {name for name, _ in threads} == {"MainThread"}
+        assert not worker_started()
+
+    def test_workers_error_raised_after_the_callers_half(self, open_gate, monkeypatch):
+        points = unit_rows(np.random.default_rng(3).standard_normal((1700, 32)))
+        nearest, events = _Distances._nearest, []
+
+        def noted(self, tiles, *args):
+            if tiles[0][0] > 0:
+                raise RuntimeError("worker's half failed")
+            time.sleep(0.1)
+            nearest(self, tiles, *args)
+            events.append("caller's half done")
+
+        monkeypatch.setattr(_Distances, "_nearest", noted)
+        with pytest.raises(RuntimeError, match="worker's half failed"):
+            run_kmeans(points, 400, seed=0)
+        assert events == ["caller's half done"]
