@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dataset
+from . import __version__, dataset, framed
 from .config import TrainConfig, load_config_file
-from .dataset import DatasetSplit, _write_replacing
+from .dataset import DatasetSplit
 from .evaluator import full_rank_eval, sparsity_group_report
 from .graph import build_normalized_adjacency
 from .model import forward, load_checkpoint, save_checkpoint, write_matrix_binary, write_matrix_text
@@ -124,7 +124,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     header = split.save(out)
     # line n holds the key of id n - 1, ended by "\n"; a key may hold "\u2028" and the like
     for name, keys in (("user_keys.txt", raw.user_keys), ("item_keys.txt", raw.item_keys)):
-        _write_replacing(out / name, "".join(f"{key}\n" for key in keys))
+        framed.write_replacing(out / name, "".join(f"{key}\n" for key in keys))
     print(json.dumps(header, sort_keys=True))
     return 0
 
@@ -208,7 +208,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     manifest["best_valid_ndcg10"] = result.best_metric
     manifest["epochs_run"] = len(result.history)
     manifest["stopped_early"] = result.stopped_early
-    _write_replacing(
+    framed.write_replacing(
         out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
     print(
@@ -260,7 +260,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     payload = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
         out.parent.mkdir(parents=True, exist_ok=True)
-        _write_replacing(out, payload)
+        framed.write_replacing(out, payload)
         _print_table(report, ns)
     else:
         sys.stdout.write(payload)

@@ -1,22 +1,17 @@
 """Interaction-log ingestion, k-core filtering, splitting, and negative sampling.
 
-A split is one framed file, split.bin: one JSON header line ``{"counts":
-{"test", "train", "valid"}, "dtype": "int64", "kind": "split", "min_count",
-"n_items", "n_users", "ratios", "seed"}``, then the train, valid and test
-``user_id, item_id`` rows as little-endian int64, and nothing after them.
+A split is one framed file (see ``framed``), split.bin: one JSON header
+line ``{"counts": {"test", "train", "valid"}, "dtype": "int64", "kind":
+"split", "min_count", "n_items", "n_users", "ratios", "seed"}``, then the
+train, valid and test ``user_id, item_id`` rows as little-endian int64.
 ``concf prepare`` also writes user_keys.txt and item_keys.txt, whose line n
 holds the key of id n - 1. Split them on line feeds only: a key may hold
 U+2028, which ``splitlines`` breaks on.
-
-The framed codec (``_write_framed``/``_read_framed``) is shared with the
-checkpoints and binary exports of ``model``.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from . import overlap
+from . import framed, overlap
 from .numerics import grouped_rows
 from .seeding import rng_stream
 
@@ -33,6 +28,7 @@ _PARTS = ("train", "valid", "test")
 # a split header's non-negative integers, and the facts it passes on as the split's meta
 _HEADER_KEYS = ("n_users", "n_items", *(f"counts.{name}" for name in _PARTS))
 _META_KEYS = ("seed", "ratios", "min_count")
+_INT64 = ("int64",)
 _MAX_REJECTION_ROUNDS = 100_000
 # One train-pair lookup (a binary search in the user's train row) costs about
 # as much as this many multiply-adds of a propagation product: 76-78 ns per
@@ -119,6 +115,14 @@ class DatasetSplit:
     eval_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in _PARTS:
+            rows = np.asarray(getattr(self, name))
+            if rows.ndim != 2 or rows.shape[1] != 2:
+                raise ValueError(f"{name} must be (n, 2) pairs, got shape {rows.shape}")
+            n = _first_out_of_range(rows[:, 0], rows[:, 1], self.n_users, self.n_items)
+            if n is not None:
+                raise ValueError(f"{name} row {n}: pair ({rows[n, 0]}, {rows[n, 1]}) out of "
+                                 f"range for {self.n_users} users and {self.n_items} items")
         self.train_matrix = pair_matrix(self.train, self.n_users, self.n_items)
         if self.train_matrix.nnz != len(self.train):
             # the adjacency is built from the CSR, so the rows must not repeat a pair
@@ -149,12 +153,8 @@ class DatasetSplit:
             raise ValueError(
                 f"users and items must be 1-D of one length, got {users.shape} and {items.shape}"
             )
-        if len(users) and (
-            users.min() < 0 or users.max() >= self.n_users
-            or items.min() < 0 or items.max() >= self.n_items
-        ):
-            n = int(np.argmax((users < 0) | (users >= self.n_users)
-                              | (items < 0) | (items >= self.n_items)))
+        n = _first_out_of_range(users, items, self.n_users, self.n_items)
+        if n is not None:
             raise ValueError(f"pair ({users[n]}, {items[n]}) out of range for "
                              f"{self.n_users} users and {self.n_items} items")
         found = np.empty(len(users), dtype=bool)
@@ -162,9 +162,8 @@ class DatasetSplit:
         return found
 
     def save(self, out_dir: str | Path) -> dict:
-        """Write the split to split.bin in ``out_dir`` through a temporary file
-        that replaces it, so a failed save leaves the previous split whole, and
-        return the header."""
+        """Write the split to split.bin in ``out_dir``, replacing it whole, so a
+        failed save leaves the previous split, and return the header."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         header = {
@@ -173,42 +172,31 @@ class DatasetSplit:
             **{key: self.meta.get(key) for key in _META_KEYS},
         }
         parts = (np.asarray(getattr(self, name), dtype=np.int64) for name in _PARTS)
-        _write_framed(out / SPLIT_FILE, header, *parts, dtypes=("int64",))
+        framed.write(out / SPLIT_FILE, header, *parts, dtypes=_INT64)
         return header
 
     @staticmethod
     def read_header(split_dir: str | Path) -> dict:
         """The header line of split.bin in ``split_dir``, checked as ``load``
         checks it; the pairs after it are not read."""
-        path = Path(split_dir) / SPLIT_FILE
-        with open(path, "rb") as fh:
-            return _split_header(path, fh.readline())
+        return framed.read_header(Path(split_dir) / SPLIT_FILE, _HEADER_KEYS, "split", _INT64)
 
     @classmethod
     def load(cls, split_dir: str | Path) -> "DatasetSplit":
         """The split in ``split_dir``, with its header, its payload's length
         and every id checked; every error is a ValueError naming split.bin."""
         path = Path(split_dir) / SPLIT_FILE
-        with open(path, "rb") as fh:
-            header = _split_header(path, fh.readline())
-            payload = fh.read()
-        n_users, n_items = header["n_users"], header["n_items"]
-        counts = [header["counts"][name] for name in _PARTS]
-        _check_length(path, payload, sum(counts) * 16)
-        pairs = np.frombuffer(payload, dtype="<i8").reshape(-1, 2).astype(np.int64)
-        parts = dict(zip(_PARTS, np.split(pairs, np.cumsum(counts)[:2])))
-        for name, rows in parts.items():
-            if not _in_range(rows, n_users, n_items):
-                bad = (rows < 0).any(axis=1) | (rows[:, 0] >= n_users) | (rows[:, 1] >= n_items)
-                k = int(np.argmax(bad))
-                u, i = rows[k]
-                raise ValueError(f"{path}: {name} row {k}: pair ({u}, {i}) out of range "
-                                 f"for {n_users} users and {n_items} items")
+        header, parts = framed.read(path, _HEADER_KEYS, "split", _split_shapes, _INT64)
         meta = {key: header.get(key) for key in _META_KEYS}
         try:
-            return cls(n_users=n_users, n_items=n_items, **parts, meta=meta)
+            return cls(header["n_users"], header["n_items"], *parts, meta=meta)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _split_shapes(header: dict) -> list[tuple[str, tuple[int, int]]]:
+    """The int64 (count, 2) train, valid and test pairs a split header declares."""
+    return [("int64", (header["counts"][name], 2)) for name in _PARTS]
 
 
 def _look_up(matrix: sp.csr_matrix, users: np.ndarray, items: np.ndarray,
@@ -223,82 +211,6 @@ def _look_up(matrix: sp.csr_matrix, users: np.ndarray, items: np.ndarray,
     )
 
 
-def _split_header(path: Path, line: bytes) -> dict:
-    """The split header ``line`` read from ``path``, with its ids' counts,
-    ``kind`` and ``dtype`` checked."""
-    header = parse_header(path, line, _HEADER_KEYS)
-    if header.get("kind") != "split":
-        raise ValueError(f"{path}: not a split file")
-    _payload_dtype(path, header.get("dtype"), ("int64",))
-    return header
-
-
-def _write_replacing(path: str | Path, data: str | bytes) -> None:
-    """Write ``data`` (UTF-8 text or bytes) to a temporary file beside ``path``,
-    then move it onto ``path``; a failed write leaves the previous file and no
-    temporary one."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    mode, encoding = ("w", "utf-8") if isinstance(data, str) else ("wb", None)
-    try:
-        with open(tmp, mode, encoding=encoding) as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-# --- framed binary files: splits, checkpoints and binary exports -------------
-#
-# Layout: one sorted-key JSON header line, whose ``dtype`` names the payload's
-# element type, then row-major little-endian arrays, and nothing after them.
-
-_FLOATS = ("float32", "float64")
-
-
-def _payload_dtype(path: str | Path, name: object, dtypes: tuple[str, ...] = _FLOATS) -> np.dtype:
-    """The little-endian payload dtype for a header's ``dtype`` ``name``, one of ``dtypes``."""
-    if name not in dtypes:
-        allowed = " or ".join(map(repr, dtypes))
-        raise ValueError(f"{path}: field 'dtype' must be {allowed}, got {name!r}")
-    return np.dtype(name).newbyteorder("<")
-
-
-def _check_length(path: str | Path, payload: bytes, nbytes: int) -> None:
-    """Reject a payload that is not exactly ``nbytes`` long, naming ``path``."""
-    if len(payload) < nbytes:
-        raise ValueError(f"{path}: truncated payload ({len(payload)} of {nbytes} bytes)")
-    if len(payload) > nbytes:
-        raise ValueError(f"{path}: {len(payload) - nbytes} trailing bytes after the payload")
-
-
-def _write_framed(
-    path: str | Path, header: dict, *arrays: np.ndarray, dtypes: tuple[str, ...] = _FLOATS
-) -> None:
-    """Write ``header`` as one sorted-key JSON line, then each array's bytes in
-    its own dtype, little-endian; a header ``dtype`` not in ``dtypes`` writes
-    nothing."""
-    _payload_dtype(path, header["dtype"], dtypes)
-    _write_replacing(path, b"".join([
-        json.dumps(header, sort_keys=True).encode("utf-8"),
-        b"\n",
-        *(np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")).tobytes() for a in arrays),
-    ]))
-
-
-def _read_framed(
-    path: str | Path, keys: tuple[str, ...], dtypes: tuple[str, ...] = _FLOATS
-) -> tuple[dict, np.dtype, bytes]:
-    """The header of the framed file ``path``, with each of ``keys`` a
-    non-negative integer, the little-endian dtype it names (one of
-    ``dtypes``), and the payload."""
-    with open(path, "rb") as fh:
-        header = parse_header(path, fh.readline(), keys)
-        payload = fh.read()
-    return header, _payload_dtype(path, header.get("dtype"), dtypes), payload
-
-
 def pair_matrix(pairs: np.ndarray, n_users: int, n_items: int) -> sp.csr_matrix:
     """Boolean n_users x n_items CSR with True at each (user, item) pair;
     duplicate pairs collapse, and column ids ascend within each row.
@@ -309,7 +221,8 @@ def pair_matrix(pairs: np.ndarray, n_users: int, n_items: int) -> sp.csr_matrix:
     canonical flag are those of ``csr_matrix((data, (rows, cols)))`` with
     ``sum_duplicates()``.
     """
-    if not _in_range(pairs, n_users, n_items):  # the counting sorts write where the ids point
+    # the counting sorts write where the ids point
+    if _first_out_of_range(pairs[:, 0], pairs[:, 1], n_users, n_items) is not None:
         raise ValueError(f"pair ids out of range for {n_users} users and {n_items} items")
     by_item = grouped_rows(pairs[:, 1], pairs[:, 0], np.ones(len(pairs), bool), (n_items, n_users))
     m = by_item.T.tocsr()
@@ -326,32 +239,15 @@ def group_by_user(users: np.ndarray, items: np.ndarray, n_users: int) -> list[np
     return [grouped.data[a:b] for a, b in zip(ends[:-1], ends[1:])]
 
 
-def parse_header(path: str | Path, text: str | bytes, keys: tuple[str, ...]) -> dict:
-    """The JSON object ``text`` read from ``path``, with each (dotted) key in
-    ``keys`` checked to be present and a non-negative integer; every error is a
-    ValueError naming ``path``."""
-    try:
-        header = json.loads(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from None
-    for key in keys:
-        value = header
-        for part in key.split("."):
-            if not isinstance(value, dict) or part not in value:
-                raise ValueError(f"{path}: missing field {key!r}")
-            value = value[part]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ValueError(f"{path}: field {key!r} must be a non-negative integer, got {value!r}")
-    return header
-
-
-def _in_range(pairs: np.ndarray, n_users: int, n_items: int) -> bool:
-    """Whether every (user, item) row of the (m, 2) ``pairs`` lies in
-    [0, n_users) x [0, n_items); reduced column by column, several times
-    faster than a reduction over axis 0 of the row-major pairs."""
-    return not len(pairs) or bool(
-        pairs.min() >= 0 and pairs[:, 0].max() < n_users and pairs[:, 1].max() < n_items
-    )
+def _first_out_of_range(users: np.ndarray, items: np.ndarray, n_users: int,
+                        n_items: int) -> int | None:
+    """The index of the first ``(users[n], items[n])`` outside [0, n_users) x
+    [0, n_items), or None; the columns' extremes are checked before any mask
+    is built."""
+    if not len(users) or (users.min() >= 0 and users.max() < n_users
+                          and items.min() >= 0 and items.max() < n_items):
+        return None
+    return int(np.argmax((users < 0) | (users >= n_users) | (items < 0) | (items >= n_items)))
 
 
 def load_interactions(path: str | Path, fmt: str = "tsv") -> RawInteractions:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import _check_length, _read_framed, _write_framed, _write_replacing
+from . import framed
 from .graph import NormalizedAdjacency, propagate
 from .seeding import rng_stream
 
@@ -112,35 +112,33 @@ class Checkpoint:
 def save_checkpoint(
     path: str | Path, table: EmbeddingTable, *, n_layers: int, epoch: int = 0
 ) -> None:
-    header = {
-        "n_users": table.n_users,
-        "n_items": table.n_items,
-        "d": table.d,
-        "L": n_layers,
-        "epoch": epoch,
-        "dtype": str(table.matrix.dtype),
-    }
-    _write_framed(path, header, table.matrix)
+    header = {"n_users": table.n_users, "n_items": table.n_items, "d": table.d,
+              "L": n_layers, "epoch": epoch, "dtype": str(table.matrix.dtype)}
+    framed.write(path, header, table.matrix)
+
+
+def _checkpoint_shapes(header: dict) -> list[tuple[str, tuple[int, int]]]:
+    """The (n_users + n_items, d) table a checkpoint header declares; ``d``
+    and ``L`` must be >= 1."""
+    for key in ("d", "L"):
+        if header[key] < 1:
+            raise ValueError(f"field {key!r} must be >= 1, got {header[key]}")
+    return [(header["dtype"], (header["n_users"] + header["n_items"], header["d"]))]
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint, rejecting a malformed header or a payload that is not
     exactly the table in the header's dtype; every error is a ValueError
     naming ``path``."""
-    header, dtype, payload = _read_framed(path, ("n_users", "n_items", "d", "L", "epoch"))
-    for key in ("d", "L"):
-        if header[key] < 1:
-            raise ValueError(f"{path}: field {key!r} must be >= 1, got {header[key]}")
-    n, d = header["n_users"] + header["n_items"], header["d"]
-    _check_length(path, payload, n * d * dtype.itemsize)
-    matrix = np.frombuffer(payload, dtype=dtype).reshape(n, d).astype(header["dtype"])
+    header, (matrix,) = framed.read(
+        path, ("n_users", "n_items", "d", "L", "epoch"), None, _checkpoint_shapes)
     table = EmbeddingTable(header["n_users"], header["n_items"], matrix)
     return Checkpoint(table=table, n_layers=header["L"], epoch=header["epoch"])
 
 
 def write_matrix_text(path: str | Path, ids: np.ndarray, matrix: np.ndarray) -> None:
     """Plain-text export: one row per id, tab-separated values."""
-    _write_replacing(path, "".join(
+    framed.write_replacing(path, "".join(
         f"{int(row_id)}\t" + "\t".join(repr(float(v)) for v in row) + "\n"
         for row_id, row in zip(ids, matrix)
     ))
@@ -149,24 +147,15 @@ def write_matrix_text(path: str | Path, ids: np.ndarray, matrix: np.ndarray) -> 
 def write_matrix_binary(path: str | Path, ids: np.ndarray, matrix: np.ndarray) -> None:
     """Binary export: JSON header line + little-endian int64 ids + rows in the
     matrix's own dtype (named by the header's ``dtype``)."""
-    header = {
-        "kind": "embedding_export",
-        "rows": int(matrix.shape[0]),
-        "cols": int(matrix.shape[1]),
-        "dtype": str(matrix.dtype),
-    }
-    _write_framed(path, header, np.asarray(ids, dtype=np.int64), matrix)
+    header = {"kind": "embedding_export", "rows": int(matrix.shape[0]),
+              "cols": int(matrix.shape[1]), "dtype": str(matrix.dtype)}
+    framed.write(path, header, np.asarray(ids, dtype=np.int64), matrix)
 
 
 def read_matrix_binary(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a binary export, rejecting a malformed header or a payload that is
-    not exactly the ids and the rows in the header's dtype; every error is a
-    ValueError naming ``path``."""
-    header, dtype, payload = _read_framed(path, ("rows", "cols"))
-    if header.get("kind") != "embedding_export":
-        raise ValueError(f"{path}: not an embedding export")
-    rows, cols = header["rows"], header["cols"]
-    _check_length(path, payload, rows * (8 + cols * dtype.itemsize))
-    ids = np.frombuffer(payload, dtype="<i8", count=rows).astype(np.int64)
-    matrix = np.frombuffer(payload, dtype=dtype, offset=8 * rows).reshape(rows, cols)
-    return ids, matrix.astype(header["dtype"])
+    not exactly the ids and then the rows in the header's dtype; every error
+    is a ValueError naming ``path``."""
+    _, arrays = framed.read(path, ("rows", "cols"), "embedding_export", lambda h: [
+        ("int64", (h["rows"],)), (h["dtype"], (h["rows"], h["cols"]))])
+    return tuple(arrays)

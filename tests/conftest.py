@@ -47,10 +47,10 @@ def random_split(n_users: int, n_items: int, n_pairs: int, seed: int = 0):
 
 
 def fail_mid_write(monkeypatch, name: str, keep: int | None = None) -> None:
-    """Make ``dataset._write_replacing`` fail partway through writing ``name``:
+    """Make ``framed.write_replacing`` fail partway through writing ``name``:
     the temporary file gets the first ``keep`` bytes of the data (default
     half), then the write raises."""
-    from concf import dataset
+    from concf import framed
 
     def half_then_fail(path, *args, **kwargs):
         fh = open(path, *args, **kwargs)
@@ -64,7 +64,7 @@ def fail_mid_write(monkeypatch, name: str, keep: int | None = None) -> None:
             fh.write = failing
         return fh
 
-    monkeypatch.setattr(dataset, "open", half_then_fail, raising=False)
+    monkeypatch.setattr(framed, "open", half_then_fail, raising=False)
 
 
 def open_worker_gate(monkeypatch) -> None:

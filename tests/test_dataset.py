@@ -745,6 +745,29 @@ class TestGroupByUser:
         split = DatasetSplit(n_users=2, n_items=4, train=train[:4], valid=train[4:], test=empty)
         assert split.train_matrix.nnz == 4
 
+    def test_out_of_range_valid_pair_named_when_built(self):
+        train = np.array([[0, 0], [1, 1], [2, 2]])
+        with pytest.raises(ValueError, match=r"^valid row 0: pair \(0, 5\) out of range "
+                           r"for 3 users and 3 items$"):
+            DatasetSplit(n_users=3, n_items=3, train=train, valid=[[0, 5]], test=train[:1])
+
+    @pytest.mark.parametrize("part", PARTS)
+    def test_part_not_pairs_named_when_built(self, part):
+        rows = {name: np.array([[0, 0], [1, 1]]) for name in PARTS}
+        rows[part] = []
+        with pytest.raises(ValueError, match=rf"^{part} must be \(n, 2\) pairs, got shape \(0,\)$"):
+            DatasetSplit(n_users=2, n_items=2, **rows)
+
+    @pytest.mark.parametrize("part", PARTS)
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (3, 0), (0, 4), (-2**63, 0), (0, -2**63)])
+    def test_out_of_range_id_in_any_part_named_when_built(self, part, pair):
+        # 3 users and 4 items; the bad pair is the part's row 1
+        rows = {name: np.array([[0, 0], [1, 1], [2, 3]]) for name in PARTS}
+        rows[part] = np.array([[0, 1], pair, [2, 2]])
+        with pytest.raises(ValueError, match=rf"^{part} row 1: pair \({pair[0]}, {pair[1]}\) "
+                           r"out of range for 3 users and 4 items$"):
+            DatasetSplit(n_users=3, n_items=4, **rows)
+
 
 @st.composite
 def coded_pairs(draw, max_users=8, max_items=8, max_pairs=40):

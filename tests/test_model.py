@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from concf import (
+    DatasetSplit,
     EmbeddingTable,
     build_normalized_adjacency,
     build_split,
@@ -268,15 +269,22 @@ class TestCheckpoint:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_any_truncation_or_extension_named(self, tmp_path, data):
-        # a checkpoint and a binary export share the header-then-payload layout
+        # a checkpoint, a binary export and a split share the header-then-payload layout
         dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
         table = init_embeddings(3, 2, 4, seed=5, dtype=dtype)
-        if data.draw(st.booleans(), label="export"):
+        kind = data.draw(st.sampled_from(["checkpoint", "export", "split"]), label="kind")
+        if kind == "export":
             path, load = tmp_path / "emb.bin", read_matrix_binary
             write_matrix_binary(path, np.arange(table.n_nodes), table.matrix)
-        else:
+        elif kind == "checkpoint":
             path, load = tmp_path / "model.ckpt", load_checkpoint
             save_checkpoint(path, table, n_layers=2, epoch=3)
+        else:
+            path = tmp_path / "split" / "split.bin"
+            random_split(4, 5, 14, seed=5).save(path.parent)
+
+            def load(path):
+                return DatasetSplit.load(path.parent)
         whole = path.read_bytes()
         if data.draw(st.booleans(), label="truncate"):
             bad = whole[: data.draw(st.integers(0, len(whole) - 1), label="keep")]

@@ -10,13 +10,18 @@ tree's, in float32 and in float64, on one planted seed-0 input file:
     concf train --lambda1 1e-6 --lambda2 1e-6 --tau 0.05 --k-users 8 --k-items 8 --seed 0
     concf evaluate --groups 5
 
+    concf export --format binary / --format text (readout)
+
 Each dtype's job runs twice: as is, where the job's small graph keeps the
 worker gate closed, and with the gate forced open by acceptance criterion
 9's child recipe, so the worker's path runs too: in training, and in
-evaluation wherever a revision uses the worker there. It
+evaluation wherever a revision uses the worker there. The open-gate child
+also lowers the K-means tile size where a revision has one, so the E-step's
+200- and 300-point passes form several tiles and run in halves. It
 compares ``history.jsonl`` without ``seconds``, ``model.ckpt``, the
-evaluate output and ``manifest.json`` without ``created_utc`` and
-``split_dir``; a manifest that differs names the fields that do.
+evaluate output, ``manifest.json`` without ``created_utc`` and
+``split_dir``, and each export file byte for byte; a manifest that differs
+names the fields that do.
 
 It also compares the prepared split directories: the job's, and one of a
 second ``prepare`` whose input repeats every seventh record of the planted
@@ -52,15 +57,20 @@ from bench.workloads import planted_communities  # noqa: E402
 # acceptance criterion 9's child: ``concf`` with the worker gate forced open;
 # only ``train`` must start the worker, as a revision's evaluation may not use it.
 # A revision from before ``concf.overlap`` kept the gate in ``concf.objectives``.
+# Tiles of 48 rows split the job's K=8, d=64 E-step passes (200 and 300
+# points) into 4 and 6 tiles, where the default rule makes each one tile.
 WORKER_CHILD = """
 import os, sys
-from concf import cli
+from concf import cli, prototypes
 try:
     from concf import overlap
 except ImportError:
     from concf import objectives as overlap
 overlap.OVERLAP_MIN_WORK = 0
 overlap._usable_cpus = lambda: 2
+for name, value in (("MIN_TILE_WORK", 1), ("TILE_ENTRIES", 48 * 8)):
+    if hasattr(prototypes, name):
+        setattr(prototypes, name, value)
 code = cli.main(sys.argv[1:])
 started = sys.argv[1] != 'train' or os.getpid() in overlap._WORKERS
 sys.exit(code or (0 if started else 'the worker never started'))
@@ -143,7 +153,7 @@ def verdict(ours: dict, theirs: dict, name: str) -> str:
 
 
 def outputs(src: Path, split_dir: Path, work: Path, dtype: str, gate: str) -> dict[str, object]:
-    """The four compared outputs of the job run from ``src`` on the split in
+    """The compared outputs of the job run from ``src`` on the split in
     ``split_dir``, trained and evaluated with the worker ``gate`` "closed"
     or "open"."""
     out_dir = work / "run"
@@ -157,12 +167,18 @@ def outputs(src: Path, split_dir: Path, work: Path, dtype: str, gate: str) -> di
         manifest.pop(key)
     evaluated = concf(src, "evaluate", "--checkpoint", str(out_dir / "model.ckpt"),
                       "--split-dir", str(split_dir), "--groups", "5", gate=gate)
-    return {
+    compared = {
         "history.jsonl": history,
         "model.ckpt": (out_dir / "model.ckpt").read_bytes(),
         "evaluate": evaluated,
         "manifest.json": manifest,
     }
+    for fmt in ("binary", "text"):
+        concf(src, "export", "--checkpoint", str(out_dir / "model.ckpt"), "--split-dir",
+              str(split_dir), "--format", fmt, "--out", str(work / "export" / "emb"), gate=gate)
+    for path in sorted((work / "export").iterdir()):
+        compared[f"export {path.name}"] = path.read_bytes()
+    return compared
 
 
 def main(argv: list[str] | None = None) -> int:
