@@ -95,14 +95,15 @@ class TripleBatch:
         return len(self.users)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetSplit:
     """Contiguous-ID interaction sets partitioned into train/valid/test.
 
-    ``train``/``valid``/``test`` are (m, 2) int64 arrays of (user_id, item_id).
-    ``train_matrix`` holds the train pairs as a boolean user x item CSR (see
-    ``pair_matrix``); a train pair may occur only once. ``eval_plans`` is the
-    evaluator's cache of what ranking each target needs (see ``evaluator``).
+    A split is a value: no field can be assigned, ``train``/``valid``/``test`` are
+    read-only (m, 2) int64 views of the (user_id, item_id) arrays given, and
+    ``dataclasses.replace`` makes another split. ``train_matrix`` is the train
+    pairs' boolean user x item CSR (see ``pair_matrix``): no pair may repeat.
+    ``eval_plans`` caches what ranking each target needs (see ``evaluator``).
     """
 
     n_users: int
@@ -119,11 +120,17 @@ class DatasetSplit:
             rows = np.asarray(getattr(self, name))
             if rows.ndim != 2 or rows.shape[1] != 2:
                 raise ValueError(f"{name} must be (n, 2) pairs, got shape {rows.shape}")
+            if rows.dtype.kind not in "iu":
+                raise ValueError(f"{name} must hold integer ids, got {rows.dtype}")
             n = _first_out_of_range(rows[:, 0], rows[:, 1], self.n_users, self.n_items)
             if n is not None:
                 raise ValueError(f"{name} row {n}: pair ({rows[n, 0]}, {rows[n, 1]}) out of "
                                  f"range for {self.n_users} users and {self.n_items} items")
-        self.train_matrix = pair_matrix(self.train, self.n_users, self.n_items)
+            rows = rows.astype(np.int64, copy=False).view()  # the caller's array stays writable
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
+        matrix = pair_matrix(self.train, self.n_users, self.n_items)
+        object.__setattr__(self, "train_matrix", matrix)
         if self.train_matrix.nnz != len(self.train):
             # the adjacency is built from the CSR, so the rows must not repeat a pair
             keys = self.train[:, 0] * self.n_items + self.train[:, 1]
@@ -146,12 +153,16 @@ class DatasetSplit:
         return np.diff(self.train_matrix.indptr).astype(np.int64)
 
     def is_train_pair(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Whether each ``(users[n], items[n])`` is a train pair; an id out of
-        range raises ValueError naming the first such pair."""
+        """Whether each ``(users[n], items[n])`` is a train pair; ids that are
+        not integers, or an id out of range, raise ValueError."""
         users, items = np.asarray(users), np.asarray(items)
         if users.ndim != 1 or users.shape != items.shape:
             raise ValueError(
                 f"users and items must be 1-D of one length, got {users.shape} and {items.shape}"
+            )
+        if users.dtype.kind not in "iu" or items.dtype.kind not in "iu":
+            raise ValueError(
+                f"users and items must hold integer ids, got {users.dtype} and {items.dtype}"
             )
         n = _first_out_of_range(users, items, self.n_users, self.n_items)
         if n is not None:
@@ -171,8 +182,8 @@ class DatasetSplit:
             "counts": {name: len(getattr(self, name)) for name in _PARTS},
             **{key: self.meta.get(key) for key in _META_KEYS},
         }
-        parts = (np.asarray(getattr(self, name), dtype=np.int64) for name in _PARTS)
-        framed.write(out / SPLIT_FILE, header, *parts, dtypes=_INT64)
+        framed.write(out / SPLIT_FILE, header, *(getattr(self, name) for name in _PARTS),
+                     dtypes=_INT64)
         return header
 
     @staticmethod
@@ -463,14 +474,11 @@ def sample_negatives(split: DatasetSplit, epoch_seed: int) -> TripleBatch:
     Negatives are rejection-sampled from items outside the user's train set,
     which yields the exact uniform distribution over the complement.
     """
-    degrees = split.train_degrees()
-    max_deg = int(degrees.max()) if len(degrees) else 0
-    if max_deg >= split.n_items:
+    if split.n_users and split.train_degrees().max() >= split.n_items:
         raise ValueError(
             f"a user interacted with all {split.n_items} items in train; no negative exists"
         )
-    users = split.train[:, 0].copy()
-    pos = split.train[:, 1].copy()
+    users, pos = split.train.T
     rng = rng_stream(epoch_seed)
     neg = rng.integers(0, split.n_items, size=len(users), dtype=np.int64)
     # every id is in range, so the first round looks up without a check: the

@@ -7,13 +7,11 @@ owns ranks the second half of the chunks while the calling thread ranks the
 first: two chunks' scores are then alive at once. Every chunk writes its own
 users' rows of one array, so the reports are the same bytes either way.
 
-A split caches what ranking needs besides the scores, a ``_Plan`` per
-``(target, user_cap)``, in its ``eval_plans``. A chunk's mask indices are
-built on its first ranking, on the thread that ranks it. A plan is rebuilt
-once ``train_matrix``, the target pairs or, at test, the valid pairs are
-replaced (changing them in place is not supported). It holds 8 bytes per
-masked pair, target pair and evaluated user, plus the valid pairs' mask at
-test: 5.8 MB for the ML-1M shape's valid target, 6.8 MB for its test target.
+A split never changes, so it caches a ``_Plan`` per ``(target, user_cap)``
+in its ``eval_plans``: what ranking needs besides the scores. A chunk's mask
+indices are built on its first ranking, on the thread that ranks it. A plan
+holds 8 bytes per masked pair, target pair and evaluated user, plus the valid
+pairs' mask at test: 5.8 and 6.8 MB at the ML-1M shape's valid and test.
 """
 
 from __future__ import annotations
@@ -122,10 +120,8 @@ def _chunk_entries(matrix, rows: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class _Plan:
-    """What ranking a split's target needs besides the scores, derived from
-    the arrays ``sources``."""
+    """What ranking a split's target needs besides the scores."""
 
-    sources: tuple
     users: np.ndarray
     n_rel: np.ndarray
     # the target pairs as ascending keys user * n_items + item, then one key
@@ -138,25 +134,21 @@ class _Plan:
 
 
 def _plan(split: DatasetSplit, target: str, user_cap: int | None) -> _Plan:
-    """``split``'s plan for ranking ``target`` thinned by ``user_cap``: the
-    cached one while every array it was derived from is the split's own,
-    else a new one, which replaces it."""
-    sources = (split.train_matrix, *((split.test, split.valid) if target == "test"
-                                     else (split.valid,)))
-    plan = split.eval_plans.get((target, user_cap))
-    if plan is not None and all(a is b for a, b in zip(plan.sources, sources)):
-        return plan
-    relevant, *masked = (pair_matrix(p, split.n_users, split.n_items) for p in sources[1:])
-    n_rel = np.diff(relevant.indptr)
-    target_keys = np.append(
-        np.repeat(np.arange(split.n_users), n_rel) * split.n_items + relevant.indices,
-        split.n_users * split.n_items,
-    )
-    users = _select_cap(np.flatnonzero(n_rel), user_cap)
-    plan = _Plan(sources, users, n_rel[users], target_keys, [split.train_matrix, *masked],
-                 [None] * -(-len(users) // _CHUNK))
-    split.eval_plans[(target, user_cap)] = plan
-    return plan
+    """``split``'s plan for ranking ``target`` thinned by ``user_cap``, built once."""
+    key = (target, user_cap)
+    if key not in split.eval_plans:
+        pairs = (split.test, split.valid) if target == "test" else (split.valid,)
+        relevant, *masked = (pair_matrix(p, split.n_users, split.n_items) for p in pairs)
+        n_rel = np.diff(relevant.indptr)
+        target_keys = np.append(
+            np.repeat(np.arange(split.n_users), n_rel) * split.n_items + relevant.indices,
+            split.n_users * split.n_items,
+        )
+        users = _select_cap(np.flatnonzero(n_rel), user_cap)
+        chunks = [None] * -(-len(users) // _CHUNK)
+        split.eval_plans[key] = _Plan(users, n_rel[users], target_keys,
+                                      [split.train_matrix, *masked], chunks)
+    return split.eval_plans[key]
 
 
 def _rank(fp: ForwardPass, plan: _Plan, n_items: int, hits: np.ndarray, begin: int,

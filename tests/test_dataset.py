@@ -1,5 +1,6 @@
 """Ingestion, k-core filtering, splitting, and negative sampling."""
 
+import dataclasses
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import reference_ingest
 
 from concf import (
+    build_normalized_adjacency,
     build_split,
     k_core_filter,
     load_interactions,
@@ -767,6 +769,104 @@ class TestGroupByUser:
         with pytest.raises(ValueError, match=rf"^{part} row 1: pair \({pair[0]}, {pair[1]}\) "
                            r"out of range for 3 users and 4 items$"):
             DatasetSplit(n_users=3, n_items=4, **rows)
+
+
+
+class TestSplitIsAValue:
+    """A split never changes once built: nothing derived from it can go stale."""
+
+    @staticmethod
+    def two_by_five(**parts):
+        """2 users x 5 items: train (0, 0), (0, 1), (1, 2), (1, 3), valid
+        (0, 4), test (1, 4), then ``parts``."""
+        rows = {"train": np.array([[0, 0], [0, 1], [1, 2], [1, 3]]),
+                "valid": np.array([[0, 4]]), "test": np.array([[1, 4]]), **parts}
+        return DatasetSplit(n_users=2, n_items=5, **rows)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(DatasetSplit)])
+    def test_assigning_any_field_raises(self, name):
+        split = self.two_by_five()
+        before = getattr(split, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(split, name, None)
+        assert getattr(split, name) is before
+
+    @pytest.mark.parametrize("part", PARTS)
+    def test_writing_into_a_part_raises_and_the_callers_array_stays_writable(self, part):
+        given = {name: np.array([[0, 0], [1, 1]], dtype=np.int64) for name in PARTS}
+        given["train"] = np.array([[0, 0], [1, 1], [0, 2]], dtype=np.int64)
+        split = DatasetSplit(n_users=2, n_items=3, **given)
+        rows = getattr(split, part)
+        assert rows.dtype == np.int64 and np.shares_memory(rows, given[part])  # a view, no copy
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 1] = 2
+        with pytest.raises(ValueError, match="read-only"):
+            rows.T[1] = 0  # the columns the sampler hands out
+        given[part][0, 1] = 1
+        assert given[part].flags.writeable and rows[0, 1] == 1
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint32, np.uint64])
+    def test_any_integer_width_becomes_int64(self, dtype):
+        given = {name: np.array(rows, dtype=dtype) for name, rows in
+                 (("train", [[0, 0], [1, 2], [1, 4]]), ("valid", [[0, 4]]), ("test", [[1, 3]]))}
+        split = DatasetSplit(n_users=2, n_items=5, **given)
+        for name in PARTS:
+            rows = getattr(split, name)
+            assert rows.dtype == np.int64 and not rows.flags.writeable
+            assert rows.tolist() == given[name].tolist()
+        assert split.is_train_pair(np.array([1], dtype), np.array([4], dtype)).tolist() == [True]
+
+    @pytest.mark.parametrize("part", PARTS)
+    @pytest.mark.parametrize("rows, dtype", [
+        ([[0.0, 1.7], [1.0, 2.2]], "float64"),
+        (np.array([[0, 1], [1, 2]], dtype=np.float32), "float32"),
+        (np.array([[False, True], [True, False]]), "bool"),
+    ])
+    def test_part_without_integer_ids_named_when_built(self, part, rows, dtype):
+        with pytest.raises(ValueError, match=rf"^{part} must hold integer ids, got {dtype}$"):
+            self.two_by_five(**{part: rows})
+
+    @pytest.mark.parametrize("users, items, dtypes", [
+        ([0.9], [1.2], "float64 and float64"),
+        (np.array([0], np.int64), np.array([99.5]), "int64 and float64"),
+        (np.array([True]), np.array([1]), "bool and int64"),
+    ])
+    def test_is_train_pair_rejects_non_integer_ids_before_the_range_check(
+            self, monkeypatch, users, items, dtypes):
+        # (0, 1) is a train pair: a cast would find it
+        split = self.two_by_five()
+        calls = []
+        monkeypatch.setattr(dataset, "_look_up", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"^users and items must hold integer ids, got {dtypes}$"):
+            split.is_train_pair(users, items)
+        assert not calls
+
+    def test_replace_derives_everything_from_the_new_parts(self):
+        split = self.two_by_five()
+        other = np.array([[0, 2], [0, 3], [1, 0], [1, 1]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            split.train = other
+        new = dataclasses.replace(split, train=other)
+        assert new.eval_plans == {} and new.eval_plans is not split.eval_plans
+        np.testing.assert_array_equal(new.train, other)
+        assert not new.train.flags.writeable
+        pairs = {(0, 2), (0, 3), (1, 0), (1, 1)}
+        users, items = np.divmod(np.arange(10), 5)
+        assert new.is_train_pair(users, items).tolist() == [
+            (int(u), int(i)) in pairs for u, i in zip(users, items)]
+        assert new.train_degrees().tolist() == [2, 2]
+        adj = build_normalized_adjacency(new).matrix
+        # user 0's row links items 2 and 3 (nodes 4 and 5), user 1's items 0 and 1
+        assert adj.indices[adj.indptr[0]:adj.indptr[2]].tolist() == [4, 5, 2, 3]
+        for seed in range(200):
+            triples = sample_negatives(new, epoch_seed=seed)
+            np.testing.assert_array_equal(triples.users, other[:, 0])
+            np.testing.assert_array_equal(triples.pos_items, other[:, 1])
+            assert not pairs & set(zip(triples.users.tolist(), triples.neg_items.tolist()))
+        # the split it was made from still answers for its own train
+        assert split.is_train_pair(np.array([0]), np.array([0])).tolist() == [True]
+        with pytest.raises(ValueError, match=r"^train row 0: pair \(0, 9\) out of range"):
+            dataclasses.replace(split, train=[[0, 9]])
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Metric primitives against brute-force references; full-ranking protocol."""
 
+import dataclasses
 import threading
 import time
 import tracemalloc
@@ -538,8 +539,8 @@ def plan_reports(fp, split) -> list[dict]:
 
 
 class TestEvalPlan:
-    """Each split keeps what ranking a target needs and rebuilds it when an
-    array it was derived from is replaced."""
+    """Each split keeps what ranking a target needs; a split made from it
+    with ``dataclasses.replace`` builds its own."""
 
     @pytest.mark.parametrize("gate_open", [False, True])
     def test_repeated_evaluations_equal_the_first_and_a_fresh_split(
@@ -569,8 +570,10 @@ class TestEvalPlan:
         before = plan_reports(fp, split)
         # the other target's pairs: still disjoint from train
         other = split.test if part == "valid" else split.valid
-        setattr(split, part, other)
-        after = plan_reports(fp, split)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(split, part, other)
+        assert plan_reports(fp, split) == before
+        after = plan_reports(fp, dataclasses.replace(split, **{part: other}))
         assert after == plan_reports(fp, fresh(split, **{part: other}))
         assert after != before
 

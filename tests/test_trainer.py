@@ -2,7 +2,7 @@
 
 import re
 import threading
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -269,16 +269,15 @@ class TestTrain:
             raise AssertionError("the E-step ran")
 
         monkeypatch.setattr(concf.trainer, "e_step", no_e_step)
-        split = random_split(10, 12, 80, seed=0)
-        setattr(split, empty, np.empty((0, 2), dtype=np.int64))
+        split = replace(random_split(10, 12, 80, seed=0),
+                        **{empty: np.empty((0, 2), dtype=np.int64)})
         eval_fn = (lambda table, epoch: {}) if custom_eval else None
         with pytest.raises(ValueError, match=f"^{empty} split is empty$"):
             train(quick_config(), split, out_dir=tmp_path, eval_fn=eval_fn)
         assert not list(tmp_path.iterdir())
 
     def test_custom_evaluation_needs_no_valid_split(self):
-        split = random_split(10, 12, 80, seed=0)
-        split.valid = np.empty((0, 2), dtype=np.int64)
+        split = replace(random_split(10, 12, 80, seed=0), valid=np.empty((0, 2), dtype=np.int64))
         result = train(quick_config(max_epochs=1), split, eval_fn=lambda table, epoch: {})
         assert len(result.history) == 1
 

@@ -5,11 +5,12 @@ Usage: python tools/bench_ab.py REV --label L [--pairs N] [--change REV2]
 Exports REV's tree with ``git archive``, and copies the working tree (its
 tracked and untracked, not ignored files) or exports ``--change REV2``, into
 sibling temporary directories, so neither side runs from the checkout. Each
-tree's own ``bench/run.py --seconds 3 --trace 0`` then runs on every
-workload of ``BENCHMARK.json`` in N (default 10) alternated pairs, pair n on
-seed n, the parent first in odd pairs and the change first in even ones. Each
-run's last JSON line is parsed; a run without one, or with ``correct:
-false``, stops the comparison with exit 1 and writes nothing.
+tree's own ``bench/run.py --seconds S --trace 0``, S being ``BENCHMARK.json``'s
+``run_seconds``, then runs on every workload of ``BENCHMARK.json`` in N
+(default 10) alternated pairs, pair n on seed n, the parent first in odd
+pairs and the change first in even ones. Each run's last JSON line is
+parsed; a run without one, or with ``correct: false``, stops the comparison
+with exit 1 and writes nothing.
 
 It writes ``BENCH_<L>.json`` at the repo root: both sides' commits and
 source digests, the machine line of the first run, and per workload and
@@ -35,7 +36,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SECONDS = "3"
 
 
 def git(*args: str) -> str:
@@ -46,7 +46,7 @@ def git(*args: str) -> str:
 
 
 def export(rev: str, dest: Path) -> None:
-    """Write the tree of ``rev`` into ``dest``."""
+    """Write the tree of ``rev`` into ``dest`` (``same_trajectory`` uses it too)."""
     res = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True)
     if res.returncode != 0:
         raise SystemExit(f"git archive {rev}: {res.stderr.decode().strip()}")
@@ -63,12 +63,12 @@ def copy_working_tree(dest: Path) -> None:
             shutil.copy2(path, dest / name)
 
 
-def run(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
+def run(tree: Path, workload: str, seed: int, seconds: str) -> tuple[dict, dict]:
     """One ``bench/run.py`` run in ``tree``: its result and its machine line."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     res = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", SECONDS, "--trace", "0"],
+         "--seconds", seconds, "--trace", "0"],
         capture_output=True, text=True, cwd=tree, env=env,
     )
     lines = res.stdout.splitlines()
@@ -115,13 +115,14 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = str(spec["run_seconds"])
     sides = {
         "parent": {"rev": args.rev, "commit": git("rev-parse", args.rev)},
         "change": ({"rev": args.change, "commit": git("rev-parse", args.change)} if args.change
                    else {"rev": "working tree", "commit": git("rev-parse", "HEAD"),
                          "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}),
     }
-    out: dict = {"label": args.label, "command": f"bench/run.py --seconds {SECONDS} --trace 0",
+    out: dict = {"label": args.label, "command": f"bench/run.py --seconds {seconds} --trace 0",
                  **sides, "pairs": args.pairs, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
@@ -135,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
             for n in range(args.pairs):
                 order = ("parent", "change") if n % 2 == 0 else ("change", "parent")
                 for side in order:
-                    result, machine = run(trees[side], workload, n + 1)
+                    result, machine = run(trees[side], workload, n + 1, seconds)
                     results[side].append(result["metrics"])
                     sides[side]["source_sha256"] = machine.pop("source_sha256")
                     machine.pop("git_commit")

@@ -40,12 +40,10 @@ exits 1 on any difference. It needs git and no network.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -53,6 +51,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))
 
 from bench.workloads import planted_communities  # noqa: E402
+from bench_ab import export  # noqa: E402  (beside this file)
 
 # acceptance criterion 9's child: ``concf`` with the worker gate forced open;
 # only ``train`` must start the worker, as a revision's evaluation may not use it.
@@ -93,15 +92,6 @@ PREPARES = (("planted", "0"), ("repeats", "15"))
 
 TRAIN_FLAGS = ["--lambda1", "1e-6", "--lambda2", "1e-6", "--tau", "0.05",
                "--k-users", "8", "--k-items", "8", "--seed", "0"]
-
-
-def export(rev: str, dest: Path) -> None:
-    """Write the tree of ``rev`` into ``dest``."""
-    res = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True)
-    if res.returncode != 0:
-        raise SystemExit(f"git archive {rev}: {res.stderr.decode().strip()}")
-    with tarfile.open(fileobj=io.BytesIO(res.stdout)) as archive:
-        archive.extractall(dest, filter="data")
 
 
 def python(src: Path, launch: list[str], what: str, *args: str) -> str:
