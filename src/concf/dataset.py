@@ -11,6 +11,7 @@ U+2028, which ``splitlines`` breaks on.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -100,7 +101,8 @@ class DatasetSplit:
     """Contiguous-ID interaction sets partitioned into train/valid/test.
 
     A split is a value: no field can be assigned, ``train``/``valid``/``test`` are
-    read-only (m, 2) int64 views of the (user_id, item_id) arrays given, and
+    read-only (m, 2) int64 (user_id, item_id) arrays, copied from those given
+    unless no write can reach them (``_frozen``), ``meta`` is a copy, and
     ``dataclasses.replace`` makes another split. ``train_matrix`` is the train
     pairs' boolean user x item CSR (see ``pair_matrix``): no pair may repeat.
     ``eval_plans`` caches what ranking each target needs (see ``evaluator``).
@@ -126,9 +128,10 @@ class DatasetSplit:
             if n is not None:
                 raise ValueError(f"{name} row {n}: pair ({rows[n, 0]}, {rows[n, 1]}) out of "
                                  f"range for {self.n_users} users and {self.n_items} items")
-            rows = rows.astype(np.int64, copy=False).view()  # the caller's array stays writable
+            rows = rows.astype(np.int64, copy=not _frozen(rows))
             rows.flags.writeable = False
             object.__setattr__(self, name, rows)
+        object.__setattr__(self, "meta", copy.deepcopy(self.meta))
         matrix = pair_matrix(self.train, self.n_users, self.n_items)
         object.__setattr__(self, "train_matrix", matrix)
         if self.train_matrix.nnz != len(self.train):
@@ -198,11 +201,23 @@ class DatasetSplit:
         and every id checked; every error is a ValueError naming split.bin."""
         path = Path(split_dir) / SPLIT_FILE
         header, parts = framed.read(path, _HEADER_KEYS, "split", _split_shapes, _INT64)
+        for rows in parts:
+            rows.flags.writeable = False  # so the split keeps them uncopied
         meta = {key: header.get(key) for key in _META_KEYS}
         try:
             return cls(header["n_users"], header["n_items"], *parts, meta=meta)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _frozen(rows: np.ndarray) -> bool:
+    """Whether no write can reach ``rows``: it and every array it views are
+    read-only, down to memory that an array owns or to ``bytes``."""
+    while isinstance(rows, np.ndarray):
+        if rows.flags.writeable:
+            return False
+        rows = rows.base
+    return rows is None or isinstance(rows, bytes)
 
 
 def _split_shapes(header: dict) -> list[tuple[str, tuple[int, int]]]:
@@ -457,6 +472,7 @@ def build_split(
     order = np.argsort(part, kind="stable")
     users = np.repeat(np.arange(n_users, dtype=np.int64), counts)
     pairs = np.column_stack([users[order], shuffled[order]])
+    pairs.flags.writeable = False  # so the split keeps its parts uncopied
     train, valid, test = np.split(pairs, np.cumsum(sizes.reshape(n_users, 3).sum(axis=0))[:2])
     return DatasetSplit(
         n_users=n_users,
@@ -484,13 +500,10 @@ def sample_negatives(split: DatasetSplit, epoch_seed: int) -> TripleBatch:
     # every id is in range, so the first round looks up without a check: the
     # second half of the rows on the worker when the gate opens
     matrix, found = split.train_matrix, np.empty(len(users), dtype=bool)
-    start = overlap.start_for(len(users) * _LOOKUP_WORK)
-    if start is None:
-        _look_up(matrix, users, neg, found)
-    else:
-        mid = len(users) // 2
-        job = start(_look_up, matrix, users[mid:], neg[mid:], found[mid:])
-        overlap.in_halves(job, _look_up, (matrix, users[:mid], neg[:mid], found[:mid]))
+    mid = len(users) // 2
+    overlap.in_halves(overlap.start_for(len(users) * _LOOKUP_WORK), _look_up,
+                      (matrix, users[:mid], neg[:mid], found[:mid]) if mid else None,
+                      (matrix, users[mid:], neg[mid:], found[mid:]))
     bad = np.flatnonzero(found)
     rounds = 0
     while bad.size:

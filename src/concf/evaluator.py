@@ -201,8 +201,8 @@ def _user_metrics(
     # the other half runs on the worker, or after it here, in the same chunks
     mid = -(-len(users) // _CHUNK) // 2 * _CHUNK
     work = len(users) * split.n_items * fp.readout.shape[1]
-    start = (overlap.start_for(work) if mid else None) or overlap.Deferred
-    overlap.in_halves(start(_rank, *ranked, mid, len(users)), _rank, (*ranked, 0, mid))
+    overlap.in_halves(overlap.start_for(work) if mid else None, _rank,
+                      (*ranked, 0, mid) if mid else None, (*ranked, mid, len(users)))
     values = {}
     for n in ns:
         top = hits[:, :n]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,28 +19,13 @@ class NormalizedAdjacency:
     Node ordering is users [0, n_users) followed by items
     [n_users, n_users + n_items). Column indices are ascending within each
     row, which fixes the per-row summation order. ``indptr``, ``indices``
-    and ``weights`` are ``matrix``'s own arrays. ``user_rows`` and
-    ``item_rows`` are the matrix's user and item rows as CSR matrices whose
-    entries are views of ``matrix``'s; the graph is bipartite, so each holds
-    one entry per train pair, and only the item half's shifted ``indptr``
-    is new.
+    and ``weights`` are ``matrix``'s own arrays. The graph is bipartite, so
+    the user rows and the item rows each hold one entry per train pair.
     """
 
     n_users: int
     n_items: int
     matrix: sp.csr_matrix
-    user_rows: sp.csr_matrix = field(init=False, repr=False)
-    item_rows: sp.csr_matrix = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        m, n = self.matrix, self.n_users
-        cut = int(m.indptr[n])
-        self.user_rows = sp.csr_matrix(
-            (m.data[:cut], m.indices[:cut], m.indptr[: n + 1]), shape=(n, self.n_nodes)
-        )
-        self.item_rows = sp.csr_matrix(
-            (m.data[cut:], m.indices[cut:], m.indptr[n:] - cut), shape=(self.n_items, self.n_nodes)
-        )
 
     @property
     def n_nodes(self) -> int:
@@ -101,12 +86,15 @@ def build_normalized_adjacency(
     return NormalizedAdjacency(n_users=n_users, n_items=n_items, matrix=matrix)
 
 
-def _add_product(rows: sp.csr_matrix, z: np.ndarray, out: np.ndarray) -> None:
-    """Add ``rows @ z`` into the C-contiguous ``out`` with the CSR kernel
-    ``matrix @ z`` runs, which releases the GIL and sums each row on its own."""
+def _add_product(m: sp.csr_matrix, start_row: int, stop_row: int, z: np.ndarray,
+                 out: np.ndarray) -> None:
+    """Add rows ``start_row:stop_row`` of ``m @ z`` into those rows of the
+    C-contiguous ``out`` with the CSR kernel ``m @ z`` runs, which releases
+    the GIL and sums each row on its own. The kernel reads the rows' slice
+    of ``m.indptr`` as offsets into the whole ``indices`` and ``data``."""
     _sparsetools.csr_matvecs(
-        rows.shape[0], rows.shape[1], z.shape[1], rows.indptr, rows.indices, rows.data,
-        z.ravel(), out.ravel(),
+        stop_row - start_row, m.shape[1], z.shape[1], m.indptr[start_row:stop_row + 1],
+        m.indices, m.data, z.ravel(), out[start_row:stop_row].ravel(),
     )
 
 
@@ -118,9 +106,11 @@ def propagate(adj: NormalizedAdjacency, z_prev: np.ndarray) -> np.ndarray:
     out in the wider one.
 
     When its ``adj.nnz * d`` multiply-adds open ``overlap``'s gate, the
-    product runs in two halves that write into one output: the item rows on
-    the worker, the user rows on the calling thread. Each output row is
-    summed as the whole product sums it, so the bytes are the same.
+    product runs in two halves of the one matrix's rows that write into one
+    output: the item rows on the worker, the user rows on the calling
+    thread. Each output row is summed as the whole product sums it, so the
+    bytes are the same. Below the gate it is the whole ``adj.matrix @ z``,
+    as two serial halves were slower.
     """
     z_prev = np.asarray(z_prev)
     if z_prev.shape[0] != adj.n_nodes:
@@ -136,7 +126,6 @@ def propagate(adj: NormalizedAdjacency, z_prev: np.ndarray) -> np.ndarray:
         return adj.matrix @ z_prev
     z = np.ascontiguousarray(z_prev)
     out = np.zeros_like(z)
-    n = adj.n_users
-    job = start(_add_product, adj.item_rows, z, out[n:])
-    overlap.in_halves(job, _add_product, (adj.user_rows, z, out[:n]))
+    m, n = adj.matrix, adj.n_users
+    overlap.in_halves(start, _add_product, (m, 0, n, z, out), (m, n, adj.n_nodes, z, out))
     return out

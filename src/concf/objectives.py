@@ -29,12 +29,11 @@ serial product does, each job is the serial step's computation on the same
 full-size operands, in arrays allocated on the thread that runs it, and the
 calling thread adds each job's result into the cotangents in the serial
 order, so the step's losses and gradient do not depend on whether the
-worker ran.
+worker ran. A failed step leaves no job queued or running (``overlap.settle``).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -345,9 +344,7 @@ def total_loss_and_gradient(
             grad = propagate(adj, grad)
             grad += cot_layers[l]
     finally:
-        # a failed step leaves nothing queued or running: drop what has not
-        # started, newest first, and wait for what has
-        wait([job for job in (first_product, proto_job) if job is not None and not job.cancel()])
+        overlap.settle(proto_job, first_product)
 
     total = bpr + config.lambda1 * structure + config.lambda2 * prototype + config.lambda3 * reg
     return LossBreakdown(bpr, structure, prototype, reg, total), grad

@@ -6,8 +6,12 @@ multiply-adds), the process may run on at least two CPUs, and the caller is
 not the worker itself: code that runs on the worker always runs whole, so no
 job there waits on its own thread. ``start_for`` makes that decision and
 returns a ``start(fn, *args)`` whose result is a future, or None to run on
-the calling thread. ``in_halves`` runs one half of some work on the
-calling thread beside the other half's job.
+the calling thread. ``in_halves`` runs one half of some work on the calling
+thread and the other where such a ``start`` puts it.
+
+One rule covers failure: when a half or a step fails, ``settle`` cancels
+each of its jobs that has not started and waits for each that is running,
+and then the first error is raised, so nothing is left queued or running.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import contextlib
 import functools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -40,20 +44,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         return os.cpu_count() or 1
-
-
-def _worker(work: int) -> ThreadPoolExecutor | None:
-    """The worker that ``work`` multiply-adds hand jobs to, or None to run them inline."""
-    if work < OVERLAP_MIN_WORK or _usable_cpus() < 2 or getattr(_ON_WORKER, "active", False):
-        return None
-    pid = os.getpid()
-    worker = _WORKERS.get(pid)
-    if worker is None:
-        # a pool starts its thread at the first submit, so losing this race starts none
-        worker = _WORKERS.setdefault(
-            pid, ThreadPoolExecutor(max_workers=1, thread_name_prefix="concf-step")
-        )
-    return worker
 
 
 class Deferred:
@@ -107,22 +97,33 @@ def start_for(work: int):
     returns its future, for ``work`` multiply-adds; None when they run on the
     calling thread: below ``OVERLAP_MIN_WORK``, with one usable CPU, or when
     the calling thread is the worker."""
-    worker = _worker(work)
-    return None if worker is None else functools.partial(_start, worker)
+    if work < OVERLAP_MIN_WORK or _usable_cpus() < 2 or getattr(_ON_WORKER, "active", False):
+        return None
+    pid = os.getpid()
+    # a pool starts its thread at the first submit, so losing this race starts none
+    worker = _WORKERS.get(pid) or _WORKERS.setdefault(
+        pid, ThreadPoolExecutor(max_workers=1, thread_name_prefix="concf-step"))
+    return functools.partial(_start, worker)
 
 
-def in_halves(job, fn, here: tuple) -> None:
-    """Run ``fn(*here)`` on the calling thread while ``job``, the other half
-    of the work, runs where a ``start`` put it, and return once both have
-    ended.
+def settle(*jobs) -> None:
+    """Cancel each of ``jobs``, given in the order they started (None is
+    skipped), that has not started, the newest first, and wait for each
+    that has, leaving their errors unread."""
+    wait([job for job in reversed(jobs) if job is not None and not job.cancel()])
 
-    Whichever half fails, the other has ended before the error is raised;
-    when both fail, the calling thread's error is raised.
-    """
+
+def in_halves(start, fn, here: tuple | None, there: tuple) -> None:
+    """Run ``fn(*here)`` on the calling thread and ``fn(*there)`` where
+    ``start`` (from ``start_for``) puts it, or after ``here`` when it is
+    None, and return once both have ended. A ``here`` of None, a half with
+    no rows or tiles, makes no call. A failed ``here`` settles ``there``
+    before its error is raised; otherwise ``there``'s error is raised."""
+    job = (start or Deferred)(fn, *there)
     try:
-        fn(*here)
+        if here is not None:
+            fn(*here)
     except BaseException:
-        with contextlib.suppress(Exception):
-            job.result()
+        settle(job)
         raise
     job.result()

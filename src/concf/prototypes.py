@@ -63,11 +63,11 @@ class _Distances:
 
     The points' squared norms and ``2.0 * points`` are computed once. Each
     row tile is ``(|x|^2 + |c|^2) - (2x) @ c.T``, formed in two reused tile
-    x k buffers, so no n x k array is ever allocated. When the ``n * k * d``
-    multiply-adds of a pass open ``overlap``'s gate and there are two tiles
-    or more, the worker runs the second half of the tiles in its own pair of
-    buffers beside the first half here: the same tiles and products, so the
-    same bytes.
+    x k buffers, so no n x k array is ever allocated. With two tiles or
+    more, the second half of the tiles is formed in a second pair of
+    buffers: on the worker, beside the first half here, when the pass's
+    ``n * k * d`` multiply-adds open ``overlap``'s gate, else after it. The
+    same tiles and products either way, so the same bytes.
     """
 
     def __init__(self, points: np.ndarray, k: int) -> None:
@@ -80,11 +80,11 @@ class _Distances:
         self.tiles = list(zip(bounds[:-1], bounds[1:]))
         self.start = overlap.start_for(n * k * d) if count > 1 else None
         longest = max(stop - start for start, stop in self.tiles)
-        # (sums, products) for the calling thread, then for the worker
+        # (sums, products) for the first half of the tiles, then for the second
         self.buffers = [
             (np.empty((longest, k), dtype=self.sq_norms.dtype),
              np.empty((longest, k), dtype=self.sq_norms.dtype))
-            for _ in range(1 if self.start is None else 2)
+            for _ in range(min(count, 2))
         ]
         self.rows = np.arange(longest)
 
@@ -102,13 +102,11 @@ class _Distances:
             yield start, stop, d2
 
     def _over_tiles(self, fn, *args) -> None:
-        """``fn(tiles, buffers, *args)`` over every tile: in halves when the gate opened."""
-        if self.start is None:
-            fn(self.tiles, self.buffers[0], *args)
-            return
+        """``fn(tiles, buffers, *args)`` over each half of the tiles, the
+        second on the worker when the gate opened."""
         mid = len(self.tiles) // 2
-        job = self.start(fn, self.tiles[mid:], self.buffers[1], *args)
-        overlap.in_halves(job, fn, (self.tiles[:mid], self.buffers[0], *args))
+        here = (self.tiles[:mid], self.buffers[0], *args) if mid else None
+        overlap.in_halves(self.start, fn, here, (self.tiles[mid:], self.buffers[-1], *args))
 
     def nearest(self, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each point's nearest center (the first on a tie) and its distance."""

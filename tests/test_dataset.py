@@ -797,13 +797,14 @@ class TestSplitIsAValue:
         given["train"] = np.array([[0, 0], [1, 1], [0, 2]], dtype=np.int64)
         split = DatasetSplit(n_users=2, n_items=3, **given)
         rows = getattr(split, part)
-        assert rows.dtype == np.int64 and np.shares_memory(rows, given[part])  # a view, no copy
+        # a copy: a write through the caller's array cannot reach the split
+        assert rows.dtype == np.int64 and not np.shares_memory(rows, given[part])
         with pytest.raises(ValueError, match="read-only"):
             rows[0, 1] = 2
         with pytest.raises(ValueError, match="read-only"):
             rows.T[1] = 0  # the columns the sampler hands out
         given[part][0, 1] = 1
-        assert given[part].flags.writeable and rows[0, 1] == 1
+        assert given[part].flags.writeable and rows[0, 1] == 0
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint32, np.uint64])
     def test_any_integer_width_becomes_int64(self, dtype):
@@ -867,6 +868,54 @@ class TestSplitIsAValue:
         assert split.is_train_pair(np.array([0]), np.array([0])).tolist() == [True]
         with pytest.raises(ValueError, match=r"^train row 0: pair \(0, 9\) out of range"):
             dataclasses.replace(split, train=[[0, 9]])
+
+    @pytest.mark.parametrize("views", [0, 1, 2])
+    def test_a_write_through_the_callers_array_cannot_reach_the_split(self, views):
+        # the writable array itself, or read-only views of views of it
+        t = np.array([[0, 0], [1, 2]], dtype=np.int64)
+        given = t
+        for _ in range(views):
+            given = given.view()
+            given.flags.writeable = False
+        split = DatasetSplit(n_users=2, n_items=3, train=given, valid=t[:0], test=t[:0])
+        t[0] = [0, 1]
+        assert split.train.tolist() == [[0, 0], [1, 2]]
+        assert split.is_train_pair(np.array([0, 0]), np.array([0, 1])).tolist() == [True, False]
+
+    def test_parts_no_write_can_reach_are_kept_uncopied(self, tmp_path, monkeypatch):
+        owned = np.array([[0, 0], [1, 2]], dtype=np.int64)
+        owned.flags.writeable = False
+        from_bytes = np.frombuffer(np.array([[1, 1]], dtype=np.int64).tobytes(), np.int64)
+        given = {"train": owned, "valid": from_bytes.reshape(1, 2), "test": owned[1:]}
+        split = DatasetSplit(n_users=2, n_items=3, **given)
+        assert all(getattr(split, name) is rows for name, rows in given.items())
+        # build_split hands over views of one read-only array, and load the arrays it read
+        built = build_split(make_raw(6, 8, 40), seed=0)
+        assert built.train.base is built.valid.base is built.test.base is not None
+        built.save(tmp_path)
+        read, real = [], dataset.framed.read
+
+        def noted(*args):
+            header, parts = real(*args)
+            read.extend(parts)
+            return header, parts
+
+        monkeypatch.setattr(dataset.framed, "read", noted)
+        loaded = DatasetSplit.load(tmp_path)
+        assert len(read) == 3
+        assert all(a is b for a, b in zip((loaded.train, loaded.valid, loaded.test), read))
+
+    def test_meta_is_the_splits_own(self):
+        given = {"seed": 3, "ratios": [0.8, 0.1, 0.1]}
+        split = self.two_by_five(meta=given)
+        given["ratios"][0] = 0.5
+        given["min_count"] = 2
+        assert split.meta == {"seed": 3, "ratios": [0.8, 0.1, 0.1]}
+        other = dataclasses.replace(split)
+        other.meta["min_count"] = 5
+        other.meta["ratios"].append(0.0)
+        assert other.meta is not split.meta
+        assert split.meta == {"seed": 3, "ratios": [0.8, 0.1, 0.1]}
 
 
 @st.composite

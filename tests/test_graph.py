@@ -266,15 +266,20 @@ def on_the_worker(fn, *args):
 class TestRowHalves:
     @pytest.mark.parametrize("which", ["small_split", "empty_ends_split"])
     def test_halves_are_views_of_one_entry_per_train_pair(self, request, which):
+        # each half is a row range of the one matrix: one entry per train
+        # pair, and its product fills exactly its rows of the whole product
         split = request.getfixturevalue(which)
         adj = build_normalized_adjacency(split)
-        m = adj.matrix
-        for half, n_rows in ((adj.user_rows, adj.n_users), (adj.item_rows, adj.n_items)):
-            assert np.shares_memory(half.data, m.data)
-            assert np.shares_memory(half.indices, m.indices)
-            assert half.nnz == len(split.train)
-            assert half.shape == (n_rows, adj.n_nodes)
-        assert np.array_equal(sp.vstack([adj.user_rows, adj.item_rows]).toarray(), m.toarray())
+        m, n = adj.matrix, adj.n_users
+        z = np.random.default_rng(0).standard_normal((adj.n_nodes, 3))
+        whole = m @ z
+        for start_row, stop_row in ((0, n), (n, adj.n_nodes)):
+            assert m.indptr[stop_row] - m.indptr[start_row] == len(split.train)
+            out = np.zeros_like(z)
+            graph._add_product(m, start_row, stop_row, z, out)
+            assert out[start_row:stop_row].tobytes() == whole[start_row:stop_row].tobytes()
+            out[start_row:stop_row] = 0
+            assert not out.any()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("d", [1, 8])
@@ -292,10 +297,10 @@ class TestRowHalves:
             open_worker_gate(monkeypatch)
         kernel, item_rows_on = graph._add_product, []
 
-        def noted(rows, z, out):
-            if rows is adj.item_rows:
+        def noted(m, start_row, stop_row, z, out):
+            if start_row == adj.n_users:
                 item_rows_on.append(threading.current_thread().name)
-            kernel(rows, z, out)
+            kernel(m, start_row, stop_row, z, out)
 
         monkeypatch.setattr(graph, "_add_product", noted)
         for operand in (z, np.asfortranarray(z)):
@@ -315,10 +320,10 @@ class TestRowHalves:
         adj = build_normalized_adjacency(empty_ends_split)
         real, events = graph._add_product, []
 
-        def kernel(rows, z, out):
-            if rows is adj.item_rows:
+        def kernel(m, start_row, stop_row, z, out):
+            if start_row == adj.n_users:
                 raise RuntimeError("item rows failed")
-            real(rows, z, out)
+            real(m, start_row, stop_row, z, out)
             events.append("user rows done")
 
         monkeypatch.setattr(graph, "_add_product", kernel)
@@ -334,14 +339,14 @@ class TestRowHalves:
         real, events = graph._add_product, []
         caller_failed = threading.Event()
 
-        def kernel(rows, z, out):
-            if rows is adj.user_rows:
+        def kernel(m, start_row, stop_row, z, out):
+            if start_row == 0:
                 caller_failed.set()
                 raise RuntimeError("user rows failed")
             # still writing into the output after the calling thread's half failed
             assert caller_failed.wait(timeout=30)
             time.sleep(0.1)
-            real(rows, z, out)
+            real(m, start_row, stop_row, z, out)
             events.append(f"item rows done on {threading.current_thread().name}")
             if item_rows_fail:
                 raise RuntimeError("item rows failed")

@@ -309,10 +309,10 @@ class TestStepWorker:
 
         kernel, in_forward, halves = graph._add_product, [False], []
 
-        def noted_product(rows, z, out):
+        def noted_product(*args):
             if in_forward[0]:
                 halves.append(threading.current_thread().name)
-            kernel(rows, z, out)
+            kernel(*args)
 
         def noted_forward(adj, table, n_layers):
             in_forward[0] = True

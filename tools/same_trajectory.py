@@ -16,8 +16,9 @@ Each dtype's job runs twice: as is, where the job's small graph keeps the
 worker gate closed, and with the gate forced open by acceptance criterion
 9's child recipe, so the worker's path runs too: in training, and in
 evaluation wherever a revision uses the worker there. The open-gate child
-also lowers the K-means tile size where a revision has one, so the E-step's
-200- and 300-point passes form several tiles and run in halves. It
+also lowers the K-means tile size and the evaluator's user chunk where a
+revision has them, so the E-step's 200- and 300-point passes form several
+tiles and the 200-user rankings several chunks, and both run in halves. It
 compares ``history.jsonl`` without ``seconds``, ``model.ckpt``, the
 evaluate output, ``manifest.json`` without ``created_utc`` and
 ``split_dir``, and each export file byte for byte; a manifest that differs
@@ -57,19 +58,22 @@ from bench_ab import export  # noqa: E402  (beside this file)
 # only ``train`` must start the worker, as a revision's evaluation may not use it.
 # A revision from before ``concf.overlap`` kept the gate in ``concf.objectives``.
 # Tiles of 48 rows split the job's K=8, d=64 E-step passes (200 and 300
-# points) into 4 and 6 tiles, where the default rule makes each one tile.
+# points) into 4 and 6 tiles, where the default rule makes each one tile;
+# chunks of 64 users split its 200-user rankings into 4 chunks, where the
+# default 256 makes one.
 WORKER_CHILD = """
 import os, sys
-from concf import cli, prototypes
+from concf import cli, evaluator, prototypes
 try:
     from concf import overlap
 except ImportError:
     from concf import objectives as overlap
 overlap.OVERLAP_MIN_WORK = 0
 overlap._usable_cpus = lambda: 2
-for name, value in (("MIN_TILE_WORK", 1), ("TILE_ENTRIES", 48 * 8)):
-    if hasattr(prototypes, name):
-        setattr(prototypes, name, value)
+for module, name, value in ((prototypes, "MIN_TILE_WORK", 1),
+                            (prototypes, "TILE_ENTRIES", 48 * 8), (evaluator, "_CHUNK", 64)):
+    if hasattr(module, name):
+        setattr(module, name, value)
 code = cli.main(sys.argv[1:])
 started = sys.argv[1] != 'train' or os.getpid() in overlap._WORKERS
 sys.exit(code or (0 if started else 'the worker never started'))
