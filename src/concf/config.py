@@ -7,6 +7,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, get_type_hints
 
+import numpy as np
+
 
 @dataclass
 class TrainConfig:
@@ -76,6 +78,10 @@ class TrainConfig:
                 raise ValueError(f"{name}: must be one cluster count >= 1, got {ks!r}")
         if self.dtype not in ("float64", "float32"):
             raise ValueError("dtype: must be 'float64' or 'float32'")
+        # the contrastive terms divide by tau in dtype, after tau is cast to it
+        with np.errstate(divide="ignore", over="ignore"):
+            if not np.isfinite(1 / np.dtype(self.dtype).type(self.tau)):
+                raise ValueError(f"tau: must have a finite 1/tau in {self.dtype}")
 
     def validate_for_split(self, n_users: int, n_items: int) -> None:
         """Raise ValueError naming a cluster count above the split's node count.

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from . import framed, overlap
+from . import framed
 from .numerics import grouped_rows
 from .seeding import rng_stream
 
@@ -31,12 +31,6 @@ _HEADER_KEYS = ("n_users", "n_items", *(f"counts.{name}" for name in _PARTS))
 _META_KEYS = ("seed", "ratios", "min_count")
 _INT64 = ("int64",)
 _MAX_REJECTION_ROUNDS = 100_000
-# One train-pair lookup (a binary search in the user's train row) costs about
-# as much as this many multiply-adds of a propagation product: 76-78 ns per
-# query against 0.21-0.33 ns per multiply-add (226-365) on the ML-1M split.
-# So sample_negatives' first round (638,770 lookups there) hands half to the
-# worker, and the planted criterion-7 job's (4,934) runs whole.
-_LOOKUP_WORK = 256
 _MAX_ROUND_WORDS = 256  # key words one sorting round compares
 # _LEADING_BYTES[k] keeps the k leading bytes of a big-endian word
 _LEADING_BYTES = np.array([2**64 - 2 ** (64 - 8 * k) for k in range(9)], dtype=np.uint64)
@@ -193,7 +187,10 @@ class DatasetSplit:
     def read_header(split_dir: str | Path) -> dict:
         """The header line of split.bin in ``split_dir``, checked as ``load``
         checks it; the pairs after it are not read."""
-        return framed.read_header(Path(split_dir) / SPLIT_FILE, _HEADER_KEYS, "split", _INT64)
+        path = Path(split_dir) / SPLIT_FILE
+        header = framed.read_header(path, _HEADER_KEYS, "split", _INT64)
+        _header_meta(path, header)
+        return header
 
     @classmethod
     def load(cls, split_dir: str | Path) -> "DatasetSplit":
@@ -203,11 +200,26 @@ class DatasetSplit:
         header, parts = framed.read(path, _HEADER_KEYS, "split", _split_shapes, _INT64)
         for rows in parts:
             rows.flags.writeable = False  # so the split keeps them uncopied
-        meta = {key: header.get(key) for key in _META_KEYS}
+        meta = _header_meta(path, header)
         try:
             return cls(header["n_users"], header["n_items"], *parts, meta=meta)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _header_meta(path: Path, header: dict) -> dict:
+    """The split's meta from its header: ``seed`` and ``min_count`` each None
+    or a non-negative integer, ``ratios`` None or valid split ratios; an
+    error is a ValueError naming ``path`` and the field."""
+    meta = {key: header.get(key) for key in _META_KEYS}
+    for key in ("seed", "min_count"):
+        value = meta[key]
+        if not (value is None or type(value) is int and value >= 0):
+            raise ValueError(
+                f"{path}: field {key!r}: must be None or a non-negative integer, got {value!r}")
+    if meta["ratios"] is not None:
+        check_ratios(meta["ratios"], f"{path}: field 'ratios'")
+    return meta
 
 
 def _frozen(rows: np.ndarray) -> bool:
@@ -228,8 +240,7 @@ def _split_shapes(header: dict) -> list[tuple[str, tuple[int, int]]]:
 def _look_up(matrix: sp.csr_matrix, users: np.ndarray, items: np.ndarray,
               out: np.ndarray) -> None:
     """Write into ``out`` whether ``matrix`` stores each in-range ``(users[n],
-    items[n])``, with the kernel ``matrix[users, items]`` runs, which
-    releases the GIL."""
+    items[n])``, with the kernel ``matrix[users, items]`` runs."""
     index = matrix.indices.dtype
     _sparsetools.csr_sample_values(
         matrix.shape[0], matrix.shape[1], matrix.indptr, matrix.indices, matrix.data,
@@ -435,9 +446,13 @@ def _recode(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def check_ratios(ratios: tuple[float, ...], name: str = "ratios") -> None:
     """Raise ValueError naming ``name`` unless ``ratios`` are three finite,
-    nonnegative values summing to 1, the first (train) one positive."""
-    finite = all(math.isfinite(r) and r >= 0 for r in ratios)
-    if len(ratios) != 3 or not finite or abs(sum(ratios) - 1.0) > 1e-9:
+    nonnegative numbers summing to 1, the first (train) one positive."""
+    try:
+        valid = (len(ratios) == 3 and all(math.isfinite(r) and r >= 0 for r in ratios)
+                 and abs(sum(ratios) - 1.0) <= 1e-9)
+    except TypeError:  # not a sequence of numbers
+        valid = False
+    if not valid:
         raise ValueError(f"{name}: must be three finite nonnegative values summing to 1, got {ratios}")
     if ratios[0] == 0:
         raise ValueError(f"{name}: the train fraction must be > 0, got {ratios}")
@@ -497,13 +512,9 @@ def sample_negatives(split: DatasetSplit, epoch_seed: int) -> TripleBatch:
     users, pos = split.train.T
     rng = rng_stream(epoch_seed)
     neg = rng.integers(0, split.n_items, size=len(users), dtype=np.int64)
-    # every id is in range, so the first round looks up without a check: the
-    # second half of the rows on the worker when the gate opens
-    matrix, found = split.train_matrix, np.empty(len(users), dtype=bool)
-    mid = len(users) // 2
-    overlap.in_halves(overlap.start_for(len(users) * _LOOKUP_WORK), _look_up,
-                      (matrix, users[:mid], neg[:mid], found[:mid]) if mid else None,
-                      (matrix, users[mid:], neg[mid:], found[mid:]))
+    # every id is in range, so the first round looks up without a check
+    found = np.empty(len(users), dtype=bool)
+    _look_up(split.train_matrix, users, neg, found)
     bad = np.flatnonzero(found)
     rounds = 0
     while bad.size:

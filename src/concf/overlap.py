@@ -117,7 +117,7 @@ def in_halves(start, fn, here: tuple | None, there: tuple) -> None:
     """Run ``fn(*here)`` on the calling thread and ``fn(*there)`` where
     ``start`` (from ``start_for``) puts it, or after ``here`` when it is
     None, and return once both have ended. A ``here`` of None, a half with
-    no rows or tiles, makes no call. A failed ``here`` settles ``there``
+    no rows or chunks, makes no call. A failed ``here`` settles ``there``
     before its error is raised; otherwise ``there``'s error is raised."""
     job = (start or Deferred)(fn, *there)
     try:

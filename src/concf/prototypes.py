@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import overlap
 from .model import EmbeddingTable
 from .numerics import l2_normalize_rows, scatter_add_rows
 from .seeding import derive_seed, rng_stream
@@ -45,7 +44,8 @@ class PrototypeState:
 # width of their 12-row block. So a tile has MIN_TILE_WORK multiply-adds or
 # more, starts on a multiple of ROW_BLOCK rows and, but for the last, holds
 # one; at one BLAS thread (concf's) the tiles then give the untiled bytes.
-# Above that, a tile holds about TILE_ENTRIES distances (2 buffers in 2 MB L2).
+# Above that, a tile holds about TILE_ENTRIES distances, so that its sums and
+# products buffers stay in a 2 MB L2.
 MIN_TILE_WORK = 2**21
 TILE_ENTRIES = 2**17
 ROW_BLOCK = 12
@@ -62,12 +62,9 @@ class _Distances:
     zero against rounding.
 
     The points' squared norms and ``2.0 * points`` are computed once. Each
-    row tile is ``(|x|^2 + |c|^2) - (2x) @ c.T``, formed in two reused tile
-    x k buffers, so no n x k array is ever allocated. With two tiles or
-    more, the second half of the tiles is formed in a second pair of
-    buffers: on the worker, beside the first half here, when the pass's
-    ``n * k * d`` multiply-adds open ``overlap``'s gate, else after it. The
-    same tiles and products either way, so the same bytes.
+    row tile is ``(|x|^2 + |c|^2) - (2x) @ c.T``, formed in one reused pair
+    of tile x k buffers on the calling thread, so no n x k array is ever
+    allocated.
     """
 
     def __init__(self, points: np.ndarray, k: int) -> None:
@@ -78,59 +75,37 @@ class _Distances:
         count = max(n // _tile_rows(k, d), 1)
         bounds = [ROW_BLOCK * (i * (n // ROW_BLOCK) // count) for i in range(count)] + [n]
         self.tiles = list(zip(bounds[:-1], bounds[1:]))
-        self.start = overlap.start_for(n * k * d) if count > 1 else None
         longest = max(stop - start for start, stop in self.tiles)
-        # (sums, products) for the first half of the tiles, then for the second
-        self.buffers = [
-            (np.empty((longest, k), dtype=self.sq_norms.dtype),
-             np.empty((longest, k), dtype=self.sq_norms.dtype))
-            for _ in range(min(count, 2))
-        ]
+        self.sums = np.empty((longest, k), dtype=self.sq_norms.dtype)
+        self.products = np.empty_like(self.sums)
         self.rows = np.arange(longest)
 
-    def _unclipped(
-        self, centers: np.ndarray, tiles: list | None = None, buffers: tuple | None = None
-    ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Yield each of ``tiles``' (default all) ``(start, stop, d2)`` before
-        the clip at zero, formed in ``buffers`` (default the calling thread's)."""
-        sums, products = buffers or self.buffers[0]
+    def _unclipped(self, centers: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Yield each tile's ``(start, stop, d2)`` before the clip at zero."""
         center_sq = np.einsum("ij,ij->i", centers, centers)
-        for start, stop in self.tiles if tiles is None else tiles:
+        for start, stop in self.tiles:
             m = stop - start
-            d2 = np.add(self.sq_norms[start:stop, None], center_sq, out=sums[:m])
-            d2 -= np.matmul(self.twice_points[start:stop], centers.T, out=products[:m])
+            d2 = np.add(self.sq_norms[start:stop, None], center_sq, out=self.sums[:m])
+            d2 -= np.matmul(self.twice_points[start:stop], centers.T, out=self.products[:m])
             yield start, stop, d2
-
-    def _over_tiles(self, fn, *args) -> None:
-        """``fn(tiles, buffers, *args)`` over each half of the tiles, the
-        second on the worker when the gate opened."""
-        mid = len(self.tiles) // 2
-        here = (self.tiles[:mid], self.buffers[0], *args) if mid else None
-        overlap.in_halves(self.start, fn, here, (self.tiles[mid:], self.buffers[-1], *args))
 
     def nearest(self, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each point's nearest center (the first on a tie) and its distance."""
         n = len(self.sq_norms)
         assignments = np.empty(n, dtype=np.intp)
         dist = np.empty(n, dtype=self.sq_norms.dtype)
-        self._over_tiles(self._nearest, centers, assignments, dist)
-        return assignments, dist
-
-    def _nearest(self, tiles, buffers, centers, assignments, dist) -> None:
-        for start, stop, d2 in self._unclipped(centers, tiles, buffers):
+        for start, stop, d2 in self._unclipped(centers):
             np.maximum(d2, 0.0, out=d2)
             nearest = np.argmin(d2, axis=1, out=assignments[start:stop])
             dist[start:stop] = d2[self.rows[: stop - start], nearest]
+        return assignments, dist
 
     def assigned(self, centers: np.ndarray, assignments: np.ndarray) -> np.ndarray:
         """Each point's distance to the center it is assigned to."""
         dist = np.empty(len(self.sq_norms), dtype=self.sq_norms.dtype)
-        self._over_tiles(self._assigned, centers, assignments, dist)
-        return np.maximum(dist, 0.0, out=dist)
-
-    def _assigned(self, tiles, buffers, centers, assignments, dist) -> None:
-        for start, stop, d2 in self._unclipped(centers, tiles, buffers):
+        for start, stop, d2 in self._unclipped(centers):
             dist[start:stop] = d2[self.rows[: stop - start], assignments[start:stop]]
+        return np.maximum(dist, 0.0, out=dist)
 
 
 def _check_finite(points: np.ndarray, name: str) -> None:

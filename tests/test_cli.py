@@ -353,6 +353,18 @@ class TestTrain:
         )
         assert worker_started()
 
+    @pytest.mark.parametrize("tau, dtype", [("1e-300", "float32"), ("1e-310", "float64")])
+    def test_tau_without_a_finite_inverse_fails_before_any_work(self, split_dir, tmp_path,
+                                                                tau, dtype):
+        out = tmp_path / "r"
+        res = run_cli("train", "--split-dir", str(split_dir), "--out-dir", str(out),
+                      "--d", "8", "--batch-size", "128", "--k-users", "3", "--k-items", "3",
+                      "--tau", tau, "--dtype", dtype)
+        assert (res.returncode, res.stdout, res.stderr) == (
+            1, "", f"error: invalid config: tau: must have a finite 1/tau in {dtype}\n"
+        )
+        assert not out.exists()
+
     def test_reused_out_dir_holds_one_run(self, split_dir, tmp_path):
         out = tmp_path / "r"
         args = ("train", "--split-dir", str(split_dir), "--out-dir", str(out), "--d", "8",
@@ -479,6 +491,22 @@ class TestTrain:
         )
         assert_error_names(res, path)
         assert "not valid JSON: 'utf-8' codec can't decode byte 0xff" in res.stderr
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", "x"), ("min_count", -5), ("ratios", [2, -1, 0]),
+    ])
+    def test_bad_split_header_meta_fails_before_any_work(self, split_dir, tmp_path, field,
+                                                         value):
+        broken = shutil.copytree(split_dir, tmp_path / "split")
+        path = broken / "split.bin"
+        head, payload = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(json.dumps({**json.loads(head), field: value}).encode() + b"\n" + payload)
+        out = tmp_path / "run"
+        res = run_cli("train", "--split-dir", str(broken), "--out-dir", str(out), "--d", "8",
+                      "--k-users", "3", "--k-items", "3", "--max-epochs", "1")
+        assert_error_names(res, path)
+        assert f"field '{field}': " in res.stderr
+        assert not out.exists()
 
     @staticmethod
     def old_layout(tmp_path, suffix):

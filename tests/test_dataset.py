@@ -5,8 +5,6 @@ import json
 import math
 import os
 import re
-import threading
-import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -26,7 +24,7 @@ from concf import (
     load_interactions,
     sample_negatives,
 )
-from concf import dataset, overlap
+from concf import dataset
 from concf.dataset import DatasetSplit, ParseError, RawInteractions, group_by_user, pair_matrix
 from concf.numerics import grouped_rows
 from concf.seeding import rng_stream
@@ -36,10 +34,7 @@ from conftest import (
     from_keys,
     key_pairs,
     make_raw,
-    open_worker_gate,
-    planted_communities,
     random_split,
-    worker_started,
 )
 
 PARTS = ("train", "valid", "test")
@@ -611,6 +606,36 @@ class TestLoadSplit:
         ):
             DatasetSplit.load(out)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", "x", "must be None or a non-negative integer, got 'x'"),
+        ("seed", True, "must be None or a non-negative integer, got True"),
+        ("min_count", -5, "must be None or a non-negative integer, got -5"),
+        ("min_count", 2.0, "must be None or a non-negative integer, got 2.0"),
+        ("ratios", [2, -1, 0],
+         "must be three finite nonnegative values summing to 1, got [2, -1, 0]"),
+        ("ratios", [0, 0.5, 0.5], "the train fraction must be > 0, got [0, 0.5, 0.5]"),
+        ("ratios", "0.8", "must be three finite nonnegative values summing to 1, got 0.8"),
+        ("ratios", [0.8, "0.1", 0.1],
+         "must be three finite nonnegative values summing to 1, got [0.8, '0.1', 0.1]"),
+        ("ratios", 1, "must be three finite nonnegative values summing to 1, got 1"),
+    ])
+    def test_bad_header_meta_named(self, tmp_path, small_split, field, value, message):
+        out = self.saved_with_header(tmp_path, small_split, lambda h: h.update({field: value}))
+        match = rf"split\.bin: field '{field}': {re.escape(message)}$"
+        with pytest.raises(ValueError, match=match):
+            DatasetSplit.read_header(out)
+        with pytest.raises(ValueError, match=match):
+            DatasetSplit.load(out)
+
+    @pytest.mark.parametrize("meta", [
+        {"seed": None, "min_count": None, "ratios": None},
+        {"seed": 0, "min_count": 0, "ratios": [1, 0, 0]},
+    ])
+    def test_header_meta_bounds_load(self, tmp_path, small_split, meta):
+        out = self.saved_with_header(tmp_path, small_split, lambda h: h.update(meta))
+        assert DatasetSplit.load(out).meta == meta
+        assert DatasetSplit.read_header(out).items() >= meta.items()
+
     @pytest.mark.parametrize("text", ["{", "", "n_users: 30", b"\xff\xfe{}"])
     def test_header_not_json_named(self, tmp_path, small_split, text):
         out = tmp_path / "split"
@@ -1062,52 +1087,6 @@ class TestSampleNegatives:
         from scipy.stats import chi2 as chi2_dist
 
         assert chi2 < chi2_dist.ppf(0.999, df=len(candidates) - 1)
-
-
-class TestSamplerWorkerHalves:
-    """With the worker gate open, the worker looks up the second half of the
-    first round's pairs: the same negatives as one thread."""
-
-    @pytest.mark.parametrize("make", [
-        lambda: random_split(30, 40, 900, seed=7),
-        lambda: build_split(planted_communities(seed=1), seed=0),
-    ])
-    def test_equal_across_the_gate(self, make, monkeypatch):
-        split = make()
-        monkeypatch.setattr(overlap, "_usable_cpus", lambda: 1)
-        closed = [sample_negatives(split, seed) for seed in range(6)]
-        open_worker_gate(monkeypatch)
-        for seed, want in enumerate(closed):
-            got = sample_negatives(split, seed)
-            for name in ("users", "pos_items", "neg_items"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-        assert worker_started()
-
-    def test_planted_size_runs_whole(self, monkeypatch):
-        # 4,934 lookups stay below the gate at every usable CPU count
-        monkeypatch.setattr(overlap, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(overlap, "_WORKERS", {})
-        split = build_split(planted_communities(seed=0), ratios=(0.8, 0.1, 0.1), seed=0)
-        assert len(split.train) * dataset._LOOKUP_WORK < overlap.OVERLAP_MIN_WORK
-        sample_negatives(split, 0)
-        assert not worker_started()
-
-    def test_workers_error_raised_after_the_callers_half(self, open_gate, monkeypatch,
-                                                         small_split):
-        look_up, events = dataset._look_up, []
-
-        def noted(*args):
-            if threading.current_thread().name.startswith("concf-step"):
-                raise RuntimeError("worker's half failed")
-            time.sleep(0.1)
-            look_up(*args)
-            events.append("caller's half done")
-
-        monkeypatch.setattr(dataset, "_look_up", noted)
-        with pytest.raises(RuntimeError, match="worker's half failed"):
-            sample_negatives(small_split, 0)
-        assert events == ["caller's half done"]
 
 
 class TestIsTrainPair:

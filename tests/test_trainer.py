@@ -349,6 +349,9 @@ class TestConfigValidate:
         ("k_layer", 3, "must be a positive even number"),
         ("k_layer", 4, "must be <= n_layers"),
         ("tau", 0.0, "must be > 0"),
+        ("tau", 1e-300, "must have a finite 1/tau in float32"),
+        ("tau", 1e-39, "must have a finite 1/tau in float32"),
+        ("tau", {"tau": 1e-310, "dtype": "float64"}, "must have a finite 1/tau in float64"),
         ("alpha", -0.5, "must be >= 0"),
         ("lambda1", -1e-7, "must be >= 0"),
         ("lambda2", -1e-7, "must be >= 0"),
@@ -361,8 +364,14 @@ class TestConfigValidate:
         ("dtype", "float16", "must be 'float64' or 'float32'"),
     ])
     def test_bound_named(self, field, value, message):
+        # a dict value sets several fields
+        settings = value if isinstance(value, dict) else {field: value}
         with pytest.raises(ValueError, match=f"^{re.escape(f'{field}: {message}')}$"):
-            TrainConfig(**{field: value}).validate()
+            TrainConfig(**settings).validate()
+
+    def test_small_tau_allowed_where_its_inverse_is_finite(self):
+        TrainConfig(tau=1e-39, dtype="float64").validate()
+        TrainConfig(tau=1e-38).validate()
 
     def test_bench_read_attributes_are_library_defaults(self):
         # not fields, so no flag or config key sets them; train() leaves the

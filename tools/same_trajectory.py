@@ -17,8 +17,8 @@ worker gate closed, and with the gate forced open by acceptance criterion
 9's child recipe, so the worker's path runs too: in training, and in
 evaluation wherever a revision uses the worker there. The open-gate child
 also lowers the K-means tile size and the evaluator's user chunk where a
-revision has them, so the E-step's 200- and 300-point passes form several
-tiles and the 200-user rankings several chunks, and both run in halves. It
+revision has them, so the E-step's 200- and 300-point passes run as
+several tiles and the 200-user rankings as two halves of several chunks. It
 compares ``history.jsonl`` without ``seconds``, ``model.ckpt``, the
 evaluate output, ``manifest.json`` without ``created_utc`` and
 ``split_dir``, and each export file byte for byte; a manifest that differs
@@ -58,9 +58,9 @@ from bench_ab import export  # noqa: E402  (beside this file)
 # only ``train`` must start the worker, as a revision's evaluation may not use it.
 # A revision from before ``concf.overlap`` kept the gate in ``concf.objectives``.
 # Tiles of 48 rows split the job's K=8, d=64 E-step passes (200 and 300
-# points) into 4 and 6 tiles, where the default rule makes each one tile;
-# chunks of 64 users split its 200-user rankings into 4 chunks, where the
-# default 256 makes one.
+# points) into 4 and 6 tiles, where the default rule makes each one tile, so
+# the multi-tile path runs; chunks of 64 users split its 200-user rankings
+# into 4 chunks, where the default 256 makes one, so the ranking's halves run.
 WORKER_CHILD = """
 import os, sys
 from concf import cli, evaluator, prototypes
